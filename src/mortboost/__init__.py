@@ -37,7 +37,6 @@ from .hmd import (
     write_cod_csv,
     write_hmd_1x1,
 )
-from .kernels import backend as kernel_backend
 from .leecarter import FitConfig, LCParams, fit_lc, predict_lc
 from .renshawhaberman import RHParams, fit_rh, predict_rh
 from .simulate import SimSpec, load_sim_spec, sample_cause_deaths, sample_deaths

@@ -4,8 +4,9 @@ Batch in, files out. Every run writes exactly one manifest.json next to its
 outputs. All dense CSV exports iterate gender-major, age-major, year-minor
 (the package's storage order) and print floats at full round-trip precision.
 Exit codes: 0 ok, 2 usage, 3 parse/data error, 4 non-convergence, 5 internal
-error. MORTBOOST_THREADS is recorded for provenance; the implementation is
-single-threaded, so outputs do not depend on it. A key = value config file
+error. MORTBOOST_THREADS is recorded for provenance. The RH fit solves its
+linear systems through BLAS, so byte-identical rh outputs need the same BLAS
+thread count (e.g. OPENBLAS_NUM_THREADS) on every run. A key = value config file
 passed with --config supplies flag defaults; explicit flags override it.
 """
 
@@ -66,6 +67,28 @@ def _env_threads() -> str:
     return os.environ.get("MORTBOOST_THREADS", "")
 
 
+def _load_warm_start(path: str, space: FeatureSpace) -> dict[str, leecarter.LCParams]:
+    """LC parameters for every gender, on exactly the fit's age and year ranges."""
+    try:
+        warm = leecarter.params_from_csv(Path(path).read_text())
+    except ValueError as exc:
+        raise DataError(f"--warm-start {path}: {exc}") from None
+    for g in GENDERS:
+        if g not in warm:
+            raise DataError(f"--warm-start {path}: no {g} parameters")
+        p = warm[g]
+        if (p.age_min, p.n_ages, p.year_min, p.n_years) != (
+            space.age_min, space.n_ages, space.year_min, space.n_years
+        ):
+            raise DataError(
+                f"--warm-start {path}: {g} parameters cover ages "
+                f"{p.age_min}:{p.age_min + p.n_ages - 1}, years {p.year_min}:{p.year_min + p.n_years - 1}; "
+                f"the fit uses ages {space.age_min}:{space.age_max}, "
+                f"years {space.year_min}:{space.year_max}"
+            )
+    return warm
+
+
 def cmd_fit(args) -> int:
     ages = _parse_range(args.ages, "--ages")
     years = _parse_range(args.years, "--years")
@@ -87,9 +110,7 @@ def cmd_fit(args) -> int:
         fits = {g: leecarter.fit_lc(table, g, cfg) for g in GENDERS}
         params_csv = leecarter.params_to_csv(fits)
     else:
-        warm = None
-        if args.warm_start:
-            warm = leecarter.params_from_csv(Path(args.warm_start).read_text())
+        warm = _load_warm_start(args.warm_start, space) if args.warm_start else None
         fits = {
             g: renshawhaberman.fit_rh(table, g, cfg, warm_start=warm[g] if warm else None)
             for g in GENDERS

@@ -241,57 +241,67 @@ def rate_surface(space: FeatureSpace, per_gender: dict[str, "LCParams"]) -> Rate
 
 # --- CSV round-trip ---------------------------------------------------------
 
-def params_to_csv(per_gender: dict[str, LCParams]) -> str:
-    """Columns gender,kind,index,value; kappa indexed by calendar year."""
+_CSV_HEADER = "gender,kind,index,value"
+# the CSV index of each parameter kind runs over ages, calendar years or
+# cohorts, starting at the parameter object's age_min, year_min or cohort_min
+_KIND_AXIS = {"beta0": "age", "beta1": "age", "beta2": "age", "kappa": "year", "gamma": "cohort"}
+LC_KINDS = ("beta0", "beta1", "kappa")
+
+
+def write_params_csv(per_gender: dict, kinds: tuple[str, ...]) -> str:
+    """Columns gender,kind,index,value for the named parameter vectors."""
     buf = io.StringIO()
-    buf.write("gender,kind,index,value\n")
+    buf.write(_CSV_HEADER + "\n")
     for g in GENDERS:
         if g not in per_gender:
             continue
         p = per_gender[g]
-        for kind, vec, base in (
-            ("beta0", p.beta0, p.age_min),
-            ("beta1", p.beta1, p.age_min),
-            ("kappa", p.kappa, p.year_min),
-        ):
-            for i, v in enumerate(vec):
+        for kind in kinds:
+            base = getattr(p, _KIND_AXIS[kind] + "_min")
+            for i, v in enumerate(getattr(p, kind)):
                 buf.write(f"{g},{kind},{base + i},{float(v)!r}\n")
     return buf.getvalue()
 
 
-def params_from_csv(text: str, rate_floor: float = FitConfig().rate_floor) -> dict[str, LCParams]:
-    rows: dict[str, dict[str, dict[int, float]]] = {}
+def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) -> dict:
+    """Inverse of write_params_csv; `make` builds one gender's parameter object
+    (LCParams, RHParams) from keyword fields."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != "gender,kind,index,value":
-        raise ValueError("expected header gender,kind,index,value")
+    if not lines or lines[0].strip() != _CSV_HEADER:
+        raise ValueError(f"expected header {_CSV_HEADER}")
+    rows: dict[str, dict[str, dict[int, float]]] = {}
     for ln in lines[1:]:
         if not ln.strip():
             continue
         g, kind, idx, val = ln.split(",")
         rows.setdefault(g, {}).setdefault(kind, {})[int(idx)] = float(val)
-    out: dict[str, LCParams] = {}
-    for g, kinds in rows.items():
-        if set(kinds) != {"beta0", "beta1", "kappa"}:
-            raise ValueError(f"gender {g}: expected kinds beta0/beta1/kappa, got {sorted(kinds)}")
-
-        def vec(kind: str) -> tuple[int, np.ndarray]:
-            idx = sorted(kinds[kind])
+    if not rows:
+        raise ValueError("no parameter rows after the header")
+    out = {}
+    for g, by_kind in rows.items():
+        if set(by_kind) != set(kinds):
+            raise ValueError(f"gender {g}: expected kinds {'/'.join(kinds)}, got {sorted(by_kind)}")
+        starts, vecs = {}, {}
+        for kind in kinds:
+            idx = sorted(by_kind[kind])
             if idx != list(range(idx[0], idx[0] + len(idx))):
-                raise ValueError(f"{kind} indices are not contiguous")
-            return idx[0], np.array([kinds[kind][i] for i in idx])
-
-        age_min, beta0 = vec("beta0")
-        age_min1, beta1 = vec("beta1")
-        year_min, kappa = vec("kappa")
-        if age_min1 != age_min or beta1.size != beta0.size:
-            raise ValueError("beta0/beta1 age ranges differ")
-        out[g] = LCParams(
+                raise ValueError(f"gender {g}: {kind} indices are not contiguous")
+            starts[kind], vecs[kind] = idx[0], np.array([by_kind[kind][i] for i in idx])
+        age_min, n_ages = starts["beta0"], vecs["beta0"].size
+        year_min, n_years = starts["kappa"], vecs["kappa"].size
+        span = {
+            "age": (age_min, n_ages),
+            "year": (year_min, n_years),
+            "cohort": (year_min - (age_min + n_ages - 1), n_ages + n_years - 1),
+        }
+        for kind in kinds:
+            if (starts[kind], vecs[kind].size) != span[_KIND_AXIS[kind]]:
+                raise ValueError(f"gender {g}: {kind} index range does not match the age/year ranges")
+        out[g] = make(
             gender=g,
             age_min=age_min,
             year_min=year_min,
-            beta0=beta0,
-            beta1=beta1,
-            kappa=kappa,
+            **vecs,
             rate_floor=rate_floor,
             converged=True,
             n_iterations=0,
@@ -299,3 +309,12 @@ def params_from_csv(text: str, rate_floor: float = FitConfig().rate_floor) -> di
             flags=["loaded from CSV"],
         )
     return out
+
+
+def params_to_csv(per_gender: dict[str, LCParams]) -> str:
+    """LC parameters as CSV; kappa indexed by calendar year."""
+    return write_params_csv(per_gender, LC_KINDS)
+
+
+def params_from_csv(text: str, rate_floor: float = FitConfig().rate_floor) -> dict[str, LCParams]:
+    return read_params_csv(text, LC_KINDS, LCParams, rate_floor)

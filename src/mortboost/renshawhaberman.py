@@ -16,17 +16,24 @@ iteration budget is deliberately generous.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GENDERS, MortalityTable, gender_index
-from .leecarter import FitConfig, LCParams, fit_lc, poisson_surface_deviance
+from .leecarter import (
+    FitConfig,
+    LCParams,
+    fit_lc,
+    poisson_surface_deviance,
+    read_params_csv,
+    write_params_csv,
+)
 
 _MAX_HALVINGS = 30
 
 RH_DEFAULT_CONFIG = FitConfig(max_iterations=50000)
+RH_KINDS = ("beta0", "beta1", "kappa", "beta2", "gamma")
 
 
 @dataclass
@@ -373,68 +380,9 @@ def predict_rh(params: RHParams, gender: str, age: int, year: int) -> float:
 
 
 def rh_params_to_csv(per_gender: dict[str, RHParams]) -> str:
-    buf = io.StringIO()
-    buf.write("gender,kind,index,value\n")
-    for g in GENDERS:
-        if g not in per_gender:
-            continue
-        p = per_gender[g]
-        for kind, vec, base in (
-            ("beta0", p.beta0, p.age_min),
-            ("beta1", p.beta1, p.age_min),
-            ("kappa", p.kappa, p.year_min),
-            ("beta2", p.beta2, p.age_min),
-            ("gamma", p.gamma, p.cohort_min),
-        ):
-            for i, v in enumerate(vec):
-                buf.write(f"{g},{kind},{base + i},{float(v)!r}\n")
-    return buf.getvalue()
+    """RH parameters as CSV; gamma indexed by birth cohort."""
+    return write_params_csv(per_gender, RH_KINDS)
 
 
 def rh_params_from_csv(text: str, rate_floor: float = FitConfig().rate_floor) -> dict[str, RHParams]:
-    rows: dict[str, dict[str, dict[int, float]]] = {}
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "gender,kind,index,value":
-        raise ValueError("expected header gender,kind,index,value")
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        g, kind, idx, val = ln.split(",")
-        rows.setdefault(g, {}).setdefault(kind, {})[int(idx)] = float(val)
-    out: dict[str, RHParams] = {}
-    for g, kinds in rows.items():
-        expected = {"beta0", "beta1", "kappa", "beta2", "gamma"}
-        if set(kinds) != expected:
-            raise ValueError(f"gender {g}: expected kinds {sorted(expected)}, got {sorted(kinds)}")
-
-        def vec(kind: str) -> tuple[int, np.ndarray]:
-            idx = sorted(kinds[kind])
-            if idx != list(range(idx[0], idx[0] + len(idx))):
-                raise ValueError(f"{kind} indices are not contiguous")
-            return idx[0], np.array([kinds[kind][i] for i in idx])
-
-        age_min, beta0 = vec("beta0")
-        _, beta1 = vec("beta1")
-        year_min, kappa = vec("kappa")
-        _, beta2 = vec("beta2")
-        cohort_min, gamma = vec("gamma")
-        if gamma.size != kappa.size + beta0.size - 1:
-            raise ValueError("gamma length does not match the age/year ranges")
-        if cohort_min != year_min - (age_min + beta0.size - 1):
-            raise ValueError("gamma cohort range does not match the age/year ranges")
-        out[g] = RHParams(
-            gender=g,
-            age_min=age_min,
-            year_min=year_min,
-            beta0=beta0,
-            beta1=beta1,
-            kappa=kappa,
-            beta2=beta2,
-            gamma=gamma,
-            rate_floor=rate_floor,
-            converged=True,
-            n_iterations=0,
-            deviance_trace=np.array([np.nan]),
-            flags=["loaded from CSV"],
-        )
-    return out
+    return read_params_csv(text, RH_KINDS, RHParams, rate_floor)

@@ -171,14 +171,8 @@ class _Candidate:
 
 def _scan_ordered(values, slog, deaths, volume, min_bucket, feature) -> _Candidate | None:
     order = np.argsort(values, kind="stable")
-    v = np.ascontiguousarray(values[order])
-    cut, red = kernels.best_cut(
-        v,
-        np.ascontiguousarray(slog[order]),
-        np.ascontiguousarray(deaths[order]),
-        np.ascontiguousarray(volume[order]),
-        int(min_bucket),
-    )
+    v = values[order]
+    cut, red = kernels.best_cut(v, slog[order], deaths[order], volume[order], int(min_bucket))
     if cut < 0:
         return None
     threshold = (v[cut] + v[cut + 1]) / 2.0
@@ -198,26 +192,20 @@ def _scan_cause(codes, slog, deaths, volume, min_bucket, n_codes) -> _Candidate 
     # Poisson split); rate compared at float32, ties by code
     rate32 = (sum_D[present] / sum_d[present]).astype(np.float32)
     order = present[np.lexsort((present, rate32))]
-    c_s = np.cumsum(sum_s[order])
-    c_D = np.cumsum(sum_D[order])
-    c_d = np.cumsum(sum_d[order])
+    red = kernels.prefix_reductions(
+        np.cumsum(sum_s[order]), np.cumsum(sum_D[order]), np.cumsum(sum_d[order])
+    )
     c_n = np.cumsum(counts[order])
-    parent = _node_deviance(c_s[-1], c_D[-1], c_d[-1])
-    best: _Candidate | None = None
-    for j in range(1, order.size):
-        n_left = c_n[j - 1]
-        if n_left < min_bucket or c_n[-1] - n_left < min_bucket:
-            continue
-        dev_left = _node_deviance(c_s[j - 1], c_D[j - 1], c_d[j - 1])
-        dev_right = _node_deviance(c_s[-1] - c_s[j - 1], c_D[-1] - c_D[j - 1], c_d[-1] - c_d[j - 1])
-        red = parent - dev_left - dev_right
-        red32 = np.float32(red)
-        left = tuple(sorted(int(c) for c in order[:j]))
-        if best is None or red32 > best.reduction32 or (
-            red32 == best.reduction32 and left < best.rule.left_codes
-        ):
-            best = _Candidate(SplitRule("cause", left_codes=left), red, red32)
-    return best
+    ok = (c_n[:-1] >= min_bucket) & (c_n[-1] - c_n[:-1] >= min_bucket)
+    if not ok.any():
+        return None
+    red32 = red.astype(np.float32)
+    tied = np.nonzero(ok & (red32 == red32[ok].max()))[0]
+    # cut j puts the first j + 1 bins left; float32 ties go to the
+    # lexicographically smaller left set
+    lefts = {int(j): tuple(sorted(int(c) for c in order[: j + 1])) for j in tied}
+    j = min(lefts, key=lefts.get)
+    return _Candidate(SplitRule("cause", left_codes=lefts[j]), float(red[j]), red32[j])
 
 
 def _best_split(data: WorkingData, idx_obs: np.ndarray, slog: np.ndarray, min_bucket: int) -> _Candidate | None:
@@ -383,24 +371,29 @@ class PoissonTree:
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         if not lines or lines[0].strip() != "mortboost-tree v1":
             raise ValueError("not a mortboost tree file")
-        if not lines[1].startswith("ordered: "):
-            raise ValueError("missing ordered feature list")
-        ordered_names = tuple(lines[1][len("ordered: "):].split())
+
+        def header(pos: int, key: str) -> str:
+            if pos >= len(lines) or not lines[pos].startswith(key):
+                raise ValueError(f"missing {key.strip()} line")
+            return lines[pos][len(key):]
+
+        ordered_names = tuple(header(1, "ordered: ").split())
         pos = 2
         cause_labels = None
-        if lines[pos].startswith("causes: "):
+        if pos < len(lines) and lines[pos].startswith("causes: "):
             cause_labels = tuple(lines[pos][len("causes: "):].split("|"))
             pos += 1
-        if not lines[pos].startswith("root_deviance: "):
-            raise ValueError("missing root_deviance")
-        root_deviance = float(lines[pos][len("root_deviance: "):])
+        root_deviance = float(header(pos, "root_deviance: "))
         pos += 1
-        cfg_parts = dict(kv.split("=") for kv in lines[pos][len("config: "):].split())
-        config = TreeConfig(
-            cp=float(cfg_parts["cp"]),
-            min_bucket=int(cfg_parts["min_bucket"]),
-            max_depth=int(cfg_parts["max_depth"]),
-        )
+        cfg_parts = dict(kv.split("=") for kv in header(pos, "config: ").split())
+        try:
+            config = TreeConfig(
+                cp=float(cfg_parts["cp"]),
+                min_bucket=int(cfg_parts["min_bucket"]),
+                max_depth=int(cfg_parts["max_depth"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"config line lacks {exc}") from None
         pos += 1
         rows = []
         for ln in lines[pos:]:
@@ -412,7 +405,9 @@ class PoissonTree:
         it = iter(rows)
 
         def build(expected_depth: int) -> Node:
-            parts = next(it)
+            parts = next(it, None)
+            if parts is None:
+                raise ValueError("tree file ends before every split has two children")
             depth = int(parts[0])
             if depth != expected_depth:
                 raise ValueError(f"node depth {depth} where {expected_depth} expected")
@@ -440,11 +435,8 @@ class PoissonTree:
             return node
 
         root = build(0)
-        try:
-            next(it)
+        if next(it, None) is not None:
             raise ValueError("trailing node lines after the tree")
-        except StopIteration:
-            pass
         return cls(root, ordered_names, cause_labels, root_deviance, config)
 
 

@@ -116,6 +116,27 @@ class TestFit:
             assert rh_manifest["deviance"][g] <= lc_manifest["deviance"][g] + 1e-8
         assert main(["check", "--params", str(out / "params.csv"), "--kind", "rh"]) == 0
 
+    def test_rh_warm_start_must_cover_the_fit(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        rows = (lc_fit_dir / "params.csv").read_text().splitlines(keepends=True)
+        female_only = tmp_path / "female_only.csv"
+        female_only.write_text("".join(r for r in rows if not r.startswith("male,")))
+        fewer_ages = tmp_path / "ages_0_8.csv"
+        fewer_ages.write_text("".join(r for r in rows if ",beta0,9," not in r and ",beta1,9," not in r))
+        for warm, message in ((female_only, "no male parameters"), (fewer_ages, "cover ages 0:8")):
+            code = main(
+                [
+                    "fit", "rh",
+                    "--deaths", str(sim_dir / "deaths.txt"),
+                    "--exposures", str(sim_dir / "exposures.txt"),
+                    "--ages", "0:9", "--years", "2000:2009",
+                    "--out", str(tmp_path / "rh"),
+                    "--warm-start", str(warm),
+                ]
+            )
+            assert code == 3
+            err = capsys.readouterr().err
+            assert str(warm) in err and message in err, err
+
     def test_non_convergence_exit_code(self, sim_dir, tmp_path):
         out = tmp_path / "noconv"
         code = main(
@@ -304,6 +325,12 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "lc"])  # missing required flags
         assert exc.value.code == 2
+
+    def test_check_on_header_only_params_is_data_error(self, tmp_path):
+        params = tmp_path / "params.csv"
+        params.write_text("gender,kind,index,value\n")
+        for kind in ("lc", "rh"):
+            assert main(["check", "--params", str(params), "--kind", kind]) == 3
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["simulate", "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

@@ -1,29 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
-from mortboost import _scan_py
 from mortboost import kernels
-
-cython_scan = None
-try:
-    from mortboost import _scan_cy as cython_scan
-except ImportError:
-    pass
-
-
-def random_block(rng, n):
-    values = np.sort(rng.integers(0, 15, size=n).astype(np.float64))
-    vols = rng.integers(1, 7, size=n) / 2.0
-    deaths = rng.poisson(1.5 * vols).astype(np.float64)
-    slogs = np.where(deaths > 0, deaths * np.log(np.where(deaths > 0, deaths, 1.0) / vols), 0.0)
-    return values, slogs, deaths, vols
-
-
-def test_a_backend_is_selected():
-    assert kernels.backend in ("python", "cython")
-    assert callable(kernels.best_cut)
 
 
 def test_python_scan_basics():
@@ -32,37 +10,11 @@ def test_python_scan_basics():
     vols = np.array([1.0, 1.0])
     with np.errstate(divide="ignore", invalid="ignore"):
         slogs = np.where(deaths > 0, deaths * np.log(deaths / vols), 0.0)
-    cut, red = _scan_py.best_cut(values, slogs, deaths, vols, 1)
+    cut, red = kernels.best_cut(values, slogs, deaths, vols, 1)
     assert cut == 0
     assert red == pytest.approx(2 * (2 * np.log(2) - 1) + 2, abs=1e-12)
     # no admissible cut cases
-    assert _scan_py.best_cut(values[:1], slogs[:1], deaths[:1], vols[:1], 1) == (-1, 0.0)
-    assert _scan_py.best_cut(values, slogs, deaths, vols, 2) == (-1, 0.0)
+    assert kernels.best_cut(values[:1], slogs[:1], deaths[:1], vols[:1], 1) == (-1, 0.0)
+    assert kernels.best_cut(values, slogs, deaths, vols, 2) == (-1, 0.0)
     same = np.array([3.0, 3.0])
-    assert _scan_py.best_cut(same, slogs, deaths, vols, 1) == (-1, 0.0)
-
-
-@pytest.mark.skipif(cython_scan is None, reason="compiled scan not built")
-def test_backends_agree_on_random_blocks(rng):
-    for _ in range(300):
-        n = int(rng.integers(2, 40))
-        min_bucket = int(rng.integers(1, 4))
-        values, slogs, deaths, vols = random_block(rng, n)
-        cut_py, red_py = _scan_py.best_cut(values, slogs, deaths, vols, min_bucket)
-        cut_cy, red_cy = cython_scan.best_cut(values, slogs, deaths, vols, min_bucket)
-        assert cut_py == cut_cy
-        if cut_py >= 0:
-            assert red_cy == pytest.approx(red_py, rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.skipif(cython_scan is None, reason="compiled scan not built")
-def test_forcing_pure_python_via_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MORTBOOST_PURE_PYTHON", "1")
-    import mortboost.kernels as km
-
-    fresh = importlib.reload(km)
-    try:
-        assert fresh.backend == "python"
-    finally:
-        monkeypatch.delenv("MORTBOOST_PURE_PYTHON")
-        importlib.reload(km)
+    assert kernels.best_cut(same, slogs, deaths, vols, 1) == (-1, 0.0)

@@ -178,6 +178,8 @@ class TestParamsCsv:
             assert np.array_equal(back[g].beta1, fits[g].beta1)
             assert np.array_equal(back[g].kappa, fits[g].kappa)
             assert back[g].age_min == 20 and back[g].year_min == 1990
+        with pytest.raises(ValueError, match="no parameter rows"):
+            params_from_csv(text.splitlines()[0] + "\n")
 
     def test_surface_assembly(self, rng):
         space = FeatureSpace(20, 24, 1990, 1994)

@@ -144,8 +144,11 @@ class TestRHParamsCsv:
         (params, log_q) = rh_truth(rng, space)
         table, _ = noise_free_table(space, np.stack([log_q, log_q]))
         fits = fit_rh_both(table, FitConfig(max_iterations=30))
-        back = rh_params_from_csv(rh_params_to_csv(fits))
+        text = rh_params_to_csv(fits)
+        back = rh_params_from_csv(text)
         for g in ("female", "male"):
             for name in ("beta0", "beta1", "kappa", "beta2", "gamma"):
                 assert np.array_equal(getattr(back[g], name), getattr(fits[g], name)), name
             assert back[g].cohort_min == fits[g].cohort_min
+        with pytest.raises(ValueError, match="no parameter rows"):
+            rh_params_from_csv(text.splitlines()[0] + "\n")

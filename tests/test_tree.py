@@ -255,8 +255,18 @@ class TestSerialization:
             )
 
     def test_reject_garbage(self):
-        with pytest.raises(ValueError):
-            PoissonTree.from_text("not a tree\n")
+        head = "mortboost-tree v1\nordered: age\nroot_deviance: 1.0\nconfig: cp=0.0 min_bucket=1 max_depth=30\n"
+        split = "0 age<=1.5 4 2.0 4.0 0.5 1.0\n"
+        leaf = "1 leaf 2 1.0 2.0 0.5 0.5\n"
+        garbage = [
+            "not a tree\n",
+            "mortboost-tree v1\nordered: age\n",  # ends after the feature list
+            head + split + leaf,  # the split's right child is missing
+        ]
+        for text in garbage:
+            with pytest.raises(ValueError):
+                PoissonTree.from_text(text)
+        assert PoissonTree.from_text(head + split + leaf + leaf).n_splits == 1
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
