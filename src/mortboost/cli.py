@@ -67,12 +67,18 @@ def _env_threads() -> str:
     return os.environ.get("MORTBOOST_THREADS", "")
 
 
+def _read_file(flag: str, path: str, reader):
+    """reader(text) of the file at path; a reader's ValueError names the flag and file."""
+    text = Path(path).read_text()
+    try:
+        return reader(text)
+    except ValueError as exc:
+        raise DataError(f"{flag} {path}: {exc}") from None
+
+
 def _load_warm_start(path: str, space: FeatureSpace) -> dict[str, leecarter.LCParams]:
     """LC parameters for every gender, on exactly the fit's age and year ranges."""
-    try:
-        warm = leecarter.params_from_csv(Path(path).read_text())
-    except ValueError as exc:
-        raise DataError(f"--warm-start {path}: {exc}") from None
+    warm = _read_file("--warm-start", path, leecarter.params_from_csv)
     for g in GENDERS:
         if g not in warm:
             raise DataError(f"--warm-start {path}: no {g} parameters")
@@ -154,7 +160,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    q_init = rate_surface_from_csv(Path(args.qfit).read_text())
+    q_init = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_init.space
     table, report = _load_table(args.deaths, args.exposures, space, not args.no_pool_top_age)
     cfg = TreeConfig(cp=args.cp, min_bucket=args.min_bucket, max_depth=args.max_depth)
@@ -229,7 +235,7 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
 def cmd_cod(args) -> int:
     causes = _cause_registry(args.causes) if args.causes else hmd.DEFAULT_CAUSES
     cod = hmd.parse_cod_csv(Path(args.cod).read_text(), causes=causes)
-    q_full = rate_surface_from_csv(Path(args.qfit).read_text())
+    q_full = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_full.space
     exposures = hmd.parse_hmd_1x1(Path(args.exposures).read_text(), "exposures")
     deaths_placeholder = hmd.HmdGrid(
@@ -370,12 +376,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    text = Path(args.params).read_text()
     if args.kind == "lc":
-        fits = leecarter.params_from_csv(text)
+        fits = _read_file("--params", args.params, leecarter.params_from_csv)
         rows = [("beta1 sum - 1", lambda p: p.beta1.sum() - 1.0), ("kappa sum", lambda p: p.kappa.sum())]
     else:
-        fits = renshawhaberman.rh_params_from_csv(text)
+        fits = _read_file("--params", args.params, renshawhaberman.rh_params_from_csv)
 
         def gamma_sum(p):
             ages = np.arange(p.age_min, p.age_min + p.n_ages)

@@ -12,6 +12,13 @@ pure alternating scheme is prone to on this model. Every step is accepted
 only if the deviance does not increase, which makes the LC-nesting property
 hold by construction. RH fitting is known to converge slowly; the default
 iteration budget is deliberately generous.
+
+The joint step's Fisher system has 3A + T + C unknowns for A ages, T years
+and C cohorts. Each grid cell loads on one cohort, so the gamma-gamma block
+is diagonal (the beta0-gamma block is not). The step eliminates gamma first
+and hands the dense (3A + T)-square Schur complement to np.linalg.solve;
+gamma then follows by back-substitution. On the 98-age, 65-year README grid
+that is a 359-square solve in place of a 521-square one.
 """
 
 from __future__ import annotations
@@ -96,65 +103,56 @@ def _fisher_system(W, R, ci, beta1, beta2, kappa, gamma, n_cohorts):
 
     Parameter order [beta0 (A), beta1 (A), kappa (T), beta2 (A), gamma (C)];
     W holds the fitted means (Fisher weights), R the raw residuals D - fitted,
-    both zeroed on zero-exposure cells.
+    both zeroed on zero-exposure cells. Every block is a contiguous index
+    range, written once into a slice of H; each (age, cohort) and (year,
+    cohort) pair is one grid cell at most, so the cohort blocks are bincounts.
     """
     A, T = W.shape
     C = n_cohorts
     p = 3 * A + T + C
-    o1, ok, o2, og = A, 2 * A, 2 * A + T, 3 * A + T
-    KP = np.broadcast_to(kappa[None, :], (A, T))
-    B1 = np.broadcast_to(beta1[:, None], (A, T))
-    B2 = np.broadcast_to(beta2[:, None], (A, T))
+    b0, b1 = slice(0, A), slice(A, 2 * A)
+    k, b2, g = slice(2 * A, 2 * A + T), slice(2 * A + T, 3 * A + T), slice(3 * A + T, p)
+    KP = kappa[None, :]
+    B1 = beta1[:, None]
+    B2 = beta2[:, None]
     GM = gamma[ci]
-    a_idx = np.repeat(np.arange(A), T)
-    t_idx = np.tile(np.arange(T), A)
+    age_cohort = (np.arange(A)[:, None] * C + ci).ravel()
+    year_cohort = (np.arange(T)[None, :] * C + ci).ravel()
     c_idx = ci.ravel()
 
     H = np.zeros((p, p))
-    ar = np.arange(A)
-    tr = np.arange(T)
 
-    def put_diag(rows, values):
-        H[rows, rows] += values
+    def put(rows, cols, block):
+        H[rows, cols] = block
+        H[cols, rows] = block.T
 
-    def put_pair(rows, cols, values):
-        H[rows, cols] += values
-        H[cols, rows] += values
+    def put_diag(rows, cols, values):
+        np.fill_diagonal(H[rows, cols], values)
+        if rows != cols:
+            np.fill_diagonal(H[cols, rows], values)
 
-    put_diag(ar, W.sum(axis=1))
-    put_pair(ar, o1 + ar, (W * KP).sum(axis=1))
-    H[np.ix_(ar, ok + tr)] += W * B1
-    H[np.ix_(ok + tr, ar)] += (W * B1).T
-    put_pair(ar, o2 + ar, (W * GM).sum(axis=1))
-    blk = np.zeros((A, C))
-    np.add.at(blk, (a_idx, c_idx), (W * B2).ravel())
-    H[np.ix_(ar, og + np.arange(C))] += blk
-    H[np.ix_(og + np.arange(C), ar)] += blk.T
+    def by_cohort(codes, n, values):
+        return np.bincount(codes, weights=values.ravel(), minlength=n * C).reshape(n, C)
 
-    put_diag(o1 + ar, (W * KP**2).sum(axis=1))
-    H[np.ix_(o1 + ar, ok + tr)] += W * KP * B1
-    H[np.ix_(ok + tr, o1 + ar)] += (W * KP * B1).T
-    put_pair(o1 + ar, o2 + ar, (W * KP * GM).sum(axis=1))
-    blk = np.zeros((A, C))
-    np.add.at(blk, (a_idx, c_idx), (W * KP * B2).ravel())
-    H[np.ix_(o1 + ar, og + np.arange(C))] += blk
-    H[np.ix_(og + np.arange(C), o1 + ar)] += blk.T
+    put_diag(b0, b0, W.sum(axis=1))
+    put_diag(b0, b1, (W * KP).sum(axis=1))
+    put(b0, k, W * B1)
+    put_diag(b0, b2, (W * GM).sum(axis=1))
+    put(b0, g, by_cohort(age_cohort, A, W * B2))
 
-    put_diag(ok + tr, (W * B1**2).sum(axis=0))
-    H[np.ix_(ok + tr, o2 + ar)] += (W * B1 * GM).T
-    H[np.ix_(o2 + ar, ok + tr)] += W * B1 * GM
-    blk = np.zeros((T, C))
-    np.add.at(blk, (t_idx, c_idx), (W * B1 * B2).ravel())
-    H[np.ix_(ok + tr, og + np.arange(C))] += blk
-    H[np.ix_(og + np.arange(C), ok + tr)] += blk.T
+    put_diag(b1, b1, (W * KP**2).sum(axis=1))
+    put(b1, k, W * KP * B1)
+    put_diag(b1, b2, (W * KP * GM).sum(axis=1))
+    put(b1, g, by_cohort(age_cohort, A, W * KP * B2))
 
-    put_diag(o2 + ar, (W * GM**2).sum(axis=1))
-    blk = np.zeros((A, C))
-    np.add.at(blk, (a_idx, c_idx), (W * GM * B2).ravel())
-    H[np.ix_(o2 + ar, og + np.arange(C))] += blk
-    H[np.ix_(og + np.arange(C), o2 + ar)] += blk.T
+    put_diag(k, k, (W * B1**2).sum(axis=0))
+    put(b2, k, W * B1 * GM)
+    put(k, g, by_cohort(year_cohort, T, W * B1 * B2))
 
-    put_diag(og + np.arange(C), np.bincount(c_idx, weights=(W * B2**2).ravel(), minlength=C))
+    put_diag(b2, b2, (W * GM**2).sum(axis=1))
+    put(b2, g, by_cohort(age_cohort, A, W * GM * B2))
+
+    put_diag(g, g, np.bincount(c_idx, weights=(W * B2**2).ravel(), minlength=C))
 
     grad = np.concatenate(
         [
@@ -166,6 +164,31 @@ def _fisher_system(W, R, ci, beta1, beta2, kappa, gamma, n_cohorts):
         ]
     )
     return H, grad
+
+
+def _damped_step(H, grad, lam, diag, m):
+    """Solve (H + lam*diag(diag) + 1e-12*max(diag)*I) step = grad.
+
+    H[m:, m:], the gamma-gamma block, is diagonal. So gamma is eliminated
+    first: the Schur complement S = H11 - X diag(dg)^-1 X^T of the first m
+    unknowns goes to np.linalg.solve, and gamma follows by back-substitution.
+    diag must be positive (fit_rh sets non-positive entries to 1), so the
+    damped gamma diagonal dg stays positive, also for cohorts without
+    exposure. A singular S raises np.linalg.LinAlgError, as the full system
+    would.
+    """
+    eps = 1e-12 * diag.max()
+    S = H[:m, :m].copy()
+    S.flat[:: m + 1] += lam * diag[:m]
+    S.flat[:: m + 1] += eps
+    dg = H.diagonal()[m:] + lam * diag[m:]
+    dg += eps
+    root = np.sqrt(dg)
+    Y = H[:m, m:] / root
+    S -= Y @ Y.T  # X diag(dg)^-1 X^T as one symmetric rank-k product
+    head = np.linalg.solve(S, grad[:m] - Y @ (grad[m:] / root))
+    tail = (grad[m:] - H[m:, :m] @ head) / dg
+    return np.concatenate([head, tail])
 
 
 def fit_rh(
@@ -287,10 +310,7 @@ def fit_rh(
             accepted = False
             for _ in range(12):
                 try:
-                    step = np.linalg.solve(
-                        H + lm_lambda * np.diag(diag) + 1e-12 * diag.max() * np.eye(H.shape[0]),
-                        grad,
-                    )
+                    step = _damped_step(H, grad, lm_lambda, diag, 3 * n_ages + n_years)
                 except np.linalg.LinAlgError:
                     lm_lambda *= 10.0
                     continue

@@ -307,7 +307,7 @@ def test_default_buckets_follow_the_six_group_scheme():
 
 
 class TestErrorPaths:
-    def test_parse_error_exit_code(self, tmp_path, sim_dir):
+    def test_parse_error_exit_code(self, tmp_path, sim_dir, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n\nYear Age F M T\nnot numbers at all\n")
         code = main(
@@ -320,17 +320,29 @@ class TestErrorPaths:
             ]
         )
         assert code == 3
+        # a malformed --qfit exits 3 with a message naming the file
+        qfit = tmp_path / "qfit.csv"
+        qfit.write_text("gender,age,rate\n")
+        hmd_in = ["--deaths", str(sim_dir / "deaths.txt"), "--exposures", str(sim_dir / "exposures.txt")]
+        for argv in (
+            ["backtest", "--qfit", str(qfit), *hmd_in, "--out", str(tmp_path / "bt")],
+            ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(qfit),
+             "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3", "--out", str(tmp_path / "cod")],
+        ):
+            assert main(argv) == 3
+            assert f"--qfit {qfit}:" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "lc"])  # missing required flags
         assert exc.value.code == 2
 
-    def test_check_on_header_only_params_is_data_error(self, tmp_path):
+    def test_check_on_header_only_params_is_data_error(self, tmp_path, capsys):
         params = tmp_path / "params.csv"
         params.write_text("gender,kind,index,value\n")
         for kind in ("lc", "rh"):
             assert main(["check", "--params", str(params), "--kind", kind]) == 3
+            assert f"--params {params}: no parameter rows" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["simulate", "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

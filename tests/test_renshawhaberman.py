@@ -5,7 +5,13 @@ import pytest
 
 from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_rh
 from mortboost.leecarter import FitConfig, poisson_surface_deviance
-from mortboost.renshawhaberman import fit_rh_both, rh_params_from_csv, rh_params_to_csv
+from mortboost.renshawhaberman import (
+    _damped_step,
+    _fisher_system,
+    fit_rh_both,
+    rh_params_from_csv,
+    rh_params_to_csv,
+)
 from conftest import noise_free_table
 
 
@@ -24,6 +30,66 @@ def rh_truth(rng, space):
     g -= (mult * g).sum() / mult.sum()
     log_q = b0[:, None] + b1[:, None] * k[None, :] + b2[:, None] * g[ci]
     return (b0, b1, k, b2, g), log_q
+
+
+def rh_jacobian(ci, beta1, kappa, beta2, gamma):
+    """Dense d log_rates / d[beta0, beta1, kappa, beta2, gamma], one row per grid cell."""
+    A, T = ci.shape
+    C = gamma.size
+    a, t = np.divmod(np.arange(A * T), T)
+    c = ci.ravel()
+    rows = np.arange(A * T)
+    J = np.zeros((A * T, 3 * A + T + C))
+    J[rows, a] = 1.0
+    J[rows, A + a] = kappa[t]
+    J[rows, 2 * A + t] = beta1[a]
+    J[rows, 2 * A + T + a] = gamma[c]
+    J[rows, 3 * A + T + c] = beta2[a]
+    return J
+
+
+def full_damped_solve(H, grad, lam):
+    """The joint LM step as one dense solve of the whole damped system."""
+    diag = np.diag(H).copy()
+    diag[diag <= 0] = 1.0
+    M = H + lam * np.diag(diag) + 1e-12 * diag.max() * np.eye(H.shape[0])
+    return np.linalg.solve(M, grad), diag
+
+
+class TestJointStep:
+    def test_fisher_system_is_jacobian_normal_equations(self, rng):
+        space = FeatureSpace(30, 35, 2000, 2008)
+        ci = space.cohort_grid() - space.cohort_min
+        A, T, C = space.n_ages, space.n_years, space.n_cohorts
+        b1, k, b2, g = rng.normal(size=A), rng.normal(size=T), rng.normal(size=A), rng.normal(size=C)
+        W = rng.uniform(0.5, 50.0, (A, T))
+        R = rng.normal(0.0, 3.0, (A, T))
+        W[2, 4] = R[2, 4] = 0.0  # zero-exposure cell
+        H, grad = _fisher_system(W, R, ci, b1, b2, k, g, C)
+        J = rh_jacobian(ci, b1, k, b2, g)
+        H_ref = J.T @ (W.ravel()[:, None] * J)
+        grad_ref = J.T @ R.ravel()
+        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
+
+    @pytest.mark.parametrize("empty_cohort", [False, True])
+    @pytest.mark.parametrize("lam", [1e-3, 1.0])
+    def test_damped_step_matches_full_solve(self, rng, empty_cohort, lam):
+        # a random Fisher system J^T W J in which every cell loads on one cohort,
+        # so the gamma-gamma block is diagonal
+        m, C, n = 12, 7, 60
+        J = np.zeros((n, m + C))
+        J[:, :m] = rng.normal(size=(n, m))
+        cohorts = rng.integers(1 if empty_cohort else 0, C, size=n)
+        J[np.arange(n), m + cohorts] = rng.normal(size=n)
+        W = rng.uniform(0.1, 10.0, n)
+        H = J.T @ (W[:, None] * J)
+        grad = rng.normal(size=m + C)
+        grad[m:][np.diag(H)[m:] == 0] = 0.0
+        assert (np.diag(H)[m] == 0) == empty_cohort
+        want, diag = full_damped_solve(H, grad, lam)
+        got = _damped_step(H, grad, lam, diag, m)
+        np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
 class TestFitRH:
@@ -90,6 +156,23 @@ class TestFitRH:
         table, _ = noise_free_table(space, np.stack([log_q, log_q]))
         rh = fit_rh(table, "female", FitConfig(max_iterations=5))
         assert any("single grid cell" in f for f in rh.flags)
+
+    def test_zero_exposure_cohorts(self, rng):
+        space = FeatureSpace(40, 49, 1990, 2005)
+        _, log_q = rh_truth(rng, space)
+        E = np.full(space.shape, 1e5)
+        D = rng.poisson(np.exp(np.stack([log_q, log_q])) * E)
+        # the oldest and the youngest cohorts are each one cell, here unexposed
+        E[:, -1, 0] = E[:, 0, -1] = 0.0
+        D[:, -1, 0] = D[:, 0, -1] = 0
+        table = MortalityTable(space, E, D)
+        lc = fit_lc(table, "female")
+        rh = fit_rh(table, "female", warm_start=lc)
+        assert rh.converged
+        assert np.all(np.isfinite(rh.gamma))
+        assert rh.deviance <= lc.deviance
+        for cohort in (space.cohort_min, space.cohort_max):
+            assert f"cohort {cohort}: no positive exposure" in rh.flags
 
     def test_reparameterization_invariance(self, rng):
         space = FeatureSpace(40, 45, 2000, 2006)
