@@ -323,6 +323,8 @@ def rate_surface_from_csv(text: str) -> RateSurface:
         if key in rows:
             raise ValueError(f"duplicate rate row for {key}")
         rows[key] = float(r)
+    if not rows:
+        raise ValueError("no rate rows after the header")
     ages = sorted({a for _, a, _ in rows})
     years = sorted({t for _, _, t in rows})
     space = FeatureSpace(ages[0], ages[-1], years[0], years[-1])

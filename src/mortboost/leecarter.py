@@ -74,15 +74,20 @@ class LCParams:
 def poisson_surface_deviance(deaths, exposure, log_rate) -> float:
     """Poisson deviance of a fitted log-rate surface against a (D, E) grid.
 
-    Cells with zero exposure are excluded (they carry no likelihood).
+    Cells with zero exposure are excluded (they carry no likelihood). The
+    unit deviance D log(D/mu) - (D - mu) is evaluated with log1p((D - mu)/mu),
+    which keeps its rounding error proportional to |D - mu| instead of D, and
+    is clamped at 0 (its exact value is never negative) before the sum.
     """
     D = np.asarray(deaths, dtype=np.float64)
     E = np.asarray(exposure, dtype=np.float64)
     mask = E > 0
-    fitted = np.where(mask, E * np.exp(log_rate), 0.0)
+    d = D[mask]
+    fitted = E[mask] * np.exp(log_rate[mask])
+    mu = np.where(fitted > 0, fitted, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(D > 0, D * np.log(D / np.where(fitted > 0, fitted, 1.0)), 0.0)
-    return float(2.0 * (terms[mask] - (D[mask] - fitted[mask])).sum())
+        terms = np.where(d > 0, d * np.log1p((d - mu) / mu), 0.0)
+    return float(2.0 * np.maximum(terms - (d - fitted), 0.0).sum())
 
 
 def _gender_slice(table: MortalityTable, gender: str) -> tuple[np.ndarray, np.ndarray]:

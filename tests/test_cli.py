@@ -320,17 +320,20 @@ class TestErrorPaths:
             ]
         )
         assert code == 3
-        # a malformed --qfit exits 3 with a message naming the file
-        qfit = tmp_path / "qfit.csv"
-        qfit.write_text("gender,age,rate\n")
+        # a malformed or header-only --qfit exits 3 with a message naming the file
+        wrong_header = tmp_path / "qfit.csv"
+        wrong_header.write_text("gender,age,rate\n")
+        header_only = tmp_path / "hdr.csv"
+        header_only.write_text("gender,age,year,rate\n")
         hmd_in = ["--deaths", str(sim_dir / "deaths.txt"), "--exposures", str(sim_dir / "exposures.txt")]
-        for argv in (
-            ["backtest", "--qfit", str(qfit), *hmd_in, "--out", str(tmp_path / "bt")],
-            ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(qfit),
-             "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3", "--out", str(tmp_path / "cod")],
-        ):
-            assert main(argv) == 3
-            assert f"--qfit {qfit}:" in capsys.readouterr().err
+        for qfit in (wrong_header, header_only):
+            for argv in (
+                ["backtest", "--qfit", str(qfit), *hmd_in, "--out", str(tmp_path / "bt")],
+                ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(qfit),
+                 "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3", "--out", str(tmp_path / "cod")],
+            ):
+                assert main(argv) == 3
+                assert f"--qfit {qfit}:" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -122,6 +122,18 @@ class TestFitLC:
         assert np.array_equal(rates_scaled, np.exp(fit.log_rates()))
 
 
+class TestPoissonDeviance:
+    def test_saturated_fit_at_large_counts(self, rng):
+        # log rates log(D/E) reproduce the deaths up to a few ulps, so the
+        # deviance is ~0; D log(D/mu) - (D - mu) left ~1e-3 of cancellation
+        # residue here, the log1p form leaves ~1e-18
+        D = np.floor(rng.uniform(1.0, 2.0**40, (20, 30)))
+        E = np.full(D.shape, 2.0**41)
+        log_rate = np.log(D / E)
+        E[0, 0] = D[0, 0] = 0.0  # an unexposed cell carries no deviance
+        assert 0.0 <= poisson_surface_deviance(D, E, log_rate) < 1e-12
+
+
 class TestPredictLC:
     def setup_method(self):
         space = FeatureSpace(60, 62, 2000, 2002)

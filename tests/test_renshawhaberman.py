@@ -6,8 +6,8 @@ import pytest
 from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_rh
 from mortboost.leecarter import FitConfig, poisson_surface_deviance
 from mortboost.renshawhaberman import (
-    _damped_step,
     _fisher_system,
+    _joint_step,
     fit_rh_both,
     rh_params_from_csv,
     rh_params_to_csv,
@@ -56,39 +56,60 @@ def full_damped_solve(H, grad, lam):
     return np.linalg.solve(M, grad), diag
 
 
+def dense_system(B, X, P, score_age, score_z, n_years):
+    """Scatter the grouped Fisher system into the dense H and score, in parameter order."""
+    A, T = B.shape[0], n_years
+    C = P.shape[0] - T
+    age_idx = np.stack([np.arange(A), A + np.arange(A), 2 * A + T + np.arange(A)], axis=1)
+    z_idx = np.concatenate([2 * A + np.arange(T), 3 * A + T + np.arange(C)])
+    H = np.zeros((3 * A + T + C,) * 2)
+    H[age_idx[:, :, None], age_idx[:, None, :]] = B
+    H[age_idx[:, :, None], z_idx] = X
+    H[z_idx[:, None, None], age_idx] = X.transpose(2, 0, 1)
+    H[np.ix_(z_idx, z_idx)] = P
+    grad = np.zeros(H.shape[0])
+    grad[age_idx] = score_age
+    grad[z_idx] = score_z
+    return H, grad
+
+
+def random_rh_system(rng, unexposed=False):
+    """The grouped Fisher system at random parameters, weights and residuals
+    on a small grid, with its dense reference J^T diag(W) J and J^T R."""
+    space = FeatureSpace(30, 35, 2000, 2008)
+    ci = space.cohort_grid() - space.cohort_min
+    A, T, C = space.n_ages, space.n_years, space.n_cohorts
+    b1, k, b2, g = rng.normal(size=A), rng.normal(size=T), rng.normal(size=A), rng.normal(size=C)
+    W = rng.uniform(0.5, 50.0, (A, T))
+    R = rng.normal(0.0, 3.0, (A, T))
+    W[2, 4] = R[2, 4] = 0.0  # zero-exposure cell
+    if unexposed:
+        W[3] = R[3] = 0.0  # an age row
+        W[-1, 0] = R[-1, 0] = 0.0  # the oldest cohort's only cell
+    J = rh_jacobian(ci, b1, k, b2, g)
+    system = _fisher_system(W, R, ci, b1, b2, k, g, C)
+    return system, J.T @ (W.ravel()[:, None] * J), J.T @ R.ravel(), T
+
+
 class TestJointStep:
     def test_fisher_system_is_jacobian_normal_equations(self, rng):
-        space = FeatureSpace(30, 35, 2000, 2008)
-        ci = space.cohort_grid() - space.cohort_min
-        A, T, C = space.n_ages, space.n_years, space.n_cohorts
-        b1, k, b2, g = rng.normal(size=A), rng.normal(size=T), rng.normal(size=A), rng.normal(size=C)
-        W = rng.uniform(0.5, 50.0, (A, T))
-        R = rng.normal(0.0, 3.0, (A, T))
-        W[2, 4] = R[2, 4] = 0.0  # zero-exposure cell
-        H, grad = _fisher_system(W, R, ci, b1, b2, k, g, C)
-        J = rh_jacobian(ci, b1, k, b2, g)
-        H_ref = J.T @ (W.ravel()[:, None] * J)
-        grad_ref = J.T @ R.ravel()
-        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
-        np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
+        for unexposed in (False, True):
+            system, H_ref, grad_ref, T = random_rh_system(rng, unexposed)
+            H, grad = dense_system(*system, T)
+            np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
+            np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
 
-    @pytest.mark.parametrize("empty_cohort", [False, True])
+    @pytest.mark.parametrize("unexposed", [False, True])
     @pytest.mark.parametrize("lam", [1e-3, 1.0])
-    def test_damped_step_matches_full_solve(self, rng, empty_cohort, lam):
-        # a random Fisher system J^T W J in which every cell loads on one cohort,
-        # so the gamma-gamma block is diagonal
-        m, C, n = 12, 7, 60
-        J = np.zeros((n, m + C))
-        J[:, :m] = rng.normal(size=(n, m))
-        cohorts = rng.integers(1 if empty_cohort else 0, C, size=n)
-        J[np.arange(n), m + cohorts] = rng.normal(size=n)
-        W = rng.uniform(0.1, 10.0, n)
-        H = J.T @ (W[:, None] * J)
-        grad = rng.normal(size=m + C)
-        grad[m:][np.diag(H)[m:] == 0] = 0.0
-        assert (np.diag(H)[m] == 0) == empty_cohort
-        want, diag = full_damped_solve(H, grad, lam)
-        got = _damped_step(H, grad, lam, diag, m)
+    def test_damped_step_matches_full_solve(self, rng, lam, unexposed):
+        # unexposed: one age row and the oldest cohort carry no exposure, so an
+        # age block and a gamma diagonal are zero before damping
+        system, H_ref, grad_ref, T = random_rh_system(rng, unexposed)
+        B, X, P, score_age, score_z = system
+        assert (not B[3].any() and P[T, T] == 0.0) == unexposed
+        want, _ = full_damped_solve(H_ref, grad_ref, lam)
+        u, z = _joint_step(*system, lam)
+        got = np.concatenate([u[:, 0], u[:, 1], z[:T], u[:, 2], z[T:]])
         np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
@@ -162,17 +183,22 @@ class TestFitRH:
         _, log_q = rh_truth(rng, space)
         E = np.full(space.shape, 1e5)
         D = rng.poisson(np.exp(np.stack([log_q, log_q])) * E)
-        # the oldest and the youngest cohorts are each one cell, here unexposed
-        E[:, -1, 0] = E[:, 0, -1] = 0.0
-        D[:, -1, 0] = D[:, 0, -1] = 0
-        table = MortalityTable(space, E, D)
-        lc = fit_lc(table, "female")
-        rh = fit_rh(table, "female", warm_start=lc)
-        assert rh.converged
-        assert np.all(np.isfinite(rh.gamma))
-        assert rh.deviance <= lc.deviance
-        for cohort in (space.cohort_min, space.cohort_max):
-            assert f"cohort {cohort}: no positive exposure" in rh.flags
+        noise_free, _ = noise_free_table(space, np.stack([log_q, log_q]))
+        for E, D in ((E, D), (noise_free.exposure.copy(), noise_free.deaths.copy())):
+            # the oldest and the youngest cohorts are each one cell, here unexposed
+            E[:, -1, 0] = E[:, 0, -1] = 0.0
+            D[:, -1, 0] = D[:, 0, -1] = 0
+            table = MortalityTable(space, E, D)
+            lc = fit_lc(table, "female")
+            rh = fit_rh(table, "female", warm_start=lc)
+            assert rh.converged
+            assert np.all(np.isfinite(rh.gamma))
+            # on the noise-free counts (2**40 exposure) the deviance is ~1e-9, so
+            # cancellation in the unit deviance must not push it below 0
+            assert 0.0 <= rh.deviance <= lc.deviance
+            assert lc.deviance >= 0.0
+            for cohort in (space.cohort_min, space.cohort_max):
+                assert f"cohort {cohort}: no positive exposure" in rh.flags
 
     def test_reparameterization_invariance(self, rng):
         space = FeatureSpace(40, 45, 2000, 2006)
