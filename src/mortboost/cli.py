@@ -4,16 +4,15 @@ Batch in, files out. Every run writes exactly one manifest.json next to its
 outputs. All dense CSV exports iterate gender-major, age-major, year-minor
 (the package's storage order) and print floats at full round-trip precision.
 Exit codes: 0 ok, 2 usage, 3 parse/data error, 4 non-convergence, 5 internal
-error. MORTBOOST_THREADS is recorded for provenance. The RH fit solves its
-linear systems through BLAS, so byte-identical rh outputs need the same BLAS
-thread count (e.g. OPENBLAS_NUM_THREADS) on every run. A key = value config file
-passed with --config supplies flag defaults; explicit flags override it.
+error. The RH fit solves its linear systems through BLAS, so byte-identical
+rh outputs need the same BLAS thread count (e.g. OPENBLAS_NUM_THREADS) on
+every run. A key = value config file passed with --config supplies flag
+defaults; explicit flags override it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -61,10 +60,6 @@ def _load_table(deaths_path, exposures_path, space, pool_top_age):
     deaths = hmd.parse_hmd_1x1(Path(deaths_path).read_text(), "deaths")
     exposures = hmd.parse_hmd_1x1(Path(exposures_path).read_text(), "exposures")
     return hmd.clip_to_space(deaths, exposures, space, pool_top_age)
-
-
-def _env_threads() -> str:
-    return os.environ.get("MORTBOOST_THREADS", "")
 
 
 def _read_file(flag: str, path: str, reader):
@@ -142,7 +137,6 @@ def cmd_fit(args) -> int:
             "deviance_tol": cfg.deviance_tol,
             "rate_floor": cfg.rate_floor,
             "pool_top_age": not args.no_pool_top_age,
-            "threads": _env_threads(),
         },
         inputs,
         [out / "params.csv", out / "qfit.csv"],
@@ -207,7 +201,6 @@ def cmd_backtest(args) -> int:
             "white_band": args.white_band,
             "tag": args.tag,
             "pool_top_age": not args.no_pool_top_age,
-            "threads": _env_threads(),
         },
         [args.qfit, args.deaths, args.exposures],
         outputs,
@@ -233,6 +226,9 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
 
 
 def cmd_cod(args) -> int:
+    window = args.smooth_window
+    if window is not None and (window < 1 or window % 2 == 0):
+        raise DataError(f"--smooth-window must be an odd integer >= 1, got {window}")
     causes = _cause_registry(args.causes) if args.causes else hmd.DEFAULT_CAUSES
     cod = hmd.parse_cod_csv(Path(args.cod).read_text(), causes=causes)
     q_full = _read_file("--qfit", args.qfit, rate_surface_from_csv)
@@ -295,11 +291,9 @@ def cmd_cod(args) -> int:
                         ],
                     }
                 )
-                dots = [
-                    (years[ti], residuals.values[gi, b, ti, k])
-                    for b in range(cod.n_buckets)
-                    for ti in range(cod.n_years)
-                ]
+                dots = list(
+                    zip(np.tile(years, cod.n_buckets), residuals.values[gi, :, :, k].ravel())
+                )
                 resid_panels.append({"title": f"{cause} ({g})", "x": years, "dots": dots})
             p1 = out / f"theta_{g}.svg"
             p1.write_text(svgplot.panels_svg(theta_panels))
@@ -325,7 +319,6 @@ def cmd_cod(args) -> int:
             ),
             "smooth_window": args.smooth_window,
             "pool_top_age": not args.no_pool_top_age,
-            "threads": _env_threads(),
         },
         [args.cod, args.qfit, args.exposures],
         outputs,
@@ -367,7 +360,7 @@ def cmd_simulate(args) -> int:
     write_manifest(
         out,
         "simulate",
-        {"seed": spec.seed, "threads": _env_threads()},
+        {"seed": spec.seed},
         [args.spec] if Path(args.spec).exists() else [],
         outputs,
         [],

@@ -10,13 +10,13 @@ feature.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GENDERS, BucketedRates
-from .hmd import CauseDeathTable
+from .hmd import CauseDeathTable, cod_grid_csv, float_fields
 from .tree import PoissonTree, TreeConfig, WorkingData, grow_tree
 
 COD_FEATURES = ("gender", "bucket", "year")
@@ -221,22 +221,24 @@ def pearson_residuals(
 
 
 def smooth_series(values, window: int = 5) -> np.ndarray:
-    """Centered moving average with shrinking windows at the edges.
+    """Centered moving average along the last axis, with shrinking windows at
+    the edges; the window must be odd so that it is centered.
 
     Presentation-only smoothing for exported series; raw values are always
     exported alongside.
     """
-    y = np.asarray(values, dtype=np.float64)
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be an odd integer >= 1, got {window}")
+    # contiguous series keep numpy's pairwise summation inside each window
+    y = np.ascontiguousarray(values, dtype=np.float64)
     if window == 1:
-        return y.copy()
-    half = window // 2
+        return y.copy()  # a mean over one value would turn -0.0 into 0.0
+    n, half = y.shape[-1], window // 2
     out = np.empty_like(y)
-    for i in range(y.size):
-        lo = max(0, i - half)
-        hi = min(y.size, i + half + 1)
-        out[i] = y[lo:hi].mean()
+    if n > 2 * half:
+        out[..., half : n - half] = sliding_window_view(y, window, axis=-1).mean(axis=-1)
+    for i in (*range(min(half, n)), *range(max(half, n - half), n)):
+        out[..., i] = y[..., max(0, i - half) : i + half + 1].mean(axis=-1)
     return out
 
 
@@ -252,41 +254,14 @@ def theta_to_csv(
     cause) series.
     """
     header = "gender,age_group,year,cause,theta_raw,theta_norm"
-    if smooth_window:
+    columns = [float_fields(raw.values), float_fields(norm.values)]
+    if smooth_window is not None:
         header += ",theta_raw_smooth"
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    smoothed = None
-    if smooth_window:
-        smoothed = np.empty_like(raw.values)
-        for gi in range(len(GENDERS)):
-            for b in range(cod.n_buckets):
-                for k in range(cod.n_causes):
-                    smoothed[gi, b, :, k] = smooth_series(raw.values[gi, b, :, k], smooth_window)
-    for gi, g in enumerate(GENDERS):
-        for b in range(cod.n_buckets):
-            for ti in range(cod.n_years):
-                for k in range(cod.n_causes):
-                    row = (
-                        f"{g},{b + 1},{cod.year_min + ti},{k + 1},"
-                        f"{float(raw.values[gi, b, ti, k])!r},{float(norm.values[gi, b, ti, k])!r}"
-                    )
-                    if smooth_window:
-                        row += f",{float(smoothed[gi, b, ti, k])!r}"
-                    buf.write(row + "\n")
-    return buf.getvalue()
+        by_year = smooth_series(np.moveaxis(raw.values, 2, -1), smooth_window)
+        columns.append(float_fields(np.moveaxis(by_year, -1, 2)))
+    return cod_grid_csv(header, cod, *columns)
 
 
 def residuals_to_csv(cod: CauseDeathTable, residuals: ResidualGrid) -> str:
     """Columns gender,age_group,year,cause,delta."""
-    buf = io.StringIO()
-    buf.write("gender,age_group,year,cause,delta\n")
-    for gi, g in enumerate(GENDERS):
-        for b in range(cod.n_buckets):
-            for ti in range(cod.n_years):
-                for k in range(cod.n_causes):
-                    buf.write(
-                        f"{g},{b + 1},{cod.year_min + ti},{k + 1},"
-                        f"{float(residuals.values[gi, b, ti, k])!r}\n"
-                    )
-    return buf.getvalue()
+    return cod_grid_csv("gender,age_group,year,cause,delta", cod, float_fields(residuals.values))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -36,6 +37,8 @@ DEFAULT_CAUSES = (
     "others/unknown",
 )
 
+_NAN = float("nan")
+
 
 class ParseError(ValueError):
     """Malformed input; carries a 1-based line number when known."""
@@ -45,33 +48,72 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
-class RawHmdRecord:
-    """One parsed 1x1 data row; NaN marks the "." missing value."""
-
-    year: int
-    age: int
-    open_age: bool
-    female: float
-    male: float
-    total: float
+def _hmd_value(token: str) -> float:
+    return _NAN if token == "." else float(token)
 
 
-def _parse_hmd_row(tokens: list[str], ln_no: int) -> RawHmdRecord:
-    if len(tokens) != 5:
-        raise ParseError(f"expected 5 columns, got {len(tokens)}", ln_no)
+def _hmd_age(token: str) -> int:
+    return int(token[:-1]) if token.endswith("+") else int(token)
+
+
+def _hmd_data_rows(text: str):
+    """(line number, tokens) of every data row: past the two-line header, not
+    blank and not the column-name line of published files."""
+    for ln_no, raw in enumerate(text.splitlines()[2:], start=3):
+        tokens = raw.split()
+        if tokens and tokens[0].lower() != "year":
+            yield ln_no, tokens
+
+
+def _any_duplicate(*keys: np.ndarray) -> bool:
+    """Whether two rows agree on every key column."""
+    rows = np.stack(keys)[:, np.lexsort(keys)]
+    return bool(np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)))
+
+
+def _hmd_columns(text: str):
+    """All data rows tokenised at once into (years, ages, open-age flags,
+    values (3, n)), or None if any row is malformed, negative or a duplicate
+    (the line-by-line scan then reports the first such row)."""
+    rows = [tokens for _, tokens in _hmd_data_rows(text)]
+    if not rows or any(len(tokens) != 5 for tokens in rows):
+        return None
+    year_tok, age_tok, *value_tok = zip(*rows)
     try:
-        year = int(tokens[0])
-        age_tok = tokens[1]
-        open_age = age_tok.endswith("+")
-        age = int(age_tok[:-1]) if open_age else int(age_tok)
-        values = tuple(float("nan") if v == "." else float(v) for v in tokens[2:5])
-    except ValueError as exc:
-        raise ParseError(str(exc), ln_no) from None
-    for v in values:
-        if not np.isnan(v) and v < 0:
-            raise ParseError(f"negative value {v}", ln_no)
-    return RawHmdRecord(year, age, open_age, *values)
+        years = np.fromiter(map(int, year_tok), np.int64, len(rows))
+        ages = np.fromiter(map(_hmd_age, age_tok), np.int64, len(rows))
+        values = np.array([list(map(_hmd_value, col)) for col in value_tok])
+    except (ValueError, OverflowError):
+        return None
+    if np.any(values < 0) or _any_duplicate(ages, years):
+        return None
+    is_open = np.fromiter((t.endswith("+") for t in age_tok), bool, len(rows))
+    return years, ages, is_open, values
+
+
+def _hmd_columns_by_line(text: str):
+    """The columns of _hmd_columns, scanned one line at a time; raises
+    ParseError naming the first malformed line."""
+    records: dict[tuple[int, int], tuple] = {}
+    for ln_no, tokens in _hmd_data_rows(text):
+        if len(tokens) != 5:
+            raise ParseError(f"expected 5 columns, got {len(tokens)}", ln_no)
+        try:
+            year = int(tokens[0])
+            age = _hmd_age(tokens[1])
+            values = tuple(map(_hmd_value, tokens[2:5]))
+        except ValueError as exc:
+            raise ParseError(str(exc), ln_no) from None
+        for v in values:
+            if v < 0:
+                raise ParseError(f"negative value {v}", ln_no)
+        if (age, year) in records:
+            raise ParseError(f"duplicate entry for age {tokens[1]}, year {year}", ln_no)
+        records[(age, year)] = (year, age, tokens[1].endswith("+"), values)
+    if not records:
+        raise ParseError("no data rows found")
+    years, ages, is_open, values = zip(*records.values())
+    return np.array(years), np.array(ages), np.array(is_open), np.array(values).T
 
 
 @dataclass(frozen=True)
@@ -94,58 +136,55 @@ def parse_hmd_1x1(text: str, kind: str) -> HmdGrid:
     """Parse an HMD 1x1 deaths or exposures file into dense per-gender grids."""
     if kind not in ("deaths", "exposures"):
         raise ValueError(f"kind must be 'deaths' or 'exposures', got {kind!r}")
-    records: dict[tuple[int, int], RawHmdRecord] = {}
-    open_age = None
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        if ln_no <= 2:
-            continue  # two-line header
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0].lower() == "year":
-            continue  # column-name line in published files
-        rec = _parse_hmd_row(tokens, ln_no)
-        if rec.open_age:
-            open_age = rec.age if open_age is None else max(open_age, rec.age)
-        if (rec.age, rec.year) in records:
-            raise ParseError(f"duplicate entry for age {tokens[1]}, year {rec.year}", ln_no)
-        records[(rec.age, rec.year)] = rec
-    if not records:
-        raise ParseError("no data rows found")
-    ages = np.array(sorted({a for a, _ in records}))
-    years = np.array(sorted({t for _, t in records}))
-    shape = (ages.size, years.size)
-    female = np.full(shape, np.nan)
-    male = np.full(shape, np.nan)
-    total = np.full(shape, np.nan)
-    a_pos = {int(a): i for i, a in enumerate(ages)}
-    t_pos = {int(t): i for i, t in enumerate(years)}
-    for (a, t), rec in records.items():
-        female[a_pos[a], t_pos[t]] = rec.female
-        male[a_pos[a], t_pos[t]] = rec.male
-        total[a_pos[a], t_pos[t]] = rec.total
-    return HmdGrid(kind, ages, years, female, male, total, open_age)
+    columns = _hmd_columns(text)
+    if columns is None:
+        columns = _hmd_columns_by_line(text)
+    return _hmd_grid(kind, *columns)
+
+
+def _hmd_grid(kind, years, ages, is_open, values) -> HmdGrid:
+    """Dense grids from distinct (age, year) rows; cells without a row are NaN."""
+    age_values, ai = np.unique(ages, return_inverse=True)
+    year_values, ti = np.unique(years, return_inverse=True)
+    grids = np.full((3, age_values.size, year_values.size), np.nan)
+    grids[:, ai, ti] = values
+    open_age = int(ages[is_open].max()) if is_open.any() else None
+    return HmdGrid(kind, age_values, year_values, *grids, open_age)
+
+
+def float_fields(values) -> list[str]:
+    """repr of every value in C order, each distinct bit pattern formatted
+    once: fitted and simulated grids repeat few values (a tree's leaf rates,
+    a constant exposure), and repr is the cost of a float CSV."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    bits, index = np.unique(flat.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(text.__getitem__, index.tolist()))
+
+
+def _hmd_field(values) -> list[str]:
+    """One value column of the 1x1 layout: year-major, "." for NaN."""
+    col = np.asarray(values, dtype=np.float64).T
+    out = float_fields(col)
+    for i in np.flatnonzero(np.isnan(col.ravel())).tolist():
+        out[i] = "."
+    return out
 
 
 def write_hmd_1x1(grid: HmdGrid, title: str | None = None) -> str:
     """Serialize a grid back to the 1x1 layout (full-precision values)."""
-    buf = io.StringIO()
-    buf.write((title or f"Synthetic, {grid.kind.capitalize()} (period 1x1)") + "\n")
-    buf.write("\n")
-    buf.write("  Year          Age             Female            Male           Total\n")
-
-    def fmt(v: float) -> str:
-        return "." if np.isnan(v) else repr(float(v))
-
-    for ti, t in enumerate(grid.years):
-        for ai, a in enumerate(grid.ages):
-            age_tok = f"{a}+" if grid.open_age is not None and a == grid.open_age else str(a)
-            buf.write(
-                f"  {t}  {age_tok}  {fmt(grid.female[ai, ti])}  {fmt(grid.male[ai, ti])}  "
-                f"{fmt(grid.total[ai, ti])}\n"
-            )
-    return buf.getvalue()
+    head = [
+        title or f"Synthetic, {grid.kind.capitalize()} (period 1x1)",
+        "",
+        "  Year          Age             Female            Male           Total",
+    ]
+    age_tok = [
+        f"{a}+" if grid.open_age is not None and a == grid.open_age else str(a)
+        for a in grid.ages.tolist()
+    ]
+    keys = [f"  {t}  {a}" for t in grid.years.tolist() for a in age_tok]
+    fields = (_hmd_field(grid.female), _hmd_field(grid.male), _hmd_field(grid.total))
+    return "\n".join([*head, *map("  ".join, zip(keys, *fields))]) + "\n"
 
 
 @dataclass
@@ -257,74 +296,147 @@ class CauseDeathTable:
         return self.counts.sum(axis=3)
 
 
+_COD_HEADER = ["gender", "age_group", "year", "cause", "deaths"]
+
+
+class _CodFields:
+    """Converters of the stripped fields of one cause-of-death CSV row; each
+    raises ValueError with the message a ParseError carries."""
+
+    def __init__(self, causes: tuple[str, ...]):
+        self.causes = causes
+        self.label_of = {c.lower(): k for k, c in enumerate(causes)}
+
+    @staticmethod
+    def gender(tok: str) -> int:
+        if tok.lower() not in GENDERS:
+            raise ValueError(f"unknown gender {tok!r}")
+        return GENDERS.index(tok.lower())
+
+    @staticmethod
+    def bucket(bucket: int) -> int:
+        if bucket < 1:
+            raise ValueError(f"age_group must be a 1-based index, got {bucket}")
+        return bucket
+
+    def cause(self, tok: str) -> int:
+        if tok.lower() in self.label_of:
+            return self.label_of[tok.lower()]
+        try:
+            k = int(tok) - 1
+        except ValueError:
+            raise ValueError(f"unknown cause {tok!r}") from None
+        if not 0 <= k < len(self.causes):
+            raise ValueError(f"cause index {tok} outside registry 1..{len(self.causes)}")
+        return k
+
+    @staticmethod
+    def deaths(tok: str) -> int:
+        """The count, or -1 for an empty (MISSING) field."""
+        if tok == "":
+            return -1
+        try:
+            count = int(tok)
+        except ValueError:
+            raise ValueError(f"deaths must be an integer or empty, got {tok!r}") from None
+        if count < 0:
+            raise ValueError(f"negative death count {count}")
+        return count
+
+    def row(self, fields: list[str]) -> tuple[int, int, int, int, int]:
+        """(gender, bucket, year, cause, count or -1), checked in field order."""
+        g_tok, bucket_tok, year_tok, cause_tok, deaths_tok = (f.strip() for f in fields)
+        gi = self.gender(g_tok)
+        bucket, year = int(bucket_tok), int(year_tok)
+        return gi, self.bucket(bucket), year, self.cause(cause_tok), self.deaths(deaths_tok)
+
+
+def _map_distinct(convert, tokens) -> np.ndarray:
+    """convert(token.strip()) for every token, computed once per distinct token."""
+    value_of = {tok: convert(tok.strip()) for tok in set(tokens)}
+    return np.fromiter(map(value_of.__getitem__, tokens), np.int64, len(tokens))
+
+
+def _cod_columns(text: str, fields: _CodFields):
+    """All data rows split at once into (gender, bucket, year, cause, count)
+    columns, count -1 for MISSING, or None if the text needs the csv module
+    (quotes, carriage returns, NUL) or any row is malformed or a duplicate
+    (the line-by-line scan then reports the first such row)."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header, *lines = text.split("\n")
+    if [h.strip() for h in header.split(",")] != _COD_HEADER:
+        return None
+    lines = [ln for ln in lines if ln.strip()]  # the csv module skips blank lines
+    if not lines or set(map(str.count, lines, repeat(","))) != {4}:
+        return None
+    tokens = ",".join(lines).split(",")
+    g_tok, bucket_tok, year_tok, cause_tok, deaths_tok = (tokens[i::5] for i in range(5))
+    try:
+        columns = (
+            _map_distinct(fields.gender, g_tok),
+            _map_distinct(lambda t: fields.bucket(int(t)), bucket_tok),
+            _map_distinct(int, year_tok),
+            _map_distinct(fields.cause, cause_tok),
+            _map_distinct(fields.deaths, deaths_tok),
+        )
+    except (ValueError, OverflowError):
+        return None
+    if _any_duplicate(*columns[:4]):
+        return None
+    return columns
+
+
+def _cod_columns_by_line(text: str, fields: _CodFields):
+    """The columns of _cod_columns, read one csv row at a time; raises
+    ParseError naming the first malformed row."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file") from None
+    if [h.strip() for h in header] != _COD_HEADER:
+        raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
+    rows: dict[tuple[int, int, int, int], tuple] = {}
+    for ln_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 5:
+            raise ParseError(f"expected 5 fields, got {len(row)}", ln_no)
+        try:
+            gi, bucket, year, k, count = fields.row(row)
+        except ValueError as exc:
+            raise ParseError(str(exc), ln_no) from None
+        if (gi, bucket, year, k) in rows:
+            raise ParseError(
+                f"duplicate entry for ({row[0].strip()},{bucket},{year},{fields.causes[k]})", ln_no
+            )
+        rows[(gi, bucket, year, k)] = (gi, bucket, year, k, count)
+    if not rows:
+        raise ParseError("no data rows found")
+    return tuple(map(np.array, zip(*rows.values())))
+
+
 def parse_cod_csv(
     text: str,
     causes: tuple[str, ...] = DEFAULT_CAUSES,
     bucketing: AgeBucketing | None = None,
 ) -> CauseDeathTable:
     """Parse the cause-of-death CSV into a dense table; unmentioned cells are MISSING."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file") from None
-    if [h.strip() for h in header] != ["gender", "age_group", "year", "cause", "deaths"]:
-        raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
-    label_of = {c.lower(): k for k, c in enumerate(causes)}
-    rows: dict[tuple[int, int, int, int], int | None] = {}
-    for ln_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", ln_no)
-        g_tok, bucket_tok, year_tok, cause_tok, deaths_tok = (f.strip() for f in row)
-        if g_tok.lower() not in GENDERS:
-            raise ParseError(f"unknown gender {g_tok!r}", ln_no)
-        gi = GENDERS.index(g_tok.lower())
-        try:
-            bucket = int(bucket_tok)
-            year = int(year_tok)
-        except ValueError as exc:
-            raise ParseError(str(exc), ln_no) from None
-        if bucket < 1:
-            raise ParseError(f"age_group must be a 1-based index, got {bucket}", ln_no)
-        cause_tok_l = cause_tok.lower()
-        if cause_tok_l in label_of:
-            k = label_of[cause_tok_l]
-        else:
-            try:
-                k = int(cause_tok) - 1
-            except ValueError:
-                raise ParseError(f"unknown cause {cause_tok!r}", ln_no) from None
-            if not 0 <= k < len(causes):
-                raise ParseError(f"cause index {cause_tok} outside registry 1..{len(causes)}", ln_no)
-        if deaths_tok == "":
-            count: int | None = None
-        else:
-            try:
-                count = int(deaths_tok)
-            except ValueError:
-                raise ParseError(f"deaths must be an integer or empty, got {deaths_tok!r}", ln_no) from None
-            if count < 0:
-                raise ParseError(f"negative death count {count}", ln_no)
-        key = (gi, bucket, year, k)
-        if key in rows:
-            raise ParseError(
-                f"duplicate entry for ({g_tok},{bucket},{year},{causes[k]})", ln_no
-            )
-        rows[key] = count
-    if not rows:
-        raise ParseError("no data rows found")
-    n_buckets = max(b for _, b, _, _ in rows)
-    year_min = min(t for _, _, t, _ in rows)
-    year_max = max(t for _, _, t, _ in rows)
+    fields = _CodFields(tuple(causes))
+    columns = _cod_columns(text, fields)
+    if columns is None:
+        columns = _cod_columns_by_line(text, fields)
+    gi, bucket, year, k, count = columns
+    n_buckets = int(bucket.max())
+    year_min, year_max = int(year.min()), int(year.max())
     shape = (len(GENDERS), n_buckets, year_max - year_min + 1, len(causes))
     counts = np.zeros(shape, dtype=np.int64)
     missing = np.ones(shape, dtype=bool)
-    for (gi, bucket, year, k), count in rows.items():
-        if count is not None:
-            counts[gi, bucket - 1, year - year_min, k] = count
-            missing[gi, bucket - 1, year - year_min, k] = False
+    present = count >= 0
+    cells = (gi[present], bucket[present] - 1, year[present] - year_min, k[present])
+    counts[cells] = count[present]
+    missing[cells] = False
     return CauseDeathTable(
         causes=tuple(causes),
         n_buckets=n_buckets,
@@ -336,17 +448,30 @@ def parse_cod_csv(
     )
 
 
+def cod_grid_csv(header: str, table: CauseDeathTable, *columns: list[str]) -> str:
+    """CSV text with one row per (gender, age group, year, cause) cell of the
+    table, in storage order: the four key fields, then one already formatted
+    field from each column (each in the same order)."""
+    outer = [f"{g},{b}," for g in GENDERS for b in range(1, table.n_buckets + 1)]
+    inner = [
+        f"{t},{k}"
+        for t in range(table.year_min, table.year_max + 1)
+        for k in range(1, table.n_causes + 1)
+    ]
+    keys = [o + i for o in outer for i in inner]
+    for col in columns:
+        if len(col) != len(keys):
+            raise ValueError(f"column of {len(col)} fields for {len(keys)} cells")
+    return "\n".join([header, *map(",".join, zip(keys, *columns))]) + "\n"
+
+
 def write_cod_csv(table: CauseDeathTable) -> str:
     """Full-grid serialization; MISSING cells get an empty deaths field."""
-    buf = io.StringIO()
-    buf.write("gender,age_group,year,cause,deaths\n")
-    for gi, g in enumerate(GENDERS):
-        for b in range(table.n_buckets):
-            for ti in range(table.n_years):
-                for k in range(table.n_causes):
-                    val = "" if table.missing[gi, b, ti, k] else str(int(table.counts[gi, b, ti, k]))
-                    buf.write(f"{g},{b + 1},{table.year_min + ti},{k + 1},{val}\n")
-    return buf.getvalue()
+    deaths = [
+        "" if m else str(c)
+        for c, m in zip(table.counts.ravel().tolist(), table.missing.ravel().tolist())
+    ]
+    return cod_grid_csv("gender,age_group,year,cause,deaths", table, deaths)
 
 
 def cause_total_report(table: CauseDeathTable, all_cause: np.ndarray) -> list[str]:

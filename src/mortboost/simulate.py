@@ -5,7 +5,12 @@ cause on the bucketed grid.
 Every cell (and cause) draws from its own counter block of a Philox stream
 keyed by (seed, domain), so draws are independent by construction,
 order-independent, and bit-reproducible for a given seed regardless of how
-the cells are traversed.
+the cells are traversed. One Philox generator per (seed, domain) serves all
+the cells of a call: before each cell's draw its state is reset to the key,
+the counter block of the cell index (the index in counter word 2, i.e.
+``index << 128``) and an empty output buffer. That is exactly the state of a
+fresh ``Philox(key, counter=index << 128)``, so each cell's draw depends only
+on (seed, domain, index, mean) and never on the draws of other cells.
 """
 
 from __future__ import annotations
@@ -31,11 +36,19 @@ _DOMAIN_DEATHS = 0
 _DOMAIN_CAUSES = 1
 
 
-def _draw_poisson(seed: int, domain: int, index: int, mean: float) -> int:
-    """One Poisson draw from the (seed, domain, index) counter block."""
-    key = (seed & _MASK64) | (domain << 64)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=index << 128))
-    return int(gen.poisson(mean))
+def _draw_poisson(seed: int, domain: int, indices, means) -> np.ndarray:
+    """One Poisson draw per cell: means[j] from the (seed, domain, indices[j])
+    counter block."""
+    bitgen = np.random.Philox(key=(seed & _MASK64) | (domain << 64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, empty buffer (buffer_pos 4)
+    counter = state["state"]["counter"]
+    out = np.empty(len(means), dtype=np.int64)
+    for j, (index, mean) in enumerate(zip(indices, means)):
+        counter[2] = index
+        bitgen.state = state
+        out[j] = gen.poisson(mean)
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,9 +95,7 @@ def sample_deaths(spec: SimSpec) -> MortalityTable:
     """Independent Poisson draws D ~ Pois(q * E) per grid cell."""
     space = spec.q.space
     means = (spec.q.rate * spec.exposure).ravel()
-    deaths = np.empty(means.size, dtype=np.int64)
-    for i in range(means.size):
-        deaths[i] = _draw_poisson(spec.seed, _DOMAIN_DEATHS, i, means[i])
+    deaths = _draw_poisson(spec.seed, _DOMAIN_DEATHS, range(means.size), means.tolist())
     return MortalityTable(space, spec.exposure, deaths.reshape(space.shape))
 
 
@@ -100,12 +111,9 @@ def sample_cause_deaths(spec: SimSpec) -> tuple[CauseDeathTable, np.ndarray]:
     zero_table = MortalityTable(space, spec.exposure, np.zeros(space.shape, dtype=np.int64))
     condensed = aggregate_rates(spec.q, zero_table, spec.bucketing)
     means = spec.theta.values * (condensed.rate * condensed.exposure)[..., None]
-    K = spec.theta.n_causes
-    flat = means.reshape(-1, K)
-    counts = np.empty_like(flat, dtype=np.int64)
-    for cell in range(flat.shape[0]):
-        for k in range(K):
-            counts[cell, k] = _draw_poisson(spec.seed, _DOMAIN_CAUSES, cell * K + k, flat[cell, k])
+    # cause k of cell c draws from counter block c * K + k, the flat index
+    flat = means.ravel()
+    counts = _draw_poisson(spec.seed, _DOMAIN_CAUSES, range(flat.size), flat.tolist())
     counts = counts.reshape(means.shape)
     table = CauseDeathTable(
         causes=spec.cause_labels,

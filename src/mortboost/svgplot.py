@@ -64,18 +64,27 @@ def heatmap_svg(values, row_values, col_values, white_band: float, title: str,
     return "\n".join(parts) + "\n"
 
 
+def _drawn(ys: np.ndarray, y_log: bool) -> np.ndarray:
+    """Which y values a panel draws: finite ones, and only positive ones on a
+    log axis."""
+    keep = np.isfinite(ys)
+    return keep & (ys > 0) if y_log else keep
+
+
 def _panel(x, series, dots, title, x0, y0, w, h, y_log):
     """One line/scatter panel as SVG fragments (fixed margins inside the box)."""
     ml, mr, mt, mb = 34, 6, 16, 18
     pw, ph = w - ml - mr, h - mt - mb
-    all_y = [v for _, ys in series for v in ys if np.isfinite(v)]
-    if dots:
-        all_y += [v for _, v in dots if np.isfinite(v)]
+    xs = np.asarray(x, dtype=np.float64)
+    lines = [np.asarray(ys, dtype=np.float64) for _, ys in series]
+    dot_x, dot_y = (
+        (np.asarray(v, dtype=np.float64) for v in zip(*dots)) if dots else (xs[:0], xs[:0])
+    )
+    all_y = np.concatenate([ys[_drawn(ys, y_log)] for ys in [*lines, dot_y]])
     if y_log:
-        all_y = [v for v in all_y if v > 0]
-        all_y = [np.log10(v) for v in all_y] or [0.0]
-    if not all_y:
-        all_y = [0.0]
+        all_y = np.log10(all_y)
+    # Python's min and max keep the first of equal values (0.0 before -0.0)
+    all_y = all_y.tolist() or [0.0]
     y_min, y_max = min(all_y), max(all_y)
     if y_max <= y_min:
         y_max = y_min + 1.0
@@ -83,13 +92,12 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
     if x_max <= x_min:
         x_max = x_min + 1.0
 
-    def sx(v):
-        return x0 + ml + (float(v) - x_min) / (x_max - x_min) * pw
-
-    def sy(v):
+    def coords(xs, ys):
         if y_log:
-            v = np.log10(v) if v > 0 else y_min
-        return y0 + mt + (y_max - float(v)) / (y_max - y_min) * ph
+            ys = np.log10(ys)
+        sx = x0 + ml + (xs - x_min) / (x_max - x_min) * pw
+        sy = y0 + mt + (y_max - ys) / (y_max - y_min) * ph
+        return sx.tolist(), sy.tolist()
 
     parts = [
         f'<rect x="{x0 + ml}" y="{y0 + mt}" width="{pw}" height="{ph}" fill="none" '
@@ -101,21 +109,22 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
         f'<text x="{x0 + 2}" y="{y0 + mt + ph}" font-family="sans-serif" font-size="8">'
         f"{y_min:.3g}</text>",
     ]
-    for idx, (label, ys) in enumerate(series):
-        pts = " ".join(
-            f"{sx(xv):.2f},{sy(yv):.2f}"
-            for xv, yv in zip(x, ys)
-            if np.isfinite(yv) and (not y_log or yv > 0)
-        )
-        if pts:
+    for idx, ys in enumerate(lines):
+        n = min(xs.size, ys.size)  # zip(x, ys)
+        keep = _drawn(ys[:n], y_log)
+        if keep.any():
+            pts = " ".join(map("{:.2f},{:.2f}".format, *coords(xs[:n][keep], ys[:n][keep])))
             parts.append(
                 f'<polyline points="{pts}" fill="none" '
                 f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1"/>'
             )
-    if dots:
-        for xv, yv in dots:
-            if np.isfinite(yv) and (not y_log or yv > 0):
-                parts.append(f'<circle cx="{sx(xv):.2f}" cy="{sy(yv):.2f}" r="1.4" fill="#333333"/>')
+    keep = _drawn(dot_y, y_log)
+    parts.extend(
+        map(
+            '<circle cx="{:.2f}" cy="{:.2f}" r="1.4" fill="#333333"/>'.format,
+            *coords(dot_x[keep], dot_y[keep]),
+        )
+    )
     return parts
 
 

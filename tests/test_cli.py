@@ -73,6 +73,7 @@ class TestFit:
         assert len(qfit_lines) == 1 + 2 * 10 * 10
         manifest = json.loads((lc_fit_dir / "manifest.json").read_text())
         assert manifest["converged"] == {"female": True, "male": True}
+        assert "threads" not in manifest["config"]
 
     def test_check_passes_on_fit_params(self, lc_fit_dir, capsys):
         code = main(["check", "--params", str(lc_fit_dir / "params.csv"), "--kind", "lc"])
@@ -249,6 +250,22 @@ class TestCod:
             assert residuals[key] == 0.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["theta_init_value"] == pytest.approx(1 / 3)
+
+    def test_smooth_window_must_be_odd_and_positive(self, tmp_path, capsys):
+        # checked before any input is read, so the input paths need not exist
+        argv = [
+            "cod", "--cod", str(tmp_path / "none.csv"), "--qfit", str(tmp_path / "none"),
+            "--exposures", str(tmp_path / "none.txt"), "--out", str(tmp_path / "out"),
+        ]
+        for window in ("4", "0", "-3"):
+            assert main([*argv, "--smooth-window", window]) == 3
+            err = capsys.readouterr().err
+            assert f"--smooth-window must be an odd integer >= 1, got {window}" in err
+        cfg = tmp_path / "mort.cfg"
+        cfg.write_text("smooth-window = 2\n")
+        assert main(["--config", str(cfg), *argv]) == 3
+        assert "--smooth-window must be an odd integer >= 1, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bucket_mismatch_is_data_error(self, sim_dir, lc_fit_dir, tmp_path):
         code = main(

@@ -272,6 +272,12 @@ class TestHelpers:
         assert sm[0] == pytest.approx(y[:3].mean())  # shrunk edge window
         assert np.array_equal(smooth_series(y, 1), y)
 
+    @pytest.mark.parametrize("window", [0, -1, 2, 4])
+    def test_smooth_series_rejects_even_or_non_positive_windows(self, window):
+        # an even window used to average window + 1 points
+        with pytest.raises(ValueError, match="odd integer >= 1"):
+            smooth_series(np.arange(5.0), window)
+
     def test_csv_exports(self):
         counts = np.full((2, 2, 3, 2), 20, dtype=np.int64)
         table = cause_table(counts)

@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
-from mortboost import AgeBucketing, FeatureSpace, RateSurface, SimSpec, ThetaSurface
+from mortboost import AgeBucketing, FeatureSpace, MortalityTable, RateSurface, SimSpec, ThetaSurface
+from mortboost.grids import aggregate_rates
 from mortboost.simulate import _draw_poisson, load_sim_spec, sample_cause_deaths, sample_deaths
+
+
+def per_cell_draw(seed, domain, index, mean):
+    """Reference: a fresh Philox stream and Generator for every cell."""
+    key = (seed & ((1 << 64) - 1)) | (domain << 64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=index << 128))
+    return int(gen.poisson(mean))
+
+
+def spread_means(rng, size):
+    """Means covering 0, inversion (< 10), PTRS (>= 10) and 1e6."""
+    means = 10 ** rng.uniform(-2, 4, size)
+    means[rng.random(size) < 0.05] = 0.0
+    means[rng.random(size) < 0.05] = 1e6
+    return means
 
 
 def flat_spec(q=0.01, exposure=1e4, seed=42, n_ages=5, n_years=4):
@@ -30,13 +46,34 @@ class TestSampleDeaths:
         assert not np.array_equal(a.deaths, b.deaths)
 
     def test_draws_are_order_independent(self):
-        spec = flat_spec()
-        table = sample_deaths(spec)
+        rng = np.random.default_rng(4)
+        space = FeatureSpace(0, 4, 2000, 2003)
+        spec = SimSpec(
+            q=RateSurface(space, rng.uniform(0, 0.02, space.shape)),
+            exposure=np.full(space.shape, 1e4),
+            seed=42,
+        )
+        deaths = sample_deaths(spec).deaths.ravel()
         means = (spec.q.rate * spec.exposure).ravel()
-        reverse = [
-            _draw_poisson(spec.seed, 0, i, means[i]) for i in reversed(range(means.size))
+        one_by_one = [
+            _draw_poisson(spec.seed, 0, [i], [means[i]])[0] for i in reversed(range(means.size))
         ][::-1]
-        assert np.array_equal(np.array(reverse), table.deaths.ravel())
+        assert np.array_equal(np.array(one_by_one), deaths)
+        order = rng.permutation(means.size)
+        shuffled = _draw_poisson(spec.seed, 0, order.tolist(), means[order].tolist())
+        assert np.array_equal(shuffled, deaths[order])
+
+    def test_matches_per_cell_streams(self):
+        # 2,000 cells; each draw equals the draw of a fresh per-cell stream
+        space = FeatureSpace(0, 49, 2000, 2019)
+        means = spread_means(np.random.default_rng(9), space.size).reshape(space.shape)
+        exposure = np.full(space.shape, 1e7)
+        spec = SimSpec(q=RateSurface(space, means / exposure), exposure=exposure, seed=2**63 + 5)
+        flat = (spec.q.rate * spec.exposure).ravel()
+        assert (flat == 0).any() and ((flat > 0) & (flat < 10)).any()
+        assert ((flat >= 10) & (flat < 1e6)).any() and (flat >= 1e6).any()
+        expected = [per_cell_draw(spec.seed, 0, i, m) for i, m in enumerate(flat)]
+        assert np.array_equal(sample_deaths(spec).deaths.ravel(), expected)
 
     def test_large_mean_concentration(self):
         # q=0.01, E=1e8: all draws within 5 sigma, mean within 0.1%
@@ -57,7 +94,7 @@ class TestSampleDeaths:
         space = FeatureSpace(0, 0, 2000, 2000)
         mean = 37.5
         R = 10000
-        draws = np.array([_draw_poisson(seed, 0, 0, mean) for seed in range(R)])
+        draws = np.array([_draw_poisson(seed, 0, [0], [mean])[0] for seed in range(R)])
         rel = 5.0 / np.sqrt(R)
         assert abs(draws.mean() - mean) <= rel * mean
         assert abs(draws.var() - mean) <= 3 * rel * mean
@@ -78,6 +115,33 @@ class TestSampleCauseDeaths:
             theta=ThetaSurface(theta),
             bucketing=bucketing,
         )
+
+    def test_matches_per_cell_streams(self):
+        # 2 x 10 x 25 cells x 4 causes; cause k of cell c draws from block c * K + k
+        space = FeatureSpace(0, 9, 2000, 2024)
+        rng = np.random.default_rng(10)
+        bucketing = AgeBucketing.single_ages(0, 9)
+        exposure = np.full(space.shape, 1e7)
+        cell_means = spread_means(rng, space.size).reshape(space.shape) * 1.5
+        theta = rng.dirichlet(np.ones(4), size=space.shape)
+        theta[..., 0] = 0.0
+        theta /= theta.sum(axis=-1, keepdims=True)
+        spec = SimSpec(
+            q=RateSurface(space, cell_means / exposure),
+            exposure=exposure,
+            seed=123,
+            theta=ThetaSurface(theta),
+            bucketing=bucketing,
+        )
+        zero = MortalityTable(space, exposure, np.zeros(space.shape, dtype=np.int64))
+        condensed = aggregate_rates(spec.q, zero, bucketing)
+        flat = (theta * (condensed.rate * condensed.exposure)[..., None]).ravel()
+        assert (flat == 0).any() and ((flat > 0) & (flat < 10)).any()
+        assert ((flat >= 10) & (flat < 1e6)).any() and (flat >= 1e6).any()
+        expected = [per_cell_draw(spec.seed, 1, i, m) for i, m in enumerate(flat)]
+        table, all_cause = sample_cause_deaths(spec)
+        assert np.array_equal(table.counts.ravel(), expected)
+        assert np.array_equal(all_cause, table.counts.sum(axis=3))
 
     def test_zero_probability_cause_never_draws(self):
         spec = self.cause_spec([0.5, 0.5, 0.0])
