@@ -8,13 +8,13 @@ relative changes.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface
+from .hmd import float_fields
 from .tree import PoissonTree, TreeConfig, WorkingData, grow_tree
 
 BACKTEST_FEATURES = ("gender", "age", "year", "cohort")
@@ -105,13 +105,11 @@ def backtest(
 def delta_to_csv(result: BacktestResult) -> str:
     """Full-grid relative changes, columns gender,age,year,cohort,delta."""
     space = result.space
-    buf = io.StringIO()
-    buf.write("gender,age,year,cohort,delta\n")
-    for gi, g in enumerate(GENDERS):
-        for ai, a in enumerate(space.ages()):
-            for ti, t in enumerate(space.years()):
-                buf.write(f"{g},{a},{t},{t - a},{float(result.delta[gi, ai, ti])!r}\n")
-    return buf.getvalue()
+    ages, years = space.ages().tolist(), space.years().tolist()
+    keys = [f"{g},{a},{t},{t - a}" for g in GENDERS for a in ages for t in years]
+    # a tree has few leaves, so delta repeats few values
+    deltas = float_fields(result.delta)
+    return "\n".join(["gender,age,year,cohort,delta", *map(",".join, zip(keys, deltas))]) + "\n"
 
 
 def export_delta_heatmap(

@@ -374,19 +374,11 @@ def cmd_check(args) -> int:
         rows = [("beta1 sum - 1", lambda p: p.beta1.sum() - 1.0), ("kappa sum", lambda p: p.kappa.sum())]
     else:
         fits = _read_file("--params", args.params, renshawhaberman.rh_params_from_csv)
-
-        def gamma_sum(p):
-            ages = np.arange(p.age_min, p.age_min + p.n_ages)
-            years = np.arange(p.year_min, p.year_min + p.n_years)
-            ci = (years[None, :] - ages[:, None]) - p.cohort_min
-            mult = np.bincount(ci.ravel(), minlength=p.n_cohorts)
-            return float((mult * p.gamma).sum())
-
         rows = [
             ("beta1 sum - 1", lambda p: p.beta1.sum() - 1.0),
             ("beta2 sum - 1", lambda p: p.beta2.sum() - 1.0),
             ("kappa sum", lambda p: p.kappa.sum()),
-            ("grid-weighted gamma sum", gamma_sum),
+            ("grid-weighted gamma sum", lambda p: (p.cohort_cells() * p.gamma).sum()),
         ]
     ok = True
     for g, p in sorted(fits.items()):
@@ -520,6 +512,8 @@ def main(argv=None) -> int:
             config_defaults = _load_config_defaults(known.config)
         parser = build_parser(config_defaults)
         args = parser.parse_args(argv)
+        if args.command == "fit" and args.model == "lc" and args.warm_start:
+            parser.error("--warm-start applies only to fit rh")
         return args.func(args)
     except (hmd.ParseError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -302,12 +302,10 @@ class BucketedRates:
 def rate_surface_to_csv(surface: RateSurface) -> str:
     """Dense dump in storage order, columns gender,age,year,rate."""
     space = surface.space
-    lines = ["gender,age,year,rate"]
-    for gi, g in enumerate(GENDERS):
-        for ai, a in enumerate(space.ages()):
-            for ti, t in enumerate(space.years()):
-                lines.append(f"{g},{a},{t},{float(surface.rate[gi, ai, ti])!r}")
-    return "\n".join(lines) + "\n"
+    ages, years = space.ages().tolist(), space.years().tolist()
+    keys = [f"{g},{a},{t}" for g in GENDERS for a in ages for t in years]
+    rates = map(repr, surface.rate.ravel().tolist())
+    return "\n".join(["gender,age,year,rate", *map(",".join, zip(keys, rates))]) + "\n"
 
 
 def rate_surface_from_csv(text: str) -> RateSurface:

@@ -1,23 +1,40 @@
-"""Lee-Carter mortality surfaces fitted by Poisson maximum likelihood.
+"""Lee-Carter mortality surfaces fitted by Poisson maximum likelihood, and
+the fit loop that Lee-Carter and Renshaw-Haberman share.
 
 log q(g,a,t) = beta0[a] + beta1[a] * kappa[t] per gender, with the usual
-identifiability constraints sum(beta1) = 1 and sum(kappa) = 0. Fitting uses
-alternating blockwise Newton updates with an exposure offset: beta0 has a
-closed-form update, kappa and beta1 take damped Newton steps (halved until
-the deviance does not increase), and the constraints are re-imposed after
-every sweep by exactly prediction-invariant transformations.
+identifiability constraints sum(beta1) = 1 and sum(kappa) = 0.
+
+`fit_terms` fits beta0[a] plus a sum of bilinear terms age_kind[a] *
+period_kind[p]. A model's terms are a constant (LC_TERMS here; the
+Renshaw-Haberman model adds ("beta2", "gamma")), and `_KIND_AXIS` gives each
+kind its axis: age, year or birth cohort. The axis decides how a vector is
+broadcast onto the (age, year) grid and how a grid is reduced to it: a row
+sum, a column sum or a cohort bincount. Each iteration, with an exposure
+offset, moves beta0 to its closed-form per-age maximiser, takes one damped
+Newton step on each kind (per term, the period kind first), runs the
+model's joint-step hook if it has one, and re-imposes the constraints (each
+age kind sums to 1, each period kind has grid-weighted mean 0) by exactly
+prediction-invariant transformations. Every step is halved until the
+deviance does not increase, so the deviance trace is monotone.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, gender_index
 
 _MAX_HALVINGS = 30
+
+# the axis each parameter kind is indexed by: in the fit, and in the CSV,
+# where the index starts at the parameter object's age_min, year_min or
+# cohort_min
+_KIND_AXIS = {"beta0": "age", "beta1": "age", "beta2": "age", "kappa": "year", "gamma": "cohort"}
+LC_KINDS = ("beta0", "beta1", "kappa")
+LC_TERMS = (("beta1", "kappa"),)
 
 
 @dataclass(frozen=True)
@@ -95,71 +112,120 @@ def _gender_slice(table: MortalityTable, gender: str) -> tuple[np.ndarray, np.nd
     return table.deaths[gi].astype(np.float64), table.exposure[gi]
 
 
-def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> LCParams:
-    """Fit one gender slice; never raises on non-convergence (converged=False)."""
-    D, E = _gender_slice(table, gender)
-    space = table.space
+def _on_grid(kind: str, values: np.ndarray, ci) -> np.ndarray:
+    """A parameter vector broadcast onto the (age, year) grid along its axis;
+    ci is the grid of cohort indices (used by cohort kinds only)."""
+    axis = _KIND_AXIS[kind]
+    if axis == "age":
+        return values[:, None]
+    if axis == "year":
+        return values[None, :]
+    return values[ci]
+
+
+def _per_index(kind: str, grid: np.ndarray, ci, n: int) -> np.ndarray:
+    """Grid values summed per index of the kind's axis."""
+    axis = _KIND_AXIS[kind]
+    if axis == "age":
+        return grid.sum(axis=1)
+    if axis == "year":
+        return grid.sum(axis=0)
+    return np.bincount(ci.ravel(), weights=grid.ravel(), minlength=n)
+
+
+def fit_terms(
+    D, E, start, terms, cfg: FitConfig, surface_deviance=poisson_surface_deviance, joint_step=None
+):
+    """Fit beta0 and the bilinear `terms` to one gender's deaths D and exposure E.
+
+    start (an LCParams or RHParams) holds the starting vectors; the result is
+    a copy of it with the fitted ones. Its flags are those of age rows without
+    exposure or deaths (whose beta0 keeps its start value), then start.flags,
+    then one for non-convergence, which is reported, never raised. Every
+    deviance is surface_deviance(D, E, log_rate). joint_step(theta, fitted,
+    dev, deviance), if given, runs after the block steps: theta maps kinds to
+    vectors, fitted is the grid of fitted means, and it returns (theta, dev)
+    with a deviance no higher than dev.
+    """
     if (E.sum(axis=1) > 0).sum() < 2 or (E.sum(axis=0) > 0).sum() < 2:
         raise ValueError("need at least 2 ages and 2 years with positive exposure")
-
-    n_ages, n_years = D.shape
-    flags: list[str] = []
-    log_floor = float(np.log(cfg.rate_floor))
+    theta = {kind: getattr(start, kind) for kind in ("beta0", *(k for term in terms for k in term))}
+    ci = cells = None
+    if any(_KIND_AXIS[period] == "cohort" for _, period in terms):
+        ci, cells = start._cohort_index(), start.cohort_cells()
 
     age_D = D.sum(axis=1)
     age_E = E.sum(axis=1)
-    dead_rows = age_E == 0
-    zero_rows = (age_E > 0) & (age_D == 0)
-    updatable = ~(dead_rows | zero_rows)
-    for a in np.nonzero(dead_rows)[0]:
-        flags.append(f"age {a + space.age_min}: zero exposure in every year; fitted at rate_floor")
-    for a in np.nonzero(zero_rows)[0]:
-        flags.append(f"age {a + space.age_min}: zero deaths in every year; fitted at rate_floor")
+    updatable = (age_E > 0) & (age_D > 0)
+    flags = []
+    for what, rows in (("exposure", age_E == 0), ("deaths", (age_E > 0) & (age_D == 0))):
+        for a in np.flatnonzero(rows):
+            flags.append(f"age {a + start.age_min}: zero {what} in every year; fitted at rate_floor")
+    flags += start.flags
 
-    beta0 = np.where(updatable, np.log((age_D + 0.5) / np.where(age_E > 0, age_E, 1.0)), log_floor)
-    beta1 = np.full(n_ages, 1.0 / n_ages)
-    kappa = np.zeros(n_years)
+    def log_rates(th):
+        log_rate = th["beta0"][:, None]
+        for age_kind, period in terms:
+            log_rate = log_rate + th[age_kind][:, None] * _on_grid(period, th[period], ci)
+        return log_rate
 
-    def deviance(b0, b1, k):
-        return poisson_surface_deviance(D, E, b0[:, None] + b1[:, None] * k[None, :])
+    def deviance(th):
+        return surface_deviance(D, E, log_rates(th))
 
-    dev = deviance(beta0, beta1, kappa)
+    def fitted_means(th):
+        return np.where(E > 0, E * np.exp(log_rates(th)), 0.0)
+
+    def damped(th, dev, kind, step):
+        """th[kind] + step, the step halved until the deviance does not increase."""
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS):
+            cand = {**th, kind: th[kind] + scale * step}
+            cand_dev = deviance(cand)
+            if cand_dev <= dev:
+                return cand, cand_dev
+            scale *= 0.5
+        return th, dev  # step rejected
+
+    dev = deviance(theta)
     trace = [dev]
     converged = False
     it = 0
     for it in range(1, cfg.max_iterations + 1):
         # beta0: per-age closed-form maximization, gated against the carried
         # deviance (renormalization is invariant only up to rounding)
-        fitted_age = (E * np.exp(beta0[:, None] + beta1[:, None] * kappa[None, :])).sum(axis=1)
+        fitted_age = fitted_means(theta).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = np.log(age_D / fitted_age)
-        shift = np.where(updatable & (fitted_age > 0), shift, 0.0)
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = beta0 + scale * shift
-            cand_dev = deviance(cand, beta1, kappa)
-            if cand_dev <= dev:
-                beta0, dev = cand, cand_dev
-                break
-            scale *= 0.5
+        theta, dev = damped(theta, dev, "beta0", np.where(updatable & (fitted_age > 0), shift, 0.0))
 
-        # kappa: damped Newton
-        kappa, dev = _newton_block(
-            D, E, beta0, beta1, kappa, dev, deviance, block="kappa"
-        )
-        # beta1: damped Newton
-        beta1, dev = _newton_block(
-            D, E, beta0, beta1, kappa, dev, deviance, block="beta1"
-        )
+        for age_kind, period in terms:
+            for kind, other in ((period, age_kind), (age_kind, period)):
+                fitted = fitted_means(theta)
+                factor = _on_grid(other, theta[other], ci)
+                n = theta[kind].size
+                grad = _per_index(kind, factor * (D - fitted), ci, n)
+                hess = _per_index(kind, factor**2 * fitted, ci, n)
+                step = np.where(hess > 0, grad / np.where(hess > 0, hess, 1.0), 0.0)
+                if np.any(step):
+                    theta, dev = damped(theta, dev, kind, step)
 
-        # re-impose constraints (prediction-invariant)
-        k_mean = kappa.mean()
-        beta0 = beta0 + beta1 * k_mean
-        kappa = kappa - k_mean
-        scale = beta1.sum()
-        if scale != 0.0:
-            beta1 = beta1 / scale
-            kappa = kappa * scale
+        if joint_step is not None:
+            theta, dev = joint_step(theta, fitted_means(theta), dev, deviance)
+
+        # re-impose constraints (prediction-invariant); a year has as many
+        # cells as any other, so kappa's grid-weighted mean is its plain mean
+        for age_kind, period in terms:
+            b, k = theta[age_kind], theta[period]
+            if _KIND_AXIS[period] == "year":
+                k_mean = k.mean()
+            else:
+                k_mean = float((cells * k).sum() / cells.sum())
+            theta["beta0"] = theta["beta0"] + b * k_mean
+            k = k - k_mean
+            scale = b.sum()
+            if scale != 0.0:
+                b, k = b / scale, k * scale
+            theta[age_kind], theta[period] = b, k
 
         trace.append(dev)
         prev = trace[-2]
@@ -169,17 +235,9 @@ def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> 
 
     if not converged:
         flags.append(f"not converged after {cfg.max_iterations} iterations")
-    if np.max(np.abs(kappa)) < 1e-8:
-        flags.append("kappa is numerically zero: time-homogeneous surface, beta1 weakly identified")
-
-    return LCParams(
-        gender=gender,
-        age_min=space.age_min,
-        year_min=space.year_min,
-        beta0=beta0,
-        beta1=beta1,
-        kappa=kappa,
-        rate_floor=cfg.rate_floor,
+    return replace(
+        start,
+        **theta,
         converged=converged,
         n_iterations=it,
         deviance_trace=np.asarray(trace),
@@ -187,46 +245,46 @@ def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> 
     )
 
 
-def _newton_block(D, E, beta0, beta1, kappa, dev_current, deviance, block: str):
-    """One damped Newton step on kappa or beta1, holding the rest fixed."""
-    fitted = E * np.exp(beta0[:, None] + beta1[:, None] * kappa[None, :])
-    resid = D - fitted
-    if block == "kappa":
-        grad = (beta1[:, None] * resid).sum(axis=0)
-        hess = (beta1[:, None] ** 2 * fitted).sum(axis=0)
-        current = kappa
-    elif block == "beta1":
-        grad = (kappa[None, :] * resid).sum(axis=1)
-        hess = (kappa[None, :] ** 2 * fitted).sum(axis=1)
-        current = beta1
-    else:
-        raise ValueError(block)
-    step = np.where(hess > 0, grad / np.where(hess > 0, hess, 1.0), 0.0)
-    if not np.any(step):
-        return current, dev_current
-    scale = 1.0
-    for _ in range(_MAX_HALVINGS):
-        cand = current + scale * step
-        if block == "kappa":
-            cand_dev = deviance(beta0, beta1, cand)
-        else:
-            cand_dev = deviance(beta0, cand, kappa)
-        if cand_dev <= dev_current:
-            return cand, cand_dev
-        scale *= 0.5
-    return current, dev_current  # step rejected
+def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> LCParams:
+    """Fit one gender slice; never raises on non-convergence (converged=False)."""
+    D, E = _gender_slice(table, gender)
+    space = table.space
+    age_D = D.sum(axis=1)
+    age_E = E.sum(axis=1)
+    beta0 = np.where(
+        (age_E > 0) & (age_D > 0),
+        np.log((age_D + 0.5) / np.where(age_E > 0, age_E, 1.0)),
+        np.log(cfg.rate_floor),
+    )
+    start = LCParams(
+        gender=gender,
+        age_min=space.age_min,
+        year_min=space.year_min,
+        beta0=beta0,
+        beta1=np.full(space.n_ages, 1.0 / space.n_ages),
+        kappa=np.zeros(space.n_years),
+        rate_floor=cfg.rate_floor,
+        converged=False,
+        n_iterations=0,
+        deviance_trace=np.array([]),
+        flags=[],
+    )
+    fit = fit_terms(D, E, start, LC_TERMS, cfg)
+    if np.max(np.abs(fit.kappa)) < 1e-8:
+        fit.flags.append("kappa is numerically zero: time-homogeneous surface, beta1 weakly identified")
+    return fit
 
 
 def predict_lc(params: LCParams, gender: str, age: int, year: int) -> float:
-    """Fitted rate at one feature, clamped to [rate_floor, 1]; no extrapolation."""
+    """Fitted rate at one feature, clamped to [rate_floor, 1]; no extrapolation.
+    Serves RHParams too: the rate is the cell's entry of params.log_rates()."""
     if gender != params.gender:
         raise ValueError(f"parameters are for {params.gender}, not {gender}")
     ai = age - params.age_min
     ti = year - params.year_min
     if not (0 <= ai < params.n_ages and 0 <= ti < params.n_years):
         raise ValueError(f"feature (age={age}, year={year}) outside the fitted ranges")
-    log_rate = params.beta0[ai] + params.beta1[ai] * params.kappa[ti]
-    return float(np.clip(np.exp(log_rate), params.rate_floor, 1.0))
+    return float(np.clip(np.exp(params.log_rates()[ai, ti]), params.rate_floor, 1.0))
 
 
 def fit_lc_both(table: MortalityTable, cfg: FitConfig = FitConfig()) -> dict[str, LCParams]:
@@ -247,10 +305,6 @@ def rate_surface(space: FeatureSpace, per_gender: dict[str, "LCParams"]) -> Rate
 # --- CSV round-trip ---------------------------------------------------------
 
 _CSV_HEADER = "gender,kind,index,value"
-# the CSV index of each parameter kind runs over ages, calendar years or
-# cohorts, starting at the parameter object's age_min, year_min or cohort_min
-_KIND_AXIS = {"beta0": "age", "beta1": "age", "beta2": "age", "kappa": "year", "gamma": "cohort"}
-LC_KINDS = ("beta0", "beta1", "kappa")
 
 
 def write_params_csv(per_gender: dict, kinds: tuple[str, ...]) -> str:

@@ -1,17 +1,20 @@
-"""Renshaw-Haberman cohort extension of the Lee-Carter surface.
+"""Renshaw-Haberman: the Lee-Carter surface plus a cohort term.
 
 log q(g,a,t) = beta0[a] + beta1[a]*kappa[t] + beta2[a]*gamma[t-a], with
 sum(beta1) = sum(beta2) = 1, sum(kappa) = 0 and the grid-multiplicity-weighted
-cohort sum sum_{a,t} gamma[t-a] = 0. The fit warm-starts from Lee-Carter
-(gamma = 0, so the starting deviance equals the LC deviance exactly).
-
-Each iteration runs alternating blockwise Newton updates followed by one
-joint Fisher-scoring step (Levenberg-Marquardt damped); block sweeps make
-cheap early progress, while the joint step escapes the zigzag stalls the
-pure alternating scheme is prone to on this model. Every step is accepted
-only if the deviance does not increase, which makes the LC-nesting property
-hold by construction. RH fitting is known to converge slowly; the default
-iteration budget is deliberately generous.
+cohort sum sum_{a,t} gamma[t-a] = 0. The model adds one bilinear term to
+Lee-Carter's (RH_TERMS) and runs the same loop, leecarter.fit_terms, warm-
+started from Lee-Carter's beta0, beta1 and kappa (gamma = 0, so the starting
+deviance equals the LC deviance exactly). This module adds RHParams (beta2,
+gamma and the cohort helpers), the flags for cohorts seen in one grid cell
+or without positive exposure, and the loop's one model-specific hook: after
+the block steps of each iteration, one Levenberg-Marquardt damped
+Fisher-scoring step on all parameters at once. Block steps make cheap early
+progress; the joint step escapes the zigzag stalls the pure alternating
+scheme is prone to on this model. Like every step it is accepted only if the
+deviance does not increase, which makes the LC-nesting property hold by
+construction. RH fitting is known to converge slowly; the default iteration
+budget is deliberately generous.
 
 The joint step's Fisher system has 3A + T + C unknowns for A ages, T years
 and C cohorts. Every age-age block is diagonal, so the age unknowns fall
@@ -31,47 +34,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GENDERS, MortalityTable, gender_index
+from .grids import GENDERS, MortalityTable
 from .leecarter import (
+    LC_KINDS,
+    LC_TERMS,
     FitConfig,
     LCParams,
+    _gender_slice,
     fit_lc,
+    fit_terms,
     poisson_surface_deviance,
+    predict_lc,
     read_params_csv,
     write_params_csv,
 )
 
-_MAX_HALVINGS = 30
-
 RH_DEFAULT_CONFIG = FitConfig(max_iterations=50000)
 RH_KINDS = ("beta0", "beta1", "kappa", "beta2", "gamma")
+RH_TERMS = LC_TERMS + (("beta2", "gamma"),)
 
 
 @dataclass
-class RHParams:
-    """One gender's fitted coefficients, cohort-indexed gamma included."""
+class RHParams(LCParams):
+    """LCParams plus beta2 per age and gamma per birth cohort."""
 
-    gender: str
-    age_min: int
-    year_min: int
-    beta0: np.ndarray
-    beta1: np.ndarray
-    kappa: np.ndarray
     beta2: np.ndarray
     gamma: np.ndarray  # cohorts year_min - age_max .. year_max - age_min
-    rate_floor: float
-    converged: bool
-    n_iterations: int
-    deviance_trace: np.ndarray
-    flags: list[str]
-
-    @property
-    def n_ages(self) -> int:
-        return self.beta0.size
-
-    @property
-    def n_years(self) -> int:
-        return self.kappa.size
 
     @property
     def cohort_min(self) -> int:
@@ -81,25 +69,16 @@ class RHParams:
     def n_cohorts(self) -> int:
         return self.gamma.size
 
-    @property
-    def deviance(self) -> float:
-        return float(self.deviance_trace[-1])
-
     def _cohort_index(self) -> np.ndarray:
-        ages = np.arange(self.age_min, self.age_min + self.n_ages)
-        years = np.arange(self.year_min, self.year_min + self.n_years)
-        return (years[None, :] - ages[:, None]) - self.cohort_min
+        """(n_ages, n_years) grid of cohort indices, t - a + n_ages - 1 at (a, t)."""
+        return np.arange(self.n_years)[None, :] - np.arange(self.n_ages)[:, None] + (self.n_ages - 1)
+
+    def cohort_cells(self) -> np.ndarray:
+        """Number of grid cells of each cohort, oldest first."""
+        return np.bincount(self._cohort_index().ravel(), minlength=self.n_cohorts)
 
     def log_rates(self) -> np.ndarray:
-        ci = self._cohort_index()
-        return (
-            self.beta0[:, None]
-            + self.beta1[:, None] * self.kappa[None, :]
-            + self.beta2[:, None] * self.gamma[ci]
-        )
-
-    def rates(self) -> np.ndarray:
-        return np.clip(np.exp(self.log_rates()), self.rate_floor, 1.0)
+        return super().log_rates() + self.beta2[:, None] * self.gamma[self._cohort_index()]
 
 
 def _fisher_system(W, R, ci, beta1, beta2, kappa, gamma, n_cohorts):
@@ -208,179 +187,57 @@ def fit_rh(
     """Fit one gender slice, warm-started from Lee-Carter (fitted here if not given)."""
     if warm_start is None:
         warm_start = fit_lc(table, gender, cfg)
-    gi = gender_index(gender)
-    D = table.deaths[gi].astype(np.float64)
-    E = table.exposure[gi]
+    D, E = _gender_slice(table, gender)
     space = table.space
-    n_ages, n_years = D.shape
-
-    ages = space.ages()
-    years = space.years()
-    cohort_min = space.cohort_min
-    ci = (years[None, :] - ages[:, None]) - cohort_min  # (A, T) cohort indices
-    n_cohorts = space.n_cohorts
-    multiplicity = np.bincount(ci.ravel(), minlength=n_cohorts).astype(np.float64)
-
-    flags = list(warm_start.flags)
-    for c in np.nonzero(multiplicity == 1)[0]:
-        flags.append(f"cohort {c + cohort_min}: observed in a single grid cell, weakly identified")
-    for c in np.nonzero(multiplicity > 0)[0]:
-        cells = ci == c
-        if not np.any(E[cells] > 0):
-            flags.append(f"cohort {c + cohort_min}: no positive exposure")
-
-    age_D = D.sum(axis=1)
-    age_E = E.sum(axis=1)
-    updatable = (age_E > 0) & (age_D > 0)
-
-    beta0 = warm_start.beta0.copy()
-    beta1 = warm_start.beta1.copy()
-    kappa = warm_start.kappa.copy()
-    beta2 = np.full(n_ages, 1.0 / n_ages)
-    gamma = np.zeros(n_cohorts)
-
-    def log_rates(b0, b1, k, b2, g):
-        return b0[:, None] + b1[:, None] * k[None, :] + b2[:, None] * g[ci]
-
-    def deviance(b0, b1, k, b2, g):
-        return poisson_surface_deviance(D, E, log_rates(b0, b1, k, b2, g))
-
-    dev = deviance(beta0, beta1, kappa, beta2, gamma)
-    trace = [dev]
-    converged = False
-    lm_lambda = 1e-3
-    lm_enabled = True
-    lm_failures = 0
-    it = 0
-    for it in range(1, cfg.max_iterations + 1):
-        # beta0 closed form, gated against the carried deviance
-        fitted_age = (E * np.exp(log_rates(beta0, beta1, kappa, beta2, gamma))).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shift = np.log(age_D / fitted_age)
-        shift = np.where(updatable & (fitted_age > 0), shift, 0.0)
-        scale0 = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = beta0 + scale0 * shift
-            cand_dev = deviance(cand, beta1, kappa, beta2, gamma)
-            if cand_dev <= dev:
-                beta0, dev = cand, cand_dev
-                break
-            scale0 *= 0.5
-
-        for block in ("kappa", "beta1", "gamma", "beta2"):
-            fitted = np.where(E > 0, E * np.exp(log_rates(beta0, beta1, kappa, beta2, gamma)), 0.0)
-            resid = D - fitted
-            if block == "kappa":
-                grad = (beta1[:, None] * resid).sum(axis=0)
-                hess = (beta1[:, None] ** 2 * fitted).sum(axis=0)
-                current = kappa
-            elif block == "beta1":
-                grad = (kappa[None, :] * resid).sum(axis=1)
-                hess = (kappa[None, :] ** 2 * fitted).sum(axis=1)
-                current = beta1
-            elif block == "gamma":
-                grad = np.bincount(ci.ravel(), weights=(beta2[:, None] * resid).ravel(), minlength=n_cohorts)
-                hess = np.bincount(ci.ravel(), weights=(beta2[:, None] ** 2 * fitted).ravel(), minlength=n_cohorts)
-                current = gamma
-            else:
-                gamma_grid = gamma[ci]
-                grad = (gamma_grid * resid).sum(axis=1)
-                hess = (gamma_grid**2 * fitted).sum(axis=1)
-                current = beta2
-            step = np.where(hess > 0, grad / np.where(hess > 0, hess, 1.0), 0.0)
-            if not np.any(step):
-                continue
-            scale = 1.0
-            for _ in range(_MAX_HALVINGS):
-                cand = current + scale * step
-                args = {
-                    "kappa": (beta0, beta1, cand, beta2, gamma),
-                    "beta1": (beta0, cand, kappa, beta2, gamma),
-                    "gamma": (beta0, beta1, kappa, beta2, cand),
-                    "beta2": (beta0, beta1, kappa, cand, gamma),
-                }[block]
-                cand_dev = deviance(*args)
-                if cand_dev <= dev:
-                    beta0, beta1, kappa, beta2, gamma = args
-                    dev = cand_dev
-                    break
-                scale *= 0.5
-
-        # one joint Fisher-scoring step (Levenberg-Marquardt damped); the
-        # alternating sweeps alone zigzag-stall on this model
-        if lm_enabled:
-            fitted = np.where(E > 0, E * np.exp(log_rates(beta0, beta1, kappa, beta2, gamma)), 0.0)
-            system = _fisher_system(
-                fitted, D - fitted, ci, beta1, beta2, kappa, gamma, n_cohorts
-            )
-            accepted = False
-            for _ in range(12):
-                try:
-                    u, z = _joint_step(*system, lm_lambda)
-                except np.linalg.LinAlgError:
-                    lm_lambda *= 10.0
-                    continue
-                cand = (
-                    beta0 + u[:, 0],
-                    beta1 + u[:, 1],
-                    kappa + z[:n_years],
-                    beta2 + u[:, 2],
-                    gamma + z[n_years:],
-                )
-                cand_dev = deviance(*cand)
-                if cand_dev <= dev:
-                    beta0, beta1, kappa, beta2, gamma = cand
-                    dev = cand_dev
-                    lm_lambda = max(lm_lambda / 3.0, 1e-12)
-                    accepted = True
-                    break
-                lm_lambda = min(lm_lambda * 10.0, 1e12)
-            if not accepted:
-                lm_failures += 1
-                if lm_failures >= 5:
-                    lm_enabled = False
-            else:
-                lm_failures = 0
-
-        # re-impose constraints (prediction-invariant)
-        k_mean = kappa.mean()
-        beta0 = beta0 + beta1 * k_mean
-        kappa = kappa - k_mean
-        scale1 = beta1.sum()
-        if scale1 != 0.0:
-            beta1 = beta1 / scale1
-            kappa = kappa * scale1
-        g_mean = float((multiplicity * gamma).sum() / multiplicity.sum())
-        beta0 = beta0 + beta2 * g_mean
-        gamma = gamma - g_mean
-        scale2 = beta2.sum()
-        if scale2 != 0.0:
-            beta2 = beta2 / scale2
-            gamma = gamma * scale2
-
-        trace.append(dev)
-        prev = trace[-2]
-        if prev - dev <= cfg.deviance_tol * max(prev, 1e-300):
-            converged = True
-            break
-
-    if not converged:
-        flags.append(f"not converged after {cfg.max_iterations} iterations")
-
-    return RHParams(
+    n_years = space.n_years
+    start = RHParams(
         gender=gender,
         age_min=space.age_min,
         year_min=space.year_min,
-        beta0=beta0,
-        beta1=beta1,
-        kappa=kappa,
-        beta2=beta2,
-        gamma=gamma,
+        **{kind: getattr(warm_start, kind) for kind in LC_KINDS},
+        beta2=np.full(space.n_ages, 1.0 / space.n_ages),
+        gamma=np.zeros(space.n_cohorts),
         rate_floor=cfg.rate_floor,
-        converged=converged,
-        n_iterations=it,
-        deviance_trace=np.asarray(trace),
-        flags=flags,
+        converged=False,
+        n_iterations=0,
+        deviance_trace=np.array([]),
+        flags=[],
+    )
+    ci = start._cohort_index()
+    for c in np.flatnonzero(start.cohort_cells() == 1):
+        start.flags.append(f"cohort {c + start.cohort_min}: observed in a single grid cell, weakly identified")
+    for c in np.flatnonzero(np.bincount(ci[E > 0], minlength=start.n_cohorts) == 0):
+        start.flags.append(f"cohort {c + start.cohort_min}: no positive exposure")
+
+    lm_lambda = 1e-3
+
+    def joint_step(theta, fitted, dev, deviance):
+        """One Levenberg-Marquardt damped Fisher-scoring step on all parameters;
+        the alternating block steps alone zigzag-stall on this model."""
+        nonlocal lm_lambda
+        beta1, kappa, beta2, gamma = (theta[kind] for kind in ("beta1", "kappa", "beta2", "gamma"))
+        system = _fisher_system(fitted, D - fitted, ci, beta1, beta2, kappa, gamma, gamma.size)
+        for _ in range(12):
+            try:
+                u, z = _joint_step(*system, lm_lambda)
+            except np.linalg.LinAlgError:
+                lm_lambda *= 10.0
+                continue
+            steps = (u[:, 0], u[:, 1], z[:n_years], u[:, 2], z[n_years:])
+            cand = {kind: theta[kind] + step for kind, step in zip(RH_KINDS, steps)}
+            cand_dev = deviance(cand)
+            if cand_dev <= dev:
+                lm_lambda = max(lm_lambda / 3.0, 1e-12)
+                return cand, cand_dev
+            lm_lambda = min(lm_lambda * 10.0, 1e12)
+        return theta, dev
+
+    # this module's poisson_surface_deviance is looked up at each call, so a
+    # wrapper installed on it (the benchmark's tracer) sees every evaluation
+    return fit_terms(
+        D, E, start, RH_TERMS, cfg,
+        surface_deviance=lambda *args: poisson_surface_deviance(*args),
+        joint_step=joint_step,
     )
 
 
@@ -388,20 +245,8 @@ def fit_rh_both(table: MortalityTable, cfg: FitConfig = RH_DEFAULT_CONFIG) -> di
     return {g: fit_rh(table, g, cfg) for g in GENDERS}
 
 
-def predict_rh(params: RHParams, gender: str, age: int, year: int) -> float:
-    """Fitted rate at one feature, clamped to [rate_floor, 1]; no extrapolation."""
-    if gender != params.gender:
-        raise ValueError(f"parameters are for {params.gender}, not {gender}")
-    ai = age - params.age_min
-    ti = year - params.year_min
-    if not (0 <= ai < params.n_ages and 0 <= ti < params.n_years):
-        raise ValueError(f"feature (age={age}, year={year}) outside the fitted ranges")
-    log_rate = (
-        params.beta0[ai]
-        + params.beta1[ai] * params.kappa[ti]
-        + params.beta2[ai] * params.gamma[(year - age) - params.cohort_min]
-    )
-    return float(np.clip(np.exp(log_rate), params.rate_floor, 1.0))
+# the cohort term enters through RHParams.log_rates
+predict_rh = predict_lc
 
 
 def rh_params_to_csv(per_gender: dict[str, RHParams]) -> str:

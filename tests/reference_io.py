@@ -221,6 +221,30 @@ def residuals_to_csv(cod, residuals):
     return buf.getvalue()
 
 
+# --- rate and delta grids -------------------------------------------------
+
+
+def rate_surface_to_csv(surface):
+    space = surface.space
+    lines = ["gender,age,year,rate"]
+    for gi, g in enumerate(GENDERS):
+        for ai, a in enumerate(space.ages()):
+            for ti, t in enumerate(space.years()):
+                lines.append(f"{g},{a},{t},{float(surface.rate[gi, ai, ti])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def delta_to_csv(result):
+    space = result.space
+    buf = io.StringIO()
+    buf.write("gender,age,year,cohort,delta\n")
+    for gi, g in enumerate(GENDERS):
+        for ai, a in enumerate(space.ages()):
+            for ti, t in enumerate(space.years()):
+                buf.write(f"{g},{a},{t},{t - a},{float(result.delta[gi, ai, ti])!r}\n")
+    return buf.getvalue()
+
+
 # --- SVG panels ------------------------------------------------------------
 
 

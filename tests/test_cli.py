@@ -139,21 +139,25 @@ class TestFit:
             assert str(warm) in err and message in err, err
 
     def test_non_convergence_exit_code(self, sim_dir, tmp_path):
-        out = tmp_path / "noconv"
-        code = main(
-            [
-                "fit", "lc",
-                "--deaths", str(sim_dir / "deaths.txt"),
-                "--exposures", str(sim_dir / "exposures.txt"),
-                "--ages", "0:9", "--years", "2000:2009",
-                "--out", str(out),
-                "--max-iter", "1",
-            ]
-        )
-        assert code == 4
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["converged"] == {"female": False, "male": False}
-        assert (out / "qfit.csv").exists()
+        for model in ("lc", "rh"):
+            out = tmp_path / f"noconv_{model}"
+            code = main(
+                [
+                    "fit", model,
+                    "--deaths", str(sim_dir / "deaths.txt"),
+                    "--exposures", str(sim_dir / "exposures.txt"),
+                    "--ages", "0:9", "--years", "2000:2009",
+                    "--out", str(out),
+                    "--max-iter", "1",
+                ]
+            )
+            assert code == 4, model
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["converged"] == {"female": False, "male": False}
+            assert (out / "qfit.csv").exists()
+            # one flag per gender: a cold rh fit does not repeat its warm start's
+            for g in ("female", "male"):
+                assert manifest["warnings"].count(f"{g}: not converged after 1 iterations") == 1
 
 
 @pytest.fixture(scope="module")
@@ -352,10 +356,20 @@ class TestErrorPaths:
                 assert main(argv) == 3
                 assert f"--qfit {qfit}:" in capsys.readouterr().err
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "lc"])  # missing required flags
         assert exc.value.code == 2
+        # --warm-start is rh-only; rejected before any input is read, so the
+        # input paths need not exist
+        absent = [str(tmp_path / name) for name in ("deaths.txt", "exposures.txt", "params.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "lc", "--deaths", absent[0], "--exposures", absent[1],
+                  "--ages", "0:9", "--years", "2000:2009", "--warm-start", absent[2],
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--warm-start applies only to fit rh" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_check_on_header_only_params_is_data_error(self, tmp_path, capsys):
         params = tmp_path / "params.csv"

@@ -1,12 +1,16 @@
 """The array writers, smoothing and SVG panels against their per-row
 references in reference_io.py: byte-identical text, bit-identical smoothing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import reference_io as ref
 from mortboost import hmd, svgplot
+from mortboost.backtest import delta_to_csv
 from mortboost.codboost import ResidualGrid, ThetaSurface, residuals_to_csv, smooth_series, theta_to_csv
+from mortboost.grids import FeatureSpace, RateSurface, rate_surface_to_csv
 from mortboost.hmd import CauseDeathTable, HmdGrid, write_cod_csv, write_hmd_1x1
 
 EDGE = [np.nan, -0.0, 0.0, 1e-300, 5e-324, 1.0, 0.1, 1 / 3]
@@ -91,6 +95,26 @@ class TestHmdWriter:
         grid = HmdGrid("deaths", ages, years, female, male, female + male, open_age)
         assert write_hmd_1x1(grid) == ref.write_hmd_1x1(grid)
         assert write_hmd_1x1(grid, "Title") == ref.write_hmd_1x1(grid, "Title")
+
+
+class TestGridWriters:
+    # rates lie in [0, 1]; 1 - 2**-53 is the largest double below 1
+    RATE_EDGES = [0.0, 1.0, 5e-324, 1 - 2**-53, np.nan, 1e-300, 0.1, 1 / 3]
+
+    @pytest.mark.parametrize("space", [FeatureSpace(0, 4, 1990, 1995), FeatureSpace(97, 97, 2014, 2014)])
+    def test_rate_surface_to_csv(self, space):
+        rng = np.random.default_rng(7)
+        q = RateSurface(space, with_edges(rng.random(space.shape), self.RATE_EDGES[: space.size]))
+        assert rate_surface_to_csv(q) == ref.rate_surface_to_csv(q)
+
+    def test_delta_to_csv(self):
+        # a tree's leaf factors repeat a few values; delta = mu - 1 >= -1
+        space = FeatureSpace(0, 5, 1990, 1998)
+        rng = np.random.default_rng(8)
+        leaves = np.array([-1.0, -0.0, 0.0, 5e-324, 1 - 2**-53, 0.25, -1 / 3, np.nan])
+        delta = with_edges(leaves[rng.integers(0, leaves.size, space.shape)], leaves.tolist())
+        result = SimpleNamespace(space=space, delta=delta)
+        assert delta_to_csv(result) == ref.delta_to_csv(result)
 
 
 class TestPanels:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_rh
-from mortboost.leecarter import FitConfig, poisson_surface_deviance
+from mortboost.leecarter import FitConfig, params_from_csv, params_to_csv, poisson_surface_deviance
 from mortboost.renshawhaberman import (
     _fisher_system,
     _joint_step,
@@ -199,6 +199,31 @@ class TestFitRH:
             assert lc.deviance >= 0.0
             for cohort in (space.cohort_min, space.cohort_max):
                 assert f"cohort {cohort}: no positive exposure" in rh.flags
+
+    def test_non_convergence_reported_not_raised(self, rng):
+        # a cold fit: the Lee-Carter warm start runs out of iterations as well,
+        # but the flags report the RH fit only
+        space = FeatureSpace(40, 45, 2000, 2009)
+        _, log_q = rh_truth(rng, space)
+        E = np.full(space.shape, 1e5)
+        D = rng.poisson(np.exp(np.stack([log_q, log_q])) * E)
+        rh = fit_rh(MortalityTable(space, E, D), "female", FitConfig(max_iterations=1))
+        assert rh.converged is False and rh.n_iterations == 1
+        assert [f for f in rh.flags if "not converged" in f] == ["not converged after 1 iterations"]
+
+    def test_flags_are_the_fits_own(self):
+        # the warm start read from CSV carries "loaded from CSV"; the RH fit
+        # flags its own zero-death age row instead
+        space = FeatureSpace(0, 3, 2000, 2004)
+        E = np.full(space.shape, 1000.0)
+        D = np.full(space.shape, 20, dtype=np.int64)
+        D[:, 1, :] = 0
+        table = MortalityTable(space, E, D)
+        warm = params_from_csv(params_to_csv({"female": fit_lc(table, "female")}))["female"]
+        assert warm.flags == ["loaded from CSV"]
+        rh = fit_rh(table, "female", FitConfig(max_iterations=20), warm_start=warm)
+        assert "loaded from CSV" not in rh.flags
+        assert "age 1: zero deaths in every year; fitted at rate_floor" in rh.flags
 
     def test_reparameterization_invariance(self, rng):
         space = FeatureSpace(40, 45, 2000, 2006)
