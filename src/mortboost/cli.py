@@ -48,17 +48,9 @@ class DataError(Exception):
     pass
 
 
-def _parse_range(token: str, flag: str) -> tuple[int, int]:
-    try:
-        lo, hi = token.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise DataError(f"{flag} expects LO:HI, got {token!r}") from None
-
-
 def _load_table(deaths_path, exposures_path, space, pool_top_age):
-    deaths = hmd.parse_hmd_1x1(Path(deaths_path).read_text(), "deaths")
-    exposures = hmd.parse_hmd_1x1(Path(exposures_path).read_text(), "exposures")
+    deaths = _read_hmd("--deaths", deaths_path, "deaths")
+    exposures = _read_hmd("--exposures", exposures_path, "exposures")
     return hmd.clip_to_space(deaths, exposures, space, pool_top_age)
 
 
@@ -69,6 +61,10 @@ def _read_file(flag: str, path: str, reader):
         return reader(text)
     except ValueError as exc:
         raise DataError(f"{flag} {path}: {exc}") from None
+
+
+def _read_hmd(flag: str, path: str, kind: str) -> hmd.HmdGrid:
+    return _read_file(flag, path, lambda text: hmd.parse_hmd_1x1(text, kind))
 
 
 def _load_warm_start(path: str, space: FeatureSpace) -> dict[str, leecarter.LCParams]:
@@ -91,8 +87,8 @@ def _load_warm_start(path: str, space: FeatureSpace) -> dict[str, leecarter.LCPa
 
 
 def cmd_fit(args) -> int:
-    ages = _parse_range(args.ages, "--ages")
-    years = _parse_range(args.years, "--years")
+    ages = hmd.parse_range(args.ages, "--ages")
+    years = hmd.parse_range(args.years, "--years")
     space = FeatureSpace(ages[0], ages[1], years[0], years[1])
     table, report = _load_table(args.deaths, args.exposures, space, not args.no_pool_top_age)
     # rh: weakly identified directions make the last decades of relative
@@ -230,10 +226,10 @@ def cmd_cod(args) -> int:
     if window is not None and (window < 1 or window % 2 == 0):
         raise DataError(f"--smooth-window must be an odd integer >= 1, got {window}")
     causes = _cause_registry(args.causes) if args.causes else hmd.DEFAULT_CAUSES
-    cod = hmd.parse_cod_csv(Path(args.cod).read_text(), causes=causes)
+    cod = _read_file("--cod", args.cod, lambda text: hmd.parse_cod_csv(text, causes=causes))
     q_full = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_full.space
-    exposures = hmd.parse_hmd_1x1(Path(args.exposures).read_text(), "exposures")
+    exposures = _read_hmd("--exposures", args.exposures, "exposures")
     deaths_placeholder = hmd.HmdGrid(
         "deaths",
         exposures.ages,
@@ -332,7 +328,10 @@ def cmd_cod(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = load_sim_spec(args.spec)
+    try:
+        spec = load_sim_spec(args.spec)
+    except ValueError as exc:
+        raise DataError(f"--spec {args.spec}: {exc}") from None
     table = sample_deaths(spec)
     space = spec.q.space
 
@@ -407,22 +406,18 @@ _CONFIG_KEYS = {
 }
 
 
-def _load_config_defaults(path: str) -> dict:
+def _config_defaults(text: str) -> dict:
     defaults = {}
-    for ln_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"config line {ln_no}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for key, (value, line) in hmd.read_key_values(text).items():
         dest = key.replace("-", "_")
         if dest not in _CONFIG_KEYS:
-            raise DataError(f"config line {ln_no}: unknown key {key!r}")
+            raise hmd.ParseError(f"unknown key {key!r}", line)
+        if dest in defaults:
+            raise hmd.ParseError(f"duplicate key {key!r}", line)
         try:
             defaults[dest] = _CONFIG_KEYS[dest](value)
         except ValueError:
-            raise DataError(f"config line {ln_no}: bad value for {key!r}: {value!r}") from None
+            raise hmd.ParseError(f"bad value for {key!r}: {value!r}", line) from None
     return defaults
 
 
@@ -509,7 +504,7 @@ def main(argv=None) -> int:
         probe.add_argument("--config")
         known, _ = probe.parse_known_args(argv)
         if known.config:
-            config_defaults = _load_config_defaults(known.config)
+            config_defaults = _read_file("--config", known.config, _config_defaults)
         parser = build_parser(config_defaults)
         args = parser.parse_args(argv)
         if args.command == "fit" and args.model == "lc" and args.warm_start:

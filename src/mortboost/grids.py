@@ -313,14 +313,18 @@ def rate_surface_from_csv(text: str) -> RateSurface:
     if not lines or lines[0].strip() != "gender,age,year,rate":
         raise ValueError("expected header gender,age,year,rate")
     rows: dict[tuple[int, int, int], float] = {}
-    for ln in lines[1:]:
+    for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
-        g, a, t, r = ln.split(",")
-        key = (gender_index(g), int(a), int(t))
+        try:
+            g, a, t, r = ln.split(",")
+            key = (gender_index(g), int(a), int(t))
+            value = float(r)
+        except ValueError as exc:
+            raise ValueError(f"line {ln_no}: {exc}") from None
         if key in rows:
-            raise ValueError(f"duplicate rate row for {key}")
-        rows[key] = float(r)
+            raise ValueError(f"line {ln_no}: duplicate rate row for {g}, age {key[1]}, year {key[2]}")
+        rows[key] = value
     if not rows:
         raise ValueError("no rate rows after the header")
     ages = sorted({a for _, a, _ in rows})

@@ -48,6 +48,35 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def read_key_values(text: str) -> dict[str, tuple[str, int]]:
+    """The `key = value` lines of a config or spec file, as key -> (value, line).
+
+    '#' starts a comment; blank lines are skipped. A line without '=' and a
+    key given twice are errors.
+    """
+    entries: dict[str, tuple[str, int]] = {}
+    for ln_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key = value, got {raw!r}", ln_no)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ParseError(f"duplicate key {key!r}", ln_no)
+        entries[key] = (value, ln_no)
+    return entries
+
+
+def parse_range(token: str, name: str) -> tuple[int, int]:
+    """An integer range LO:HI given for `name`."""
+    try:
+        lo, hi = token.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise ParseError(f"{name} expects LO:HI, got {token!r}") from None
+
+
 def _hmd_value(token: str) -> float:
     return _NAN if token == "." else float(token)
 

@@ -1,7 +1,18 @@
-"""The split scan: deviance reduction of every prefix cut of a sorted block.
+"""The split scan: one routine over the levels of a feature, for every feature.
+
+A tree codes each feature as integer levels once (`tree.grow_tree`): an
+ordered column by its sorted distinct values, the cause by its registry
+codes. At a node, `scan_levels` bins the node's points by level, puts the
+levels present in scan order (code order for an ordered feature, rate order
+for the cause) and scores the cut after every level from prefix sums over
+the bins. A scan costs O(points + levels) per node and feature, so a
+continuous feature with n distinct values pays O(n) at every node.
 
 Reductions are compared at float32 so that tie-breaks do not hinge on the
-last bits of a cumulative sum.
+last bits of a cumulative sum. One tie rule serves both kinds of feature:
+among cuts at the float32 maximum, the lexicographically smallest sorted left
+set of levels wins. In code order that is the first cut, the smallest
+threshold.
 """
 
 from __future__ import annotations
@@ -12,10 +23,11 @@ import numpy as np
 def prefix_reductions(cs, cD, cd):
     """Deviance reduction of every cut of a block, from its cumulative sums.
 
-    cs, cD, cd are the running sums of the per-point terms D*log(D/d), of
-    the responses D and of the volumes d. Entry j is the reduction from
-    splitting the block into its first j + 1 points and the rest, each side
-    fitted at its own rate, so the result has one entry fewer than the sums.
+    cs, cD, cd are the running sums of the terms D*log(D/d), of the
+    responses D and of the volumes d over the block's bins. Entry j is the
+    reduction from splitting the block into its first j + 1 bins and the
+    rest, each side fitted at its own rate, so the result has one entry fewer
+    than the sums.
     """
     s_tot, d_tot, v_tot = cs[-1], cD[-1], cd[-1]
     parent = 2.0 * (s_tot - (d_tot * np.log(d_tot / v_tot) if d_tot > 0 else 0.0))
@@ -28,25 +40,43 @@ def prefix_reductions(cs, cD, cd):
     return parent - dev_left - dev_right
 
 
-def best_cut(values, slogs, deaths, vols, min_bucket):
-    """Best midpoint cut of a block sorted ascending by `values`.
+def scan_levels(codes, slogs, deaths, vols, n_levels, min_bucket, by_rate=False):
+    """Best cut of a node's points over the levels of one feature.
 
-    slogs holds the per-point terms D*log(D/d) (0 where D = 0). Returns
-    (cut_index, reduction) where the cut separates index <= cut_index from
-    the rest, or (-1, 0.0) when no admissible cut exists. The first cut
-    attaining the float32 maximum wins, i.e. the smallest threshold.
+    codes holds each point's level in [0, n_levels) and slogs its term
+    D*log(D/d) (0 where D = 0). The levels present are scanned in code
+    order, or with by_rate in float32 order of their rate D/d, ties by code.
+    Returns (order, cut, reduction): order is the levels present in scan
+    order, and the cut sends order[:cut + 1] left. Returns None when no cut
+    leaves min_bucket points on each side.
     """
-    n = values.shape[0]
-    if n < 2 or n < 2 * min_bucket:
-        return (-1, 0.0)
-    red = prefix_reductions(np.cumsum(slogs), np.cumsum(deaths), np.cumsum(vols))
-
-    left_n = np.arange(1, n)
-    ok = (left_n >= min_bucket) & (n - left_n >= min_bucket) & (values[:-1] != values[1:])
+    counts = np.bincount(codes, minlength=n_levels)
+    order = np.flatnonzero(counts)
+    if order.size < 2:
+        return None
+    sums = [np.bincount(codes, weights=w, minlength=n_levels)[order] for w in (slogs, deaths, vols)]
+    if by_rate:
+        perm = np.lexsort((order, (sums[1] / sums[2]).astype(np.float32)))
+        order, sums = order[perm], [s[perm] for s in sums]
+    red = prefix_reductions(*(np.cumsum(s) for s in sums))
+    left_n = np.cumsum(counts[order])[:-1]
+    ok = (left_n >= min_bucket) & (codes.size - left_n >= min_bucket)
     if not ok.any():
-        return (-1, 0.0)
-    red32 = np.where(ok, red, -np.inf).astype(np.float32)
-    best = int(np.argmax(red32))
-    if not ok[best]:
-        return (-1, 0.0)
-    return (best, float(red[best]))
+        return None
+    red32 = red.astype(np.float32)
+    tied = np.flatnonzero(ok & (red32 == red32[ok].max()))
+    # The left sets are nested: a later cut's sorted left set is the smaller
+    # one iff it adds a level below the largest level of the earlier set.
+    cut, later = tied[0], tied[1:]
+    while later.size:
+        added_min = np.minimum.accumulate(order[cut + 1:])
+        smaller = later[added_min[later - cut - 1] < order[: cut + 1].max()]
+        if smaller.size == 0:
+            break
+        cut, later = smaller[0], smaller[1:]
+    return order, int(cut), float(red[cut])
+
+
+def best_cut(codes, slogs, deaths, vols, n_levels, min_bucket):
+    """`scan_levels` in code order: the best threshold of an ordered feature."""
+    return scan_levels(codes, slogs, deaths, vols, n_levels, min_bucket)

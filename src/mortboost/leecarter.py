@@ -329,11 +329,14 @@ def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) 
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ValueError(f"expected header {_CSV_HEADER}")
     rows: dict[str, dict[str, dict[int, float]]] = {}
-    for ln in lines[1:]:
+    for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
-        g, kind, idx, val = ln.split(",")
-        rows.setdefault(g, {}).setdefault(kind, {})[int(idx)] = float(val)
+        try:
+            g, kind, idx, val = ln.split(",")
+            rows.setdefault(g, {}).setdefault(kind, {})[int(idx)] = float(val)
+        except ValueError as exc:
+            raise ValueError(f"line {ln_no}: {exc}") from None
     if not rows:
         raise ValueError("no parameter rows after the header")
     out = {}

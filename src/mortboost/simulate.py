@@ -29,7 +29,7 @@ from .grids import (
     RateSurface,
     aggregate_rates,
 )
-from .hmd import CauseDeathTable
+from .hmd import CauseDeathTable, ParseError, parse_range, read_key_values
 
 _MASK64 = (1 << 64) - 1
 _DOMAIN_DEATHS = 0
@@ -139,9 +139,9 @@ _SPEC_DEFAULTS = {
 }
 
 
-def _parse_range(token: str) -> tuple[int, int]:
-    lo, hi = token.split(":")
-    return int(lo), int(hi)
+def _uniform_theta(mode: str) -> None:
+    if mode != "uniform":
+        raise ValueError(f"unsupported theta mode {mode!r} (only 'uniform' in spec files)")
 
 
 def load_sim_spec(source: str | Path) -> SimSpec:
@@ -151,28 +151,28 @@ def load_sim_spec(source: str | Path) -> SimSpec:
     base_rate, age_slope, year_drift, male_factor, causes (with buckets).
     The rate surface is log-linear in age and calendar year:
     q = base_rate * exp(age_slope*a + year_drift*(t - t_min)) * male_factor^[male].
+    A malformed value raises ParseError with its line.
     """
     path = Path(source)
     text = path.read_text() if path.exists() else str(source)
-    values: dict[str, str] = {}
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"spec line {ln_no}: expected key = value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in values:
-            raise ValueError(f"spec line {ln_no}: duplicate key {key!r}")
-        values[key] = val
+    entries = read_key_values(text)
     for required in ("ages", "years", "seed"):
-        if required not in values:
+        if required not in entries:
             raise ValueError(f"simulation spec needs the {required!r} key")
-    age_min, age_max = _parse_range(values["ages"])
-    year_min, year_max = _parse_range(values["years"])
+
+    def get(key, convert=float, *args):
+        if key not in entries:
+            return _SPEC_DEFAULTS[key]
+        value, line = entries[key]
+        try:
+            return convert(value, *args)
+        except ValueError as exc:
+            raise ParseError(str(exc), line) from None
+
+    age_min, age_max = get("ages", parse_range, "ages")
+    year_min, year_max = get("years", parse_range, "years")
     space = FeatureSpace(age_min, age_max, year_min, year_max)
-    seed = int(values["seed"])
-    get = lambda k: float(values.get(k, _SPEC_DEFAULTS[k]))
+    seed = get("seed", int)
 
     ages = space.ages().astype(np.float64)
     years = space.years().astype(np.float64)
@@ -185,14 +185,12 @@ def load_sim_spec(source: str | Path) -> SimSpec:
 
     theta = None
     bucketing = None
-    if "causes" in values:
-        K = int(values["causes"])
-        if "buckets" not in values:
+    if "causes" in entries:
+        K = get("causes", int)
+        if "buckets" not in entries:
             raise ValueError("causes given without a buckets partition spec")
-        bucketing = AgeBucketing.from_spec(values["buckets"], age_min, age_max)
-        mode = values.get("theta", _SPEC_DEFAULTS["theta"])
-        if mode != "uniform":
-            raise ValueError(f"unsupported theta mode {mode!r} (only 'uniform' in spec files)")
+        bucketing = get("buckets", AgeBucketing.from_spec, age_min, age_max)
+        get("theta", _uniform_theta)
         theta = ThetaSurface(
             np.full((len(GENDERS), bucketing.n_buckets, space.n_years, K), 1.0 / K)
         )

@@ -4,6 +4,12 @@ A working point is (response D, features, volume d); the tree fits a factor
 mu per leaf so that D ~ Poisson(mu * d), splitting wherever the Poisson
 deviance reduction clears the cost-complexity threshold. Missing responses
 (NaN) contribute nothing to the loss but are still routed for prediction.
+
+Growth codes every feature as integer levels once per tree, an ordered
+column by its sorted distinct values and the cause by its registry codes.
+Each node runs one level scan per feature, `kernels.scan_levels`, at a cost
+of O(points + levels); it holds the float32 selection and its one tie rule.
+Earlier features win ties between features.
 """
 
 from __future__ import annotations
@@ -145,11 +151,13 @@ def poisson_deviance(deaths, volume, rate_factor: float) -> float:
     return float(2.0 * terms.sum())
 
 
-def _node_deviance(sum_slog: float, sum_deaths: float, sum_volume: float) -> float:
-    # deviance at the node's own mu = sum_deaths / sum_volume
-    if sum_deaths <= 0:
-        return 2.0 * sum_slog
-    return 2.0 * (sum_slog - sum_deaths * math.log(sum_deaths / sum_volume))
+def _node(idx_obs: np.ndarray, deaths, volume, slog) -> Node:
+    """A leaf over observed points, fitted at its own mu = sum D / sum d."""
+    sD = float(deaths[idx_obs].sum())
+    sd = float(volume[idx_obs].sum())
+    ss = float(slog[idx_obs].sum())
+    deviance = 2.0 * (ss - sD * math.log(sD / sd)) if sD > 0 else 2.0 * ss
+    return Node(n_obs=int(idx_obs.size), sum_deaths=sD, sum_volume=sd, mu=sD / sd, deviance=deviance)
 
 
 def _slog_terms(deaths: np.ndarray, volume: np.ndarray) -> np.ndarray:
@@ -160,89 +168,79 @@ def _slog_terms(deaths: np.ndarray, volume: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    rule: SplitRule
-    reduction: float
-    # selection happens on the float32 value; ties fall back to scan order /
-    # lexicographically smaller left set, then feature order (caller)
-    reduction32: np.float32
-
-
-def _scan_ordered(values, slog, deaths, volume, min_bucket, feature) -> _Candidate | None:
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cut, red = kernels.best_cut(v, slog[order], deaths[order], volume[order], int(min_bucket))
-    if cut < 0:
-        return None
-    threshold = (v[cut] + v[cut + 1]) / 2.0
-    rule = SplitRule(feature, threshold=float(threshold))
-    return _Candidate(rule, red, np.float32(red))
-
-
-def _scan_cause(codes, slog, deaths, volume, min_bucket, n_codes) -> _Candidate | None:
-    counts = np.bincount(codes, minlength=n_codes)
-    sum_D = np.bincount(codes, weights=deaths, minlength=n_codes)
-    sum_d = np.bincount(codes, weights=volume, minlength=n_codes)
-    sum_s = np.bincount(codes, weights=slog, minlength=n_codes)
-    present = np.nonzero(counts > 0)[0]
-    if present.size < 2:
-        return None
-    # scan prefixes of the empirical-rate ordering (optimal for a single
-    # Poisson split); rate compared at float32, ties by code
-    rate32 = (sum_D[present] / sum_d[present]).astype(np.float32)
-    order = present[np.lexsort((present, rate32))]
-    red = kernels.prefix_reductions(
-        np.cumsum(sum_s[order]), np.cumsum(sum_D[order]), np.cumsum(sum_d[order])
-    )
-    c_n = np.cumsum(counts[order])
-    ok = (c_n[:-1] >= min_bucket) & (c_n[-1] - c_n[:-1] >= min_bucket)
-    if not ok.any():
-        return None
-    red32 = red.astype(np.float32)
-    tied = np.nonzero(ok & (red32 == red32[ok].max()))[0]
-    # cut j puts the first j + 1 bins left; float32 ties go to the
-    # lexicographically smaller left set
-    lefts = {int(j): tuple(sorted(int(c) for c in order[: j + 1])) for j in tied}
-    j = min(lefts, key=lefts.get)
-    return _Candidate(SplitRule("cause", left_codes=lefts[j]), float(red[j]), red32[j])
-
-
-def _best_split(data: WorkingData, idx_obs: np.ndarray, slog: np.ndarray, min_bucket: int) -> _Candidate | None:
-    """Best split over all features; earlier features win float32 ties."""
-    D = data.deaths[idx_obs]
-    d = data.volume[idx_obs]
-    s = slog[idx_obs]
-    best: _Candidate | None = None
+def _features(data: WorkingData) -> list[tuple]:
+    """Every feature coded as levels, as (name, codes, n_levels, values):
+    codes[i] is point i's level, and values holds an ordered feature's sorted
+    distinct values. The cause has no values; its levels are its codes."""
+    features = []
     for j, name in enumerate(data.ordered_names):
-        cand = _scan_ordered(data.ordered[idx_obs, j], s, D, d, min_bucket, name)
-        if cand is not None and (best is None or cand.reduction32 > best.reduction32):
-            best = cand
+        values, codes = np.unique(data.ordered[:, j], return_inverse=True)
+        features.append((name, codes, values.size, values))
     if data.cause is not None:
-        cand = _scan_cause(data.cause[idx_obs], s, D, d, min_bucket, len(data.cause_labels))
-        if cand is not None and (best is None or cand.reduction32 > best.reduction32):
-            best = cand
-    return best
+        features.append(("cause", data.cause, len(data.cause_labels), None))
+    return features
+
+
+def _scan_cause(codes, slog, deaths, volume, n_codes, min_bucket):
+    # prefixes of the empirical-rate ordering are optimal for a single
+    # Poisson split of a categorical feature
+    return kernels.scan_levels(codes, slog, deaths, volume, n_codes, min_bucket, by_rate=True)
+
+
+def _best_split(features, idx_obs, slog, deaths, volume, min_bucket: int):
+    """Best split of a node's observed points over all features, as
+    (rule, reduction, right_codes), or None. Selection is at float32, and
+    earlier features win ties."""
+    s, D, d = slog[idx_obs], deaths[idx_obs], volume[idx_obs]
+    best = None
+    for name, codes, n_levels, values in features:
+        scan = _scan_cause if values is None else kernels.best_cut
+        hit = scan(codes[idx_obs], s, D, d, n_levels, min_bucket)
+        if hit is not None and (best is None or np.float32(hit[2]) > np.float32(best[2])):
+            best, best_feature = hit, (name, values)
+    if best is None:
+        return None
+    (order, cut, reduction), (name, values) = best, best_feature
+    if values is None:
+        left, right = sorted(order[: cut + 1].tolist()), sorted(order[cut + 1:].tolist())
+        return SplitRule(name, left_codes=tuple(left)), reduction, tuple(right)
+    threshold = (values[order[cut]] + values[order[cut + 1]]) / 2.0
+    return SplitRule(name, threshold=float(threshold)), reduction, ()
 
 
 def best_split(data: WorkingData, feature: str, min_bucket: int = 1) -> tuple[SplitRule, float] | None:
     """Best admissible split of the whole dataset on one feature, or None."""
-    obs = np.nonzero(~np.isnan(data.deaths))[0]
-    slog = np.zeros(data.n)
-    slog[obs] = _slog_terms(data.deaths[obs], data.volume[obs])
-    D, d, s = data.deaths[obs], data.volume[obs], slog[obs]
-    if feature == "cause":
-        if data.cause is None:
-            raise ValueError("data has no cause feature")
-        cand = _scan_cause(data.cause[obs], s, D, d, min_bucket, len(data.cause_labels))
-    elif feature in data.ordered_names:
-        j = data.ordered_names.index(feature)
-        cand = _scan_ordered(data.ordered[obs, j], s, D, d, min_bucket, feature)
-    else:
+    features = [f for f in _features(data) if f[0] == feature]
+    if not features:
         raise ValueError(f"unknown feature {feature!r}")
-    if cand is None:
-        return None
-    return cand.rule, cand.reduction
+    obs = np.flatnonzero(~np.isnan(data.deaths))
+    slog = _slog_terms(data.deaths, data.volume)
+    found = _best_split(features, obs, slog, data.deaths, data.volume, min_bucket)
+    return None if found is None else found[:2]
+
+
+def _node_from_row(parts: list[str]) -> Node:
+    """A node from the fields of one tree-text line; its children come later."""
+    node = Node(
+        n_obs=int(parts[2]),
+        sum_deaths=float(parts[3]),
+        sum_volume=float(parts[4]),
+        mu=float(parts[5]),
+        deviance=float(parts[6]),
+    )
+    rule_tok = parts[1]
+    if rule_tok == "leaf":
+        return node
+    if "<=" in rule_tok:
+        feat, th = rule_tok.split("<=", 1)
+        node.rule = SplitRule(feat, threshold=float(th))
+    else:
+        feat, sets = rule_tok.split(":", 1)
+        left_s, right_s = sets.split("/", 1)
+        parse_set = lambda s: tuple(int(c) for c in s.strip("{}").split(",") if c != "")
+        node.rule = SplitRule(feat, left_codes=parse_set(left_s))
+        node.right_codes = parse_set(right_s)
+    return node
 
 
 @dataclass
@@ -256,13 +254,16 @@ class PoissonTree:
     config: TreeConfig
 
     def nodes(self):
-        stack = [self.root]
+        return (node for node, _ in self._walk())
+
+    def _walk(self):
+        """(node, depth) in preorder, left child first."""
+        stack = [(self.root, 0)]
         while stack:
-            node = stack.pop()
-            yield node
+            node, depth = stack.pop()
+            yield node, depth
             if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
+                stack += [(node.right, depth + 1), (node.left, depth + 1)]
 
     def leaves(self):
         return [n for n in self.nodes() if n.is_leaf]
@@ -346,7 +347,7 @@ class PoissonTree:
         )
         lines.append("# depth rule n sum_deaths sum_volume mu deviance")
 
-        def emit(node: Node, depth: int):
+        for node, depth in self._walk():
             if node.is_leaf:
                 rule = "leaf"
             elif node.rule.is_categorical:
@@ -359,11 +360,6 @@ class PoissonTree:
                 f"{depth} {rule} {node.n_obs} {node.sum_deaths!r} {node.sum_volume!r} "
                 f"{node.mu!r} {node.deviance!r}"
             )
-            if not node.is_leaf:
-                emit(node.left, depth + 1)
-                emit(node.right, depth + 1)
-
-        emit(self.root, 0)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -403,97 +399,68 @@ class PoissonTree:
             rows.append(parts)
 
         it = iter(rows)
-
-        def build(expected_depth: int) -> Node:
+        root = None
+        # preorder: each split leaves two slots, filled left then right
+        slots = [(None, 0)]  # (parent waiting for a child, the child's depth)
+        while slots:
+            parent, depth = slots.pop()
             parts = next(it, None)
             if parts is None:
                 raise ValueError("tree file ends before every split has two children")
-            depth = int(parts[0])
-            if depth != expected_depth:
-                raise ValueError(f"node depth {depth} where {expected_depth} expected")
-            rule_tok = parts[1]
-            node = Node(
-                n_obs=int(parts[2]),
-                sum_deaths=float(parts[3]),
-                sum_volume=float(parts[4]),
-                mu=float(parts[5]),
-                deviance=float(parts[6]),
-            )
-            if rule_tok == "leaf":
-                return node
-            if "<=" in rule_tok:
-                feat, th = rule_tok.split("<=", 1)
-                node.rule = SplitRule(feat, threshold=float(th))
+            if int(parts[0]) != depth:
+                raise ValueError(f"node depth {int(parts[0])} where {depth} expected")
+            node = _node_from_row(parts)
+            if parent is None:
+                root = node
+            elif parent.left is None:
+                parent.left = node
             else:
-                feat, sets = rule_tok.split(":", 1)
-                left_s, right_s = sets.split("/", 1)
-                parse_set = lambda s: tuple(int(c) for c in s.strip("{}").split(",") if c != "")
-                node.rule = SplitRule(feat, left_codes=parse_set(left_s))
-                node.right_codes = parse_set(right_s)
-            node.left = build(expected_depth + 1)
-            node.right = build(expected_depth + 1)
-            return node
-
-        root = build(0)
+                parent.right = node
+            if not node.is_leaf:
+                slots += [(node, depth + 1), (node, depth + 1)]
         if next(it, None) is not None:
             raise ValueError("trailing node lines after the tree")
         return cls(root, ordered_names, cause_labels, root_deviance, config)
 
 
 def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
-    """Grow the SBS Poisson tree: recursively accept the best split while its
-    deviance reduction clears max(cp * root deviance, noise floor)."""
+    """Grow the SBS Poisson tree: accept a node's best split while its
+    deviance reduction clears max(cp * root deviance, noise floor).
+
+    Every feature is coded as levels once, and each node's split comes from
+    one level scan per feature (`kernels.scan_levels`)."""
     if data.n == 0:
         raise ValueError("empty working data")
     obs_mask = ~np.isnan(data.deaths)
     if not obs_mask.any():
         raise ValueError("no observed responses in working data")
-    slog = np.zeros(data.n)
-    slog[obs_mask] = _slog_terms(data.deaths[obs_mask], data.volume[obs_mask])
+    slog = _slog_terms(data.deaths, data.volume)
+    features = _features(data)
 
-    def stats(idx_obs: np.ndarray) -> Node:
-        sD = float(data.deaths[idx_obs].sum())
-        sd = float(data.volume[idx_obs].sum())
-        ss = float(slog[idx_obs].sum())
-        mu = sD / sd
-        return Node(
-            n_obs=int(idx_obs.size),
-            sum_deaths=sD,
-            sum_volume=sd,
-            mu=mu,
-            deviance=_node_deviance(ss, sD, sd),
-        )
-
-    all_idx = np.arange(data.n)
-    root_obs = all_idx[obs_mask]
-    if float(data.volume[root_obs].sum()) <= 0:
-        raise ValueError("total volume must be positive")
-    root_deviance = stats(root_obs).deviance
-    threshold = max(cfg.cp * root_deviance, _NOISE_FLOOR * (root_deviance + 1.0))
+    root_obs = np.flatnonzero(obs_mask)
+    root = _node(root_obs, data.deaths, data.volume, slog)
+    threshold = max(cfg.cp * root.deviance, _NOISE_FLOOR * (root.deviance + 1.0))
     threshold32 = np.float32(threshold)
 
-    def build(idx: np.ndarray, depth: int) -> Node:
-        idx_obs = idx[obs_mask[idx]]
-        node = stats(idx_obs)
+    # depth first, left child first: (node, its points, its observed points, depth)
+    stack = [(root, np.arange(data.n), root_obs, 0)]
+    while stack:
+        node, idx, idx_obs, depth = stack.pop()
         if depth >= cfg.max_depth or idx_obs.size < 2 * cfg.min_bucket:
-            return node
-        cand = _best_split(data, idx_obs, slog, cfg.min_bucket)
-        if cand is None or cand.reduction <= 0.0 or cand.reduction32 < threshold32:
-            return node
-        rule = cand.rule
-        if rule.is_categorical:
-            codes = data.cause[idx]
-            seen = np.unique(data.cause[idx_obs])
-            node.right_codes = tuple(int(c) for c in seen if int(c) not in rule.left_codes)
-            go_left = np.isin(codes, rule.left_codes)
+            continue
+        found = _best_split(features, idx_obs, slog, data.deaths, data.volume, cfg.min_bucket)
+        if found is None or found[1] <= 0.0 or np.float32(found[1]) < threshold32:
+            continue
+        node.rule, node.reduction, node.right_codes = found
+        if node.rule.is_categorical:
+            go_left = np.isin(data.cause[idx], node.rule.left_codes)
         else:
-            col = data.ordered_names.index(rule.feature)
-            go_left = data.ordered[idx, col] <= rule.threshold
-        node.rule = rule
-        node.reduction = cand.reduction
-        node.left = build(idx[go_left], depth + 1)
-        node.right = build(idx[~go_left], depth + 1)
-        return node
-
-    root = build(all_idx, 0)
-    return PoissonTree(root, data.ordered_names, data.cause_labels, root_deviance, cfg)
+            col = data.ordered_names.index(node.rule.feature)
+            go_left = data.ordered[idx, col] <= node.rule.threshold
+        children = []
+        for side in (idx[go_left], idx[~go_left]):
+            side_obs = side[obs_mask[side]]
+            children.append((_node(side_obs, data.deaths, data.volume, slog), side, side_obs, depth + 1))
+        node.left, node.right = children[0][0], children[1][0]
+        stack += reversed(children)
+    return PoissonTree(root, data.ordered_names, data.cause_labels, root.deviance, cfg)

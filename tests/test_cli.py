@@ -313,6 +313,21 @@ class TestConfigFile:
         code = main(["--config", str(cfg), "check", "--params", "x", "--kind", "lc"])
         assert code == 3
 
+    def test_duplicate_config_key_is_data_error(self, tmp_path, capsys):
+        # a repeated key is rejected, not silently replaced by its last value;
+        # the two spellings of a key count as one
+        cfg = tmp_path / "mort.cfg"
+        for text, line, key in (
+            ("cp = 1e-3\n# finer\ncp = 5e-3\n", 3, "cp"),
+            ("max_iter = 10\nmax-iter = 20\n", 2, "max-iter"),
+        ):
+            cfg.write_text(text)
+            code = main(["--config", str(cfg), "check", "--params", "x", "--kind", "lc"])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                f"error: --config {cfg}: line {line}: duplicate key {key!r}\n"
+            )
+
 
 def test_default_buckets_follow_the_six_group_scheme():
     from mortboost.cli import DEFAULT_BUCKETS, build_parser
@@ -328,7 +343,7 @@ def test_default_buckets_follow_the_six_group_scheme():
 
 
 class TestErrorPaths:
-    def test_parse_error_exit_code(self, tmp_path, sim_dir, capsys):
+    def test_parse_error_exit_code(self, tmp_path, sim_dir, lc_fit_dir, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n\nYear Age F M T\nnot numbers at all\n")
         code = main(
@@ -341,6 +356,9 @@ class TestErrorPaths:
             ]
         )
         assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: --deaths {bad}: line 4: expected 5 columns, got 4\n"
+        )
         # a malformed or header-only --qfit exits 3 with a message naming the file
         wrong_header = tmp_path / "qfit.csv"
         wrong_header.write_text("gender,age,rate\n")
@@ -355,6 +373,60 @@ class TestErrorPaths:
             ):
                 assert main(argv) == 3
                 assert f"--qfit {qfit}:" in capsys.readouterr().err
+        # every input error names the flag, the file and the line
+        deaths, exposures = str(sim_dir / "deaths.txt"), str(sim_dir / "exposures.txt")
+        qfit, params = lc_fit_dir / "qfit.csv", lc_fit_dir / "params.csv"
+
+        def damaged(name, source, line, *replacement):
+            """source's text with its 1-based `line` replaced by `replacement` lines."""
+            lines = source.read_text().splitlines()
+            lines[line - 1:line] = replacement
+            path = tmp_path / name
+            path.write_text("\n".join(lines) + "\n")
+            return str(path)
+
+        fit = ["fit", "lc", "--ages", "0:9", "--years", "2000:2009", "--out", str(tmp_path / "f")]
+        bad_exposures = damaged("exposures.txt", sim_dir / "exposures.txt", 6, "  2000  2  1.0  1.0")
+        bad_cod = damaged("cod.csv", sim_dir / "cod.csv", 3, "female,1,2000,2")
+        short_qfit = damaged("short.csv", qfit, 2, "female,0,2000")
+        row = qfit.read_text().splitlines()[1]
+        twice_qfit = damaged("twice.csv", qfit, 2, row, row)
+        bad_params = damaged("params.csv", params, 2, "female,beta0,0")
+        bad_spec = tmp_path / "sim.cfg"
+        bad_spec.write_text("ages = 0:9\nyears = 2000:2009\nseed = x\n")
+        cod_inputs = ["--qfit", str(qfit), "--exposures", exposures, "--causes", "3",
+                      "--buckets", "0-4;5-9", "--out", str(tmp_path / "c")]
+        cases = [
+            (
+                [*fit, "--deaths", deaths, "--exposures", bad_exposures],
+                f"--exposures {bad_exposures}: line 6: expected 5 columns, got 4",
+            ),
+            (
+                ["cod", "--cod", bad_cod, *cod_inputs],
+                f"--cod {bad_cod}: line 3: expected 5 fields, got 4",
+            ),
+            (
+                ["backtest", "--qfit", short_qfit, "--deaths", deaths, "--exposures", exposures,
+                 "--out", str(tmp_path / "b")],
+                f"--qfit {short_qfit}: line 2: not enough values to unpack (expected 4, got 3)",
+            ),
+            (
+                ["backtest", "--qfit", twice_qfit, "--deaths", deaths, "--exposures", exposures,
+                 "--out", str(tmp_path / "b")],
+                f"--qfit {twice_qfit}: line 3: duplicate rate row for female, age 0, year 2000",
+            ),
+            (
+                ["check", "--params", bad_params, "--kind", "lc"],
+                f"--params {bad_params}: line 2: not enough values to unpack (expected 4, got 3)",
+            ),
+            (
+                ["simulate", "--spec", str(bad_spec), "--out", str(tmp_path / "s")],
+                f"--spec {bad_spec}: line 3: invalid literal for int() with base 10: 'x'",
+            ),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

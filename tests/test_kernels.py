@@ -1,20 +1,124 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mortboost import kernels
 
 
+def slog_terms(deaths, vols):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(deaths > 0, deaths * np.log(deaths / vols), 0.0)
+
+
+def scan(codes, deaths, vols, min_bucket=1, by_rate=False, n_levels=None):
+    codes = np.asarray(codes)
+    deaths = np.asarray(deaths, dtype=np.float64)
+    vols = np.asarray(vols, dtype=np.float64)
+    n_levels = int(codes.max()) + 1 if n_levels is None else n_levels
+    return kernels.scan_levels(
+        codes, slog_terms(deaths, vols), deaths, vols, n_levels, min_bucket, by_rate
+    )
+
+
+def reductions32(codes, deaths, vols, order):
+    """float32 reduction of every cut of the levels in `order`, by definition."""
+    codes = np.asarray(codes)
+    deaths = np.asarray(deaths, dtype=np.float64)
+    vols = np.asarray(vols, dtype=np.float64)
+    sums = [np.bincount(codes, weights=w, minlength=order.max() + 1)[order]
+            for w in (slog_terms(deaths, vols), deaths, vols)]
+    return kernels.prefix_reductions(*(np.cumsum(s) for s in sums)).astype(np.float32)
+
+
 def test_python_scan_basics():
-    values = np.array([1.0, 2.0])
+    codes = np.array([0, 1])
     deaths = np.array([0.0, 2.0])
     vols = np.array([1.0, 1.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slogs = np.where(deaths > 0, deaths * np.log(deaths / vols), 0.0)
-    cut, red = kernels.best_cut(values, slogs, deaths, vols, 1)
-    assert cut == 0
+    slogs = slog_terms(deaths, vols)
+    order, cut, red = kernels.best_cut(codes, slogs, deaths, vols, 2, 1)
+    assert order.tolist() == [0, 1] and cut == 0
     assert red == pytest.approx(2 * (2 * np.log(2) - 1) + 2, abs=1e-12)
-    # no admissible cut cases
-    assert kernels.best_cut(values[:1], slogs[:1], deaths[:1], vols[:1], 1) == (-1, 0.0)
-    assert kernels.best_cut(values, slogs, deaths, vols, 2) == (-1, 0.0)
-    same = np.array([3.0, 3.0])
-    assert kernels.best_cut(same, slogs, deaths, vols, 1) == (-1, 0.0)
+    # no admissible cut: a single point, a min_bucket too large, a single level
+    assert kernels.best_cut(codes[:1], slogs[:1], deaths[:1], vols[:1], 2, 1) is None
+    assert kernels.best_cut(codes, slogs, deaths, vols, 2, 2) is None
+    same = np.array([1, 1])
+    assert kernels.best_cut(same, slogs, deaths, vols, 2, 1) is None
+
+
+def test_points_of_a_level_are_pooled():
+    # two points on level 3 scan like one point with their summed response
+    # and volume; absent levels are skipped
+    pooled = scan([3, 0, 3, 5], [1.0, 0.0, 2.0, 6.0], [1.0, 2.0, 1.0, 2.0], n_levels=7)
+    single = scan([3, 0, 5], [3.0, 0.0, 6.0], [2.0, 2.0, 2.0], n_levels=7)
+    assert pooled[0].tolist() == single[0].tolist() == [0, 3, 5]
+    assert pooled[1] == single[1] == 0
+    assert pooled[2] == pytest.approx(single[2], rel=1e-12)
+
+
+def test_min_bucket_counts_points_not_levels():
+    # the best cut {0} | {1, 2} leaves one point left; min_bucket 2 forces {0, 1} | {2}
+    codes, deaths, vols = [0, 1, 1, 2, 2], [9.0, 1.0, 1.0, 1.0, 2.0], [1.0] * 5
+    assert scan(codes, deaths, vols)[1] == 0
+    assert scan(codes, deaths, vols, min_bucket=2)[1] == 1
+
+
+def test_rate_order():
+    # rates 3, 1, 1.2: the levels are scanned as 1, 2, 0 and the best cut
+    # separates the highest rate
+    order, cut, red = scan([0, 1, 2], [30.0, 10.0, 12.0], [10.0, 10.0, 10.0], by_rate=True)
+    assert order.tolist() == [1, 2, 0]
+    assert cut == 1
+    assert red > 0
+    # equal float32 rates fall back to code order
+    order, _, _ = scan([2, 0, 1], [1.0, 2.0, 1.0], [1.0, 2.0, 1.0], by_rate=True)
+    assert order.tolist() == [0, 1, 2]
+
+
+def test_lexicographic_tie_rule():
+    # rates 2, 1, 4 scan as levels 1, 0, 2. Cuts {1} | {0, 2} and {0, 1} | {2}
+    # tie at float32; the sorted left set (0, 1) is smaller than (1,)
+    codes, deaths, vols = [0, 1, 2], [4.0, 4.0, 4.0], [2.0, 4.0, 1.0]
+    order, cut, _ = scan(codes, deaths, vols, by_rate=True)
+    assert order.tolist() == [1, 0, 2]
+    red32 = reductions32(codes, deaths, vols, order)
+    assert red32[0] == red32[1] == red32.max()
+    assert cut == 1
+    # in code order the first tied cut wins: the smallest threshold
+    _, cut, red = scan([0, 1, 2, 3], [0.0] * 4, [1.0] * 4)
+    assert (cut, red) == (0, 0.0)
+
+
+def cases(rng):
+    """Random small scans, plus every relabelling and some scalings of the
+    tie in test_lexicographic_tie_rule. That tie is exact: the children of
+    both cuts sum to 8 log(8/3) in D log(D/d)."""
+    for _ in range(300):
+        k = int(rng.integers(2, 7))
+        codes = rng.integers(0, k, size=int(rng.integers(2, 12)))
+        deaths = rng.integers(0, 4, size=codes.size).astype(np.float64)
+        vols = rng.integers(1, 4, size=codes.size).astype(np.float64)
+        yield codes, deaths, vols, int(rng.integers(1, 3)), k
+    for labels in itertools.permutations(range(3)):
+        for scale in (1.0, 0.5, 3.0):
+            yield np.array(labels), np.full(3, 4.0 * scale), np.array([2.0, 4.0, 1.0]) * scale, 1, 3
+
+
+def test_tie_rule_matches_its_definition(rng):
+    # among cuts at the float32 maximum, the smallest sorted left set wins
+    decided_by_the_rule = 0
+    for codes, deaths, vols, min_bucket, k in cases(rng):
+        for by_rate in (False, True):
+            got = scan(codes, deaths, vols, min_bucket, by_rate, n_levels=k)
+            if got is None:
+                continue
+            order, cut, _ = got
+            red32 = reductions32(codes, deaths, vols, order)
+            left_n = np.cumsum(np.bincount(codes, minlength=k)[order])[:-1]
+            ok = (left_n >= min_bucket) & (codes.size - left_n >= min_bucket)
+            tied = np.flatnonzero(ok & (red32 == red32[ok].max()))
+            assert cut == min(tied, key=lambda j: sorted(order[: j + 1].tolist()))
+            if not by_rate:
+                assert cut == tied[0]
+            decided_by_the_rule += bool(cut != tied[0])
+    assert decided_by_the_rule > 0

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from mortboost import AgeBucketing, FeatureSpace, MortalityTable, RateSurface, SimSpec, ThetaSurface
+from mortboost import (
+    AgeBucketing,
+    FeatureSpace,
+    MortalityTable,
+    ParseError,
+    RateSurface,
+    SimSpec,
+    ThetaSurface,
+)
 from mortboost.grids import aggregate_rates
 from mortboost.simulate import _draw_poisson, load_sim_spec, sample_cause_deaths, sample_deaths
 
@@ -220,6 +228,12 @@ buckets = 0-4;5-9
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             load_sim_spec("ages = 0:5\nyears = 2000:2001\n")
+
+    def test_malformed_values_name_their_line(self):
+        with pytest.raises(ParseError, match=r"^line 2: ages expects LO:HI, got '0-5'$"):
+            load_sim_spec("# ages as a range\nages = 0-5\nyears = 2000:2001\nseed = 1\n")
+        with pytest.raises(ParseError, match=r"^line 3: duplicate key 'ages'$"):
+            load_sim_spec("ages = 0:5\nyears = 2000:2001\nages = 0:6\nseed = 1\n")
 
     def test_causes_need_buckets(self):
         with pytest.raises(ValueError, match="buckets"):

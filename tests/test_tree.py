@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -13,6 +14,31 @@ def make_data(values, deaths, volume=None, name="x"):
     deaths = np.asarray(deaths, dtype=np.float64)
     volume = np.ones_like(deaths) if volume is None else np.asarray(volume, dtype=np.float64)
     return WorkingData((name,), values[:, None], volume, deaths)
+
+
+def continuous_data(rng):
+    """All-distinct feature values: every point is a level of its own."""
+    data = random_working_data(rng, n_ordered=2, with_cause=False)
+    ordered = rng.uniform(-1.0, 1.0, size=data.ordered.shape)
+    return WorkingData(data.ordered_names, ordered, data.volume, data.deaths)
+
+
+def cause_data_with_missing(rng):
+    """A cause feature, and about a quarter of the responses missing."""
+    data = random_working_data(rng, n_ordered=2, with_cause=True, max_points=12)
+    missing = rng.random(data.n) < 0.25
+    missing[0] = False
+    deaths = np.where(missing, np.nan, data.deaths)
+    return WorkingData(
+        data.ordered_names, data.ordered, data.volume, deaths, data.cause, data.cause_labels
+    )
+
+
+ORACLE_DATA = {
+    "integer": lambda rng: random_working_data(rng, n_ordered=2, with_cause=False),
+    "continuous": continuous_data,
+    "cause-missing": cause_data_with_missing,
+}
 
 
 class TestPoissonDeviance:
@@ -106,11 +132,18 @@ class TestGrowTree:
         with pytest.raises(ValueError):
             grow_tree(make_data([], []))
 
-    @pytest.mark.parametrize("cp", [0.0, 0.1])
-    def test_structure_matches_recursive_oracle(self, cp):
+    @pytest.mark.parametrize(
+        "cp, kind",
+        [
+            pytest.param(cp, kind, id=str(cp) if kind == "integer" else f"{cp}-{kind}")
+            for kind in ORACLE_DATA
+            for cp in (0.0, 0.1)
+        ],
+    )
+    def test_structure_matches_recursive_oracle(self, cp, kind):
         rng = np.random.default_rng(1234)
         for _ in range(100):
-            data = random_working_data(rng, n_ordered=2, with_cause=False)
+            data = ORACLE_DATA[kind](rng)
             cfg = TreeConfig(cp=cp, min_bucket=1, max_depth=30)
             tree = grow_tree(data, cfg)
             oracle_root, oracle_dev = oracle_grow(data, cp, 1, 30)
@@ -273,6 +306,30 @@ class TestSerialization:
             SplitRule("x", threshold=1.0, left_codes=(0,))
         with pytest.raises(ValueError):
             SplitRule("x")
+
+
+def test_no_reference_cycles(rng):
+    # nothing is left for the cyclic collector, so a tree's working arrays
+    # are freed when growth returns, not when the collector next runs
+    data = random_working_data(rng, n_ordered=3, with_cause=True, max_points=200)
+    cfg = TreeConfig(cp=0.0, min_bucket=1)
+    tree = grow_tree(data, cfg)
+    text = tree.to_text()
+    calls = {
+        "grow_tree": lambda: grow_tree(data, cfg),
+        "to_text": tree.to_text,
+        "from_text": lambda: PoissonTree.from_text(text),
+    }
+    for call in calls.values():
+        call()  # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_config_validation():
