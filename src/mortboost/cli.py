@@ -328,10 +328,7 @@ def cmd_cod(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = load_sim_spec(args.spec)
-    except ValueError as exc:
-        raise DataError(f"--spec {args.spec}: {exc}") from None
+    spec = _read_file("--spec", args.spec, load_sim_spec)
     table = sample_deaths(spec)
     space = spec.q.space
 
@@ -360,7 +357,7 @@ def cmd_simulate(args) -> int:
         out,
         "simulate",
         {"seed": spec.seed},
-        [args.spec] if Path(args.spec).exists() else [],
+        [args.spec],
         outputs,
         [],
     )

@@ -8,6 +8,7 @@ age-major, year-minor throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -308,11 +309,43 @@ def rate_surface_to_csv(surface: RateSurface) -> str:
     return "\n".join(["gender,age,year,rate", *map(",".join, zip(keys, rates))]) + "\n"
 
 
-def rate_surface_from_csv(text: str) -> RateSurface:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "gender,age,year,rate":
-        raise ValueError("expected header gender,age,year,rate")
-    rows: dict[tuple[int, int, int], float] = {}
+def _any_duplicate(*keys: np.ndarray) -> bool:
+    """Whether two rows agree on every key column."""
+    rows = np.stack(keys)[:, np.lexsort(keys)]
+    return bool(np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)))
+
+
+_RATE_HEADER = "gender,age,year,rate"
+
+
+def _rate_columns(lines: list[str]):
+    """All rows after the header split at once into (gender index, age, year,
+    rate) columns, or None if any row is malformed or a duplicate (the
+    line-by-line scan then reports the first such row)."""
+    rows = [ln for ln in lines[1:] if ln.strip()]
+    if not rows or set(map(str.count, rows, repeat(","))) != {3}:
+        return None
+    tokens = ",".join(rows).split(",")
+    g_tok, a_tok, t_tok, r_tok = (tokens[i::4] for i in range(4))
+    n = len(rows)
+    try:
+        columns = (
+            np.fromiter(map(gender_index, g_tok), np.int64, n),
+            np.fromiter(map(int, a_tok), np.int64, n),
+            np.fromiter(map(int, t_tok), np.int64, n),
+            np.fromiter(map(float, r_tok), np.float64, n),
+        )
+    except (ValueError, OverflowError):
+        return None
+    if _any_duplicate(*columns[:3]):
+        return None
+    return columns
+
+
+def _rate_columns_by_line(lines: list[str]):
+    """The columns of _rate_columns, scanned one line at a time; raises
+    ValueError naming the first malformed or duplicate line."""
+    rows: dict[tuple[int, int, int], tuple] = {}
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
@@ -324,19 +357,29 @@ def rate_surface_from_csv(text: str) -> RateSurface:
             raise ValueError(f"line {ln_no}: {exc}") from None
         if key in rows:
             raise ValueError(f"line {ln_no}: duplicate rate row for {g}, age {key[1]}, year {key[2]}")
-        rows[key] = value
+        rows[key] = (*key, value)
     if not rows:
         raise ValueError("no rate rows after the header")
-    ages = sorted({a for _, a, _ in rows})
-    years = sorted({t for _, _, t in rows})
-    space = FeatureSpace(ages[0], ages[-1], years[0], years[-1])
-    if len(rows) != space.size:
-        raise ValueError(
-            f"rate grid is not dense: {len(rows)} rows for a {space.size}-cell space"
-        )
+    return tuple(map(np.array, zip(*rows.values())))
+
+
+def rate_surface_from_csv(text: str) -> RateSurface:
+    """Inverse of rate_surface_to_csv: one row per cell of a dense grid, in any
+    order. All rows are split at once; a text that fails that is scanned again
+    line by line, which names the first malformed or duplicate row."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != _RATE_HEADER:
+        raise ValueError(f"expected header {_RATE_HEADER}")
+    columns = _rate_columns(lines)
+    if columns is None:
+        columns = _rate_columns_by_line(lines)
+    gi, ages, years, values = columns
+    space = FeatureSpace(int(ages.min()), int(ages.max()), int(years.min()), int(years.max()))
+    if gi.size != space.size:
+        raise ValueError(f"rate grid is not dense: {gi.size} rows for a {space.size}-cell space")
     rate = np.empty(space.shape)
-    for (gi, a, t), r in rows.items():
-        rate[gi, a - space.age_min, t - space.year_min] = r
+    # a cast, because ages or years beyond 64 bits leave object arrays
+    rate[gi, (ages - space.age_min).astype(np.intp), (years - space.year_min).astype(np.intp)] = values
     return RateSurface(space, rate)
 
 

@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grids import GENDERS, AgeBucketing, FeatureSpace, MortalityTable
+from .grids import GENDERS, AgeBucketing, FeatureSpace, MortalityTable, _any_duplicate
 
 DEFAULT_CAUSES = (
     "infectious diseases",
@@ -92,12 +92,6 @@ def _hmd_data_rows(text: str):
         tokens = raw.split()
         if tokens and tokens[0].lower() != "year":
             yield ln_no, tokens
-
-
-def _any_duplicate(*keys: np.ndarray) -> bool:
-    """Whether two rows agree on every key column."""
-    rows = np.stack(keys)[:, np.lexsort(keys)]
-    return bool(np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)))
 
 
 def _hmd_columns(text: str):

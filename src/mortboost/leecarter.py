@@ -96,11 +96,13 @@ def poisson_surface_deviance(deaths, exposure, log_rate) -> float:
     which keeps its rounding error proportional to |D - mu| instead of D, and
     is clamped at 0 (its exact value is never negative) before the sum.
     """
-    D = np.asarray(deaths, dtype=np.float64)
-    E = np.asarray(exposure, dtype=np.float64)
-    mask = E > 0
-    d = D[mask]
-    fitted = E[mask] * np.exp(log_rate[mask])
+    d = np.asarray(deaths, dtype=np.float64).ravel()
+    e = np.asarray(exposure, dtype=np.float64).ravel()
+    log_rate = np.asarray(log_rate).ravel()
+    exposed = e > 0
+    if not exposed.all():
+        d, e, log_rate = d[exposed], e[exposed], log_rate[exposed]
+    fitted = e * np.exp(log_rate)
     mu = np.where(fitted > 0, fitted, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(d > 0, d * np.log1p((d - mu) / mu), 0.0)
@@ -142,10 +144,11 @@ def fit_terms(
     a copy of it with the fitted ones. Its flags are those of age rows without
     exposure or deaths (whose beta0 keeps its start value), then start.flags,
     then one for non-convergence, which is reported, never raised. Every
-    deviance is surface_deviance(D, E, log_rate). joint_step(theta, fitted,
-    dev, deviance), if given, runs after the block steps: theta maps kinds to
-    vectors, fitted is the grid of fitted means, and it returns (theta, dev)
-    with a deviance no higher than dev.
+    deviance is surface_deviance(D, E, log_rate). joint_step(point, fitted,
+    evaluate), if given, runs after the block steps: point is (theta, its
+    log-rate grid, its deviance dev), theta maps kinds to vectors, fitted is
+    the grid of fitted means, and evaluate(theta) gives the point of a
+    candidate theta. It returns a point with a deviance no higher than dev.
     """
     if (E.sum(axis=1) > 0).sum() < 2 or (E.sum(axis=0) > 0).sum() < 2:
         raise ValueError("need at least 2 ages and 2 years with positive exposure")
@@ -169,51 +172,58 @@ def fit_terms(
             log_rate = log_rate + th[age_kind][:, None] * _on_grid(period, th[period], ci)
         return log_rate
 
-    def deviance(th):
-        return surface_deviance(D, E, log_rates(th))
+    def evaluate(th):
+        """The point (th, its log-rate grid, its deviance)."""
+        log_rate = log_rates(th)
+        return th, log_rate, surface_deviance(D, E, log_rate)
 
-    def fitted_means(th):
-        return np.where(E > 0, E * np.exp(log_rates(th)), 0.0)
+    def fitted_means(log_rate):
+        return np.where(E > 0, E * np.exp(log_rate), 0.0)
 
-    def damped(th, dev, kind, step):
-        """th[kind] + step, the step halved until the deviance does not increase."""
+    def damped(point, kind, step):
+        """point moved by step along kind, the step halved until the deviance
+        does not increase."""
+        th, _, dev = point
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = {**th, kind: th[kind] + scale * step}
-            cand_dev = deviance(cand)
-            if cand_dev <= dev:
-                return cand, cand_dev
+            cand = evaluate({**th, kind: th[kind] + scale * step})
+            if cand[2] <= dev:
+                return cand
             scale *= 0.5
-        return th, dev  # step rejected
+        return point  # step rejected
 
-    dev = deviance(theta)
-    trace = [dev]
+    # a point is (theta, its log-rate grid, the carried deviance); each grid is
+    # evaluated once and serves both the deviance and the next fitted means
+    point = evaluate(theta)
+    trace = [point[2]]
     converged = False
     it = 0
     for it in range(1, cfg.max_iterations + 1):
         # beta0: per-age closed-form maximization, gated against the carried
         # deviance (renormalization is invariant only up to rounding)
-        fitted_age = fitted_means(theta).sum(axis=1)
+        fitted_age = fitted_means(point[1]).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = np.log(age_D / fitted_age)
-        theta, dev = damped(theta, dev, "beta0", np.where(updatable & (fitted_age > 0), shift, 0.0))
+        point = damped(point, "beta0", np.where(updatable & (fitted_age > 0), shift, 0.0))
 
         for age_kind, period in terms:
             for kind, other in ((period, age_kind), (age_kind, period)):
-                fitted = fitted_means(theta)
+                theta = point[0]
+                fitted = fitted_means(point[1])
                 factor = _on_grid(other, theta[other], ci)
                 n = theta[kind].size
                 grad = _per_index(kind, factor * (D - fitted), ci, n)
                 hess = _per_index(kind, factor**2 * fitted, ci, n)
                 step = np.where(hess > 0, grad / np.where(hess > 0, hess, 1.0), 0.0)
                 if np.any(step):
-                    theta, dev = damped(theta, dev, kind, step)
+                    point = damped(point, kind, step)
 
         if joint_step is not None:
-            theta, dev = joint_step(theta, fitted_means(theta), dev, deviance)
+            point = joint_step(point, fitted_means(point[1]), evaluate)
 
         # re-impose constraints (prediction-invariant); a year has as many
         # cells as any other, so kappa's grid-weighted mean is its plain mean
+        theta, _, dev = point
         for age_kind, period in terms:
             b, k = theta[age_kind], theta[period]
             if _KIND_AXIS[period] == "year":
@@ -226,6 +236,8 @@ def fit_terms(
             if scale != 0.0:
                 b, k = b / scale, k * scale
             theta[age_kind], theta[period] = b, k
+        # the constraints change theta's bits, so its grid is evaluated again
+        point = (theta, log_rates(theta), dev)
 
         trace.append(dev)
         prev = trace[-2]
@@ -237,7 +249,7 @@ def fit_terms(
         flags.append(f"not converged after {cfg.max_iterations} iterations")
     return replace(
         start,
-        **theta,
+        **point[0],
         converged=converged,
         n_iterations=it,
         deviance_trace=np.asarray(trace),
@@ -334,9 +346,13 @@ def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) 
             continue
         try:
             g, kind, idx, val = ln.split(",")
-            rows.setdefault(g, {}).setdefault(kind, {})[int(idx)] = float(val)
+            value, i = float(val), int(idx)
         except ValueError as exc:
             raise ValueError(f"line {ln_no}: {exc}") from None
+        by_index = rows.setdefault(g, {}).setdefault(kind, {})
+        if i in by_index:
+            raise ValueError(f"line {ln_no}: duplicate {g} {kind} row for index {i}")
+        by_index[i] = value
     if not rows:
         raise ValueError("no parameter rows after the header")
     out = {}

@@ -26,6 +26,13 @@ batched 3x3 Cholesky factors and hands the dense (T + C)-square Schur
 complement to np.linalg.solve; each age's three unknowns then follow by
 back-substitution. On the 98-age, 65-year README grid that is a 227-square
 solve in place of a 521-square one.
+
+The system's large arrays, the coupling X, the [kappa; gamma] block P, Y =
+L^-1 X and the Schur complement S, live in one _Workspace per fit, with the
+fit's cohort index codes. Every iteration fills X and P in place and every LM
+trial overwrites Y and S. Fresh arrays of this size (0.4 to 0.5 MB each on the
+README grid) would be returned to the kernel when freed and page-faulted in
+again on every trial.
 """
 
 from __future__ import annotations
@@ -81,7 +88,28 @@ class RHParams(LCParams):
         return super().log_rates() + self.beta2[:, None] * self.gamma[self._cohort_index()]
 
 
-def _fisher_system(W, R, ci, beta1, beta2, kappa, gamma, n_cohorts):
+class _Workspace:
+    """The joint step's large arrays and the cohort index codes of one fit,
+    allocated once by fit_rh and reused by every iteration. P's off-diagonal
+    zeros are written here once; _fisher_system writes only its diagonals and
+    its dense kappa-gamma blocks."""
+
+    def __init__(self, ci: np.ndarray, n_cohorts: int):
+        A, T = ci.shape
+        C = n_cohorts
+        n = T + C
+        self.n_cohorts = C
+        self.ci = ci
+        self.c_idx = ci.ravel()
+        self.age_cohort = (np.arange(A)[:, None] * C + ci).ravel()
+        self.year_cohort = (np.arange(T)[None, :] * C + ci).ravel()
+        self.X = np.empty((A, 3, n))
+        self.P = np.zeros((n, n))
+        self.Y = np.empty((3 * A, n))
+        self.S = np.empty((n, n))
+
+
+def _fisher_system(work: _Workspace, W, R, beta1, beta2, kappa, gamma):
     """Expected-information normal equations for one joint scoring step, by group.
 
     Parameter order [beta0 (A), beta1 (A), kappa (T), beta2 (A), gamma (C)];
@@ -94,17 +122,16 @@ def _fisher_system(W, R, ci, beta1, beta2, kappa, gamma, n_cohorts):
       P (T+C, T+C)       the [kappa; gamma] block (diagonal kappa-kappa and
                          gamma-gamma, dense kappa-gamma),
       score_age (A, 3)   and score_z (T+C,), the score in the same grouping.
+    X and P are work.X and work.P, filled in place: the returned system is
+    valid until the next _fisher_system call on the same workspace.
     Each (age, cohort) and (year, cohort) pair is one grid cell at most, so the
     cohort blocks are bincounts.
     """
     A, T = W.shape
-    C = n_cohorts
+    C = work.n_cohorts
     B2 = beta2[:, None]
-    GM = gamma[ci]
+    GM = gamma[work.ci]
     WG = W * GM
-    age_cohort = (np.arange(A)[:, None] * C + ci).ravel()
-    year_cohort = (np.arange(T)[None, :] * C + ci).ravel()
-    c_idx = ci.ravel()
 
     def by_cohort(codes, n, values):
         return np.bincount(codes, weights=values.ravel(), minlength=n * C).reshape(n, C)
@@ -117,42 +144,46 @@ def _fisher_system(W, R, ci, beta1, beta2, kappa, gamma, n_cohorts):
     B[:, 1, 2] = B[:, 2, 1] = WG @ kappa
     B[:, 2, 2] = (WG * GM).sum(axis=1)
 
-    X = np.empty((A, 3, T + C))
+    X = work.X
     WB1 = W * beta1[:, None]
     WB2 = W * B2
     X[:, 0, :T] = WB1
     X[:, 1, :T] = WB1 * kappa
     X[:, 2, :T] = WB1 * GM
-    X[:, 0, T:] = by_cohort(age_cohort, A, WB2)
-    X[:, 1, T:] = by_cohort(age_cohort, A, WB2 * kappa)
-    X[:, 2, T:] = by_cohort(age_cohort, A, WB2 * GM)
+    X[:, 0, T:] = by_cohort(work.age_cohort, A, WB2)
+    X[:, 1, T:] = by_cohort(work.age_cohort, A, WB2 * kappa)
+    X[:, 2, T:] = by_cohort(work.age_cohort, A, WB2 * GM)
 
-    P = np.zeros((T + C, T + C))
-    kg = by_cohort(year_cohort, T, WB1 * B2)
+    P = work.P
+    kg = by_cohort(work.year_cohort, T, WB1 * B2)
     P[:T, T:] = kg
     P[T:, :T] = kg.T
     np.fill_diagonal(P[:T, :T], beta1 @ WB1)
-    np.fill_diagonal(P[T:, T:], np.bincount(c_idx, weights=(WB2 * B2).ravel(), minlength=C))
+    np.fill_diagonal(P[T:, T:], np.bincount(work.c_idx, weights=(WB2 * B2).ravel(), minlength=C))
 
     score_age = np.stack([R.sum(axis=1), R @ kappa, (R * GM).sum(axis=1)], axis=1)
     score_z = np.concatenate(
-        [beta1 @ R, np.bincount(c_idx, weights=(R * B2).ravel(), minlength=C)]
+        [beta1 @ R, np.bincount(work.c_idx, weights=(R * B2).ravel(), minlength=C)]
     )
     return B, X, P, score_age, score_z
 
 
-def _joint_step(B, X, P, score_age, score_z, lam):
+def _joint_step(system, lam, work: _Workspace):
     """Solve the damped joint system (H + lam*diag(d) + 1e-12*max(d)*I) step = score.
 
-    d is the diagonal of H with non-positive entries set to 1, so every damped
-    block stays positive definite, also for ages and cohorts without exposure.
+    system is _fisher_system's (B, X, P, score_age, score_z). d is the
+    diagonal of H with non-positive entries set to 1, so every damped block
+    stays positive definite, also for ages and cohorts without exposure.
     The 3x3 age blocks are eliminated: with B_a = L_a L_a^T and Y = L^-1 X,
     the dense Schur complement S = P - Y^T Y of the T + C unknowns [kappa;
     gamma] goes to np.linalg.solve, and each age's 3-vector follows by
-    back-substitution. Returns the age steps (A, 3) over (beta0, beta1,
-    beta2) and the [kappa; gamma] step. A non-positive-definite age block or
-    a singular S raises np.linalg.LinAlgError.
+    back-substitution. Y and S are written into work.Y and work.S; X and P
+    are only read, so one system serves every LM trial of an iteration.
+    Returns the age steps (A, 3) over (beta0, beta1, beta2) and the [kappa;
+    gamma] step. A non-positive-definite age block or a singular S raises
+    np.linalg.LinAlgError.
     """
+    B, X, P, score_age, score_z = system
     A = B.shape[0]
     n = P.shape[0]
     d_age = B.diagonal(axis1=1, axis2=2).copy()
@@ -162,16 +193,18 @@ def _joint_step(B, X, P, score_age, score_z, lam):
     eps = 1e-12 * max(d_age.max(), d_z.max())
 
     Bd = B.copy()
-    i3 = np.arange(3)
-    Bd[:, i3, i3] += lam * d_age
-    Bd[:, i3, i3] += eps
+    Bd_diag = Bd.reshape(A, 9)[:, ::4]  # a view of the three diagonals
+    Bd_diag += lam * d_age
+    Bd_diag += eps
     Linv = np.linalg.inv(np.linalg.cholesky(Bd))  # (A, 3, 3), lower triangular
 
-    Y = (Linv @ X).reshape(3 * A, n)  # L^-1 X, one row per (age, parameter)
-    S = Y.T @ Y  # X^T B^-1 X as one symmetric rank-k product
+    Y, S = work.Y, work.S
+    np.matmul(Linv, X, out=Y.reshape(A, 3, n))  # L^-1 X, one row per (age, parameter)
+    np.matmul(Y.T, Y, out=S)  # X^T B^-1 X as one symmetric rank-k product
     np.subtract(P, S, out=S)
-    S.flat[:: n + 1] += lam * d_z
-    S.flat[:: n + 1] += eps
+    S_diag = S.reshape(-1)[:: n + 1]
+    S_diag += lam * d_z
+    S_diag += eps
     v = Linv @ score_age[:, :, None]  # L^-1 score_age, (A, 3, 1)
     z = np.linalg.solve(S, score_z - Y.T @ v.ravel())
     u = (Linv.transpose(0, 2, 1) @ (v - (Y @ z).reshape(A, 3, 1)))[:, :, 0]
@@ -210,27 +243,28 @@ def fit_rh(
         start.flags.append(f"cohort {c + start.cohort_min}: no positive exposure")
 
     lm_lambda = 1e-3
+    work = _Workspace(ci, start.n_cohorts)
 
-    def joint_step(theta, fitted, dev, deviance):
+    def joint_step(point, fitted, evaluate):
         """One Levenberg-Marquardt damped Fisher-scoring step on all parameters;
         the alternating block steps alone zigzag-stall on this model."""
         nonlocal lm_lambda
+        theta, _, dev = point
         beta1, kappa, beta2, gamma = (theta[kind] for kind in ("beta1", "kappa", "beta2", "gamma"))
-        system = _fisher_system(fitted, D - fitted, ci, beta1, beta2, kappa, gamma, gamma.size)
+        system = _fisher_system(work, fitted, D - fitted, beta1, beta2, kappa, gamma)
         for _ in range(12):
             try:
-                u, z = _joint_step(*system, lm_lambda)
+                u, z = _joint_step(system, lm_lambda, work)
             except np.linalg.LinAlgError:
                 lm_lambda *= 10.0
                 continue
             steps = (u[:, 0], u[:, 1], z[:n_years], u[:, 2], z[n_years:])
-            cand = {kind: theta[kind] + step for kind, step in zip(RH_KINDS, steps)}
-            cand_dev = deviance(cand)
-            if cand_dev <= dev:
+            cand = evaluate({kind: theta[kind] + step for kind, step in zip(RH_KINDS, steps)})
+            if cand[2] <= dev:
                 lm_lambda = max(lm_lambda / 3.0, 1e-12)
-                return cand, cand_dev
+                return cand
             lm_lambda = min(lm_lambda * 10.0, 1e12)
-        return theta, dev
+        return point
 
     # this module's poisson_surface_deviance is looked up at each call, so a
     # wrapper installed on it (the benchmark's tracer) sees every evaluation

@@ -137,6 +137,7 @@ _SPEC_DEFAULTS = {
     "male_factor": 1.0,
     "theta": "uniform",
 }
+_SPEC_KEYS = {"ages", "years", "seed", "causes", "buckets", *_SPEC_DEFAULTS}
 
 
 def _uniform_theta(mode: str) -> None:
@@ -145,17 +146,19 @@ def _uniform_theta(mode: str) -> None:
 
 
 def load_sim_spec(source: str | Path) -> SimSpec:
-    """Build a SimSpec from key = value lines (a path or the raw text).
+    """Build a SimSpec from key = value lines: a Path is read, a str is the text.
 
     Required keys: ages=A:B, years=T0:T1, seed. Optional: exposure,
     base_rate, age_slope, year_drift, male_factor, causes (with buckets).
     The rate surface is log-linear in age and calendar year:
     q = base_rate * exp(age_slope*a + year_drift*(t - t_min)) * male_factor^[male].
-    A malformed value raises ParseError with its line.
+    A malformed value or an unknown key raises ParseError with its line.
     """
-    path = Path(source)
-    text = path.read_text() if path.exists() else str(source)
+    text = source.read_text() if isinstance(source, Path) else source
     entries = read_key_values(text)
+    for key, (_, line) in entries.items():
+        if key not in _SPEC_KEYS:
+            raise ParseError(f"unknown key {key!r}", line)
     for required in ("ages", "years", "seed"):
         if required not in entries:
             raise ValueError(f"simulation spec needs the {required!r} key")

@@ -13,7 +13,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from mortboost.grids import GENDERS
+from mortboost.grids import GENDERS, FeatureSpace, RateSurface, gender_index
 from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, HmdGrid, ParseError
 from mortboost.svgplot import _PALETTE
 
@@ -232,6 +232,38 @@ def rate_surface_to_csv(surface):
             for ti, t in enumerate(space.years()):
                 lines.append(f"{g},{a},{t},{float(surface.rate[gi, ai, ti])!r}")
     return "\n".join(lines) + "\n"
+
+
+def rate_surface_from_csv(text):
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "gender,age,year,rate":
+        raise ValueError("expected header gender,age,year,rate")
+    rows = {}
+    for ln_no, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        try:
+            g, a, t, r = ln.split(",")
+            key = (gender_index(g), int(a), int(t))
+            value = float(r)
+        except ValueError as exc:
+            raise ValueError(f"line {ln_no}: {exc}") from None
+        if key in rows:
+            raise ValueError(f"line {ln_no}: duplicate rate row for {g}, age {key[1]}, year {key[2]}")
+        rows[key] = value
+    if not rows:
+        raise ValueError("no rate rows after the header")
+    ages = sorted({a for _, a, _ in rows})
+    years = sorted({t for _, _, t in rows})
+    space = FeatureSpace(ages[0], ages[-1], years[0], years[-1])
+    if len(rows) != space.size:
+        raise ValueError(
+            f"rate grid is not dense: {len(rows)} rows for a {space.size}-cell space"
+        )
+    rate = np.empty(space.shape)
+    for (gi, a, t), r in rows.items():
+        rate[gi, a - space.age_min, t - space.year_min] = r
+    return RateSurface(space, rate)
 
 
 def delta_to_csv(result):

@@ -392,8 +392,13 @@ class TestErrorPaths:
         row = qfit.read_text().splitlines()[1]
         twice_qfit = damaged("twice.csv", qfit, 2, row, row)
         bad_params = damaged("params.csv", params, 2, "female,beta0,0")
+        row = params.read_text().splitlines()[1]
+        assert row.startswith("female,beta0,0,")
+        twice_params = damaged("twice_params.csv", params, 2, row, row)
         bad_spec = tmp_path / "sim.cfg"
         bad_spec.write_text("ages = 0:9\nyears = 2000:2009\nseed = x\n")
+        typo_spec = tmp_path / "typo.cfg"
+        typo_spec.write_text("ages = 0:9\nyears = 2000:2009\nseed = 1\nage_slop = 0.5\n")
         cod_inputs = ["--qfit", str(qfit), "--exposures", exposures, "--causes", "3",
                       "--buckets", "0-4;5-9", "--out", str(tmp_path / "c")]
         cases = [
@@ -420,8 +425,21 @@ class TestErrorPaths:
                 f"--params {bad_params}: line 2: not enough values to unpack (expected 4, got 3)",
             ),
             (
+                ["check", "--params", twice_params, "--kind", "lc"],
+                f"--params {twice_params}: line 3: duplicate female beta0 row for index 0",
+            ),
+            (
+                ["fit", "rh", "--deaths", deaths, "--exposures", exposures, "--ages", "0:9",
+                 "--years", "2000:2009", "--warm-start", twice_params, "--out", str(tmp_path / "r")],
+                f"--warm-start {twice_params}: line 3: duplicate female beta0 row for index 0",
+            ),
+            (
                 ["simulate", "--spec", str(bad_spec), "--out", str(tmp_path / "s")],
                 f"--spec {bad_spec}: line 3: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ["simulate", "--spec", str(typo_spec), "--out", str(tmp_path / "s")],
+                f"--spec {typo_spec}: line 4: unknown key 'age_slop'",
             ),
         ]
         for argv, message in cases:
@@ -450,6 +468,9 @@ class TestErrorPaths:
             assert main(["check", "--params", str(params), "--kind", kind]) == 3
             assert f"--params {params}: no parameter rows" in capsys.readouterr().err
 
-    def test_missing_file_is_data_error(self, tmp_path):
-        code = main(["simulate", "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
+    def test_missing_file_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        code = main(["simulate", "--spec", str(missing), "--out", str(tmp_path / "o")])
         assert code == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not (tmp_path / "o").exists()

@@ -3,9 +3,9 @@ the HMD 1x1 table and the cause-of-death CSV.
 
 Every valid object round-trips unchanged through write and read; truncated
 or mutated text gives either a result or ValueError, never another exception.
-The two input parsers read all rows at once and re-scan line by line when
-that fails; both paths, and the per-row reference parsers, must agree on
-every text: the same grid, or the same ParseError text.
+The rate CSV, HMD and cause-of-death parsers read all rows at once and
+re-scan line by line when that fails; both paths, and the per-row reference
+parsers, must agree on every text: the same grid, or the same error text.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference_io as ref
 from mortboost import DEFAULT_CAUSES, FeatureSpace, RateSurface, hmd
+from mortboost import grids
 from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv
 from mortboost.leecarter import _KIND_AXIS, LC_KINDS, LCParams, params_from_csv, params_to_csv
 from mortboost.renshawhaberman import RH_KINDS, RHParams, rh_params_from_csv, rh_params_to_csv
@@ -103,18 +104,84 @@ def assert_same_params(back, fits, kinds):
             assert np.array_equal(getattr(back[g], kind), getattr(p, kind)), kind
 
 
+def same_bits(a, b) -> bool:
+    """Equal arrays, NaN equal to NaN and -0.0 distinct from 0.0."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(
+        np.where(np.isnan(a), np.nan, a).view(np.int64), np.where(np.isnan(b), np.nan, b).view(np.int64)
+    )
+
+
+def outcome(parse, text):
+    """The parsed object, or the type and text of the exception raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the reference may raise anything; compare it
+        return (type(exc), str(exc))
+
+
+def same_columns(a, b) -> bool:
+    return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+
+
+def check_rate_paths(text: str) -> None:
+    got = outcome(rate_surface_from_csv, text)
+    want = outcome(ref.rate_surface_from_csv, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.space == want.space and same_bits(got.rate, want.rate)
+    lines = text.splitlines()
+    columns = grids._rate_columns(lines)
+    if columns is not None:  # the array path accepted: the re-scan agrees
+        assert same_columns(columns, grids._rate_columns_by_line(lines))
+
+
+RATE_HEAD = "gender,age,year,rate\n"
+
+
 class TestRateCsv:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "female,0,2000,0.5\nmale,0,2000,0.25\n",
+            "male,0,2000,0.25\n\n  \nfemale,0,2000,1_0e-1\r\n",
+            " female,0,2000,0.5\nmale,0,2000,0.25\n",
+            "female, 0 ,2000, 0.5 \nmale,0,2000,0.25\n",
+            "female,0,2000,0.5\nfemale,0,2000,0.5\nmale,0,2000,0.25\n",
+            "female,0,2000,0.5\nmale,0,2000\n",
+            "female,0,2000,0.5,1\nmale,0,2000,0.25\n",
+            "female,0,2000,0.5\nmale,1,2000,0.25\n",
+            "female,-1,2000,0.5\nmale,-1,2000,0.25\n",
+            "female,0,2000,1.5\nmale,0,2000,0.25\n",
+            "female,0,99999999999999999999,0.5\nmale,0,99999999999999999999,0.25\n",
+            "female,0,2000,nan\nmale,0,2000,0.25\n",
+            "",
+        ],
+    )
+    def test_examples_same_grid_or_same_error(self, rows):
+        check_rate_paths(RATE_HEAD + rows)
+
     @given(rate_surfaces())
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, q):
-        back = rate_surface_from_csv(rate_surface_to_csv(q))
+        text = rate_surface_to_csv(q)
+        back = rate_surface_from_csv(text)
         assert back.space == q.space
         assert np.array_equal(back.rate, q.rate)
+        assert grids._rate_columns(text.splitlines()) is not None
 
     @given(rate_surfaces(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_damaged_text_reads_or_raises_value_error(self, q, data):
-        reads_or_rejects(rate_surface_from_csv, damage(data, rate_surface_to_csv(q)))
+        check_rate_paths(damage(data, rate_surface_to_csv(q)))
+
+    @given(rate_surfaces(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_duplicated_line(self, q, data):
+        lines = rate_surface_to_csv(q).splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        check_rate_paths("".join(lines[: i + 1] + lines[i:]))
 
 
 class TestParamsCsv:
@@ -190,14 +257,6 @@ def with_labels(text: str, causes) -> str:
     return "".join(out)
 
 
-def same_bits(a, b) -> bool:
-    """Equal arrays, NaN equal to NaN and -0.0 distinct from 0.0."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(
-        np.where(np.isnan(a), np.nan, a).view(np.int64), np.where(np.isnan(b), np.nan, b).view(np.int64)
-    )
-
-
 def same_hmd(a: hmd.HmdGrid, b: hmd.HmdGrid) -> bool:
     return (
         a.kind == b.kind
@@ -214,18 +273,6 @@ def same_cod(a: hmd.CauseDeathTable, b: hmd.CauseDeathTable) -> bool:
         and np.array_equal(a.counts, b.counts)
         and np.array_equal(a.missing, b.missing)
     )
-
-
-def outcome(parse, text):
-    """The parsed object, or the type and text of the exception raised."""
-    try:
-        return parse(text)
-    except Exception as exc:  # the reference may raise anything; compare it
-        return (type(exc), str(exc))
-
-
-def same_columns(a, b) -> bool:
-    return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
 
 
 def check_hmd_paths(text: str) -> None:

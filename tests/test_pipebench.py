@@ -2,13 +2,19 @@
 
 pipebench/tracer.py wraps package functions by name. A rename in the package
 would leave a traced benchmark run with silent entry points; a small traced
-pass of each in-memory workload catches that here, in seconds.
+pass of each in-memory workload catches that here, in seconds. The
+walkthrough, the one workload that fits Renshaw-Haberman, takes too long for
+that, so a small traced RH fit stands in for its solver entry points.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mortboost import FeatureSpace, MortalityTable, renshawhaberman
+from mortboost.leecarter import FitConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
 
@@ -27,3 +33,28 @@ def test_traced_pass_reaches_every_entry_point(name, tmp_path):
     assert outcome.failed_ops == []
     assert outcome.problems == []
     assert t.silent_entries(name) == []
+
+
+def test_traced_rh_fit_reaches_the_solver_entry_points():
+    # a cohort effect, so the joint step runs and its solves are accepted
+    space = FeatureSpace(40, 49, 1990, 2004)
+    ages, years = np.meshgrid(space.ages(), space.years(), indexing="ij")
+    log_q = -9.0 + 0.08 * ages - 0.01 * (years - 1990) + 0.2 * np.sin(years - ages)
+    E = np.full(space.shape, 1e5)
+    table = MortalityTable(space, E, np.rint(np.exp(log_q) * E).astype(np.int64))
+    cfg = FitConfig(max_iterations=20)
+    want = renshawhaberman.fit_rh(table, "female", cfg)
+    with tracer.Tracer() as t:
+        got = renshawhaberman.fit_rh(table, "female", cfg)
+    assert t.missing == []
+    for entry in (
+        "renshawhaberman.fit_rh",
+        "renshawhaberman._fisher_system",
+        "renshawhaberman.poisson_surface_deviance",
+        "numpy.linalg.solve",
+    ):
+        assert t.calls(entry) > 0, entry
+    # one Fisher system per iteration serves up to 12 damped solves
+    assert t.calls("renshawhaberman._fisher_system") == got.n_iterations
+    assert t.calls("numpy.linalg.solve") >= got.n_iterations
+    assert np.array_equal(got.deviance_trace, want.deviance_trace)

@@ -8,6 +8,7 @@ from mortboost.leecarter import FitConfig, params_from_csv, params_to_csv, poiss
 from mortboost.renshawhaberman import (
     _fisher_system,
     _joint_step,
+    _Workspace,
     fit_rh_both,
     rh_params_from_csv,
     rh_params_to_csv,
@@ -73,11 +74,13 @@ def dense_system(B, X, P, score_age, score_z, n_years):
     return H, grad
 
 
-def random_rh_system(rng, unexposed=False):
-    """The grouped Fisher system at random parameters, weights and residuals
-    on a small grid, with its dense reference J^T diag(W) J and J^T R."""
-    space = FeatureSpace(30, 35, 2000, 2008)
-    ci = space.cohort_grid() - space.cohort_min
+SYSTEM_SPACE = FeatureSpace(30, 35, 2000, 2008)
+
+
+def random_rh_inputs(rng, unexposed=False):
+    """_fisher_system's arguments after the workspace, at random parameters,
+    weights and residuals on a small grid."""
+    space = SYSTEM_SPACE
     A, T, C = space.n_ages, space.n_years, space.n_cohorts
     b1, k, b2, g = rng.normal(size=A), rng.normal(size=T), rng.normal(size=A), rng.normal(size=C)
     W = rng.uniform(0.5, 50.0, (A, T))
@@ -86,9 +89,28 @@ def random_rh_system(rng, unexposed=False):
     if unexposed:
         W[3] = R[3] = 0.0  # an age row
         W[-1, 0] = R[-1, 0] = 0.0  # the oldest cohort's only cell
-    J = rh_jacobian(ci, b1, k, b2, g)
-    system = _fisher_system(W, R, ci, b1, b2, k, g, C)
-    return system, J.T @ (W.ravel()[:, None] * J), J.T @ R.ravel(), T
+    return W, R, b1, b2, k, g
+
+
+def new_workspace():
+    space = SYSTEM_SPACE
+    return _Workspace(space.cohort_grid() - space.cohort_min, space.n_cohorts)
+
+
+def random_rh_system(rng, unexposed=False):
+    """The grouped Fisher system of random_rh_inputs in a fresh workspace,
+    with its dense reference J^T diag(W) J and J^T R."""
+    W, R, b1, b2, k, g = inputs = random_rh_inputs(rng, unexposed)
+    work = new_workspace()
+    J = rh_jacobian(work.ci, b1, k, b2, g)
+    system = _fisher_system(work, *inputs)
+    return system, J.T @ (W.ravel()[:, None] * J), J.T @ R.ravel(), SYSTEM_SPACE.n_years
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 class TestJointStep:
@@ -108,9 +130,35 @@ class TestJointStep:
         B, X, P, score_age, score_z = system
         assert (not B[3].any() and P[T, T] == 0.0) == unexposed
         want, _ = full_damped_solve(H_ref, grad_ref, lam)
-        u, z = _joint_step(*system, lam)
+        u, z = _joint_step(system, lam, new_workspace())
         got = np.concatenate([u[:, 0], u[:, 1], z[:T], u[:, 2], z[T:]])
         np.testing.assert_allclose(got, want, rtol=1e-8)
+
+    def test_reused_workspace_matches_fresh_one(self, rng):
+        # the second system has an unexposed age row and an unexposed cohort,
+        # so zeros it writes must replace the first system's values everywhere
+        work = new_workspace()
+        for unexposed in (False, True):
+            inputs = random_rh_inputs(rng, unexposed)
+            system = _fisher_system(work, *inputs)
+            fresh_work = new_workspace()
+            fresh = _fisher_system(fresh_work, *inputs)
+            assert_same_arrays(system, fresh)
+            assert_same_arrays(_joint_step(system, 1e-3, work), _joint_step(fresh, 1e-3, fresh_work))
+
+    def test_joint_step_leaves_the_system_unchanged(self, rng):
+        # every LM trial of an iteration solves the same system at another lam
+        work = new_workspace()
+        inputs = random_rh_inputs(rng, unexposed=True)
+        system = _fisher_system(work, *inputs)
+        kept = [a.copy() for a in system]
+        _joint_step(system, 1e-3, work)
+        assert_same_arrays(system, kept)
+        fresh_work = new_workspace()
+        assert_same_arrays(
+            _joint_step(system, 10.0, work),
+            _joint_step(_fisher_system(fresh_work, *inputs), 10.0, fresh_work),
+        )
 
 
 class TestFitRH:

@@ -235,6 +235,20 @@ buckets = 0-4;5-9
         with pytest.raises(ParseError, match=r"^line 3: duplicate key 'ages'$"):
             load_sim_spec("ages = 0:5\nyears = 2000:2001\nages = 0:6\nseed = 1\n")
 
+    def test_unknown_key_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^line 4: unknown key 'age_slop'$"):
+            load_sim_spec("ages = 0:5\nyears = 2000:2001\nseed = 1\nage_slop = 0.5\n")
+
+    def test_str_is_text_and_path_is_read(self, tmp_path):
+        # a str naming no file, or an existing one, is still parsed as text
+        with pytest.raises(ParseError, match=r"^line 1: expected key = value, got 'sim.cfg'$"):
+            load_sim_spec("sim.cfg")
+        path = tmp_path / "sim.cfg"
+        path.write_text("ages = 0:5\nyears = 2000:2001\nseed = 3\n")
+        assert load_sim_spec(path).seed == 3
+        with pytest.raises(ParseError, match=r"^line 1: expected key = value"):
+            load_sim_spec(str(path))
+
     def test_causes_need_buckets(self):
         with pytest.raises(ValueError, match="buckets"):
             load_sim_spec("ages = 0:5\nyears = 2000:2001\nseed = 1\ncauses = 3\n")
