@@ -55,10 +55,12 @@ def _load_table(deaths_path, exposures_path, space, pool_top_age):
 
 
 def _read_file(flag: str, path: str, reader):
-    """reader(text) of the file at path; a reader's ValueError names the flag and file."""
-    text = Path(path).read_text()
+    """reader(text) of the file at path; a file that cannot be read or decoded,
+    and a reader's ValueError, name the flag and file."""
     try:
-        return reader(text)
+        return reader(Path(path).read_text())
+    except OSError as exc:
+        raise DataError(f"{flag} {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise DataError(f"{flag} {path}: {exc}") from None
 
@@ -507,10 +509,7 @@ def main(argv=None) -> int:
         if args.command == "fit" and args.model == "lc" and args.warm_start:
             parser.error("--warm-start applies only to fit rh")
         return args.func(args)
-    except (hmd.ParseError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover

@@ -3,6 +3,9 @@
 All grid-valued data is stored dense with axes (gender, age, year); gender 0
 is female, gender 1 is male. Iteration and export order is gender-major,
 age-major, year-minor throughout the package.
+
+`scan_rows` is the row-by-row re-scan that the rate, parameter, HMD and
+cause-of-death readers share to name a table's first malformed row.
 """
 
 from __future__ import annotations
@@ -315,13 +318,57 @@ def _any_duplicate(*keys: np.ndarray) -> bool:
     return bool(np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)))
 
 
+def _line_error(message: str, line: int | None = None) -> ValueError:
+    return ValueError(message if line is None else f"line {line}: {message}")
+
+
+def _column(values: tuple) -> np.ndarray:
+    """Values of one Python type as an array; integers beyond 64 bits stay
+    Python integers (an object array), never floats."""
+    try:
+        return np.array(values, dtype=type(values[0]))
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def scan_rows(rows, convert, n_key: int, duplicate, empty: str, error=_line_error) -> tuple:
+    """One table read row by row into the columns its whole-text path gives.
+
+    rows yields (line number, fields) for every non-blank row. convert(fields)
+    returns the row's values, the first n_key of which form its key, and
+    raises ValueError in the table's own check order. The first row that
+    convert rejects, or whose key repeats, raises error(message, line);
+    duplicate(fields, values) is the message for a repeated key, and a table
+    without rows raises error(empty).
+    """
+    keys, values = set(), []
+    for ln_no, fields in rows:
+        try:
+            row = convert(fields)
+        except ValueError as exc:
+            raise error(str(exc), ln_no) from None
+        if row[:n_key] in keys:
+            raise error(duplicate(fields, row), ln_no)
+        keys.add(row[:n_key])
+        values.append(row)
+    if not values:
+        raise error(empty)
+    return tuple(map(_column, zip(*values)))
+
+
+def comma_rows(lines: list[str]):
+    """(line number, fields) of every non-blank line after the header line,
+    split at commas."""
+    return ((ln_no, ln.split(",")) for ln_no, ln in enumerate(lines[1:], start=2) if ln.strip())
+
+
 _RATE_HEADER = "gender,age,year,rate"
 
 
 def _rate_columns(lines: list[str]):
     """All rows after the header split at once into (gender index, age, year,
     rate) columns, or None if any row is malformed or a duplicate (the
-    line-by-line scan then reports the first such row)."""
+    re-scan then reports the first such row)."""
     rows = [ln for ln in lines[1:] if ln.strip()]
     if not rows or set(map(str.count, rows, repeat(","))) != {3}:
         return None
@@ -342,37 +389,25 @@ def _rate_columns(lines: list[str]):
     return columns
 
 
-def _rate_columns_by_line(lines: list[str]):
-    """The columns of _rate_columns, scanned one line at a time; raises
-    ValueError naming the first malformed or duplicate line."""
-    rows: dict[tuple[int, int, int], tuple] = {}
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        try:
-            g, a, t, r = ln.split(",")
-            key = (gender_index(g), int(a), int(t))
-            value = float(r)
-        except ValueError as exc:
-            raise ValueError(f"line {ln_no}: {exc}") from None
-        if key in rows:
-            raise ValueError(f"line {ln_no}: duplicate rate row for {g}, age {key[1]}, year {key[2]}")
-        rows[key] = (*key, value)
-    if not rows:
-        raise ValueError("no rate rows after the header")
-    return tuple(map(np.array, zip(*rows.values())))
+def _rate_row(fields: list[str]) -> tuple[int, int, int, float]:
+    g, a, t, r = fields
+    return gender_index(g), int(a), int(t), float(r)
 
 
 def rate_surface_from_csv(text: str) -> RateSurface:
     """Inverse of rate_surface_to_csv: one row per cell of a dense grid, in any
-    order. All rows are split at once; a text that fails that is scanned again
-    line by line, which names the first malformed or duplicate row."""
+    order. All rows are split at once; a text that fails that goes through
+    scan_rows, which names the first malformed or duplicate row."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _RATE_HEADER:
         raise ValueError(f"expected header {_RATE_HEADER}")
     columns = _rate_columns(lines)
     if columns is None:
-        columns = _rate_columns_by_line(lines)
+        columns = scan_rows(
+            comma_rows(lines), _rate_row, 3,
+            lambda f, v: f"duplicate rate row for {f[0]}, age {v[1]}, year {v[2]}",
+            "no rate rows after the header",
+        )
     gi, ages, years, values = columns
     space = FeatureSpace(int(ages.min()), int(ages.max()), int(years.min()), int(years.max()))
     if gi.size != space.size:

@@ -9,6 +9,9 @@ Cause-of-death interchange CSV: header exactly gender,age_group,year,cause,death
 with 1-based age-group indices, the cause as a 1-based registry index or a
 case-insensitive label, and an empty deaths field meaning MISSING (which is
 distinct from 0). Cells never mentioned in the file are MISSING too.
+
+Both parsers read all rows at once; a text that fails that goes through the
+shared re-scan, grids.scan_rows, which names the first malformed row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grids import GENDERS, AgeBucketing, FeatureSpace, MortalityTable, _any_duplicate
+from .grids import GENDERS, AgeBucketing, FeatureSpace, MortalityTable, _any_duplicate, scan_rows
 
 DEFAULT_CAUSES = (
     "infectious diseases",
@@ -96,8 +99,8 @@ def _hmd_data_rows(text: str):
 
 def _hmd_columns(text: str):
     """All data rows tokenised at once into (years, ages, open-age flags,
-    values (3, n)), or None if any row is malformed, negative or a duplicate
-    (the line-by-line scan then reports the first such row)."""
+    female, male, total), or None if any row is malformed, negative or a
+    duplicate (the re-scan then reports the first such row)."""
     rows = [tokens for _, tokens in _hmd_data_rows(text)]
     if not rows or any(len(tokens) != 5 for tokens in rows):
         return None
@@ -111,32 +114,20 @@ def _hmd_columns(text: str):
     if np.any(values < 0) or _any_duplicate(ages, years):
         return None
     is_open = np.fromiter((t.endswith("+") for t in age_tok), bool, len(rows))
-    return years, ages, is_open, values
+    return years, ages, is_open, *values
 
 
-def _hmd_columns_by_line(text: str):
-    """The columns of _hmd_columns, scanned one line at a time; raises
-    ParseError naming the first malformed line."""
-    records: dict[tuple[int, int], tuple] = {}
-    for ln_no, tokens in _hmd_data_rows(text):
-        if len(tokens) != 5:
-            raise ParseError(f"expected 5 columns, got {len(tokens)}", ln_no)
-        try:
-            year = int(tokens[0])
-            age = _hmd_age(tokens[1])
-            values = tuple(map(_hmd_value, tokens[2:5]))
-        except ValueError as exc:
-            raise ParseError(str(exc), ln_no) from None
-        for v in values:
-            if v < 0:
-                raise ParseError(f"negative value {v}", ln_no)
-        if (age, year) in records:
-            raise ParseError(f"duplicate entry for age {tokens[1]}, year {year}", ln_no)
-        records[(age, year)] = (year, age, tokens[1].endswith("+"), values)
-    if not records:
-        raise ParseError("no data rows found")
-    years, ages, is_open, values = zip(*records.values())
-    return np.array(years), np.array(ages), np.array(is_open), np.array(values).T
+def _hmd_row(tokens: list[str]) -> tuple:
+    """(year, age, open-age flag, female, male, total) of one data row; all
+    three values are converted before any is checked for a negative."""
+    if len(tokens) != 5:
+        raise ValueError(f"expected 5 columns, got {len(tokens)}")
+    year, age = int(tokens[0]), _hmd_age(tokens[1])
+    values = tuple(map(_hmd_value, tokens[2:]))
+    for v in values:
+        if v < 0:
+            raise ValueError(f"negative value {v}")
+    return year, age, tokens[1].endswith("+"), *values
 
 
 @dataclass(frozen=True)
@@ -161,12 +152,12 @@ def parse_hmd_1x1(text: str, kind: str) -> HmdGrid:
         raise ValueError(f"kind must be 'deaths' or 'exposures', got {kind!r}")
     columns = _hmd_columns(text)
     if columns is None:
-        columns = _hmd_columns_by_line(text)
-    return _hmd_grid(kind, *columns)
-
-
-def _hmd_grid(kind, years, ages, is_open, values) -> HmdGrid:
-    """Dense grids from distinct (age, year) rows; cells without a row are NaN."""
+        columns = scan_rows(
+            _hmd_data_rows(text), _hmd_row, 2,
+            lambda f, v: f"duplicate entry for age {f[1]}, year {v[0]}", "no data rows found", ParseError,
+        )
+    years, ages, is_open, *values = columns
+    # dense grids from the distinct (age, year) rows; cells without a row are NaN
     age_values, ai = np.unique(ages, return_inverse=True)
     year_values, ti = np.unique(years, return_inverse=True)
     grids = np.full((3, age_values.size, year_values.size), np.nan)
@@ -367,11 +358,17 @@ class _CodFields:
         return count
 
     def row(self, fields: list[str]) -> tuple[int, int, int, int, int]:
-        """(gender, bucket, year, cause, count or -1), checked in field order."""
+        """(gender, bucket, year, cause, count or -1), checked in field order
+        except that the year is converted before the bucket is range-checked."""
+        if len(fields) != 5:
+            raise ValueError(f"expected 5 fields, got {len(fields)}")
         g_tok, bucket_tok, year_tok, cause_tok, deaths_tok = (f.strip() for f in fields)
         gi = self.gender(g_tok)
         bucket, year = int(bucket_tok), int(year_tok)
         return gi, self.bucket(bucket), year, self.cause(cause_tok), self.deaths(deaths_tok)
+
+    def duplicate(self, fields: list[str], row: tuple) -> str:
+        return f"duplicate entry for ({fields[0].strip()},{row[1]},{row[2]},{self.causes[row[3]]})"
 
 
 def _map_distinct(convert, tokens) -> np.ndarray:
@@ -384,7 +381,7 @@ def _cod_columns(text: str, fields: _CodFields):
     """All data rows split at once into (gender, bucket, year, cause, count)
     columns, count -1 for MISSING, or None if the text needs the csv module
     (quotes, carriage returns, NUL) or any row is malformed or a duplicate
-    (the line-by-line scan then reports the first such row)."""
+    (the re-scan then reports the first such row)."""
     if '"' in text or "\r" in text or "\0" in text:
         return None
     header, *lines = text.split("\n")
@@ -410,34 +407,18 @@ def _cod_columns(text: str, fields: _CodFields):
     return columns
 
 
-def _cod_columns_by_line(text: str, fields: _CodFields):
-    """The columns of _cod_columns, read one csv row at a time; raises
-    ParseError naming the first malformed row."""
+def _cod_rows(text: str):
+    """(row number, fields) of every non-blank csv row after the header; the
+    header is checked when the first row is asked for."""
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file") from None
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty file")
     if [h.strip() for h in header] != _COD_HEADER:
         raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
-    rows: dict[tuple[int, int, int, int], tuple] = {}
     for ln_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", ln_no)
-        try:
-            gi, bucket, year, k, count = fields.row(row)
-        except ValueError as exc:
-            raise ParseError(str(exc), ln_no) from None
-        if (gi, bucket, year, k) in rows:
-            raise ParseError(
-                f"duplicate entry for ({row[0].strip()},{bucket},{year},{fields.causes[k]})", ln_no
-            )
-        rows[(gi, bucket, year, k)] = (gi, bucket, year, k, count)
-    if not rows:
-        raise ParseError("no data rows found")
-    return tuple(map(np.array, zip(*rows.values())))
+        if row and (len(row) > 1 or row[0].strip()):
+            yield ln_no, row
 
 
 def parse_cod_csv(
@@ -449,7 +430,7 @@ def parse_cod_csv(
     fields = _CodFields(tuple(causes))
     columns = _cod_columns(text, fields)
     if columns is None:
-        columns = _cod_columns_by_line(text, fields)
+        columns = scan_rows(_cod_rows(text), fields.row, 4, fields.duplicate, "no data rows found", ParseError)
     gi, bucket, year, k, count = columns
     n_buckets = int(bucket.max())
     year_min, year_max = int(year.min()), int(year.max())

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, gender_index
+from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, comma_rows, gender_index, scan_rows
 
 _MAX_HALVINGS = 30
 
@@ -336,35 +336,39 @@ def write_params_csv(per_gender: dict, kinds: tuple[str, ...]) -> str:
 
 def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) -> dict:
     """Inverse of write_params_csv; `make` builds one gender's parameter object
-    (LCParams, RHParams) from keyword fields."""
+    (LCParams, RHParams) from keyword fields. grids.scan_rows reads the rows
+    and names the first bad one; a row's value is converted first, then its
+    index, then its gender."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ValueError(f"expected header {_CSV_HEADER}")
-    rows: dict[str, dict[str, dict[int, float]]] = {}
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        try:
-            g, kind, idx, val = ln.split(",")
-            value, i = float(val), int(idx)
-        except ValueError as exc:
-            raise ValueError(f"line {ln_no}: {exc}") from None
-        by_index = rows.setdefault(g, {}).setdefault(kind, {})
-        if i in by_index:
-            raise ValueError(f"line {ln_no}: duplicate {g} {kind} row for index {i}")
-        by_index[i] = value
-    if not rows:
-        raise ValueError("no parameter rows after the header")
+    # kind label -> code: a numpy string column would drop a label's trailing NULs
+    codes: dict[str, int] = {}
+
+    def row(fields):
+        g, kind, idx, val = fields
+        value, i = float(val), int(idx)
+        return gender_index(g), codes.setdefault(kind, len(codes)), i, value
+
+    gi, code, index, value = scan_rows(
+        comma_rows(lines), row, 3, lambda f, v: f"duplicate {f[0]} {f[1]} row for index {v[2]}",
+        "no parameter rows after the header",
+    )
+    labels = list(codes)
     out = {}
-    for g, by_kind in rows.items():
-        if set(by_kind) != set(kinds):
-            raise ValueError(f"gender {g}: expected kinds {'/'.join(kinds)}, got {sorted(by_kind)}")
+    for gc in dict.fromkeys(gi.tolist()):  # genders in order of first appearance
+        g, mine = GENDERS[gc], gi == gc
+        present = {labels[c] for c in code[mine].tolist()}
+        if present != set(kinds):
+            raise ValueError(f"gender {g}: expected kinds {'/'.join(kinds)}, got {sorted(present)}")
         starts, vecs = {}, {}
         for kind in kinds:
-            idx = sorted(by_kind[kind])
+            rows = mine & (code == codes[kind])
+            order = np.argsort(index[rows])
+            idx = index[rows][order].tolist()
             if idx != list(range(idx[0], idx[0] + len(idx))):
                 raise ValueError(f"gender {g}: {kind} indices are not contiguous")
-            starts[kind], vecs[kind] = idx[0], np.array([by_kind[kind][i] for i in idx])
+            starts[kind], vecs[kind] = idx[0], value[rows][order]
         age_min, n_ages = starts["beta0"], vecs["beta0"].size
         year_min, n_years = starts["kappa"], vecs["kappa"].size
         span = {

@@ -277,6 +277,66 @@ def delta_to_csv(result):
     return buf.getvalue()
 
 
+# --- LC/RH parameter CSV --------------------------------------------------
+
+
+_PARAM_AXIS = {"beta0": "age", "beta1": "age", "beta2": "age", "kappa": "year", "gamma": "cohort"}
+
+
+def read_params_csv(text, kinds, make, rate_floor):
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "gender,kind,index,value":
+        raise ValueError("expected header gender,kind,index,value")
+    rows = {}
+    for ln_no, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        try:
+            g, kind, idx, val = ln.split(",")
+            value, i = float(val), int(idx)
+            gender_index(g)
+        except ValueError as exc:
+            raise ValueError(f"line {ln_no}: {exc}") from None
+        by_index = rows.setdefault(g, {}).setdefault(kind, {})
+        if i in by_index:
+            raise ValueError(f"line {ln_no}: duplicate {g} {kind} row for index {i}")
+        by_index[i] = value
+    if not rows:
+        raise ValueError("no parameter rows after the header")
+    out = {}
+    for g, by_kind in rows.items():
+        if set(by_kind) != set(kinds):
+            raise ValueError(f"gender {g}: expected kinds {'/'.join(kinds)}, got {sorted(by_kind)}")
+        starts, vecs = {}, {}
+        for kind in kinds:
+            idx = sorted(by_kind[kind])
+            if idx != list(range(idx[0], idx[0] + len(idx))):
+                raise ValueError(f"gender {g}: {kind} indices are not contiguous")
+            starts[kind], vecs[kind] = idx[0], np.array([by_kind[kind][i] for i in idx])
+        age_min, n_ages = starts["beta0"], vecs["beta0"].size
+        year_min, n_years = starts["kappa"], vecs["kappa"].size
+        span = {
+            "age": (age_min, n_ages),
+            "year": (year_min, n_years),
+            "cohort": (year_min - (age_min + n_ages - 1), n_ages + n_years - 1),
+        }
+        for kind in kinds:
+            if (starts[kind], vecs[kind].size) != span[_PARAM_AXIS[kind]]:
+                raise ValueError(f"gender {g}: {kind} index range does not match the age/year ranges")
+        out[g] = make(
+            gender=g,
+            age_min=age_min,
+            year_min=year_min,
+            **vecs,
+            rate_floor=rate_floor,
+            converged=True,
+            n_iterations=0,
+            deviance_trace=np.array([np.nan]),
+            flags=["loaded from CSV"],
+        )
+    return out
+
+
 # --- SVG panels ------------------------------------------------------------
 
 

@@ -395,6 +395,7 @@ class TestErrorPaths:
         row = params.read_text().splitlines()[1]
         assert row.startswith("female,beta0,0,")
         twice_params = damaged("twice_params.csv", params, 2, row, row)
+        foo_params = damaged("foo_params.csv", params, 2, row.replace("female", "foo", 1))
         bad_spec = tmp_path / "sim.cfg"
         bad_spec.write_text("ages = 0:9\nyears = 2000:2009\nseed = x\n")
         typo_spec = tmp_path / "typo.cfg"
@@ -427,6 +428,10 @@ class TestErrorPaths:
             (
                 ["check", "--params", twice_params, "--kind", "lc"],
                 f"--params {twice_params}: line 3: duplicate female beta0 row for index 0",
+            ),
+            (
+                ["check", "--params", foo_params, "--kind", "lc"],
+                f"--params {foo_params}: line 2: unknown gender 'foo', expected one of ('female', 'male')",
             ),
             (
                 ["fit", "rh", "--deaths", deaths, "--exposures", exposures, "--ages", "0:9",
@@ -472,5 +477,19 @@ class TestErrorPaths:
         missing = tmp_path / "nope.cfg"
         code = main(["simulate", "--spec", str(missing), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert capsys.readouterr().err == f"error: --spec {missing}: No such file or directory\n"
+        assert not (tmp_path / "o").exists()
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        assert main(["simulate", "--spec", str(adir), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: --spec {adir}: Is a directory\n"
+        binary = tmp_path / "deaths.bin"
+        binary.write_bytes(b"\xff\xfe\x00garbage\n")
+        code = main(["fit", "lc", "--deaths", str(binary), "--exposures", str(missing),
+                     "--ages", "0:9", "--years", "2000:2009", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: --deaths {binary}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
         assert not (tmp_path / "o").exists()

@@ -1,11 +1,13 @@
 """Property tests for the text codecs: the rate CSV, the LC/RH parameter CSV,
-the HMD 1x1 table and the cause-of-death CSV.
+the HMD 1x1 table, the cause-of-death CSV and the tree text.
 
 Every valid object round-trips unchanged through write and read; truncated
 or mutated text gives either a result or ValueError, never another exception.
-The rate CSV, HMD and cause-of-death parsers read all rows at once and
-re-scan line by line when that fails; both paths, and the per-row reference
-parsers, must agree on every text: the same grid, or the same error text.
+The rate CSV, HMD and cause-of-death parsers read all rows at once and fall
+back to the shared row-by-row re-scan (grids.scan_rows) when that fails; the
+parameter CSV has only the re-scan. Each parser and its per-row reference
+parser must agree on every text: the same result, or the same error text.
+Whenever an array path accepts a text, the re-scan gives the same columns.
 """
 
 import numpy as np
@@ -14,10 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
-from mortboost import DEFAULT_CAUSES, FeatureSpace, RateSurface, hmd
+from conftest import random_working_data
+from mortboost import DEFAULT_CAUSES, FeatureSpace, PoissonTree, RateSurface, TreeConfig, grow_tree, hmd
 from mortboost import grids
-from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv
-from mortboost.leecarter import _KIND_AXIS, LC_KINDS, LCParams, params_from_csv, params_to_csv
+from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv, scan_rows
+from mortboost.leecarter import (
+    _KIND_AXIS,
+    LC_KINDS,
+    LCParams,
+    params_from_csv,
+    params_to_csv,
+    read_params_csv,
+)
 from mortboost.renshawhaberman import RH_KINDS, RHParams, rh_params_from_csv, rh_params_to_csv
 
 # characters that make up the formats, plus any character at all
@@ -72,7 +82,7 @@ def param_sets(draw, make, kinds):
     return out
 
 
-def damage(data, text: str) -> str:
+def damage(data, text: str, symbols=SYMBOLS) -> str:
     """One truncation (at a character or a line end), character replacement,
     insertion or dropped line."""
     how = data.draw(st.sampled_from(["truncate", "keep lines", "replace", "insert", "drop line"]))
@@ -85,7 +95,7 @@ def damage(data, text: str) -> str:
     i = data.draw(st.integers(0, len(text)))
     if how == "truncate":
         return text[:i]
-    ch = data.draw(SYMBOLS)
+    ch = data.draw(symbols)
     return text[:i] + ch + text[i + (how == "replace"):]
 
 
@@ -97,11 +107,11 @@ def reads_or_rejects(reader, text: str) -> None:
 
 
 def assert_same_params(back, fits, kinds):
-    assert set(back) == set(fits)
+    assert list(back) == list(fits)
     for g, p in fits.items():
         assert (back[g].age_min, back[g].year_min) == (p.age_min, p.year_min)
         for kind in kinds:
-            assert np.array_equal(getattr(back[g], kind), getattr(p, kind)), kind
+            assert same_bits(getattr(back[g], kind), getattr(p, kind)), kind
 
 
 def same_bits(a, b) -> bool:
@@ -124,6 +134,15 @@ def same_columns(a, b) -> bool:
     return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
 
 
+def unreachable(fields, values):
+    raise AssertionError(f"the array path accepted a repeated row {fields}")
+
+
+def rescan(rows, convert, n_key: int):
+    """The columns of the shared re-scan of a text that an array path accepted."""
+    return scan_rows(rows, convert, n_key, unreachable, "the array path accepted a text without rows")
+
+
 def check_rate_paths(text: str) -> None:
     got = outcome(rate_surface_from_csv, text)
     want = outcome(ref.rate_surface_from_csv, text)
@@ -134,7 +153,7 @@ def check_rate_paths(text: str) -> None:
     lines = text.splitlines()
     columns = grids._rate_columns(lines)
     if columns is not None:  # the array path accepted: the re-scan agrees
-        assert same_columns(columns, grids._rate_columns_by_line(lines))
+        assert same_columns(columns, rescan(grids.comma_rows(lines), grids._rate_row, 3))
 
 
 RATE_HEAD = "gender,age,year,rate\n"
@@ -155,6 +174,7 @@ class TestRateCsv:
             "female,-1,2000,0.5\nmale,-1,2000,0.25\n",
             "female,0,2000,1.5\nmale,0,2000,0.25\n",
             "female,0,99999999999999999999,0.5\nmale,0,99999999999999999999,0.25\n",
+            "female,0,-1,0.5\nmale,0,9223372036854775809,0.25\n",
             "female,0,2000,nan\nmale,0,2000,0.25\n",
             "",
         ],
@@ -184,7 +204,45 @@ class TestRateCsv:
         check_rate_paths("".join(lines[: i + 1] + lines[i:]))
 
 
+def check_params_paths(text: str, make, kinds) -> None:
+    got = outcome(lambda t: read_params_csv(t, kinds, make, 1e-8), text)
+    want = outcome(lambda t: ref.read_params_csv(t, kinds, make, 1e-8), text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_params(got, want, kinds)
+
+
+PARAMS_HEAD = "gender,kind,index,value\n"
+LC_ROWS = "female,beta0,0,-5.0\nfemale,beta1,0,1.0\nfemale,kappa,2000,0.0\n"
+
+
 class TestParamsCsv:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            LC_ROWS,
+            "\n  \n" + LC_ROWS.replace("female", "male") + LC_ROWS,
+            LC_ROWS.replace("female,beta1", "foo,beta1"),
+            "Female,beta0,0,-5.0\n",
+            "foo,beta0,x,-5.0\n",
+            "foo,beta0,0,y\n",
+            "female,beta0,0\n",
+            "female,beta0,0,-5.0,1\n",
+            LC_ROWS + "female,beta0,0,-9.0\n",
+            LC_ROWS + "female,beta0\x00,0,-9.0\n",
+            LC_ROWS + "female,gamma,0,1.0\n",
+            LC_ROWS + "female,beta0,2,-9.0\n",
+            "female,beta0,9223372036854775809,-5.0\nfemale,beta0,-1,-5.0\n"
+            "female,beta1,0,1.0\nfemale,kappa,2000,0.0\n",
+            "male,beta0,0,-5.0\n" + LC_ROWS,
+            "female,beta0,0,nan\nfemale,beta1,0,-0.0\nfemale,kappa,2000,inf\n",
+            "",
+        ],
+    )
+    def test_examples_same_params_or_same_error(self, rows):
+        check_params_paths(PARAMS_HEAD + rows, LCParams, LC_KINDS)
+
     @given(param_sets(LCParams, LC_KINDS))
     @settings(max_examples=100, deadline=None)
     def test_lc_round_trip(self, fits):
@@ -198,12 +256,12 @@ class TestParamsCsv:
     @given(param_sets(LCParams, LC_KINDS), st.data())
     @settings(max_examples=300, deadline=None)
     def test_lc_damaged_text_reads_or_raises_value_error(self, fits, data):
-        reads_or_rejects(params_from_csv, damage(data, params_to_csv(fits)))
+        check_params_paths(damage(data, params_to_csv(fits)), LCParams, LC_KINDS)
 
     @given(param_sets(RHParams, RH_KINDS), st.data())
     @settings(max_examples=300, deadline=None)
     def test_rh_damaged_text_reads_or_raises_value_error(self, fits, data):
-        reads_or_rejects(rh_params_from_csv, damage(data, rh_params_to_csv(fits)))
+        check_params_paths(damage(data, rh_params_to_csv(fits)), RHParams, RH_KINDS)
 
 
 # --- HMD 1x1 and cause-of-death CSV ----------------------------------------
@@ -275,6 +333,14 @@ def same_cod(a: hmd.CauseDeathTable, b: hmd.CauseDeathTable) -> bool:
     )
 
 
+def hmd_rescan(text: str):
+    return rescan(hmd._hmd_data_rows(text), hmd._hmd_row, 2)
+
+
+def cod_rescan(text: str, fields):
+    return rescan(hmd._cod_rows(text), fields.row, 4)
+
+
 def check_hmd_paths(text: str) -> None:
     got = outcome(lambda t: hmd.parse_hmd_1x1(t, "deaths"), text)
     want = outcome(lambda t: ref.parse_hmd_1x1(t, "deaths"), text)
@@ -284,7 +350,7 @@ def check_hmd_paths(text: str) -> None:
         assert same_hmd(got, want)
     columns = hmd._hmd_columns(text)
     if columns is not None:  # the array path accepted: the re-scan agrees
-        assert same_columns(columns, hmd._hmd_columns_by_line(text))
+        assert same_columns(columns, hmd_rescan(text))
 
 
 def check_cod_paths(text: str, causes) -> None:
@@ -297,7 +363,7 @@ def check_cod_paths(text: str, causes) -> None:
     fields = hmd._CodFields(causes)
     columns = hmd._cod_columns(text, fields)
     if columns is not None:
-        assert same_columns(columns, hmd._cod_columns_by_line(text, fields))
+        assert same_columns(columns, cod_rescan(text, fields))
 
 
 HMD_HEAD = "title\n\n  Year  Age  Female  Male  Total\n"
@@ -337,7 +403,7 @@ class TestHmd1x1:
         text = hmd.write_hmd_1x1(grid)
         columns = hmd._hmd_columns(text)
         assert columns is not None
-        assert same_columns(columns, hmd._hmd_columns_by_line(text))
+        assert same_columns(columns, hmd_rescan(text))
 
     @given(hmd_grids(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -390,7 +456,7 @@ class TestCodCsv:
         fields = hmd._CodFields(table.causes)
         columns = hmd._cod_columns(text, fields)
         assert columns is not None
-        assert same_columns(columns, hmd._cod_columns_by_line(text, fields))
+        assert same_columns(columns, cod_rescan(text, fields))
 
     @given(cause_tables(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -406,3 +472,34 @@ class TestCodCsv:
         lines = hmd.write_cod_csv(table).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
         check_cod_paths("".join(lines[: i + 1] + lines[i:]), table.causes)
+
+
+# --- tree text -------------------------------------------------------------
+
+# the characters of the tree format, plus any character at all
+TREE_SYMBOLS = st.sampled_from(list(" \n#:|{}/,<=.-+e0123456789leaf")) | st.characters()
+
+
+@st.composite
+def grown_trees(draw, with_cause: bool):
+    seed = draw(st.integers(0, 2**32 - 1))
+    cp = draw(st.sampled_from([0.0, 1e-3, 2e-2]))
+    data = random_working_data(
+        np.random.default_rng(seed), n_ordered=2, with_cause=with_cause, max_points=40
+    )
+    return grow_tree(data, TreeConfig(cp=cp, min_bucket=1))
+
+
+@pytest.mark.parametrize("with_cause", [False, True], ids=["ordered", "cause"])
+class TestTreeText:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, with_cause, data):
+        text = data.draw(grown_trees(with_cause)).to_text()
+        assert PoissonTree.from_text(text).to_text() == text
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_text_reads_or_raises_value_error(self, with_cause, data):
+        text = data.draw(grown_trees(with_cause)).to_text()
+        reads_or_rejects(PoissonTree.from_text, damage(data, text, TREE_SYMBOLS))
