@@ -18,13 +18,11 @@ from .grids import (
     GENDERS,
     AgeBucketing,
     BucketedRates,
-    ExtendedFeature,
     FeatureSpace,
     MortalityTable,
     RateSurface,
     aggregate_rates,
     crude_rates,
-    extend_feature,
 )
 from .hmd import (
     DEFAULT_CAUSES,

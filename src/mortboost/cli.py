@@ -97,10 +97,9 @@ def cmd_fit(args) -> int:
     # deviance improvement (1e-8 .. 1e-10) cost minutes for statistically
     # irrelevant gains, so the CLI default stops earlier; --tol overrides
     default_tol = 1e-8 if args.model == "rh" else 1e-10
+    default = renshawhaberman.RH_DEFAULT_CONFIG if args.model == "rh" else leecarter.FitConfig()
     cfg = leecarter.FitConfig(
-        max_iterations=args.max_iter
-        if args.max_iter is not None
-        else (50000 if args.model == "rh" else 10000),
+        max_iterations=args.max_iter if args.max_iter is not None else default.max_iterations,
         deviance_tol=args.tol if args.tol is not None else default_tol,
         rate_floor=args.rate_floor,
     )

@@ -4,14 +4,16 @@ All grid-valued data is stored dense with axes (gender, age, year); gender 0
 is female, gender 1 is male. Iteration and export order is gender-major,
 age-major, year-minor throughout the package.
 
-`scan_rows` is the row-by-row re-scan that the rate, parameter, HMD and
-cause-of-death readers share to name a table's first malformed row.
+`TableFormat` is the one column reader of the rate, parameter, HMD and
+cause-of-death tables: it converts every column once per distinct token and,
+if some row is malformed, names the first such row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import repeat
+from collections.abc import Callable
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -41,10 +43,6 @@ class FeatureSpace:
             raise ValueError(f"empty age range {self.age_min}..{self.age_max}")
         if self.year_max < self.year_min:
             raise ValueError(f"empty year range {self.year_min}..{self.year_max}")
-
-    @property
-    def genders(self) -> tuple[str, ...]:
-        return GENDERS
 
     @property
     def n_ages(self) -> int:
@@ -80,13 +78,6 @@ class FeatureSpace:
     def n_cohorts(self) -> int:
         return self.cohort_max - self.cohort_min + 1
 
-    def contains(self, gender: str, age: int, year: int) -> bool:
-        return (
-            gender in GENDERS
-            and self.age_min <= age <= self.age_max
-            and self.year_min <= year <= self.year_max
-        )
-
     def iter_features(self):
         """Yield (gender, age, year) in the canonical storage order."""
         for g in GENDERS:
@@ -97,26 +88,6 @@ class FeatureSpace:
     def cohort_grid(self) -> np.ndarray:
         """(n_ages, n_years) array of cohorts c = year - age."""
         return self.years()[None, :] - self.ages()[:, None]
-
-
-@dataclass(frozen=True)
-class ExtendedFeature:
-    """A grid feature plus its derived birth cohort c = year - age."""
-
-    gender: str
-    age: int
-    year: int
-    cohort: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cohort", self.year - self.age)
-
-
-def extend_feature(gender: str, age: int, year: int, space: FeatureSpace) -> ExtendedFeature:
-    """Attach the birth cohort to a feature; raises if outside the space."""
-    if not space.contains(gender, age, year):
-        raise ValueError(f"feature ({gender}, {age}, {year}) outside feature space {space}")
-    return ExtendedFeature(gender, age, year)
 
 
 def _as_grid(values, space: FeatureSpace, dtype, name: str) -> np.ndarray:
@@ -167,17 +138,6 @@ class RateSurface:
         object.__setattr__(self, "rate", _as_grid(self.rate, self.space, np.float64, "rate"))
         if np.any(self.rate < 0) or np.any(self.rate > 1):
             raise ValueError("rates must lie in [0, 1]")
-
-    def at(self, gender: str, age: int, year: int) -> float:
-        if not self.space.contains(gender, age, year):
-            raise ValueError(f"feature ({gender}, {age}, {year}) outside feature space")
-        return float(
-            self.rate[
-                gender_index(gender),
-                age - self.space.age_min,
-                year - self.space.year_min,
-            ]
-        )
 
 
 def crude_rates(table: MortalityTable) -> tuple[RateSurface, list[str]]:
@@ -312,103 +272,158 @@ def rate_surface_to_csv(surface: RateSurface) -> str:
     return "\n".join(["gender,age,year,rate", *map(",".join, zip(keys, rates))]) + "\n"
 
 
-def _any_duplicate(*keys: np.ndarray) -> bool:
-    """Whether two rows agree on every key column."""
-    rows = np.stack(keys)[:, np.lexsort(keys)]
-    return bool(np.any(np.all(rows[:, 1:] == rows[:, :-1], axis=0)))
-
-
 def _line_error(message: str, line: int | None = None) -> ValueError:
     return ValueError(message if line is None else f"line {line}: {message}")
 
 
-def _column(values: tuple) -> np.ndarray:
-    """Values of one Python type as an array; integers beyond 64 bits stay
-    Python integers (an object array), never floats."""
-    try:
-        return np.array(values, dtype=type(values[0]))
-    except OverflowError:
-        return np.array(values, dtype=object)
+def four_fields(fields: list[str]) -> None:
+    """Python's own ValueError for a row that is not four fields."""
+    _, _, _, _ = fields
 
 
-def scan_rows(rows, convert, n_key: int, duplicate, empty: str, error=_line_error) -> tuple:
-    """One table read row by row into the columns its whole-text path gives.
+def comma_fields(rows: list[str]) -> tuple[list[str], np.ndarray]:
+    """The fields of comma-separated rows, flat, and each row's field count."""
+    counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+    return ",".join(rows).split(","), counts + 1
 
-    rows yields (line number, fields) for every non-blank row. convert(fields)
-    returns the row's values, the first n_key of which form its key, and
-    raises ValueError in the table's own check order. The first row that
-    convert rejects, or whose key repeats, raises error(message, line);
-    duplicate(fields, values) is the message for a repeated key, and a table
-    without rows raises error(empty).
-    """
-    keys, values = set(), []
-    for ln_no, fields in rows:
+
+def list_fields(rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """The fields of rows that are already split, flat, and each row's field count."""
+    return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.intp, len(rows))
+
+
+def kept_rows(rows: list, keep, first_line: int) -> tuple[list, Callable[[int], int]]:
+    """The rows that keep() accepts, and the line number of the k-th of them
+    (counted only when asked for) when rows[0] is line first_line."""
+
+    def line_of(k: int) -> int:
+        return next(islice((ln for ln, row in enumerate(rows, first_line) if keep(row)), k, None))
+
+    return list(filter(keep, rows)), line_of
+
+
+def _distinct_values(convert, tokens: list[str]) -> tuple[dict, set]:
+    """convert(token) of every distinct token, and the tokens it rejects."""
+    value_of, bad = {}, set()
+    for tok in set(tokens):
         try:
-            row = convert(fields)
+            value_of[tok] = convert(tok)
+        except ValueError:
+            bad.add(tok)
+    return value_of, bad
+
+
+def _array(value_of: dict, tokens: list[str]) -> np.ndarray:
+    """The values of tokens as one array; integers beyond 64 bits give an
+    object array of Python integers, never floats."""
+    if not tokens:
+        return np.empty(0)
+    kind = type(value_of[tokens[0]])
+    try:
+        return np.fromiter(map(value_of.__getitem__, tokens), kind, len(tokens))
+    except OverflowError:
+        return np.array(list(map(value_of.__getitem__, tokens)), dtype=object)
+
+
+def _first_repeat(keys: tuple[np.ndarray, ...]) -> int:
+    """The first row whose key columns all equal an earlier row's, or the row
+    count: lexsort is stable, so of equal neighbours the later is the repeat."""
+    n = keys[0].size
+    order = np.lexsort(keys)
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for key in keys:
+        k = key[order]
+        same &= k[1:] == k[:-1]
+    return int(order[1:][same].min()) if same.any() else n
+
+
+@dataclass(frozen=True)
+class TableFormat:
+    """The columns of a text table and the checks that name its first bad row.
+
+    A row has `width` fields; count(fields) raises the table's ValueError for
+    a row of another width. `steps` are (field, step) pairs in the table's
+    check order: a field's value is its token passed through its steps in
+    turn, and a step raises ValueError for a value it rejects. The first
+    n_key values form a row's key, which no two rows may share;
+    duplicate(fields, values) is the message for a row that repeats one.
+    error(message, line) is the exception raised, error(empty) the one for a
+    table without rows.
+    """
+
+    width: int
+    count: Callable[[list[str]], object]
+    steps: tuple[tuple[int, Callable], ...]
+    n_key: int
+    duplicate: Callable[[list[str], list], str]
+    empty: str
+    error: Callable[..., Exception] = _line_error
+
+    def _converter(self, field: int) -> Callable:
+        """A field's steps as one function of its token."""
+        steps = [step for f, step in self.steps if f == field]
+        if len(steps) == 1:
+            return steps[0]
+
+        def convert(token):
+            for step in steps:
+                token = step(token)
+            return token
+
+        return convert
+
+    def read(self, rows: list, line_of, fields=comma_fields, stop: Exception | None = None) -> tuple:
+        """One array per field of the rows, which fields(rows) splits; raises
+        for the first row of another width, with a rejected value or with a
+        repeated key. Only that row goes through the steps in check order.
+        stop, if given, is raised when no row is bad: the error of the row
+        after the last, which could not be split."""
+        tokens, counts = fields(rows)
+        w, n = self.width, len(rows)
+        wrong = np.flatnonzero(counts != w)
+        end = int(wrong[0]) if wrong.size else n  # rows before the first of another width
+        columns = [tokens[f: end * w: w] for f in range(w)]
+        converted = [_distinct_values(self._converter(f), col) for f, col in enumerate(columns)]
+        for (_, bad), col in zip(converted, columns):
+            if bad:
+                end = min(end, next(i for i, tok in enumerate(col) if tok in bad))
+        values = tuple(_array(value_of, col[:end]) for (value_of, _), col in zip(converted, columns))
+        first = min(end, _first_repeat(values[: self.n_key]))
+        if first < n:
+            start = first * w
+            raise self._row_error(tokens[start: start + int(counts[first])], line_of(first))
+        if stop is not None:
+            raise stop
+        if not n:
+            raise self.error(self.empty)
+        return values
+
+    def _row_error(self, fields: list[str], line: int) -> Exception:
+        try:
+            self.count(fields)
+            values = list(fields)
+            for f, step in self.steps:
+                values[f] = step(values[f])
         except ValueError as exc:
-            raise error(str(exc), ln_no) from None
-        if row[:n_key] in keys:
-            raise error(duplicate(fields, row), ln_no)
-        keys.add(row[:n_key])
-        values.append(row)
-    if not values:
-        raise error(empty)
-    return tuple(map(_column, zip(*values)))
-
-
-def comma_rows(lines: list[str]):
-    """(line number, fields) of every non-blank line after the header line,
-    split at commas."""
-    return ((ln_no, ln.split(",")) for ln_no, ln in enumerate(lines[1:], start=2) if ln.strip())
+            return self.error(str(exc), line)
+        return self.error(self.duplicate(fields, values), line)
 
 
 _RATE_HEADER = "gender,age,year,rate"
-
-
-def _rate_columns(lines: list[str]):
-    """All rows after the header split at once into (gender index, age, year,
-    rate) columns, or None if any row is malformed or a duplicate (the
-    re-scan then reports the first such row)."""
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if not rows or set(map(str.count, rows, repeat(","))) != {3}:
-        return None
-    tokens = ",".join(rows).split(",")
-    g_tok, a_tok, t_tok, r_tok = (tokens[i::4] for i in range(4))
-    n = len(rows)
-    try:
-        columns = (
-            np.fromiter(map(gender_index, g_tok), np.int64, n),
-            np.fromiter(map(int, a_tok), np.int64, n),
-            np.fromiter(map(int, t_tok), np.int64, n),
-            np.fromiter(map(float, r_tok), np.float64, n),
-        )
-    except (ValueError, OverflowError):
-        return None
-    if _any_duplicate(*columns[:3]):
-        return None
-    return columns
-
-
-def _rate_row(fields: list[str]) -> tuple[int, int, int, float]:
-    g, a, t, r = fields
-    return gender_index(g), int(a), int(t), float(r)
+_RATE_FORMAT = TableFormat(
+    4, four_fields, ((0, gender_index), (1, int), (2, int), (3, float)), 3,
+    lambda f, v: f"duplicate rate row for {f[0]}, age {v[1]}, year {v[2]}",
+    "no rate rows after the header",
+)
 
 
 def rate_surface_from_csv(text: str) -> RateSurface:
     """Inverse of rate_surface_to_csv: one row per cell of a dense grid, in any
-    order. All rows are split at once; a text that fails that goes through
-    scan_rows, which names the first malformed or duplicate row."""
+    order; a malformed or repeated row is named by its line."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _RATE_HEADER:
         raise ValueError(f"expected header {_RATE_HEADER}")
-    columns = _rate_columns(lines)
-    if columns is None:
-        columns = scan_rows(
-            comma_rows(lines), _rate_row, 3,
-            lambda f, v: f"duplicate rate row for {f[0]}, age {v[1]}, year {v[2]}",
-            "no rate rows after the header",
-        )
-    gi, ages, years, values = columns
+    gi, ages, years, values = _RATE_FORMAT.read(*kept_rows(lines[1:], str.strip, 2))
     space = FeatureSpace(int(ages.min()), int(ages.max()), int(years.min()), int(years.max()))
     if gi.size != space.size:
         raise ValueError(f"rate grid is not dense: {gi.size} rows for a {space.size}-cell space")

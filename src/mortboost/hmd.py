@@ -10,8 +10,8 @@ with 1-based age-group indices, the cause as a 1-based registry index or a
 case-insensitive label, and an empty deaths field meaning MISSING (which is
 distinct from 0). Cells never mentioned in the file are MISSING too.
 
-Both parsers read all rows at once; a text that fails that goes through the
-shared re-scan, grids.scan_rows, which names the first malformed row.
+Both parsers split the text once and read it through grids.TableFormat, which
+converts every column at once and names the first malformed row by its line.
 """
 
 from __future__ import annotations
@@ -19,11 +19,19 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .grids import GENDERS, AgeBucketing, FeatureSpace, MortalityTable, _any_duplicate, scan_rows
+from .grids import (
+    GENDERS,
+    AgeBucketing,
+    FeatureSpace,
+    MortalityTable,
+    TableFormat,
+    comma_fields,
+    kept_rows,
+    list_fields,
+)
 
 DEFAULT_CAUSES = (
     "infectious diseases",
@@ -88,46 +96,30 @@ def _hmd_age(token: str) -> int:
     return int(token[:-1]) if token.endswith("+") else int(token)
 
 
-def _hmd_data_rows(text: str):
-    """(line number, tokens) of every data row: past the two-line header, not
-    blank and not the column-name line of published files."""
-    for ln_no, raw in enumerate(text.splitlines()[2:], start=3):
-        tokens = raw.split()
-        if tokens and tokens[0].lower() != "year":
-            yield ln_no, tokens
+def _non_negative(value: float) -> float:
+    if value < 0:
+        raise ValueError(f"negative value {value}")
+    return value
 
 
-def _hmd_columns(text: str):
-    """All data rows tokenised at once into (years, ages, open-age flags,
-    female, male, total), or None if any row is malformed, negative or a
-    duplicate (the re-scan then reports the first such row)."""
-    rows = [tokens for _, tokens in _hmd_data_rows(text)]
-    if not rows or any(len(tokens) != 5 for tokens in rows):
-        return None
-    year_tok, age_tok, *value_tok = zip(*rows)
-    try:
-        years = np.fromiter(map(int, year_tok), np.int64, len(rows))
-        ages = np.fromiter(map(_hmd_age, age_tok), np.int64, len(rows))
-        values = np.array([list(map(_hmd_value, col)) for col in value_tok])
-    except (ValueError, OverflowError):
-        return None
-    if np.any(values < 0) or _any_duplicate(ages, years):
-        return None
-    is_open = np.fromiter((t.endswith("+") for t in age_tok), bool, len(rows))
-    return years, ages, is_open, *values
-
-
-def _hmd_row(tokens: list[str]) -> tuple:
-    """(year, age, open-age flag, female, male, total) of one data row; all
-    three values are converted before any is checked for a negative."""
+def _five_columns(tokens: list[str]) -> None:
     if len(tokens) != 5:
         raise ValueError(f"expected 5 columns, got {len(tokens)}")
-    year, age = int(tokens[0]), _hmd_age(tokens[1])
-    values = tuple(map(_hmd_value, tokens[2:]))
-    for v in values:
-        if v < 0:
-            raise ValueError(f"negative value {v}")
-    return year, age, tokens[1].endswith("+"), *values
+
+
+def _is_data_row(tokens: list[str]) -> bool:
+    """Not blank and not the column-name line of published files."""
+    return bool(tokens) and tokens[0].lower() != "year"
+
+
+# Year Age Female Male Total; all three values are converted before any is
+# checked for a negative
+_HMD_FORMAT = TableFormat(
+    5, _five_columns,
+    ((0, int), (1, _hmd_age), (2, _hmd_value), (3, _hmd_value), (4, _hmd_value),
+     (2, _non_negative), (3, _non_negative), (4, _non_negative)),
+    2, lambda f, v: f"duplicate entry for age {f[1]}, year {v[0]}", "no data rows found", ParseError,
+)
 
 
 @dataclass(frozen=True)
@@ -150,13 +142,10 @@ def parse_hmd_1x1(text: str, kind: str) -> HmdGrid:
     """Parse an HMD 1x1 deaths or exposures file into dense per-gender grids."""
     if kind not in ("deaths", "exposures"):
         raise ValueError(f"kind must be 'deaths' or 'exposures', got {kind!r}")
-    columns = _hmd_columns(text)
-    if columns is None:
-        columns = scan_rows(
-            _hmd_data_rows(text), _hmd_row, 2,
-            lambda f, v: f"duplicate entry for age {f[1]}, year {v[0]}", "no data rows found", ParseError,
-        )
-    years, ages, is_open, *values = columns
+    # past the two-line header
+    rows, line_of = kept_rows(list(map(str.split, text.splitlines()[2:])), _is_data_row, 3)
+    years, ages, *values = _HMD_FORMAT.read(rows, line_of, list_fields)
+    is_open = np.fromiter((row[1].endswith("+") for row in rows), bool, len(rows))
     # dense grids from the distinct (age, year) rows; cells without a row are NaN
     age_values, ai = np.unique(ages, return_inverse=True)
     year_values, ti = np.unique(years, return_inverse=True)
@@ -313,112 +302,76 @@ class CauseDeathTable:
 _COD_HEADER = ["gender", "age_group", "year", "cause", "deaths"]
 
 
-class _CodFields:
-    """Converters of the stripped fields of one cause-of-death CSV row; each
-    raises ValueError with the message a ParseError carries."""
+def _cod_gender(tok: str) -> int:
+    if tok.lower() not in GENDERS:
+        raise ValueError(f"unknown gender {tok!r}")
+    return GENDERS.index(tok.lower())
 
-    def __init__(self, causes: tuple[str, ...]):
-        self.causes = causes
-        self.label_of = {c.lower(): k for k, c in enumerate(causes)}
 
-    @staticmethod
-    def gender(tok: str) -> int:
-        if tok.lower() not in GENDERS:
-            raise ValueError(f"unknown gender {tok!r}")
-        return GENDERS.index(tok.lower())
+def _cod_bucket(bucket: int) -> int:
+    if bucket < 1:
+        raise ValueError(f"age_group must be a 1-based index, got {bucket}")
+    return bucket
 
-    @staticmethod
-    def bucket(bucket: int) -> int:
-        if bucket < 1:
-            raise ValueError(f"age_group must be a 1-based index, got {bucket}")
-        return bucket
 
-    def cause(self, tok: str) -> int:
-        if tok.lower() in self.label_of:
-            return self.label_of[tok.lower()]
+def _cod_deaths(tok: str) -> int:
+    """The count, or -1 for an empty (MISSING) field."""
+    if tok == "":
+        return -1
+    try:
+        count = int(tok)
+    except ValueError:
+        raise ValueError(f"deaths must be an integer or empty, got {tok!r}") from None
+    if count < 0:
+        raise ValueError(f"negative death count {count}")
+    return count
+
+
+def _five_fields(fields: list[str]) -> None:
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 fields, got {len(fields)}")
+
+
+def _cod_format(causes: tuple[str, ...]) -> TableFormat:
+    """The cause CSV's columns (gender, bucket, year, cause, count or -1),
+    checked in field order except that the year is converted before the
+    bucket is range-checked; every field is stripped first."""
+    label_of = {c.lower(): k for k, c in enumerate(causes)}
+
+    def cause(tok: str) -> int:
+        if tok.lower() in label_of:
+            return label_of[tok.lower()]
         try:
             k = int(tok) - 1
         except ValueError:
             raise ValueError(f"unknown cause {tok!r}") from None
-        if not 0 <= k < len(self.causes):
-            raise ValueError(f"cause index {tok} outside registry 1..{len(self.causes)}")
+        if not 0 <= k < len(causes):
+            raise ValueError(f"cause index {tok} outside registry 1..{len(causes)}")
         return k
 
-    @staticmethod
-    def deaths(tok: str) -> int:
-        """The count, or -1 for an empty (MISSING) field."""
-        if tok == "":
-            return -1
-        try:
-            count = int(tok)
-        except ValueError:
-            raise ValueError(f"deaths must be an integer or empty, got {tok!r}") from None
-        if count < 0:
-            raise ValueError(f"negative death count {count}")
-        return count
-
-    def row(self, fields: list[str]) -> tuple[int, int, int, int, int]:
-        """(gender, bucket, year, cause, count or -1), checked in field order
-        except that the year is converted before the bucket is range-checked."""
-        if len(fields) != 5:
-            raise ValueError(f"expected 5 fields, got {len(fields)}")
-        g_tok, bucket_tok, year_tok, cause_tok, deaths_tok = (f.strip() for f in fields)
-        gi = self.gender(g_tok)
-        bucket, year = int(bucket_tok), int(year_tok)
-        return gi, self.bucket(bucket), year, self.cause(cause_tok), self.deaths(deaths_tok)
-
-    def duplicate(self, fields: list[str], row: tuple) -> str:
-        return f"duplicate entry for ({fields[0].strip()},{row[1]},{row[2]},{self.causes[row[3]]})"
+    return TableFormat(
+        5, _five_fields,
+        tuple((f, str.strip) for f in range(5))
+        + ((0, _cod_gender), (1, int), (2, int), (1, _cod_bucket), (3, cause), (4, _cod_deaths)),
+        4, lambda f, v: f"duplicate entry for ({f[0].strip()},{v[1]},{v[2]},{causes[v[3]]})",
+        "no data rows found", ParseError,
+    )
 
 
-def _map_distinct(convert, tokens) -> np.ndarray:
-    """convert(token.strip()) for every token, computed once per distinct token."""
-    value_of = {tok: convert(tok.strip()) for tok in set(tokens)}
-    return np.fromiter(map(value_of.__getitem__, tokens), np.int64, len(tokens))
-
-
-def _cod_columns(text: str, fields: _CodFields):
-    """All data rows split at once into (gender, bucket, year, cause, count)
-    columns, count -1 for MISSING, or None if the text needs the csv module
-    (quotes, carriage returns, NUL) or any row is malformed or a duplicate
-    (the re-scan then reports the first such row)."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    header, *lines = text.split("\n")
-    if [h.strip() for h in header.split(",")] != _COD_HEADER:
-        return None
-    lines = [ln for ln in lines if ln.strip()]  # the csv module skips blank lines
-    if not lines or set(map(str.count, lines, repeat(","))) != {4}:
-        return None
-    tokens = ",".join(lines).split(",")
-    g_tok, bucket_tok, year_tok, cause_tok, deaths_tok = (tokens[i::5] for i in range(5))
+def _csv_rows(text: str) -> tuple[list[list[str]], ParseError | None]:
+    """The rows of the csv module's reading of text, blank rows included, up
+    to a row it cannot split, and the error naming that row."""
+    rows: list[list[str]] = []
     try:
-        columns = (
-            _map_distinct(fields.gender, g_tok),
-            _map_distinct(lambda t: fields.bucket(int(t)), bucket_tok),
-            _map_distinct(int, year_tok),
-            _map_distinct(fields.cause, cause_tok),
-            _map_distinct(fields.deaths, deaths_tok),
-        )
-    except (ValueError, OverflowError):
-        return None
-    if _any_duplicate(*columns[:4]):
-        return None
-    return columns
+        rows.extend(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a field over the module's size limit
+        return rows, ParseError(str(exc), len(rows) + 1)
+    return rows, None
 
 
-def _cod_rows(text: str):
-    """(row number, fields) of every non-blank csv row after the header; the
-    header is checked when the first row is asked for."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("empty file")
-    if [h.strip() for h in header] != _COD_HEADER:
-        raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
-    for ln_no, row in enumerate(reader, start=2):
-        if row and (len(row) > 1 or row[0].strip()):
-            yield ln_no, row
+def _is_csv_data_row(row: list[str]) -> bool:
+    """Not a blank row: the csv module gives [] for an empty line."""
+    return len(row) > 1 or bool(row and row[0].strip())
 
 
 def parse_cod_csv(
@@ -427,11 +380,20 @@ def parse_cod_csv(
     bucketing: AgeBucketing | None = None,
 ) -> CauseDeathTable:
     """Parse the cause-of-death CSV into a dense table; unmentioned cells are MISSING."""
-    fields = _CodFields(tuple(causes))
-    columns = _cod_columns(text, fields)
-    if columns is None:
-        columns = scan_rows(_cod_rows(text), fields.row, 4, fields.duplicate, "no data rows found", ParseError)
-    gi, bucket, year, k, count = columns
+    # the csv module only for what a split at newlines and commas reads differently
+    if '"' in text or "\r" in text or "\0" in text:
+        rows, stop = _csv_rows(text)
+        header = rows[0] if rows else None
+        keep, fields = _is_csv_data_row, list_fields
+    else:
+        rows, stop = text.split("\n") if text else [], None
+        header = rows[0].split(",") if rows else None
+        keep, fields = str.strip, comma_fields
+    if header is None:
+        raise stop or ParseError("empty file")
+    if [h.strip() for h in header] != _COD_HEADER:
+        raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
+    gi, bucket, year, k, count = _cod_format(tuple(causes)).read(*kept_rows(rows[1:], keep, 2), fields, stop)
     n_buckets = int(bucket.max())
     year_min, year_max = int(year.min()), int(year.max())
     shape = (len(GENDERS), n_buckets, year_max - year_min + 1, len(causes))

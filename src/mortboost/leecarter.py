@@ -25,7 +25,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, comma_rows, gender_index, scan_rows
+from .grids import (
+    GENDERS,
+    FeatureSpace,
+    MortalityTable,
+    RateSurface,
+    TableFormat,
+    four_fields,
+    gender_index,
+    kept_rows,
+)
 
 _MAX_HALVINGS = 30
 
@@ -336,24 +345,20 @@ def write_params_csv(per_gender: dict, kinds: tuple[str, ...]) -> str:
 
 def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) -> dict:
     """Inverse of write_params_csv; `make` builds one gender's parameter object
-    (LCParams, RHParams) from keyword fields. grids.scan_rows reads the rows
-    and names the first bad one; a row's value is converted first, then its
-    index, then its gender."""
+    (LCParams, RHParams) from keyword fields. A malformed or repeated row is
+    named by its line; a row's value is converted first, then its index, then
+    its gender."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ValueError(f"expected header {_CSV_HEADER}")
     # kind label -> code: a numpy string column would drop a label's trailing NULs
     codes: dict[str, int] = {}
-
-    def row(fields):
-        g, kind, idx, val = fields
-        value, i = float(val), int(idx)
-        return gender_index(g), codes.setdefault(kind, len(codes)), i, value
-
-    gi, code, index, value = scan_rows(
-        comma_rows(lines), row, 3, lambda f, v: f"duplicate {f[0]} {f[1]} row for index {v[2]}",
-        "no parameter rows after the header",
+    params = TableFormat(
+        4, four_fields,
+        ((3, float), (2, int), (0, gender_index), (1, lambda kind: codes.setdefault(kind, len(codes)))),
+        3, lambda f, v: f"duplicate {f[0]} {f[1]} row for index {v[2]}", "no parameter rows after the header",
     )
+    gi, code, index, value = params.read(*kept_rows(lines[1:], str.strip, 2))
     labels = list(codes)
     out = {}
     for gc in dict.fromkeys(gi.tolist()):  # genders in order of first appearance

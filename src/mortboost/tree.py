@@ -269,10 +269,6 @@ class PoissonTree:
         return [n for n in self.nodes() if n.is_leaf]
 
     @property
-    def n_leaves(self) -> int:
-        return len(self.leaves())
-
-    @property
     def n_splits(self) -> int:
         return sum(1 for n in self.nodes() if not n.is_leaf)
 
@@ -328,10 +324,6 @@ class PoissonTree:
         if return_flags:
             return out, flags
         return out
-
-    def predict_one(self, ordered_values, cause_code: int | None = None) -> float:
-        cause = None if cause_code is None else np.array([cause_code])
-        return float(self.predict(np.asarray(ordered_values, dtype=np.float64)[None, :], cause)[0])
 
     # --- text serialization -------------------------------------------------
 

@@ -89,8 +89,23 @@ def write_hmd_1x1(grid, title=None):
 # --- cause-of-death CSV ----------------------------------------------------
 
 
-def parse_cod_csv(text, causes=DEFAULT_CAUSES):
+def _csv_rows(text):
+    """The rows of csv.reader; a row it cannot split raises ParseError."""
     reader = csv.reader(io.StringIO(text))
+    ln_no = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), ln_no) from None
+        yield row
+        ln_no += 1
+
+
+def parse_cod_csv(text, causes=DEFAULT_CAUSES):
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -451,6 +451,20 @@ class TestErrorPaths:
             assert main(argv) == 3, argv
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_cod_field_over_the_csv_limit_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        lines = (sim_dir / "cod.csv").read_text().splitlines()
+        g, b, t, k, _ = lines[2].split(",")
+        lines[2] = f'{g},{b},{t},{k},"{"1" * 140_000}"'  # quoted: read by the csv module
+        cod = tmp_path / "cod.csv"
+        cod.write_text("\n".join(lines) + "\n")
+        code = main(["cod", "--cod", str(cod), "--qfit", str(lc_fit_dir / "qfit.csv"),
+                     "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3",
+                     "--buckets", "0-4;5-9", "--out", str(tmp_path / "c")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: --cod {cod}: line 3: field larger than field limit (131072)\n"
+        )
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "lc"])  # missing required flags

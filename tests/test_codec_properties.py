@@ -3,12 +3,14 @@ the HMD 1x1 table, the cause-of-death CSV and the tree text.
 
 Every valid object round-trips unchanged through write and read; truncated
 or mutated text gives either a result or ValueError, never another exception.
-The rate CSV, HMD and cause-of-death parsers read all rows at once and fall
-back to the shared row-by-row re-scan (grids.scan_rows) when that fails; the
-parameter CSV has only the re-scan. Each parser and its per-row reference
-parser must agree on every text: the same result, or the same error text.
-Whenever an array path accepts a text, the re-scan gives the same columns.
+The rate CSV, parameter CSV, HMD and cause-of-death parsers each read a text
+once through the shared column reader (grids.TableFormat). Each parser and
+its per-row reference parser must agree on every text: the same result, or
+the same exception type with the same text, which pins each table's check
+order within a row.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +20,7 @@ from hypothesis import strategies as st
 import reference_io as ref
 from conftest import random_working_data
 from mortboost import DEFAULT_CAUSES, FeatureSpace, PoissonTree, RateSurface, TreeConfig, grow_tree, hmd
-from mortboost import grids
-from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv, scan_rows
+from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv
 from mortboost.leecarter import (
     _KIND_AXIS,
     LC_KINDS,
@@ -106,12 +107,12 @@ def reads_or_rejects(reader, text: str) -> None:
         pass
 
 
-def assert_same_params(back, fits, kinds):
-    assert list(back) == list(fits)
-    for g, p in fits.items():
-        assert (back[g].age_min, back[g].year_min) == (p.age_min, p.year_min)
-        for kind in kinds:
-            assert same_bits(getattr(back[g], kind), getattr(p, kind)), kind
+def same_params(back, fits, kinds) -> bool:
+    return list(back) == list(fits) and all(
+        (back[g].age_min, back[g].year_min) == (p.age_min, p.year_min)
+        and all(same_bits(getattr(back[g], kind), getattr(p, kind)) for kind in kinds)
+        for g, p in fits.items()
+    )
 
 
 def same_bits(a, b) -> bool:
@@ -130,30 +131,30 @@ def outcome(parse, text):
         return (type(exc), str(exc))
 
 
-def same_columns(a, b) -> bool:
-    return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
-
-
-def unreachable(fields, values):
-    raise AssertionError(f"the array path accepted a repeated row {fields}")
-
-
-def rescan(rows, convert, n_key: int):
-    """The columns of the shared re-scan of a text that an array path accepted."""
-    return scan_rows(rows, convert, n_key, unreachable, "the array path accepted a text without rows")
-
-
-def check_rate_paths(text: str) -> None:
-    got = outcome(rate_surface_from_csv, text)
-    want = outcome(ref.rate_surface_from_csv, text)
+def check_same(read, oracle, same, text: str) -> None:
+    """The package reader and its per-row oracle give results that same()
+    finds equal, or raise the same exception type with the same text."""
+    got, want = outcome(read, text), outcome(oracle, text)
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert got.space == want.space and same_bits(got.rate, want.rate)
-    lines = text.splitlines()
-    columns = grids._rate_columns(lines)
-    if columns is not None:  # the array path accepted: the re-scan agrees
-        assert same_columns(columns, rescan(grids.comma_rows(lines), grids._rate_row, 3))
+        assert same(got, want)
+
+
+def same_rate(a: RateSurface, b: RateSurface) -> bool:
+    return a.space == b.space and same_bits(a.rate, b.rate)
+
+
+RATE = (rate_surface_from_csv, ref.rate_surface_from_csv, same_rate)
+
+
+def params_readers(make, kinds):
+    """read_params_csv for one model, its oracle and their comparison."""
+    return (
+        partial(read_params_csv, kinds=kinds, make=make, rate_floor=1e-8),
+        partial(ref.read_params_csv, kinds=kinds, make=make, rate_floor=1e-8),
+        partial(same_params, kinds=kinds),
+    )
 
 
 RATE_HEAD = "gender,age,year,rate\n"
@@ -180,7 +181,7 @@ class TestRateCsv:
         ],
     )
     def test_examples_same_grid_or_same_error(self, rows):
-        check_rate_paths(RATE_HEAD + rows)
+        check_same(*RATE, RATE_HEAD + rows)
 
     @given(rate_surfaces())
     @settings(max_examples=100, deadline=None)
@@ -189,28 +190,18 @@ class TestRateCsv:
         back = rate_surface_from_csv(text)
         assert back.space == q.space
         assert np.array_equal(back.rate, q.rate)
-        assert grids._rate_columns(text.splitlines()) is not None
 
     @given(rate_surfaces(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_damaged_text_reads_or_raises_value_error(self, q, data):
-        check_rate_paths(damage(data, rate_surface_to_csv(q)))
+        check_same(*RATE, damage(data, rate_surface_to_csv(q)))
 
     @given(rate_surfaces(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_duplicated_line(self, q, data):
         lines = rate_surface_to_csv(q).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
-        check_rate_paths("".join(lines[: i + 1] + lines[i:]))
-
-
-def check_params_paths(text: str, make, kinds) -> None:
-    got = outcome(lambda t: read_params_csv(t, kinds, make, 1e-8), text)
-    want = outcome(lambda t: ref.read_params_csv(t, kinds, make, 1e-8), text)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert_same_params(got, want, kinds)
+        check_same(*RATE, "".join(lines[: i + 1] + lines[i:]))
 
 
 PARAMS_HEAD = "gender,kind,index,value\n"
@@ -227,6 +218,7 @@ class TestParamsCsv:
             "Female,beta0,0,-5.0\n",
             "foo,beta0,x,-5.0\n",
             "foo,beta0,0,y\n",
+            "female,beta0,x,y\n",
             "female,beta0,0\n",
             "female,beta0,0,-5.0,1\n",
             LC_ROWS + "female,beta0,0,-9.0\n",
@@ -241,27 +233,27 @@ class TestParamsCsv:
         ],
     )
     def test_examples_same_params_or_same_error(self, rows):
-        check_params_paths(PARAMS_HEAD + rows, LCParams, LC_KINDS)
+        check_same(*params_readers(LCParams, LC_KINDS), PARAMS_HEAD + rows)
 
     @given(param_sets(LCParams, LC_KINDS))
     @settings(max_examples=100, deadline=None)
     def test_lc_round_trip(self, fits):
-        assert_same_params(params_from_csv(params_to_csv(fits)), fits, LC_KINDS)
+        assert same_params(params_from_csv(params_to_csv(fits)), fits, LC_KINDS)
 
     @given(param_sets(RHParams, RH_KINDS))
     @settings(max_examples=100, deadline=None)
     def test_rh_round_trip(self, fits):
-        assert_same_params(rh_params_from_csv(rh_params_to_csv(fits)), fits, RH_KINDS)
+        assert same_params(rh_params_from_csv(rh_params_to_csv(fits)), fits, RH_KINDS)
 
     @given(param_sets(LCParams, LC_KINDS), st.data())
     @settings(max_examples=300, deadline=None)
     def test_lc_damaged_text_reads_or_raises_value_error(self, fits, data):
-        check_params_paths(damage(data, params_to_csv(fits)), LCParams, LC_KINDS)
+        check_same(*params_readers(LCParams, LC_KINDS), damage(data, params_to_csv(fits)))
 
     @given(param_sets(RHParams, RH_KINDS), st.data())
     @settings(max_examples=300, deadline=None)
     def test_rh_damaged_text_reads_or_raises_value_error(self, fits, data):
-        check_params_paths(damage(data, rh_params_to_csv(fits)), RHParams, RH_KINDS)
+        check_same(*params_readers(RHParams, RH_KINDS), damage(data, rh_params_to_csv(fits)))
 
 
 # --- HMD 1x1 and cause-of-death CSV ----------------------------------------
@@ -333,37 +325,12 @@ def same_cod(a: hmd.CauseDeathTable, b: hmd.CauseDeathTable) -> bool:
     )
 
 
-def hmd_rescan(text: str):
-    return rescan(hmd._hmd_data_rows(text), hmd._hmd_row, 2)
+HMD = (partial(hmd.parse_hmd_1x1, kind="deaths"), partial(ref.parse_hmd_1x1, kind="deaths"), same_hmd)
 
 
-def cod_rescan(text: str, fields):
-    return rescan(hmd._cod_rows(text), fields.row, 4)
-
-
-def check_hmd_paths(text: str) -> None:
-    got = outcome(lambda t: hmd.parse_hmd_1x1(t, "deaths"), text)
-    want = outcome(lambda t: ref.parse_hmd_1x1(t, "deaths"), text)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert same_hmd(got, want)
-    columns = hmd._hmd_columns(text)
-    if columns is not None:  # the array path accepted: the re-scan agrees
-        assert same_columns(columns, hmd_rescan(text))
-
-
-def check_cod_paths(text: str, causes) -> None:
-    got = outcome(lambda t: hmd.parse_cod_csv(t, causes), text)
-    want = outcome(lambda t: ref.parse_cod_csv(t, causes), text)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert same_cod(got, want)
-    fields = hmd._CodFields(causes)
-    columns = hmd._cod_columns(text, fields)
-    if columns is not None:
-        assert same_columns(columns, cod_rescan(text, fields))
+def cod_readers(causes):
+    """parse_cod_csv for one cause registry, its oracle and their comparison."""
+    return partial(hmd.parse_cod_csv, causes=causes), partial(ref.parse_cod_csv, causes=causes), same_cod
 
 
 HMD_HEAD = "title\n\n  Year  Age  Female  Male  Total\n"
@@ -381,13 +348,14 @@ class TestHmd1x1:
             "2000  0  1.0  2.0  3.0\n2000  0  1.0  2.0  3.0\n",
             "2000  0  1.0  2.0\n2001  0  1.0  2.0  3.0  4.0\n",
             "2000  +  1.0  2.0  3.0\n",
+            "2000  0  -1.0  x  3.0\n",
             "2000  0  1.0  nan  inf\n",
             "99999999999999999999  0  1.0  2.0  3.0\n",
             "",
         ],
     )
     def test_examples_same_grid_or_same_error(self, rows):
-        check_hmd_paths(HMD_HEAD + rows)
+        check_same(*HMD, HMD_HEAD + rows)
 
     @given(hmd_grids())
     @settings(max_examples=100, deadline=None)
@@ -397,25 +365,17 @@ class TestHmd1x1:
         assert same_hmd(back, grid)
         assert hmd.write_hmd_1x1(back) == text
 
-    @given(hmd_grids())
-    @settings(max_examples=100, deadline=None)
-    def test_array_path_takes_valid_text(self, grid):
-        text = hmd.write_hmd_1x1(grid)
-        columns = hmd._hmd_columns(text)
-        assert columns is not None
-        assert same_columns(columns, hmd_rescan(text))
-
     @given(hmd_grids(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_damaged_text_same_grid_or_same_error(self, grid, data):
-        check_hmd_paths(damage(data, hmd.write_hmd_1x1(grid)))
+        check_same(*HMD, damage(data, hmd.write_hmd_1x1(grid)))
 
     @given(hmd_grids(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_duplicated_line(self, grid, data):
         lines = hmd.write_hmd_1x1(grid).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
-        check_hmd_paths("".join(lines[: i + 1] + lines[i:]))
+        check_same(*HMD, "".join(lines[: i + 1] + lines[i:]))
 
 
 class TestCodCsv:
@@ -432,14 +392,17 @@ class TestCodCsv:
             " Male , 2 , 2000 , DEMENTIA , 7 \n",
             "male,1,2000,1,5\nmale,1,2000,1,6\n",
             "male,0,2000,1,5\n",
+            "male,0,x,1,5\n",
             "male,1,2000,13,5\n",
             "male,1,2000,1,-5\n",
             "male,1,2000,1\n",
             ",,,,\n",
+            "male,0,2000,1,5\nmale,\r1,2000,1,5\n",
+            pytest.param('male,1,2000,1,"' + "1" * 140_000 + '"\n', id="field-over-the-csv-limit"),
         ],
     )
     def test_examples_same_table_or_same_error(self, rows):
-        check_cod_paths(COD_HEAD + rows, DEFAULT_CAUSES)
+        check_same(*cod_readers(DEFAULT_CAUSES), COD_HEAD + rows)
 
     @given(cause_tables())
     @settings(max_examples=100, deadline=None)
@@ -449,29 +412,20 @@ class TestCodCsv:
         assert same_cod(back, table)
         assert hmd.write_cod_csv(back) == text
 
-    @given(cause_tables())
-    @settings(max_examples=100, deadline=None)
-    def test_array_path_takes_valid_text(self, table):
-        text = hmd.write_cod_csv(table)
-        fields = hmd._CodFields(table.causes)
-        columns = hmd._cod_columns(text, fields)
-        assert columns is not None
-        assert same_columns(columns, cod_rescan(text, fields))
-
     @given(cause_tables(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_damaged_text_same_table_or_same_error(self, table, data):
         text = hmd.write_cod_csv(table)
         if data.draw(st.booleans()):
             text = with_labels(text, table.causes)
-        check_cod_paths(damage(data, text), table.causes)
+        check_same(*cod_readers(table.causes), damage(data, text))
 
     @given(cause_tables(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_duplicated_line(self, table, data):
         lines = hmd.write_cod_csv(table).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
-        check_cod_paths("".join(lines[: i + 1] + lines[i:]), table.causes)
+        check_same(*cod_readers(table.causes), "".join(lines[: i + 1] + lines[i:]))
 
 
 # --- tree text -------------------------------------------------------------

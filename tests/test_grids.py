@@ -10,7 +10,6 @@ from mortboost import (
     RateSurface,
     aggregate_rates,
     crude_rates,
-    extend_feature,
 )
 from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv
 
@@ -46,31 +45,6 @@ class TestFeatureSpace:
             ("female", 0, 2000), ("female", 0, 2001), ("female", 1, 2000), ("female", 1, 2001),
             ("male", 0, 2000), ("male", 0, 2001), ("male", 1, 2000), ("male", 1, 2001),
         ]
-
-
-class TestExtendFeature:
-    def test_examples(self):
-        sp = FeatureSpace(0, 97, 1876, 2014)
-        assert extend_feature("male", 30, 1950, sp).cohort == 1920
-        assert extend_feature("female", 0, 1876, sp).cohort == 1876
-        assert extend_feature("male", 97, 2014, sp).cohort == 1917
-
-    def test_outside_space_rejected(self):
-        sp = small_space()
-        with pytest.raises(ValueError):
-            extend_feature("male", 5, 2000, sp)
-        with pytest.raises(ValueError):
-            extend_feature("female", 0, 1999, sp)
-
-    def test_round_trip_is_a_bijection(self):
-        sp = small_space()
-        seen = set()
-        for g, a, t in sp.iter_features():
-            x = extend_feature(g, a, t, sp)
-            assert (x.gender, x.age, x.year) == (g, a, t)
-            assert x.cohort == t - a
-            seen.add((x.gender, x.age, x.year, x.cohort))
-        assert len(seen) == sp.size
 
 
 class TestMortalityTable:

@@ -224,8 +224,7 @@ class TestPredict:
         tree = grow_tree(data, TreeConfig(cp=0.0, min_bucket=1, max_depth=1))
         assert tree.root.rule.feature == "year"
         assert tree.root.rule.threshold == 1917.5
-        assert tree.predict_one([1918.0]) == pytest.approx(1.4)
-        assert tree.predict_one([1916.0]) == pytest.approx(0.9)
+        assert tree.predict(np.array([[1918.0], [1916.0]])) == pytest.approx([1.4, 0.9])
 
     def test_training_points_get_their_leaf_mu(self, rng):
         data = random_working_data(rng, n_ordered=2, with_cause=True, max_points=30)
