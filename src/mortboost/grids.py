@@ -11,7 +11,7 @@ if some row is malformed, names the first such row.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -292,12 +292,12 @@ def list_fields(rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
     return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.intp, len(rows))
 
 
-def kept_rows(rows: list, keep, first_line: int) -> tuple[list, Callable[[int], int]]:
+def kept_rows(rows: list, keep, lines: Sequence[int]) -> tuple[list, Callable[[int], int]]:
     """The rows that keep() accepts, and the line number of the k-th of them
-    (counted only when asked for) when rows[0] is line first_line."""
+    (counted only when asked for) when rows[i] starts on line lines[i]."""
 
     def line_of(k: int) -> int:
-        return next(islice((ln for ln, row in enumerate(rows, first_line) if keep(row)), k, None))
+        return next(islice((ln for ln, row in zip(lines, rows) if keep(row)), k, None))
 
     return list(filter(keep, rows)), line_of
 
@@ -423,7 +423,9 @@ def rate_surface_from_csv(text: str) -> RateSurface:
     lines = text.splitlines()
     if not lines or lines[0].strip() != _RATE_HEADER:
         raise ValueError(f"expected header {_RATE_HEADER}")
-    gi, ages, years, values = _RATE_FORMAT.read(*kept_rows(lines[1:], str.strip, 2))
+    gi, ages, years, values = _RATE_FORMAT.read(
+        *kept_rows(lines[1:], str.strip, range(2, len(lines) + 1))
+    )
     space = FeatureSpace(int(ages.min()), int(ages.max()), int(years.min()), int(years.max()))
     if gi.size != space.size:
         raise ValueError(f"rate grid is not dense: {gi.size} rows for a {space.size}-cell space")

@@ -142,8 +142,8 @@ def parse_hmd_1x1(text: str, kind: str) -> HmdGrid:
     """Parse an HMD 1x1 deaths or exposures file into dense per-gender grids."""
     if kind not in ("deaths", "exposures"):
         raise ValueError(f"kind must be 'deaths' or 'exposures', got {kind!r}")
-    # past the two-line header
-    rows, line_of = kept_rows(list(map(str.split, text.splitlines()[2:])), _is_data_row, 3)
+    rows = list(map(str.split, text.splitlines()[2:]))  # past the two-line header
+    rows, line_of = kept_rows(rows, _is_data_row, range(3, len(rows) + 3))
     years, ages, *values = _HMD_FORMAT.read(rows, line_of, list_fields)
     is_open = np.fromiter((row[1].endswith("+") for row in rows), bool, len(rows))
     # dense grids from the distinct (age, year) rows; cells without a row are NaN
@@ -358,15 +358,22 @@ def _cod_format(causes: tuple[str, ...]) -> TableFormat:
     )
 
 
-def _csv_rows(text: str) -> tuple[list[list[str]], ParseError | None]:
+def _csv_rows(text: str) -> tuple[list[list[str]], list[int], ParseError | None]:
     """The rows of the csv module's reading of text, blank rows included, up
-    to a row it cannot split, and the error naming that row."""
+    to a row it cannot split; the line each row starts on (a quoted field
+    may hold newlines); and the error naming the row it cannot split."""
+    reader = csv.reader(io.StringIO(text))
     rows: list[list[str]] = []
+    lines: list[int] = []
+    start = 1
     try:
-        rows.extend(csv.reader(io.StringIO(text)))
+        for row in reader:
+            rows.append(row)
+            lines.append(start)
+            start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over the module's size limit
-        return rows, ParseError(str(exc), len(rows) + 1)
-    return rows, None
+        return rows, lines, ParseError(str(exc), start)
+    return rows, lines, None
 
 
 def _is_csv_data_row(row: list[str]) -> bool:
@@ -382,18 +389,19 @@ def parse_cod_csv(
     """Parse the cause-of-death CSV into a dense table; unmentioned cells are MISSING."""
     # the csv module only for what a split at newlines and commas reads differently
     if '"' in text or "\r" in text or "\0" in text:
-        rows, stop = _csv_rows(text)
+        rows, lines, stop = _csv_rows(text)
         header = rows[0] if rows else None
         keep, fields = _is_csv_data_row, list_fields
     else:
         rows, stop = text.split("\n") if text else [], None
+        lines = range(1, len(rows) + 1)
         header = rows[0].split(",") if rows else None
         keep, fields = str.strip, comma_fields
     if header is None:
         raise stop or ParseError("empty file")
     if [h.strip() for h in header] != _COD_HEADER:
         raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
-    gi, bucket, year, k, count = _cod_format(tuple(causes)).read(*kept_rows(rows[1:], keep, 2), fields, stop)
+    gi, bucket, year, k, count = _cod_format(tuple(causes)).read(*kept_rows(rows[1:], keep, lines[1:]), fields, stop)
     n_buckets = int(bucket.max())
     year_min, year_max = int(year.min()), int(year.max())
     shape = (len(GENDERS), n_buckets, year_max - year_min + 1, len(causes))

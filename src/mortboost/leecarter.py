@@ -358,7 +358,9 @@ def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) 
         ((3, float), (2, int), (0, gender_index), (1, lambda kind: codes.setdefault(kind, len(codes)))),
         3, lambda f, v: f"duplicate {f[0]} {f[1]} row for index {v[2]}", "no parameter rows after the header",
     )
-    gi, code, index, value = params.read(*kept_rows(lines[1:], str.strip, 2))
+    gi, code, index, value = params.read(
+        *kept_rows(lines[1:], str.strip, range(2, len(lines) + 1))
+    )
     labels = list(codes)
     out = {}
     for gc in dict.fromkeys(gi.tolist()):  # genders in order of first appearance

@@ -41,13 +41,15 @@ def heatmap_svg(values, row_values, col_values, white_band: float, title: str,
         f'viewBox="0 0 {width} {height}">',
         f'<text x="{left}" y="16" font-family="sans-serif" font-size="12">{escape(title)}</text>',
     ]
-    for r in range(n_rows):
+    # one colour per distinct value: a tree's delta takes few values
+    distinct, which = np.unique(values, return_inverse=True)
+    colors = [_diverging_color(v, white_band) for v in distinct.tolist()]
+    for r, row in enumerate(which.reshape(values.shape).tolist()):
         y = top + (n_rows - 1 - r) * cell
-        for c in range(n_cols):
-            color = _diverging_color(values[r, c], white_band)
-            parts.append(
-                f'<rect x="{left + c * cell}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>'
-            )
+        parts.extend(
+            f'<rect x="{left + c * cell}" y="{y}" width="{cell}" height="{cell}" fill="{colors[k]}"/>'
+            for c, k in enumerate(row)
+        )
     row_step = max(1, n_rows // 8)
     for r in range(0, n_rows, row_step):
         y = top + (n_rows - 1 - r) * cell + cell

@@ -6,10 +6,13 @@ deviance reduction clears the cost-complexity threshold. Missing responses
 (NaN) contribute nothing to the loss but are still routed for prediction.
 
 Growth codes every feature as integer levels once per tree, an ordered
-column by its sorted distinct values and the cause by its registry codes.
-Each node runs one level scan per feature, `kernels.scan_levels`, at a cost
-of O(points + levels); it holds the float32 selection and its one tie rule.
-Earlier features win ties between features.
+column by its sorted distinct values and the cause by its registry codes,
+and grows one depth at a time. The frontier of a depth is every node that
+may still split. Each ordered feature scans the whole frontier in one call,
+`kernels.best_cut`; the cause scans node by node, `kernels.scan_levels` in
+rate order. Both select at float32 with one tie rule, and earlier features
+win ties between features. A node's split depends only on its own points,
+so the tree is the one that depth-first growth, node by node, would give.
 """
 
 from __future__ import annotations
@@ -187,25 +190,43 @@ def _scan_cause(codes, slog, deaths, volume, n_codes, min_bucket):
     return kernels.scan_levels(codes, slog, deaths, volume, n_codes, min_bucket, by_rate=True)
 
 
-def _best_split(features, idx_obs, slog, deaths, volume, min_bucket: int):
-    """Best split of a node's observed points over all features, as
-    (rule, reduction, right_codes), or None. Selection is at float32, and
-    earlier features win ties."""
-    s, D, d = slog[idx_obs], deaths[idx_obs], volume[idx_obs]
-    best = None
+def _best_split(features, node_obs, slog, deaths, volume, min_bucket: int):
+    """Best split of each node of a frontier over all features, as
+    (rule, reduction, right_codes) or None. node_obs holds each node's
+    observed points in ascending order. Each ordered feature scans the whole
+    frontier in one call; the cause scans node by node. Selection is at
+    float32, and earlier features win ties."""
+    n_nodes = len(node_obs)
+    points = np.concatenate(node_obs)
+    s, D, d = slog[points], deaths[points], volume[points]
+    node_of = np.repeat(np.arange(n_nodes), [idx.size for idx in node_obs])
+    best = [None] * n_nodes
+    best32 = np.full(n_nodes, -np.inf, dtype=np.float32)
     for name, codes, n_levels, values in features:
-        scan = _scan_cause if values is None else kernels.best_cut
-        hit = scan(codes[idx_obs], s, D, d, n_levels, min_bucket)
-        if hit is not None and (best is None or np.float32(hit[2]) > np.float32(best[2])):
-            best, best_feature = hit, (name, values)
-    if best is None:
-        return None
-    (order, cut, reduction), (name, values) = best, best_feature
-    if values is None:
-        left, right = sorted(order[: cut + 1].tolist()), sorted(order[cut + 1:].tolist())
-        return SplitRule(name, left_codes=tuple(left)), reduction, tuple(right)
-    threshold = (values[order[cut]] + values[order[cut + 1]]) / 2.0
-    return SplitRule(name, threshold=float(threshold)), reduction, ()
+        if values is None:
+            hits = [
+                _scan_cause(codes[idx], slog[idx], deaths[idx], volume[idx], n_levels, min_bucket)
+                for idx in node_obs
+            ]
+            red = np.array([-np.inf if hit is None else hit[2] for hit in hits])
+        else:
+            left, right, red = kernels.best_cut(
+                codes[points], node_of, n_nodes, s, D, d, n_levels, min_bucket
+            )
+        red32 = red.astype(np.float32)
+        better = np.flatnonzero(red32 > best32)
+        best32[better] = red32[better]
+        for k in better:
+            if values is None:
+                order, cut, reduction = hits[k]
+                left_codes, right_codes = (
+                    tuple(sorted(side.tolist())) for side in (order[: cut + 1], order[cut + 1:])
+                )
+                best[k] = SplitRule(name, left_codes=left_codes), reduction, right_codes
+            else:
+                threshold = (values[left[k]] + values[right[k]]) / 2.0
+                best[k] = SplitRule(name, threshold=float(threshold)), float(red[k]), ()
+    return best
 
 
 def best_split(data: WorkingData, feature: str, min_bucket: int = 1) -> tuple[SplitRule, float] | None:
@@ -215,7 +236,7 @@ def best_split(data: WorkingData, feature: str, min_bucket: int = 1) -> tuple[Sp
         raise ValueError(f"unknown feature {feature!r}")
     obs = np.flatnonzero(~np.isnan(data.deaths))
     slog = _slog_terms(data.deaths, data.volume)
-    found = _best_split(features, obs, slog, data.deaths, data.volume, min_bucket)
+    found = _best_split(features, [obs], slog, data.deaths, data.volume, min_bucket)[0]
     return None if found is None else found[:2]
 
 
@@ -419,8 +440,10 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
     """Grow the SBS Poisson tree: accept a node's best split while its
     deviance reduction clears max(cp * root deviance, noise floor).
 
-    Every feature is coded as levels once, and each node's split comes from
-    one level scan per feature (`kernels.scan_levels`)."""
+    Every feature is coded as levels once, and the tree grows one depth at a
+    time: each depth's splits come from one frontier selection
+    (`_best_split`) over the nodes with at least 2 * min_bucket observed
+    points."""
     if data.n == 0:
         raise ValueError("empty working data")
     obs_mask = ~np.isnan(data.deaths)
@@ -434,25 +457,28 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
     threshold = max(cfg.cp * root.deviance, _NOISE_FLOOR * (root.deviance + 1.0))
     threshold32 = np.float32(threshold)
 
-    # depth first, left child first: (node, its points, its observed points, depth)
-    stack = [(root, np.arange(data.n), root_obs, 0)]
-    while stack:
-        node, idx, idx_obs, depth = stack.pop()
-        if depth >= cfg.max_depth or idx_obs.size < 2 * cfg.min_bucket:
-            continue
-        found = _best_split(features, idx_obs, slog, data.deaths, data.volume, cfg.min_bucket)
-        if found is None or found[1] <= 0.0 or np.float32(found[1]) < threshold32:
-            continue
-        node.rule, node.reduction, node.right_codes = found
-        if node.rule.is_categorical:
-            go_left = np.isin(data.cause[idx], node.rule.left_codes)
-        else:
-            col = data.ordered_names.index(node.rule.feature)
-            go_left = data.ordered[idx, col] <= node.rule.threshold
+    # (node, its points, its observed points) for the nodes of one depth
+    frontier = [(root, np.arange(data.n), root_obs)]
+    for _ in range(cfg.max_depth):
+        frontier = [f for f in frontier if f[2].size >= 2 * cfg.min_bucket]
+        if not frontier:
+            break
+        found = _best_split(
+            features, [f[2] for f in frontier], slog, data.deaths, data.volume, cfg.min_bucket
+        )
         children = []
-        for side in (idx[go_left], idx[~go_left]):
-            side_obs = side[obs_mask[side]]
-            children.append((_node(side_obs, data.deaths, data.volume, slog), side, side_obs, depth + 1))
-        node.left, node.right = children[0][0], children[1][0]
-        stack += reversed(children)
+        for (node, idx, _), hit in zip(frontier, found):
+            if hit is None or hit[1] <= 0.0 or np.float32(hit[1]) < threshold32:
+                continue
+            node.rule, node.reduction, node.right_codes = hit
+            if node.rule.is_categorical:
+                go_left = np.isin(data.cause[idx], node.rule.left_codes)
+            else:
+                col = data.ordered_names.index(node.rule.feature)
+                go_left = data.ordered[idx, col] <= node.rule.threshold
+            for side in (idx[go_left], idx[~go_left]):
+                side_obs = side[obs_mask[side]]
+                children.append((_node(side_obs, data.deaths, data.volume, slog), side, side_obs))
+            node.left, node.right = children[-2][0], children[-1][0]
+        frontier = children
     return PoissonTree(root, data.ordered_names, data.cause_labels, root.deviance, cfg)

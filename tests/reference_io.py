@@ -1,6 +1,6 @@
-"""Per-row reference implementations of the text parsers, writers, smoothing
-and SVG panels, kept as the oracles that the array versions in the package
-must match byte for byte (writers, panels), bit for bit (smoothing), or
+"""Per-row reference implementations of the text parsers, writers, smoothing,
+SVG panels and heatmap, kept as the oracles that the array versions in the
+package must match byte for byte (writers, SVG), bit for bit (smoothing), or
 result for result and error text for error text (parsers).
 
 Each reads or formats one row, cell or point at a time, as the package did
@@ -15,7 +15,7 @@ import numpy as np
 
 from mortboost.grids import GENDERS, FeatureSpace, RateSurface, gender_index
 from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, HmdGrid, ParseError
-from mortboost.svgplot import _PALETTE
+from mortboost.svgplot import _PALETTE, _diverging_color
 
 # --- HMD 1x1 ---------------------------------------------------------------
 
@@ -90,7 +90,8 @@ def write_hmd_1x1(grid, title=None):
 
 
 def _csv_rows(text):
-    """The rows of csv.reader; a row it cannot split raises ParseError."""
+    """(the line it starts on, row) for each row of csv.reader; a row it
+    cannot split raises ParseError."""
     reader = csv.reader(io.StringIO(text))
     ln_no = 1
     while True:
@@ -100,21 +101,21 @@ def _csv_rows(text):
             return
         except csv.Error as exc:
             raise ParseError(str(exc), ln_no) from None
-        yield row
-        ln_no += 1
+        yield ln_no, row
+        ln_no = reader.line_num + 1
 
 
 def parse_cod_csv(text, causes=DEFAULT_CAUSES):
     reader = _csv_rows(text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ParseError("empty file") from None
     if [h.strip() for h in header] != ["gender", "age_group", "year", "cause", "deaths"]:
         raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
     label_of = {c.lower(): k for k, c in enumerate(causes)}
     rows = {}
-    for ln_no, row in enumerate(reader, start=2):
+    for ln_no, row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 5:
@@ -423,6 +424,43 @@ def panels_svg(panels, ncol=3, panel_w=260, panel_h=170):
         parts.extend(
             _panel(p["x"], p.get("series", []), p.get("dots"), p["title"], x0, y0,
                    panel_w, panel_h, p.get("y_log", False))
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# --- SVG heatmap -----------------------------------------------------------
+
+
+def heatmap_svg(values, row_values, col_values, white_band, title, cell=5):
+    values = np.asarray(values, dtype=np.float64)
+    n_rows, n_cols = values.shape
+    left, top, bottom = 50, 28, 30
+    width = left + n_cols * cell + 10
+    height = top + n_rows * cell + bottom
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<text x="{left}" y="16" font-family="sans-serif" font-size="12">{escape(title)}</text>',
+    ]
+    for r in range(n_rows):
+        y = top + (n_rows - 1 - r) * cell
+        for c in range(n_cols):
+            color = _diverging_color(values[r, c], white_band)
+            parts.append(
+                f'<rect x="{left + c * cell}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>'
+            )
+    row_step = max(1, n_rows // 8)
+    for r in range(0, n_rows, row_step):
+        y = top + (n_rows - 1 - r) * cell + cell
+        parts.append(
+            f'<text x="4" y="{y}" font-family="sans-serif" font-size="9">{row_values[r]}</text>'
+        )
+    col_step = max(1, n_cols // 8)
+    for c in range(0, n_cols, col_step):
+        parts.append(
+            f'<text x="{left + c * cell}" y="{height - 10}" font-family="sans-serif" '
+            f'font-size="9">{col_values[c]}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,6 +10,7 @@ the same exception type with the same text, which pins each table's check
 order within a row.
 """
 
+import re
 from functools import partial
 
 import numpy as np
@@ -398,11 +399,31 @@ class TestCodCsv:
             "male,1,2000,1\n",
             ",,,,\n",
             "male,0,2000,1,5\nmale,\r1,2000,1,5\n",
+            '"female",1,2000,"1","5\n"\nmale,0,2000,1,5\n',
             pytest.param('male,1,2000,1,"' + "1" * 140_000 + '"\n', id="field-over-the-csv-limit"),
+            pytest.param(
+                '"female",1,2000,"1","5\n"\nmale,1,2000,1,"' + "1" * 140_000 + '"\n',
+                id="field-over-the-csv-limit-after-a-two-line-row",
+            ),
         ],
     )
     def test_examples_same_table_or_same_error(self, rows):
         check_same(*cod_readers(DEFAULT_CAUSES), COD_HEAD + rows)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ('"female",1,2000,"1","5\n"\nmale,0,2000,1,5\n',
+             "line 4: age_group must be a 1-based index, got 0"),
+            ('"female",1,2000,"1","5\n"\nmale,1,2000,1,"' + "1" * 140_000 + '"\n',
+             "line 4: field larger than field limit (131072)"),
+        ],
+        ids=["bad-value", "csv-error"],
+    )
+    def test_a_row_is_named_by_the_line_it_starts_on(self, rows, message):
+        # the second row spans lines 2 and 3: its quoted count holds a newline
+        with pytest.raises(hmd.ParseError, match=f"^{re.escape(message)}$"):
+            hmd.parse_cod_csv(COD_HEAD + rows)
 
     @given(cause_tables())
     @settings(max_examples=100, deadline=None)

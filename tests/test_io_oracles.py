@@ -1,4 +1,4 @@
-"""The array writers, smoothing and SVG panels against their per-row
+"""The array writers, smoothing, SVG panels and heatmap against their per-row
 references in reference_io.py: byte-identical text, bit-identical smoothing."""
 
 from types import SimpleNamespace
@@ -150,3 +150,20 @@ class TestPanels:
         assert svgplot.panels_svg(panels) == ref.panels_svg(panels)
         panels[0]["series"] = [("s", [-0.0, 0.0, 1.0])]
         assert svgplot.panels_svg(panels) == ref.panels_svg(panels)
+
+
+class TestHeatmap:
+    @pytest.mark.parametrize("white_band", [0.0, 0.05, 0.6, -0.1])
+    def test_heatmap_svg(self, white_band):
+        rng = np.random.default_rng(8)
+        # a tree's delta: few distinct values, plus the edge values
+        values = with_edges(rng.choice([-0.3, -0.05, 0.0, 0.02, 0.5, 2.0], size=(7, 11)))
+        values[3, 4:] = [np.inf, -np.inf, np.nan, -0.0, 0.05, -0.05, 0.55]
+        rows, cols = np.arange(7), np.arange(1990, 2001)
+        assert svgplot.heatmap_svg(values, rows, cols, white_band, "delta <&>") == ref.heatmap_svg(
+            values, rows, cols, white_band, "delta <&>"
+        )
+        continuous = rng.normal(0.0, 0.3, size=(4, 5))
+        assert svgplot.heatmap_svg(continuous, rows, cols, white_band, "t", cell=3) == (
+            ref.heatmap_svg(continuous, rows, cols, white_band, "t", cell=3)
+        )

@@ -31,19 +31,93 @@ def reductions32(codes, deaths, vols, order):
     return kernels.prefix_reductions(*(np.cumsum(s) for s in sums)).astype(np.float32)
 
 
+def frontier_cut(codes, slogs, deaths, vols, n_levels, min_bucket):
+    """best_cut over a frontier of one node."""
+    codes = np.asarray(codes)
+    node_of = np.zeros(codes.size, dtype=np.intp)
+    left, right, red = kernels.best_cut(codes, node_of, 1, slogs, deaths, vols, n_levels, min_bucket)
+    return int(left[0]), int(right[0]), float(red[0])
+
+
 def test_python_scan_basics():
     codes = np.array([0, 1])
     deaths = np.array([0.0, 2.0])
     vols = np.array([1.0, 1.0])
     slogs = slog_terms(deaths, vols)
-    order, cut, red = kernels.best_cut(codes, slogs, deaths, vols, 2, 1)
-    assert order.tolist() == [0, 1] and cut == 0
+    left, right, red = frontier_cut(codes, slogs, deaths, vols, 2, 1)
+    assert (left, right) == (0, 1)
     assert red == pytest.approx(2 * (2 * np.log(2) - 1) + 2, abs=1e-12)
     # no admissible cut: a single point, a min_bucket too large, a single level
-    assert kernels.best_cut(codes[:1], slogs[:1], deaths[:1], vols[:1], 2, 1) is None
-    assert kernels.best_cut(codes, slogs, deaths, vols, 2, 2) is None
+    none = (-1, -np.inf)
+    assert frontier_cut(codes[:1], slogs[:1], deaths[:1], vols[:1], 2, 1)[::2] == none
+    assert frontier_cut(codes, slogs, deaths, vols, 2, 2)[::2] == none
     same = np.array([1, 1])
-    assert kernels.best_cut(same, slogs, deaths, vols, 2, 1) is None
+    assert frontier_cut(same, slogs, deaths, vols, 2, 1)[::2] == none
+
+
+def per_node_cuts(codes, node_of, n_nodes, deaths, vols, n_levels, min_bucket):
+    """(left, right, reduction) of each node from its own code-order scan."""
+    slogs = slog_terms(deaths, vols)
+    out = []
+    for k in range(n_nodes):
+        at = node_of == k
+        hit = kernels.scan_levels(codes[at], slogs[at], deaths[at], vols[at], n_levels, min_bucket)
+        if hit is None:
+            out.append((-1, None, -np.inf))
+        else:
+            order, cut, red = hit
+            out.append((int(order[cut]), int(order[cut + 1]), red))
+    return out
+
+
+def frontier_cuts(codes, node_of, n_nodes, deaths, vols, n_levels, min_bucket):
+    left, right, red = kernels.best_cut(
+        codes, node_of, n_nodes, slog_terms(deaths, vols), deaths, vols, n_levels, min_bucket
+    )
+    return [
+        (int(a), None if a < 0 else int(b), float(r)) for a, b, r in zip(left, right, red)
+    ]
+
+
+def test_frontier_scans_each_node_alone():
+    # node 0 skips levels 1, 3 and 4; node 1 has one level; node 2 has three
+    # points, under 2 * min_bucket; node 3's two cuts tie at zero
+    codes = np.array([0, 2, 5, 2, 5, 3, 3, 3, 1, 4, 0, 1, 1, 2, 2, 3, 3])
+    node_of = np.repeat(np.arange(4), [5, 3, 3, 6])
+    deaths = np.array([1.0, 4.0, 0.0, 3.0, 2.0, 1.0, 2.0, 3.0, 5.0, 0.0, 1.0] + [0.0] * 6)
+    vols = np.array([2.0, 1.0, 1.0, 3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0] + [1.0] * 6)
+    want = per_node_cuts(codes, node_of, 4, deaths, vols, 6, 2)
+    assert [w[0] for w in want] == [2, -1, -1, 1]
+    assert want[0][1] == 5  # the next level present, past the absent 3 and 4
+    assert want[3] == (1, 2, 0.0)  # of tied cuts the first wins
+    assert frontier_cuts(codes, node_of, 4, deaths, vols, 6, 2) == want
+    # at min_bucket 1, node 2 splits too
+    got = frontier_cuts(codes, node_of, 4, deaths, vols, 6, 1)
+    assert got == per_node_cuts(codes, node_of, 4, deaths, vols, 6, 1)
+    assert got[2][0] >= 0
+
+
+def random_frontier(rng):
+    n_nodes = int(rng.integers(1, 9))
+    sizes = rng.integers(1, 12, size=n_nodes)
+    node_of = np.repeat(np.arange(n_nodes), sizes)
+    n_levels = int(rng.integers(1, 9))
+    codes = rng.integers(0, n_levels, size=node_of.size)
+    deaths = rng.integers(0, 4, size=node_of.size).astype(np.float64)
+    deaths[rng.random(node_of.size) < 0.2] = 0.0
+    vols = rng.integers(1, 5, size=node_of.size) / 2.0
+    return codes, node_of, n_nodes, deaths, vols, n_levels, int(rng.integers(1, 4))
+
+
+def test_frontier_matches_per_node_scans(rng, monkeypatch):
+    # bit for bit, in one (nodes, levels) table and in blocks of a few nodes
+    for _ in range(200):
+        case = random_frontier(rng)
+        want = per_node_cuts(*case)
+        assert frontier_cuts(*case) == want
+        monkeypatch.setattr(kernels, "_SCAN_CELLS", int(rng.integers(1, 20)))
+        assert frontier_cuts(*case) == want
+        monkeypatch.undo()
 
 
 def test_points_of_a_level_are_pooled():

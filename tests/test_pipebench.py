@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every entry point it times.
+"""The benchmark's tracer still finds every entry point it times, and full
+passes still write the outputs recorded in pipebench/reference.json.
 
 pipebench/tracer.py wraps package functions by name. A rename in the package
 would leave a traced benchmark run with silent entry points; a small traced
@@ -7,8 +8,11 @@ walkthrough, the one workload that fits Renshaw-Haberman, takes too long for
 that, so a small traced RH fit stands in for its solver entry points.
 """
 
+import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
+
+with mock.patch.dict(os.environ):  # run.py pins BLAS threads in os.environ on import
+    import run  # noqa: E402
 
 
 @pytest.mark.parametrize("name", ["swiss_closed_loop", "cod_5y"])
@@ -58,3 +65,20 @@ def test_traced_rh_fit_reaches_the_solver_entry_points():
     assert t.calls("renshawhaberman._fisher_system") == got.n_iterations
     assert t.calls("numpy.linalg.solve") >= got.n_iterations
     assert np.array_equal(got.deviance_trace, want.deviance_trace)
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("swiss_closed_loop", 0), ("swiss_closed_loop", 1), ("cod_5y", 0)]
+)
+def test_full_pass_matches_the_recorded_reference(name, seed, tmp_path):
+    # the digests of the workload's reference files and its deviances, as
+    # pipebench/record.py wrote them, checked as run.py checks every pass
+    workload = workloads.WORKLOADS[name]
+    reference = json.loads(run.REFERENCE.read_text())[name][str(seed)]
+    inputs = workload.setup(seed, False, tmp_path / "setup")
+    passdir = tmp_path / "pass"
+    outcome = workload.check(inputs, workload.run(inputs, passdir), passdir)
+    assert outcome.failed_ops == []
+    assert outcome.problems == []
+    assert sorted(reference["digests"]) == sorted(workload.reference_files)
+    assert run.reference_problems(reference, outcome) == []

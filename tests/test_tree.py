@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_tree
 from mortboost import PoissonTree, SplitRule, TreeConfig, WorkingData, best_split, grow_tree, poisson_deviance
 from conftest import random_working_data
 from oracle import assert_same_structure, oracle_grow
@@ -305,6 +308,44 @@ class TestSerialization:
             SplitRule("x", threshold=1.0, left_codes=(0,))
         with pytest.raises(ValueError):
             SplitRule("x")
+
+
+@st.composite
+def growth_cases(draw):
+    """Working data with tied feature values, tied responses and missing
+    responses, with or without a cause column, and a growth config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    n_ordered = draw(st.integers(1, 3))
+    n_values = draw(st.integers(1, 10))
+    scale = draw(st.sampled_from([1.0, 0.5, 1e-3]))
+    ordered = rng.integers(0, n_values, size=(n, n_ordered)) * scale
+    volume = rng.integers(1, 5, size=n) / 2.0
+    if draw(st.booleans()):
+        deaths = rng.integers(0, 3, size=n).astype(np.float64)
+    else:
+        deaths = rng.poisson(2.0 * volume).astype(np.float64)
+    deaths[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan
+    deaths[rng.integers(n)] = float(rng.integers(0, 3))
+    cause = labels = None
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        cause = rng.integers(0, k, size=n)
+        labels = tuple(f"cause {i + 1}" for i in range(k))
+    names = tuple(f"f{j}" for j in range(n_ordered))
+    cfg = TreeConfig(
+        cp=draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2])),
+        min_bucket=draw(st.integers(1, 5)),
+        max_depth=draw(st.integers(1, 30)),
+    )
+    return WorkingData(names, ordered, volume, deaths, cause=cause, cause_labels=labels), cfg
+
+
+@given(case=growth_cases())
+@settings(max_examples=400, deadline=None)
+def test_level_wise_growth_matches_the_per_node_reference(case):
+    data, cfg = case
+    assert grow_tree(data, cfg).to_text() == reference_tree.grow_tree(data, cfg).to_text()
 
 
 def test_no_reference_cycles(rng):
