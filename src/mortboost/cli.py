@@ -150,9 +150,22 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _years_to_plot(spec: str, space: FeatureSpace) -> list[int]:
+    """The comma-separated years of --years-to-plot, each a fitted year."""
+    try:
+        years = [int(y) for y in spec.split(",")]
+    except ValueError as exc:
+        raise DataError(f"--years-to-plot {spec}: {exc}") from None
+    for year in years:
+        if not space.year_min <= year <= space.year_max:
+            raise DataError(f"--years-to-plot year {year} outside {space.year_min}:{space.year_max}")
+    return years
+
+
 def cmd_backtest(args) -> int:
     q_init = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_init.space
+    years = _years_to_plot(args.years_to_plot, space) if args.years_to_plot else []
     table, report = _load_table(args.deaths, args.exposures, space, not args.no_pool_top_age)
     cfg = TreeConfig(cp=args.cp, min_bucket=args.min_bucket, max_depth=args.max_depth)
     result = run_backtest(q_init, table, cfg, initial_model_tag=args.tag)
@@ -163,14 +176,11 @@ def cmd_backtest(args) -> int:
     tree_path = out / "tree.txt"
     tree_path.write_text(result.tree.to_text())
     outputs.append(tree_path)
-    if args.svg and args.years_to_plot:
-        years = [int(y) for y in args.years_to_plot.split(",")]
+    if args.svg and years:
         crude, _ = crude_rates(table)
         for gi, g in enumerate(GENDERS):
             panels = []
             for year in years:
-                if not space.year_min <= year <= space.year_max:
-                    raise DataError(f"--years-to-plot year {year} outside {space.year_min}:{space.year_max}")
                 ti = year - space.year_min
                 ages = space.ages()
                 panels.append(
@@ -215,6 +225,8 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
     """Either a cause count (generic labels) or pipe-separated labels."""
     spec = spec.strip()
     if spec.isdigit():
+        if int(spec) < 1:
+            raise DataError("--causes needs at least one cause")
         return tuple(f"cause {k + 1}" for k in range(int(spec)))
     labels = tuple(part.strip() for part in spec.split("|"))
     if any(not lab for lab in labels):
@@ -241,7 +253,10 @@ def cmd_cod(args) -> int:
         exposures.open_age,
     )
     table, report = hmd.clip_to_space(deaths_placeholder, exposures, space, not args.no_pool_top_age)
-    bucketing = AgeBucketing.from_spec(args.buckets, space.age_min, space.age_max)
+    try:
+        bucketing = AgeBucketing.from_spec(args.buckets, space.age_min, space.age_max)
+    except ValueError as exc:
+        raise DataError(f"--buckets {args.buckets}: {exc}") from None
     if bucketing.n_buckets != cod.n_buckets:
         raise DataError(
             f"bucket spec has {bucketing.n_buckets} buckets, cause table has {cod.n_buckets}"

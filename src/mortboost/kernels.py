@@ -1,23 +1,23 @@
-"""The split scans: per-level bins, prefix sums and one float32 tie rule.
+"""The split scan: per-level bins, prefix sums and one float32 tie rule.
 
 A tree codes each feature as integer levels once (`tree.grow_tree`): an
 ordered column by its sorted distinct values, the cause by its registry
-codes. A scan bins points by level, puts the levels present in scan order
-and scores the cut after every level from prefix sums over the bins.
+codes. `best_cut` scans one feature over a whole frontier, every node of a
+depth at once: one `bincount` over (node, level) keys, the levels of each
+node put in scan order, a cumulative sum along them and one row-wise argmax.
 
-Two scans share that arithmetic. `best_cut` scans one ordered feature over
-a whole frontier, every node of a depth at once: one `bincount` over
-(node, level) keys, a cumulative sum along the levels of each node and one
-row-wise argmax. `scan_levels` scans one node's points; the tree uses it for
-the cause, whose levels go in rate order, which differs from node to node.
-A node's bins sum its points in the order given and an absent level adds
-+0.0, so both scans see the same sums for the same node.
+There are two scan orders. An ordered feature scans its levels in code
+order, so a cut is a threshold. The cause scans the levels present in a node
+in float32 order of their rate D/d, ties by code; prefixes of that order are
+the optimal cuts of a categorical feature (Breiman et al., 1984), and the
+order differs from node to node. A node's bins sum its points in the order
+given and an absent level adds +0.0, so a node scans the same sums whatever
+frontier it is in.
 
 Reductions are compared at float32 so that tie-breaks do not hinge on the
-last bits of a cumulative sum. One tie rule serves both kinds of feature:
-among cuts at the float32 maximum, the lexicographically smallest sorted left
-set of levels wins. In code order that is the first cut, the smallest
-threshold.
+last bits of a cumulative sum. One tie rule serves both orders: among cuts
+at the float32 maximum, the lexicographically smallest sorted left set of
+levels wins. In code order that is the first cut, the smallest threshold.
 """
 
 from __future__ import annotations
@@ -41,102 +41,65 @@ def _cut_reductions(sL, DL, dL, s_tot, d_tot, v_tot):
     return parent - dev_left - dev_right
 
 
-def prefix_reductions(cs, cD, cd):
-    """Deviance reduction of every cut of a block, from its cumulative sums.
-
-    cs, cD, cd are the running sums of the terms D*log(D/d), of the
-    responses D and of the volumes d over the block's bins. Entry j is the
-    reduction from splitting the block into its first j + 1 bins and the
-    rest, each side fitted at its own rate, so the result has one entry fewer
-    than the sums.
-    """
-    return _cut_reductions(cs[:-1], cD[:-1], cd[:-1], cs[-1], cD[-1], cd[-1])
-
-
-def scan_levels(codes, slogs, deaths, vols, n_levels, min_bucket, by_rate=False):
-    """Best cut of a node's points over the levels of one feature.
-
-    codes holds each point's level in [0, n_levels) and slogs its term
-    D*log(D/d) (0 where D = 0). The levels present are scanned in code
-    order, or with by_rate in float32 order of their rate D/d, ties by code.
-    Returns (order, cut, reduction): order is the levels present in scan
-    order, and the cut sends order[:cut + 1] left. Returns None when no cut
-    leaves min_bucket points on each side.
-    """
-    counts = np.bincount(codes, minlength=n_levels)
-    order = np.flatnonzero(counts)
-    if order.size < 2:
-        return None
-    sums = [np.bincount(codes, weights=w, minlength=n_levels)[order] for w in (slogs, deaths, vols)]
-    if by_rate:
-        perm = np.lexsort((order, (sums[1] / sums[2]).astype(np.float32)))
-        order, sums = order[perm], [s[perm] for s in sums]
-    red = prefix_reductions(*(np.cumsum(s) for s in sums))
-    left_n = np.cumsum(counts[order])[:-1]
-    ok = (left_n >= min_bucket) & (codes.size - left_n >= min_bucket)
-    if not ok.any():
-        return None
-    red32 = red.astype(np.float32)
-    tied = np.flatnonzero(ok & (red32 == red32[ok].max()))
-    # The left sets are nested: a later cut's sorted left set is the smaller
-    # one iff it adds a level below the largest level of the earlier set.
-    cut, later = tied[0], tied[1:]
-    while later.size:
-        added_min = np.minimum.accumulate(order[cut + 1:])
-        smaller = later[added_min[later - cut - 1] < order[: cut + 1].max()]
-        if smaller.size == 0:
-            break
-        cut, later = smaller[0], smaller[1:]
-    return order, int(cut), float(red[cut])
-
-
-def best_cut(codes, node_of, n_nodes, slogs, deaths, vols, n_levels, min_bucket):
-    """Best threshold cut of one ordered feature at every node of a frontier.
+def best_cut(codes, node_of, n_nodes, slogs, deaths, vols, n_levels, min_bucket, by_rate=False):
+    """Best cut of one feature at every node of a frontier.
 
     The frontier's points come grouped by node, nodes in ascending order:
     node_of[i] in [0, n_nodes) is point i's node, codes[i] its level in
-    [0, n_levels), slogs[i] its term D*log(D/d). Returns (left, right,
-    reduction), one entry per node: the cut sends levels <= left to the left
-    child and levels >= right, the next level present, to the right. A node
-    without a cut that leaves min_bucket points on each side has left -1 and
-    reduction -inf.
+    [0, n_levels), slogs[i] its term D*log(D/d). Levels are scanned in code
+    order, or with by_rate in rate order. Returns (left, right, reduction):
+    left and right are (n_nodes, n_levels) masks of the levels present that
+    the cut sends to each child. A node without a cut that leaves min_bucket
+    points on each side has reduction -inf and an empty left mask.
     """
     step = max(1, _SCAN_CELLS // n_levels)
     firsts = np.arange(0, n_nodes, step)
     bounds = np.append(np.searchsorted(node_of, firsts), node_of.size)
     blocks = [
         _block_cut(codes[a:b], node_of[a:b] - first, min(step, n_nodes - first),
-                   slogs[a:b], deaths[a:b], vols[a:b], n_levels, min_bucket)
+                   slogs[a:b], deaths[a:b], vols[a:b], n_levels, min_bucket, by_rate)
         for first, a, b in zip(firsts, bounds[:-1], bounds[1:])
     ]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _block_cut(codes, node_of, n_nodes, slogs, deaths, vols, n_levels, min_bucket):
+def _block_cut(codes, node_of, n_nodes, slogs, deaths, vols, n_levels, min_bucket, by_rate):
     """`best_cut` over a (nodes, levels) table held at once."""
     keys = node_of * n_levels + codes
-    size = n_nodes * n_levels
-    counts = np.bincount(keys, minlength=size).reshape(n_nodes, n_levels)
-    cs, cD, cd = (
-        np.bincount(keys, weights=w, minlength=size).reshape(n_nodes, n_levels).cumsum(axis=1)
-        for w in (slogs, deaths, vols)
+    counts, s, D, d = (
+        np.bincount(keys, weights=w, minlength=n_nodes * n_levels).reshape(n_nodes, n_levels)
+        for w in (None, slogs, deaths, vols)
     )
+    present = counts > 0
+    rank = np.arange(n_levels)  # each level's position in scan order
+    if by_rate:
+        # levels present first, by float32 rate; the stable sort keeps ties in code order
+        with np.errstate(divide="ignore", invalid="ignore"):
+            order = np.lexsort(((D / d).astype(np.float32), ~present), axis=1)
+        counts, s, D, d = (np.take_along_axis(x, order, axis=1) for x in (counts, s, D, d))
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n_levels), axis=1)
     left_n = counts.cumsum(axis=1)
     total_n = left_n[:, -1:]
     # a cut after a level present, before another one, min_bucket on each side
-    present = counts > 0
-    ok = present & (left_n < total_n) & (left_n >= min_bucket) & (total_n - left_n >= min_bucket)
+    ok = (counts > 0) & (left_n < total_n) & (left_n >= min_bucket) & (total_n - left_n >= min_bucket)
     cells = np.flatnonzero(ok)
     rows = cells // n_levels
-    red = np.full(size, -np.inf)
-    red[cells] = _cut_reductions(
+    cs, cD, cd = (x.cumsum(axis=1) for x in (s, D, d))
+    red = np.full(ok.shape, -np.inf)
+    red.ravel()[cells] = _cut_reductions(
         cs.ravel()[cells], cD.ravel()[cells], cd.ravel()[cells],
         cs[rows, -1], cD[rows, -1], cd[rows, -1],
     )
-    red = red.reshape(n_nodes, n_levels)
+    red32 = red.astype(np.float32)
     # the first float32 maximum of a row is its smallest threshold
-    left = red.astype(np.float32).argmax(axis=1)
-    reduction = red[np.arange(n_nodes), left]
-    right = (present & (np.arange(n_levels) > left[:, None])).argmax(axis=1)
-    left[reduction == -np.inf] = -1
-    return left, right, reduction
+    cut = red32.argmax(axis=1)
+    if by_rate:
+        # rate order: of the tied cuts, the smallest sorted left set wins
+        tied = ok & (red32 == red32.max(axis=1, keepdims=True))
+        for k in np.flatnonzero(tied.sum(axis=1) > 1):
+            cut[k] = min(np.flatnonzero(tied[k]), key=lambda j: sorted(order[k, : j + 1].tolist()))
+    reduction = red[np.arange(n_nodes), cut]
+    cut[reduction == -np.inf] = -1
+    left = present & (rank <= cut[:, None])
+    return left, present & ~left, reduction

@@ -55,7 +55,7 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.deviance_tol <= 0:
+        if not self.deviance_tol > 0:
             raise ValueError("deviance_tol must be > 0")
         if not (0 < self.rate_floor < 1):
             raise ValueError("rate_floor must lie in (0, 1)")

@@ -8,11 +8,12 @@ deviance reduction clears the cost-complexity threshold. Missing responses
 Growth codes every feature as integer levels once per tree, an ordered
 column by its sorted distinct values and the cause by its registry codes,
 and grows one depth at a time. The frontier of a depth is every node that
-may still split. Each ordered feature scans the whole frontier in one call,
-`kernels.best_cut`; the cause scans node by node, `kernels.scan_levels` in
-rate order. Both select at float32 with one tie rule, and earlier features
-win ties between features. A node's split depends only on its own points,
-so the tree is the one that depth-first growth, node by node, would give.
+may still split, and it carries only observed points. Each feature scans the
+whole frontier in one call, `kernels.best_cut`: an ordered feature in code
+order, the cause in rate order. Both select at float32 with one tie rule,
+and earlier features win ties between features. A node's split depends only
+on its own points, so the tree is the one that depth-first growth, node by
+node, would give.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class TreeConfig:
     max_depth: int = 30
 
     def __post_init__(self):
-        if self.cp < 0:
+        if not self.cp >= 0:
             raise ValueError(f"cp must be >= 0, got {self.cp}")
         if self.min_bucket < 1:
             raise ValueError(f"min_bucket must be >= 1, got {self.min_bucket}")
@@ -58,6 +59,10 @@ class WorkingData:
 
     def __post_init__(self):
         ordered = np.ascontiguousarray(np.asarray(self.ordered, dtype=np.float64))
+        for name in self.ordered_names:
+            # the tree text separates names by whitespace and rules by '<='
+            if not name or "<=" in name or any(ch.isspace() for ch in name):
+                raise ValueError(f"ordered feature name {name!r} is empty, holds whitespace or '<='")
         if ordered.ndim != 2 or ordered.shape[1] != len(self.ordered_names):
             raise ValueError(
                 f"ordered matrix has shape {ordered.shape}, expected (n, {len(self.ordered_names)})"
@@ -83,8 +88,10 @@ class WorkingData:
                 raise ValueError("cause length does not match the feature matrix")
             if np.any(cause < 0) or np.any(cause >= len(self.cause_labels)):
                 raise ValueError("cause code outside the label registry")
-            if any("|" in lab for lab in self.cause_labels):
-                raise ValueError("cause labels must not contain '|'")
+            for lab in self.cause_labels:
+                # the tree text holds the labels on one line, separated by '|'
+                if "|" in lab or len((lab + ".").splitlines()) > 1:
+                    raise ValueError(f"cause label {lab!r} holds '|' or a line break")
             object.__setattr__(self, "cause", cause)
             object.__setattr__(self, "cause_labels", tuple(self.cause_labels))
 
@@ -184,18 +191,15 @@ def _features(data: WorkingData) -> list[tuple]:
     return features
 
 
-def _scan_cause(codes, slog, deaths, volume, n_codes, min_bucket):
-    # prefixes of the empirical-rate ordering are optimal for a single
-    # Poisson split of a categorical feature
-    return kernels.scan_levels(codes, slog, deaths, volume, n_codes, min_bucket, by_rate=True)
+# the cause's scan, under its own name so that its time can be told apart
+_scan_cause = kernels.best_cut
 
 
 def _best_split(features, node_obs, slog, deaths, volume, min_bucket: int):
     """Best split of each node of a frontier over all features, as
     (rule, reduction, right_codes) or None. node_obs holds each node's
-    observed points in ascending order. Each ordered feature scans the whole
-    frontier in one call; the cause scans node by node. Selection is at
-    float32, and earlier features win ties."""
+    observed points in ascending order. Each feature scans the whole frontier
+    in one call. Selection is at float32, and earlier features win ties."""
     n_nodes = len(node_obs)
     points = np.concatenate(node_obs)
     s, D, d = slog[points], deaths[points], volume[points]
@@ -203,28 +207,20 @@ def _best_split(features, node_obs, slog, deaths, volume, min_bucket: int):
     best = [None] * n_nodes
     best32 = np.full(n_nodes, -np.inf, dtype=np.float32)
     for name, codes, n_levels, values in features:
-        if values is None:
-            hits = [
-                _scan_cause(codes[idx], slog[idx], deaths[idx], volume[idx], n_levels, min_bucket)
-                for idx in node_obs
-            ]
-            red = np.array([-np.inf if hit is None else hit[2] for hit in hits])
-        else:
-            left, right, red = kernels.best_cut(
-                codes[points], node_of, n_nodes, s, D, d, n_levels, min_bucket
-            )
+        scan = kernels.best_cut if values is not None else _scan_cause
+        left, right, red = scan(
+            codes[points], node_of, n_nodes, s, D, d, n_levels, min_bucket, by_rate=values is None
+        )
         red32 = red.astype(np.float32)
         better = np.flatnonzero(red32 > best32)
         best32[better] = red32[better]
         for k in better:
+            left_set, right_set = np.flatnonzero(left[k]), np.flatnonzero(right[k])
             if values is None:
-                order, cut, reduction = hits[k]
-                left_codes, right_codes = (
-                    tuple(sorted(side.tolist())) for side in (order[: cut + 1], order[cut + 1:])
-                )
-                best[k] = SplitRule(name, left_codes=left_codes), reduction, right_codes
+                rule = SplitRule(name, left_codes=tuple(left_set.tolist()))
+                best[k] = rule, float(red[k]), tuple(right_set.tolist())
             else:
-                threshold = (values[left[k]] + values[right[k]]) / 2.0
+                threshold = (values[left_set[-1]] + values[right_set[0]]) / 2.0
                 best[k] = SplitRule(name, threshold=float(threshold)), float(red[k]), ()
     return best
 
@@ -446,28 +442,27 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
     points."""
     if data.n == 0:
         raise ValueError("empty working data")
-    obs_mask = ~np.isnan(data.deaths)
-    if not obs_mask.any():
+    root_obs = np.flatnonzero(~np.isnan(data.deaths))
+    if root_obs.size == 0:
         raise ValueError("no observed responses in working data")
     slog = _slog_terms(data.deaths, data.volume)
     features = _features(data)
 
-    root_obs = np.flatnonzero(obs_mask)
     root = _node(root_obs, data.deaths, data.volume, slog)
     threshold = max(cfg.cp * root.deviance, _NOISE_FLOOR * (root.deviance + 1.0))
     threshold32 = np.float32(threshold)
 
-    # (node, its points, its observed points) for the nodes of one depth
-    frontier = [(root, np.arange(data.n), root_obs)]
+    # (node, its observed points) for the nodes of one depth
+    frontier = [(root, root_obs)]
     for _ in range(cfg.max_depth):
-        frontier = [f for f in frontier if f[2].size >= 2 * cfg.min_bucket]
+        frontier = [f for f in frontier if f[1].size >= 2 * cfg.min_bucket]
         if not frontier:
             break
         found = _best_split(
-            features, [f[2] for f in frontier], slog, data.deaths, data.volume, cfg.min_bucket
+            features, [f[1] for f in frontier], slog, data.deaths, data.volume, cfg.min_bucket
         )
         children = []
-        for (node, idx, _), hit in zip(frontier, found):
+        for (node, idx), hit in zip(frontier, found):
             if hit is None or hit[1] <= 0.0 or np.float32(hit[1]) < threshold32:
                 continue
             node.rule, node.reduction, node.right_codes = hit
@@ -477,8 +472,7 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
                 col = data.ordered_names.index(node.rule.feature)
                 go_left = data.ordered[idx, col] <= node.rule.threshold
             for side in (idx[go_left], idx[~go_left]):
-                side_obs = side[obs_mask[side]]
-                children.append((_node(side_obs, data.deaths, data.volume, slog), side, side_obs))
+                children.append((_node(side, data.deaths, data.volume, slog), side))
             node.left, node.right = children[-2][0], children[-1][0]
         frontier = children
     return PoissonTree(root, data.ordered_names, data.cause_labels, root.deviance, cfg)

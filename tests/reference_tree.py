@@ -3,14 +3,14 @@ the level-wise `mortboost.tree.grow_tree` must match byte for byte in
 `to_text()`.
 
 It grows depth first, left child first, and scans one node at a time: per
-feature, one `kernels.scan_levels` call over the node's observed points, in
-code order for an ordered feature and in rate order for the cause. This is
-how the package grew trees before it scanned a whole depth at once.
+feature, one `scan_levels` call over the node's observed points, in code
+order for an ordered feature and in rate order for the cause. This is how
+the package grew trees before it scanned a whole depth at once.
 """
 
 import numpy as np
 
-from mortboost import kernels
+from mortboost.kernels import _cut_reductions
 from mortboost.tree import (
     _NOISE_FLOOR,
     PoissonTree,
@@ -23,6 +23,44 @@ from mortboost.tree import (
 )
 
 
+def scan_levels(codes, slogs, deaths, vols, n_levels, min_bucket, by_rate=False):
+    """Best cut of a node's points over the levels of one feature.
+
+    codes holds each point's level in [0, n_levels) and slogs its term
+    D*log(D/d) (0 where D = 0). The levels present are scanned in code
+    order, or with by_rate in float32 order of their rate D/d, ties by code.
+    Returns (order, cut, reduction): order is the levels present in scan
+    order, and the cut sends order[:cut + 1] left. Returns None when no cut
+    leaves min_bucket points on each side.
+    """
+    counts = np.bincount(codes, minlength=n_levels)
+    order = np.flatnonzero(counts)
+    if order.size < 2:
+        return None
+    sums = [np.bincount(codes, weights=w, minlength=n_levels)[order] for w in (slogs, deaths, vols)]
+    if by_rate:
+        perm = np.lexsort((order, (sums[1] / sums[2]).astype(np.float32)))
+        order, sums = order[perm], [s[perm] for s in sums]
+    cs, cD, cd = (np.cumsum(s) for s in sums)
+    red = _cut_reductions(cs[:-1], cD[:-1], cd[:-1], cs[-1], cD[-1], cd[-1])
+    left_n = np.cumsum(counts[order])[:-1]
+    ok = (left_n >= min_bucket) & (codes.size - left_n >= min_bucket)
+    if not ok.any():
+        return None
+    red32 = red.astype(np.float32)
+    tied = np.flatnonzero(ok & (red32 == red32[ok].max()))
+    # The left sets are nested: a later cut's sorted left set is the smaller
+    # one iff it adds a level below the largest level of the earlier set.
+    cut, later = tied[0], tied[1:]
+    while later.size:
+        added_min = np.minimum.accumulate(order[cut + 1:])
+        smaller = later[added_min[later - cut - 1] < order[: cut + 1].max()]
+        if smaller.size == 0:
+            break
+        cut, later = smaller[0], smaller[1:]
+    return order, int(cut), float(red[cut])
+
+
 def _best_split(features, idx_obs, slog, deaths, volume, min_bucket: int):
     """Best split of a node's observed points over all features, as
     (rule, reduction, right_codes), or None. Selection is at float32, and
@@ -30,7 +68,7 @@ def _best_split(features, idx_obs, slog, deaths, volume, min_bucket: int):
     s, D, d = slog[idx_obs], deaths[idx_obs], volume[idx_obs]
     best = None
     for name, codes, n_levels, values in features:
-        hit = kernels.scan_levels(
+        hit = scan_levels(
             codes[idx_obs], s, D, d, n_levels, min_bucket, by_rate=values is None
         )
         if hit is not None and (best is None or np.float32(hit[2]) > np.float32(best[2])):

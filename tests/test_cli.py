@@ -451,6 +451,35 @@ class TestErrorPaths:
             assert main(argv) == 3, argv
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_bad_flag_values_exit_3_before_any_output(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        deaths, exposures = str(sim_dir / "deaths.txt"), str(sim_dir / "exposures.txt")
+        qfit = str(lc_fit_dir / "qfit.csv")
+        out = tmp_path / "out"
+        backtest = ["backtest", "--qfit", qfit, "--deaths", deaths, "--exposures", exposures,
+                    "--out", str(out)]
+        cod = ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", qfit, "--exposures", exposures,
+               "--out", str(out)]
+        fit = ["fit", "lc", "--deaths", deaths, "--exposures", exposures, "--ages", "0:9",
+               "--years", "2000:2009", "--out", str(out)]
+        cases = [
+            ([*backtest, "--svg", "--years-to-plot", "1800"],
+             "--years-to-plot year 1800 outside 2000:2009"),
+            ([*backtest, "--svg", "--years-to-plot", "1990,x"],
+             "--years-to-plot 1990,x: invalid literal for int() with base 10: 'x'"),
+            ([*backtest, "--cp", "nan"], "cp must be >= 0, got nan"),
+            ([*fit, "--tol", "nan", "--max-iter", "300"], "deviance_tol must be > 0"),
+            ([*cod, "--causes", "3", "--buckets", "0;1-x;15+"],
+             "--buckets 0;1-x;15+: invalid literal for int() with base 10: 'x'"),
+            ([*cod, "--causes", "0", "--buckets", "0-4;5-9"], "--causes needs at least one cause"),
+            # a label that would break the tree text's causes line
+            ([*cod, "--causes", "a\nb|c|d", "--buckets", "0-4;5-9"],
+             "cause label 'a\\nb' holds '|' or a line break"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists(), argv
+
     def test_cod_field_over_the_csv_limit_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys):
         lines = (sim_dir / "cod.csv").read_text().splitlines()
         g, b, t, k, _ = lines[2].split(",")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mortboost import kernels
+from reference_tree import scan_levels
 
 
 def slog_terms(deaths, vols):
@@ -11,72 +12,80 @@ def slog_terms(deaths, vols):
         return np.where(deaths > 0, deaths * np.log(deaths / vols), 0.0)
 
 
-def scan(codes, deaths, vols, min_bucket=1, by_rate=False, n_levels=None):
+def frontier_cuts(codes, node_of, n_nodes, deaths, vols, n_levels, min_bucket, by_rate=False):
+    """(left set, right set, reduction) of each node from one frontier scan;
+    (None, None, -inf) for a node without an admissible cut."""
     codes = np.asarray(codes)
     deaths = np.asarray(deaths, dtype=np.float64)
     vols = np.asarray(vols, dtype=np.float64)
-    n_levels = int(codes.max()) + 1 if n_levels is None else n_levels
-    return kernels.scan_levels(
-        codes, slog_terms(deaths, vols), deaths, vols, n_levels, min_bucket, by_rate
+    left, right, red = kernels.best_cut(
+        codes, node_of, n_nodes, slog_terms(deaths, vols), deaths, vols, n_levels, min_bucket,
+        by_rate,
     )
+    return [
+        (None, None, -np.inf) if r == -np.inf
+        else (np.flatnonzero(a).tolist(), np.flatnonzero(b).tolist(), float(r))
+        for a, b, r in zip(left, right, red)
+    ]
+
+
+def scan(codes, deaths, vols, min_bucket=1, by_rate=False, n_levels=None):
+    """best_cut over a frontier of one node, as (left set, right set,
+    reduction), or None without an admissible cut."""
+    codes = np.asarray(codes)
+    n_levels = int(codes.max()) + 1 if n_levels is None else n_levels
+    node_of = np.zeros(codes.size, dtype=np.intp)
+    hit = frontier_cuts(codes, node_of, 1, deaths, vols, n_levels, min_bucket, by_rate)[0]
+    return None if hit[0] is None else hit
+
+
+def per_node_cuts(codes, node_of, n_nodes, deaths, vols, n_levels, min_bucket, by_rate=False):
+    """(left set, right set, reduction) of each node from its own scan."""
+    slogs = slog_terms(deaths, vols)
+    out = []
+    for k in range(n_nodes):
+        at = node_of == k
+        hit = scan_levels(codes[at], slogs[at], deaths[at], vols[at], n_levels, min_bucket, by_rate)
+        if hit is None:
+            out.append((None, None, -np.inf))
+        else:
+            order, cut, red = hit
+            out.append((sorted(order[: cut + 1].tolist()), sorted(order[cut + 1:].tolist()), red))
+    return out
+
+
+def scan_order(codes, deaths, vols, n_levels, by_rate):
+    """The levels present in scan order, by definition: code order, or
+    float32 rate order with ties by code."""
+    codes = np.asarray(codes)
+    order = np.flatnonzero(np.bincount(codes, minlength=n_levels))
+    if not by_rate:
+        return order
+    D, d = (np.bincount(codes, weights=w, minlength=n_levels) for w in (deaths, vols))
+    return np.array(sorted(order, key=lambda c: (np.float32(D[c] / d[c]), c)))
 
 
 def reductions32(codes, deaths, vols, order):
-    """float32 reduction of every cut of the levels in `order`, by definition."""
+    """float32 reduction of every cut of the levels in `order`."""
     codes = np.asarray(codes)
     deaths = np.asarray(deaths, dtype=np.float64)
     vols = np.asarray(vols, dtype=np.float64)
     sums = [np.bincount(codes, weights=w, minlength=order.max() + 1)[order]
             for w in (slog_terms(deaths, vols), deaths, vols)]
-    return kernels.prefix_reductions(*(np.cumsum(s) for s in sums)).astype(np.float32)
+    cs, cD, cd = (np.cumsum(s) for s in sums)
+    return kernels._cut_reductions(cs[:-1], cD[:-1], cd[:-1], cs[-1], cD[-1], cd[-1]).astype(np.float32)
 
 
-def frontier_cut(codes, slogs, deaths, vols, n_levels, min_bucket):
-    """best_cut over a frontier of one node."""
-    codes = np.asarray(codes)
-    node_of = np.zeros(codes.size, dtype=np.intp)
-    left, right, red = kernels.best_cut(codes, node_of, 1, slogs, deaths, vols, n_levels, min_bucket)
-    return int(left[0]), int(right[0]), float(red[0])
-
-
-def test_python_scan_basics():
-    codes = np.array([0, 1])
-    deaths = np.array([0.0, 2.0])
-    vols = np.array([1.0, 1.0])
-    slogs = slog_terms(deaths, vols)
-    left, right, red = frontier_cut(codes, slogs, deaths, vols, 2, 1)
-    assert (left, right) == (0, 1)
+@pytest.mark.parametrize("by_rate", [False, True])
+def test_python_scan_basics(by_rate):
+    codes, deaths, vols = np.array([0, 1]), np.array([0.0, 2.0]), np.array([1.0, 1.0])
+    left, right, red = scan(codes, deaths, vols, by_rate=by_rate)
+    assert (left, right) == ([0], [1])
     assert red == pytest.approx(2 * (2 * np.log(2) - 1) + 2, abs=1e-12)
     # no admissible cut: a single point, a min_bucket too large, a single level
-    none = (-1, -np.inf)
-    assert frontier_cut(codes[:1], slogs[:1], deaths[:1], vols[:1], 2, 1)[::2] == none
-    assert frontier_cut(codes, slogs, deaths, vols, 2, 2)[::2] == none
-    same = np.array([1, 1])
-    assert frontier_cut(same, slogs, deaths, vols, 2, 1)[::2] == none
-
-
-def per_node_cuts(codes, node_of, n_nodes, deaths, vols, n_levels, min_bucket):
-    """(left, right, reduction) of each node from its own code-order scan."""
-    slogs = slog_terms(deaths, vols)
-    out = []
-    for k in range(n_nodes):
-        at = node_of == k
-        hit = kernels.scan_levels(codes[at], slogs[at], deaths[at], vols[at], n_levels, min_bucket)
-        if hit is None:
-            out.append((-1, None, -np.inf))
-        else:
-            order, cut, red = hit
-            out.append((int(order[cut]), int(order[cut + 1]), red))
-    return out
-
-
-def frontier_cuts(codes, node_of, n_nodes, deaths, vols, n_levels, min_bucket):
-    left, right, red = kernels.best_cut(
-        codes, node_of, n_nodes, slog_terms(deaths, vols), deaths, vols, n_levels, min_bucket
-    )
-    return [
-        (int(a), None if a < 0 else int(b), float(r)) for a, b, r in zip(left, right, red)
-    ]
+    assert scan(codes[:1], deaths[:1], vols[:1], by_rate=by_rate, n_levels=2) is None
+    assert scan(codes, deaths, vols, min_bucket=2, by_rate=by_rate) is None
+    assert scan([1, 1], deaths, vols, by_rate=by_rate) is None
 
 
 def test_frontier_scans_each_node_alone():
@@ -87,14 +96,14 @@ def test_frontier_scans_each_node_alone():
     deaths = np.array([1.0, 4.0, 0.0, 3.0, 2.0, 1.0, 2.0, 3.0, 5.0, 0.0, 1.0] + [0.0] * 6)
     vols = np.array([2.0, 1.0, 1.0, 3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0] + [1.0] * 6)
     want = per_node_cuts(codes, node_of, 4, deaths, vols, 6, 2)
-    assert [w[0] for w in want] == [2, -1, -1, 1]
-    assert want[0][1] == 5  # the next level present, past the absent 3 and 4
-    assert want[3] == (1, 2, 0.0)  # of tied cuts the first wins
+    assert [w[0] for w in want] == [[0, 2], None, None, [1]]
+    assert want[0][1] == [5]  # the next level present, past the absent 3 and 4
+    assert want[3] == ([1], [2, 3], 0.0)  # of tied cuts the first wins
     assert frontier_cuts(codes, node_of, 4, deaths, vols, 6, 2) == want
     # at min_bucket 1, node 2 splits too
     got = frontier_cuts(codes, node_of, 4, deaths, vols, 6, 1)
     assert got == per_node_cuts(codes, node_of, 4, deaths, vols, 6, 1)
-    assert got[2][0] >= 0
+    assert got[2][0] is not None
 
 
 def random_frontier(rng):
@@ -109,58 +118,68 @@ def random_frontier(rng):
     return codes, node_of, n_nodes, deaths, vols, n_levels, int(rng.integers(1, 4))
 
 
-def test_frontier_matches_per_node_scans(rng, monkeypatch):
-    # bit for bit, in one (nodes, levels) table and in blocks of a few nodes
+@pytest.mark.parametrize("by_rate", [False, True])
+def test_frontier_matches_per_node_scans(rng, monkeypatch, by_rate):
+    # bit for bit, in one (nodes, levels) table and in blocks of a few nodes;
+    # small integer responses and volumes make exact rate ties common
     for _ in range(200):
         case = random_frontier(rng)
-        want = per_node_cuts(*case)
-        assert frontier_cuts(*case) == want
+        want = per_node_cuts(*case, by_rate)
+        assert frontier_cuts(*case, by_rate) == want
         monkeypatch.setattr(kernels, "_SCAN_CELLS", int(rng.integers(1, 20)))
-        assert frontier_cuts(*case) == want
+        assert frontier_cuts(*case, by_rate) == want
         monkeypatch.undo()
 
 
-def test_points_of_a_level_are_pooled():
+@pytest.mark.parametrize("by_rate", [False, True])
+def test_points_of_a_level_are_pooled(by_rate):
     # two points on level 3 scan like one point with their summed response
     # and volume; absent levels are skipped
-    pooled = scan([3, 0, 3, 5], [1.0, 0.0, 2.0, 6.0], [1.0, 2.0, 1.0, 2.0], n_levels=7)
-    single = scan([3, 0, 5], [3.0, 0.0, 6.0], [2.0, 2.0, 2.0], n_levels=7)
-    assert pooled[0].tolist() == single[0].tolist() == [0, 3, 5]
-    assert pooled[1] == single[1] == 0
+    pooled = scan([3, 0, 3, 5], [1.0, 0.0, 2.0, 6.0], [1.0, 2.0, 1.0, 2.0], by_rate=by_rate, n_levels=7)
+    single = scan([3, 0, 5], [3.0, 0.0, 6.0], [2.0, 2.0, 2.0], by_rate=by_rate, n_levels=7)
+    assert pooled[:2] == single[:2] == ([0], [3, 5])
     assert pooled[2] == pytest.approx(single[2], rel=1e-12)
 
 
 def test_min_bucket_counts_points_not_levels():
-    # the best cut {0} | {1, 2} leaves one point left; min_bucket 2 forces {0, 1} | {2}
     codes, deaths, vols = [0, 1, 1, 2, 2], [9.0, 1.0, 1.0, 1.0, 2.0], [1.0] * 5
-    assert scan(codes, deaths, vols)[1] == 0
-    assert scan(codes, deaths, vols, min_bucket=2)[1] == 1
+    # code order: the best cut {0} | {1, 2} leaves one point left; min_bucket
+    # 2 forces {0, 1} | {2}
+    assert scan(codes, deaths, vols)[:2] == ([0], [1, 2])
+    assert scan(codes, deaths, vols, min_bucket=2)[:2] == ([0, 1], [2])
+    # rate order 1, 2, 0: the best cut {1, 2} | {0} leaves one point right;
+    # min_bucket 2 forces {1} | {0, 2}
+    assert scan(codes, deaths, vols, by_rate=True)[:2] == ([1, 2], [0])
+    assert scan(codes, deaths, vols, min_bucket=2, by_rate=True)[:2] == ([1], [0, 2])
 
 
 def test_rate_order():
     # rates 3, 1, 1.2: the levels are scanned as 1, 2, 0 and the best cut
-    # separates the highest rate
-    order, cut, red = scan([0, 1, 2], [30.0, 10.0, 12.0], [10.0, 10.0, 10.0], by_rate=True)
-    assert order.tolist() == [1, 2, 0]
-    assert cut == 1
-    assert red > 0
-    # equal float32 rates fall back to code order
-    order, _, _ = scan([2, 0, 1], [1.0, 2.0, 1.0], [1.0, 2.0, 1.0], by_rate=True)
-    assert order.tolist() == [0, 1, 2]
+    # separates the highest rate, which no threshold can do
+    codes, deaths, vols = [0, 1, 2], [30.0, 10.0, 12.0], [10.0, 10.0, 10.0]
+    assert scan_order(codes, deaths, vols, 3, by_rate=True).tolist() == [1, 2, 0]
+    left, right, red = scan(codes, deaths, vols, by_rate=True)
+    assert (left, right) == ([1, 2], [0])
+    assert red > scan(codes, deaths, vols)[2] > 0
+    # level 0's rate exceeds level 1's, but not at float32, so the levels scan
+    # in code order 0, 1, 2; min_bucket 2 leaves only the first cut
+    codes, vols = [0, 0, 1, 1, 2], [1.0] * 5
+    deaths = [1.0 + 1e-9, 1.0 + 1e-9, 1.0, 1.0, 3.0]
+    assert scan_order(codes, deaths, vols, 3, by_rate=True).tolist() == [0, 1, 2]
+    assert scan(codes, deaths, vols, min_bucket=2, by_rate=True)[:2] == ([0], [1, 2])
 
 
 def test_lexicographic_tie_rule():
     # rates 2, 1, 4 scan as levels 1, 0, 2. Cuts {1} | {0, 2} and {0, 1} | {2}
     # tie at float32; the sorted left set (0, 1) is smaller than (1,)
     codes, deaths, vols = [0, 1, 2], [4.0, 4.0, 4.0], [2.0, 4.0, 1.0]
-    order, cut, _ = scan(codes, deaths, vols, by_rate=True)
+    order = scan_order(codes, deaths, vols, 3, by_rate=True)
     assert order.tolist() == [1, 0, 2]
     red32 = reductions32(codes, deaths, vols, order)
     assert red32[0] == red32[1] == red32.max()
-    assert cut == 1
+    assert scan(codes, deaths, vols, by_rate=True)[:2] == ([0, 1], [2])
     # in code order the first tied cut wins: the smallest threshold
-    _, cut, red = scan([0, 1, 2, 3], [0.0] * 4, [1.0] * 4)
-    assert (cut, red) == (0, 0.0)
+    assert scan([0, 1, 2, 3], [0.0] * 4, [1.0] * 4) == ([0], [1, 2, 3], 0.0)
 
 
 def cases(rng):
@@ -184,15 +203,17 @@ def test_tie_rule_matches_its_definition(rng):
     for codes, deaths, vols, min_bucket, k in cases(rng):
         for by_rate in (False, True):
             got = scan(codes, deaths, vols, min_bucket, by_rate, n_levels=k)
-            if got is None:
-                continue
-            order, cut, _ = got
-            red32 = reductions32(codes, deaths, vols, order)
+            order = scan_order(codes, deaths, vols, k, by_rate)
             left_n = np.cumsum(np.bincount(codes, minlength=k)[order])[:-1]
             ok = (left_n >= min_bucket) & (codes.size - left_n >= min_bucket)
+            if not ok.any():
+                assert got is None
+                continue
+            red32 = reductions32(codes, deaths, vols, order)
             tied = np.flatnonzero(ok & (red32 == red32[ok].max()))
-            assert cut == min(tied, key=lambda j: sorted(order[: j + 1].tolist()))
+            left_sets = [sorted(order[: j + 1].tolist()) for j in tied]
+            assert got[0] == min(left_sets)
             if not by_rate:
-                assert cut == tied[0]
-            decided_by_the_rule += bool(cut != tied[0])
+                assert got[0] == left_sets[0]
+            decided_by_the_rule += got[0] != left_sets[0]
     assert decided_by_the_rule > 0

@@ -201,3 +201,8 @@ class TestParamsCsv:
         surf = rate_surface(space, fits)
         assert surf.rate.shape == space.shape
         assert surf.rate[0, 0, 0] == fits["female"].rates()[0, 0]
+
+
+def test_nan_deviance_tol_is_rejected():
+    with pytest.raises(ValueError, match="deviance_tol must be > 0"):
+        FitConfig(deviance_tol=math.nan)

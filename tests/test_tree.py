@@ -381,6 +381,29 @@ def test_config_validation():
         TreeConfig(max_depth=0)
 
 
+def test_nan_cp_is_rejected():
+    with pytest.raises(ValueError, match="cp must be >= 0, got nan"):
+        TreeConfig(cp=math.nan)
+
+
+def test_names_and_labels_fit_the_tree_text():
+    # an ordered name is a whitespace-separated token before '<='; a cause
+    # label sits between '|'s on one line
+    for name in ("", "a b", "a\tb", "a<=b"):
+        with pytest.raises(ValueError, match="ordered feature name"):
+            WorkingData((name,), np.zeros((2, 1)), np.ones(2), np.ones(2))
+    for label in ("a|b", "a\nb", "a\rb", "a\x1cb", "a\x85b", "a\u2028b", "a\n"):
+        with pytest.raises(ValueError, match="cause label"):
+            WorkingData(("x",), np.zeros((2, 1)), np.ones(2), np.ones(2),
+                        cause=np.array([0, 1]), cause_labels=("c", label))
+    # names and labels that pass grow trees whose text reads back
+    data = WorkingData(("x:1",), np.array([[0.0], [1.0], [0.0], [1.0]]), np.ones(4),
+                       np.array([0.0, 5.0, 1.0, 6.0]), cause=np.array([0, 1, 1, 0]),
+                       cause_labels=("a b", "<= c: {0}"))
+    text = grow_tree(data, TreeConfig(cp=0.0, min_bucket=1)).to_text()
+    assert PoissonTree.from_text(text).to_text() == text
+
+
 def test_working_data_validation():
     with pytest.raises(ValueError, match="volume"):
         WorkingData(("x",), np.zeros((2, 1)), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
