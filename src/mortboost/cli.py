@@ -42,6 +42,7 @@ EXIT_NOCONV = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_BUCKETS = "0;1-14;15-44;45-64;65-84;85+"
+MODELS = {"lc": leecarter.LCParams, "rh": renshawhaberman.RHParams}
 
 
 class DataError(Exception):
@@ -106,21 +107,19 @@ def cmd_fit(args) -> int:
     warnings = list(report.warnings)
     if args.model == "lc":
         fits = {g: leecarter.fit_lc(table, g, cfg) for g in GENDERS}
-        params_csv = leecarter.params_to_csv(fits)
     else:
         warm = _load_warm_start(args.warm_start, space) if args.warm_start else None
         fits = {
             g: renshawhaberman.fit_rh(table, g, cfg, warm_start=warm[g] if warm else None)
             for g in GENDERS
         }
-        params_csv = renshawhaberman.rh_params_to_csv(fits)
     for g in GENDERS:
         warnings.extend(f"{g}: {flag}" for flag in fits[g].flags)
     surface = leecarter.rate_surface(space, fits)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "params.csv").write_text(params_csv)
+    (out / "params.csv").write_text(leecarter.params_to_csv(fits))
     (out / "qfit.csv").write_text(rate_surface_to_csv(surface))
     converged = {g: fits[g].converged for g in GENDERS}
     inputs = [args.deaths, args.exposures] + ([args.warm_start] if args.warm_start else [])
@@ -229,8 +228,11 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
             raise DataError("--causes needs at least one cause")
         return tuple(f"cause {k + 1}" for k in range(int(spec)))
     labels = tuple(part.strip() for part in spec.split("|"))
-    if any(not lab for lab in labels):
-        raise DataError("empty cause label in --causes")
+    for lab in labels:
+        if not lab:
+            raise DataError("empty cause label in --causes")
+        if len((lab + ".").splitlines()) > 1:  # the tree text keeps the labels on one line
+            raise DataError(f"cause label {lab!r} in --causes holds a line break")
     return labels
 
 
@@ -381,21 +383,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.kind == "lc":
-        fits = _read_file("--params", args.params, leecarter.params_from_csv)
-        rows = [("beta1 sum - 1", lambda p: p.beta1.sum() - 1.0), ("kappa sum", lambda p: p.kappa.sum())]
-    else:
-        fits = _read_file("--params", args.params, renshawhaberman.rh_params_from_csv)
-        rows = [
-            ("beta1 sum - 1", lambda p: p.beta1.sum() - 1.0),
-            ("beta2 sum - 1", lambda p: p.beta2.sum() - 1.0),
-            ("kappa sum", lambda p: p.kappa.sum()),
-            ("grid-weighted gamma sum", lambda p: (p.cohort_cells() * p.gamma).sum()),
-        ]
+    fits = _read_file("--params", args.params, lambda text: leecarter.params_from_csv(text, MODELS[args.kind]))
     ok = True
     for g, p in sorted(fits.items()):
-        for name, fn in rows:
-            value = float(fn(p))
+        for name, value in p.constraints():
             status = "ok" if abs(value) <= args.tol else "FAIL"
             ok &= status == "ok"
             print(f"{g} {name}: {value:.3e} [{status}]")
@@ -440,7 +431,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a mortality model by Poisson maximum likelihood")
-    fit.add_argument("model", choices=["lc", "rh"])
+    fit.add_argument("model", choices=list(MODELS))
     fit.add_argument("--deaths", required=True)
     fit.add_argument("--exposures", required=True)
     fit.add_argument("--ages", required=True, help="age range LO:HI")
@@ -495,7 +486,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     check = sub.add_parser("check", help="verify identifiability constraints of a params.csv")
     check.add_argument("--params", required=True)
-    check.add_argument("--kind", choices=["lc", "rh"], required=True)
+    check.add_argument("--kind", choices=list(MODELS), required=True)
     check.add_argument("--tol", type=float, default=1e-10)
     check.set_defaults(func=cmd_check)
 

@@ -73,6 +73,20 @@ def init_theta(
     raise ValueError(f"unknown theta initialization mode {mode!r}")
 
 
+def grid_features(shape: tuple[int, ...], year_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """(size, 3) matrix of (gender, 1-based bucket, year) rows and the cause
+    codes of every cell of a (2, I, T, K) grid, in storage order."""
+    _, n_buckets, n_years, n_causes = shape
+    g, b, t, k = np.meshgrid(
+        np.arange(len(GENDERS), dtype=np.float64),
+        np.arange(1, n_buckets + 1, dtype=np.float64),
+        np.arange(year_min, year_min + n_years, dtype=np.float64),
+        np.arange(n_causes),
+        indexing="ij",
+    )
+    return np.column_stack([g.ravel(), b.ravel(), t.ravel()]), k.ravel().astype(np.int64)
+
+
 @dataclass(frozen=True)
 class CodWorkingData:
     """Working points over (gender, bucket, year) x cause, plus grid metadata."""
@@ -122,13 +136,7 @@ def make_cod_working_data(
         )
     response = np.where(cod.missing, np.nan, cod.counts.astype(np.float64))
 
-    g, b, t, k = np.meshgrid(
-        np.arange(len(GENDERS), dtype=np.float64),
-        np.arange(1, cod.n_buckets + 1, dtype=np.float64),
-        np.arange(cod.year_min, cod.year_max + 1, dtype=np.float64),
-        np.arange(K),
-        indexing="ij",
-    )
+    ordered, cause = grid_features(volume.shape, cod.year_min)
     keep = volume.ravel() > 0
     dropped = []
     for flat in np.nonzero(~keep)[0]:
@@ -136,10 +144,10 @@ def make_cod_working_data(
         dropped.append((GENDERS[gi], int(bi + 1), int(cod.year_min + ti), cod.causes[ki]))
     data = WorkingData(
         ordered_names=COD_FEATURES,
-        ordered=np.column_stack([g.ravel(), b.ravel(), t.ravel()])[keep],
+        ordered=ordered[keep],
         volume=volume.ravel()[keep],
         deaths=response.ravel()[keep],
-        cause=k.ravel().astype(np.int64)[keep],
+        cause=cause[keep],
         cause_labels=cod.causes,
     )
     return CodWorkingData(
@@ -163,18 +171,9 @@ def estimate_theta_tree(
     """
     tree = grow_tree(working.data, cfg)
     shape = theta0.values.shape
-    n_buckets, n_years, K = shape[1], shape[2], shape[3]
-    if (n_buckets, n_years) != (working.n_buckets, working.n_years):
+    if shape[1:3] != (working.n_buckets, working.n_years):
         raise ValueError("theta0 shape does not match the working data grid")
-    g, b, t, k = np.meshgrid(
-        np.arange(len(GENDERS), dtype=np.float64),
-        np.arange(1, n_buckets + 1, dtype=np.float64),
-        np.arange(working.year_min, working.year_min + n_years, dtype=np.float64),
-        np.arange(K),
-        indexing="ij",
-    )
-    X = np.column_stack([g.ravel(), b.ravel(), t.ravel()])
-    mu = tree.predict(X, k.ravel().astype(np.int64)).reshape(shape)
+    mu = tree.predict(*grid_features(shape, working.year_min)).reshape(shape)
     raw = np.clip(mu * theta0.values, 0.0, 1.0)
     denom = (raw * working.available).sum(axis=3)
     with np.errstate(divide="ignore", invalid="ignore"):

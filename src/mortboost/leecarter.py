@@ -1,15 +1,18 @@
 """Lee-Carter mortality surfaces fitted by Poisson maximum likelihood, and
-the fit loop that Lee-Carter and Renshaw-Haberman share.
+the fit loop and parameter CSV that Lee-Carter and Renshaw-Haberman share.
 
 log q(g,a,t) = beta0[a] + beta1[a] * kappa[t] per gender, with the usual
 identifiability constraints sum(beta1) = 1 and sum(kappa) = 0.
 
-`fit_terms` fits beta0[a] plus a sum of bilinear terms age_kind[a] *
-period_kind[p]. A model's terms are a constant (LC_TERMS here; the
-Renshaw-Haberman model adds ("beta2", "gamma")), and `_KIND_AXIS` gives each
-kind its axis: age, year or birth cohort. The axis decides how a vector is
-broadcast onto the (age, year) grid and how a grid is reduced to it: a row
-sum, a column sum or a cohort bincount. Each iteration, with an exposure
+A model is declared once, by its parameter class's TERMS: log q is beta0[a]
+plus a sum of bilinear terms age_kind[a] * period_kind[p] (LCParams.TERMS
+here; RHParams adds ("beta2", "gamma")), and `_KIND_AXIS` gives each kind
+its axis: age, year or birth cohort. The terms give the model's kinds and
+their CSV row order (beta0, then each term's kinds), its log-rate grid
+(`log_rate_grid`), its constraints (`LCParams.constraints`) and its fit
+(`fit_terms`). The axis decides how a vector is broadcast onto the (age,
+year) grid and how a grid is reduced to it: a row sum, a column sum or a
+cohort bincount. Each iteration of `fit_terms`, with an exposure
 offset, moves beta0 to its closed-form per-age maximiser, takes one damped
 Newton step on each kind (per term, the period kind first), runs the
 model's joint-step hook if it has one, and re-imposes the constraints (each
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,8 +46,6 @@ _MAX_HALVINGS = 30
 # where the index starts at the parameter object's age_min, year_min or
 # cohort_min
 _KIND_AXIS = {"beta0": "age", "beta1": "age", "beta2": "age", "kappa": "year", "gamma": "cohort"}
-LC_KINDS = ("beta0", "beta1", "kappa")
-LC_TERMS = (("beta1", "kappa"),)
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,10 @@ class FitConfig:
 
 @dataclass
 class LCParams:
-    """One gender's fitted coefficients: beta0/beta1 per age, kappa per year."""
+    """One gender's fitted coefficients: beta0/beta1 per age, kappa per year.
+    A subclass adds fields and extends TERMS to declare another model."""
+
+    TERMS: ClassVar[tuple[tuple[str, str], ...]] = (("beta1", "kappa"),)
 
     gender: str
     age_min: int
@@ -86,12 +91,56 @@ class LCParams:
         return self.kappa.size
 
     @property
+    def cohort_min(self) -> int:
+        return self.year_min - (self.age_min + self.n_ages - 1)
+
+    @property
+    def n_cohorts(self) -> int:
+        return self.n_ages + self.n_years - 1
+
+    @property
     def deviance(self) -> float:
         return float(self.deviance_trace[-1])
 
+    @classmethod
+    def kinds(cls) -> tuple[str, ...]:
+        """The parameter vectors in CSV row order: beta0, then each term's."""
+        return ("beta0", *(kind for term in cls.TERMS for kind in term))
+
+    def theta(self) -> dict[str, np.ndarray]:
+        """The parameter vectors by kind."""
+        return {kind: getattr(self, kind) for kind in self.kinds()}
+
+    def span(self, kind: str) -> tuple[int, int]:
+        """The first index and the length of kind's axis: ages, years or cohorts."""
+        axis = _KIND_AXIS[kind]
+        return getattr(self, f"{axis}_min"), getattr(self, f"n_{axis}s")
+
+    def _cohort_index(self) -> np.ndarray:
+        """(n_ages, n_years) grid of cohort indices, t - a + n_ages - 1 at (a, t)."""
+        return np.arange(self.n_years)[None, :] - np.arange(self.n_ages)[:, None] + (self.n_ages - 1)
+
+    def cohort_cells(self) -> np.ndarray:
+        """Number of grid cells of each cohort, oldest first."""
+        return np.bincount(self._cohort_index().ravel(), minlength=self.n_cohorts)
+
     def log_rates(self) -> np.ndarray:
         """(n_ages, n_years) grid of unclamped log rates."""
-        return self.beta0[:, None] + self.beta1[:, None] * self.kappa[None, :]
+        return log_rate_grid(self.theta(), self.TERMS, self._cohort_index())
+
+    def constraints(self) -> list[tuple[str, float]]:
+        """The identifiability constraints as (name, residual) pairs, each 0
+        on an exact fit: every age kind sums to 1, then every period kind has
+        grid-weighted sum 0 (a year kind's is its plain sum, as every year
+        has as many cells)."""
+        out = [(f"{kind} sum - 1", float(getattr(self, kind).sum() - 1.0)) for kind, _ in self.TERMS]
+        for _, period in self.TERMS:
+            k = getattr(self, period)
+            if _KIND_AXIS[period] == "year":
+                out.append((f"{period} sum", float(k.sum())))
+            else:
+                out.append((f"grid-weighted {period} sum", float((self.cohort_cells() * k).sum())))
+        return out
 
     def rates(self) -> np.ndarray:
         return np.clip(np.exp(self.log_rates()), self.rate_floor, 1.0)
@@ -144,10 +193,17 @@ def _per_index(kind: str, grid: np.ndarray, ci, n: int) -> np.ndarray:
     return np.bincount(ci.ravel(), weights=grid.ravel(), minlength=n)
 
 
-def fit_terms(
-    D, E, start, terms, cfg: FitConfig, surface_deviance=poisson_surface_deviance, joint_step=None
-):
-    """Fit beta0 and the bilinear `terms` to one gender's deaths D and exposure E.
+def log_rate_grid(theta: dict[str, np.ndarray], terms, ci) -> np.ndarray:
+    """The (age, year) grid of beta0 plus the bilinear terms, for theta
+    mapping kinds to vectors; ci is the grid of cohort indices."""
+    log_rate = theta["beta0"][:, None]
+    for age_kind, period in terms:
+        log_rate = log_rate + theta[age_kind][:, None] * _on_grid(period, theta[period], ci)
+    return log_rate
+
+
+def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_deviance, joint_step=None):
+    """Fit beta0 and start's TERMS to one gender's deaths D and exposure E.
 
     start (an LCParams or RHParams) holds the starting vectors; the result is
     a copy of it with the fitted ones. Its flags are those of age rows without
@@ -161,10 +217,9 @@ def fit_terms(
     """
     if (E.sum(axis=1) > 0).sum() < 2 or (E.sum(axis=0) > 0).sum() < 2:
         raise ValueError("need at least 2 ages and 2 years with positive exposure")
-    theta = {kind: getattr(start, kind) for kind in ("beta0", *(k for term in terms for k in term))}
-    ci = cells = None
-    if any(_KIND_AXIS[period] == "cohort" for _, period in terms):
-        ci, cells = start._cohort_index(), start.cohort_cells()
+    terms = start.TERMS
+    theta = start.theta()
+    ci, cells = start._cohort_index(), start.cohort_cells()
 
     age_D = D.sum(axis=1)
     age_E = E.sum(axis=1)
@@ -175,15 +230,9 @@ def fit_terms(
             flags.append(f"age {a + start.age_min}: zero {what} in every year; fitted at rate_floor")
     flags += start.flags
 
-    def log_rates(th):
-        log_rate = th["beta0"][:, None]
-        for age_kind, period in terms:
-            log_rate = log_rate + th[age_kind][:, None] * _on_grid(period, th[period], ci)
-        return log_rate
-
     def evaluate(th):
         """The point (th, its log-rate grid, its deviance)."""
-        log_rate = log_rates(th)
+        log_rate = log_rate_grid(th, terms, ci)
         return th, log_rate, surface_deviance(D, E, log_rate)
 
     def fitted_means(log_rate):
@@ -246,7 +295,7 @@ def fit_terms(
                 b, k = b / scale, k * scale
             theta[age_kind], theta[period] = b, k
         # the constraints change theta's bits, so its grid is evaluated again
-        point = (theta, log_rates(theta), dev)
+        point = (theta, log_rate_grid(theta, terms, ci), dev)
 
         trace.append(dev)
         prev = trace[-2]
@@ -290,7 +339,7 @@ def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> 
         deviance_trace=np.array([]),
         flags=[],
     )
-    fit = fit_terms(D, E, start, LC_TERMS, cfg)
+    fit = fit_terms(D, E, start, cfg)
     if np.max(np.abs(fit.kappa)) < 1e-8:
         fit.flags.append("kappa is numerically zero: time-homogeneous surface, beta1 weakly identified")
     return fit
@@ -298,7 +347,7 @@ def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> 
 
 def predict_lc(params: LCParams, gender: str, age: int, year: int) -> float:
     """Fitted rate at one feature, clamped to [rate_floor, 1]; no extrapolation.
-    Serves RHParams too: the rate is the cell's entry of params.log_rates()."""
+    Serves every model: the rate is the cell's entry of params.log_rates()."""
     if gender != params.gender:
         raise ValueError(f"parameters are for {params.gender}, not {gender}")
     ai = age - params.age_min
@@ -317,7 +366,9 @@ def rate_surface(space: FeatureSpace, per_gender: dict[str, "LCParams"]) -> Rate
     rate = np.empty(space.shape)
     for g in GENDERS:
         p = per_gender[g]
-        if p.n_ages != space.n_ages or p.n_years != space.n_years:
+        if (p.age_min, p.n_ages, p.year_min, p.n_years) != (
+            space.age_min, space.n_ages, space.year_min, space.n_years
+        ):
             raise ValueError("fitted parameter ranges do not match the feature space")
         rate[gender_index(g)] = p.rates()
     return RateSurface(space, rate)
@@ -328,26 +379,28 @@ def rate_surface(space: FeatureSpace, per_gender: dict[str, "LCParams"]) -> Rate
 _CSV_HEADER = "gender,kind,index,value"
 
 
-def write_params_csv(per_gender: dict, kinds: tuple[str, ...]) -> str:
-    """Columns gender,kind,index,value for the named parameter vectors."""
+def params_to_csv(per_gender: dict[str, LCParams]) -> str:
+    """Columns gender,kind,index,value: each gender's kinds in its model's
+    order, indexed by age, calendar year or birth cohort."""
     buf = io.StringIO()
     buf.write(_CSV_HEADER + "\n")
     for g in GENDERS:
         if g not in per_gender:
             continue
         p = per_gender[g]
-        for kind in kinds:
-            base = getattr(p, _KIND_AXIS[kind] + "_min")
-            for i, v in enumerate(getattr(p, kind)):
-                buf.write(f"{g},{kind},{base + i},{float(v)!r}\n")
+        for kind in p.kinds():
+            for i, v in enumerate(getattr(p, kind), start=p.span(kind)[0]):
+                buf.write(f"{g},{kind},{i},{float(v)!r}\n")
     return buf.getvalue()
 
 
-def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) -> dict:
-    """Inverse of write_params_csv; `make` builds one gender's parameter object
-    (LCParams, RHParams) from keyword fields. A malformed or repeated row is
-    named by its line; a row's value is converted first, then its index, then
-    its gender."""
+def params_from_csv(
+    text: str, model: type[LCParams] = LCParams, rate_floor: float = FitConfig().rate_floor
+) -> dict[str, LCParams]:
+    """Inverse of params_to_csv for one model class (LCParams, RHParams); a
+    gender's rows must hold exactly the model's kinds. A malformed or
+    repeated row is named by its line; a row's value is converted first,
+    then its index, then its gender."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ValueError(f"expected header {_CSV_HEADER}")
@@ -362,6 +415,7 @@ def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) 
         *kept_rows(lines[1:], str.strip, range(2, len(lines) + 1))
     )
     labels = list(codes)
+    kinds = model.kinds()
     out = {}
     for gc in dict.fromkeys(gi.tolist()):  # genders in order of first appearance
         g, mine = GENDERS[gc], gi == gc
@@ -376,20 +430,11 @@ def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) 
             if idx != list(range(idx[0], idx[0] + len(idx))):
                 raise ValueError(f"gender {g}: {kind} indices are not contiguous")
             starts[kind], vecs[kind] = idx[0], value[rows][order]
-        age_min, n_ages = starts["beta0"], vecs["beta0"].size
-        year_min, n_years = starts["kappa"], vecs["kappa"].size
-        span = {
-            "age": (age_min, n_ages),
-            "year": (year_min, n_years),
-            "cohort": (year_min - (age_min + n_ages - 1), n_ages + n_years - 1),
-        }
-        for kind in kinds:
-            if (starts[kind], vecs[kind].size) != span[_KIND_AXIS[kind]]:
-                raise ValueError(f"gender {g}: {kind} index range does not match the age/year ranges")
-        out[g] = make(
+        # beta0 gives the ages and kappa the years; every other axis follows
+        out[g] = p = model(
             gender=g,
-            age_min=age_min,
-            year_min=year_min,
+            age_min=starts["beta0"],
+            year_min=starts["kappa"],
             **vecs,
             rate_floor=rate_floor,
             converged=True,
@@ -397,13 +442,7 @@ def read_params_csv(text: str, kinds: tuple[str, ...], make, rate_floor: float) 
             deviance_trace=np.array([np.nan]),
             flags=["loaded from CSV"],
         )
+        for kind in kinds:
+            if (starts[kind], vecs[kind].size) != p.span(kind):
+                raise ValueError(f"gender {g}: {kind} index range does not match the age/year ranges")
     return out
-
-
-def params_to_csv(per_gender: dict[str, LCParams]) -> str:
-    """LC parameters as CSV; kappa indexed by calendar year."""
-    return write_params_csv(per_gender, LC_KINDS)
-
-
-def params_from_csv(text: str, rate_floor: float = FitConfig().rate_floor) -> dict[str, LCParams]:
-    return read_params_csv(text, LC_KINDS, LCParams, rate_floor)

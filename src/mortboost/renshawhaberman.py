@@ -2,12 +2,13 @@
 
 log q(g,a,t) = beta0[a] + beta1[a]*kappa[t] + beta2[a]*gamma[t-a], with
 sum(beta1) = sum(beta2) = 1, sum(kappa) = 0 and the grid-multiplicity-weighted
-cohort sum sum_{a,t} gamma[t-a] = 0. The model adds one bilinear term to
-Lee-Carter's (RH_TERMS) and runs the same loop, leecarter.fit_terms, warm-
-started from Lee-Carter's beta0, beta1 and kappa (gamma = 0, so the starting
-deviance equals the LC deviance exactly). This module adds RHParams (beta2,
-gamma and the cohort helpers), the flags for cohorts seen in one grid cell
-or without positive exposure, and the loop's one model-specific hook: after
+cohort sum sum_{a,t} gamma[t-a] = 0. RHParams declares the model: it adds
+the fields beta2 and gamma and one bilinear term to Lee-Carter's TERMS,
+which give its log rates, parameter CSV rows and constraints. The fit runs
+the same loop, leecarter.fit_terms, warm-started from Lee-Carter's beta0,
+beta1 and kappa (gamma = 0, so the starting deviance equals the LC deviance
+exactly). This module adds the flags for cohorts seen in one grid cell or
+without positive exposure, and the loop's one model-specific hook: after
 the block steps of each iteration, one Levenberg-Marquardt damped
 Fisher-scoring step on all parameters at once. Block steps make cheap early
 progress; the joint step escapes the zigzag stalls the pure alternating
@@ -38,13 +39,12 @@ again on every trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .grids import GENDERS, MortalityTable
 from .leecarter import (
-    LC_KINDS,
-    LC_TERMS,
     FitConfig,
     LCParams,
     _gender_slice,
@@ -52,40 +52,19 @@ from .leecarter import (
     fit_terms,
     poisson_surface_deviance,
     predict_lc,
-    read_params_csv,
-    write_params_csv,
 )
 
 RH_DEFAULT_CONFIG = FitConfig(max_iterations=50000)
-RH_KINDS = ("beta0", "beta1", "kappa", "beta2", "gamma")
-RH_TERMS = LC_TERMS + (("beta2", "gamma"),)
 
 
 @dataclass
 class RHParams(LCParams):
     """LCParams plus beta2 per age and gamma per birth cohort."""
 
+    TERMS: ClassVar[tuple[tuple[str, str], ...]] = LCParams.TERMS + (("beta2", "gamma"),)
+
     beta2: np.ndarray
     gamma: np.ndarray  # cohorts year_min - age_max .. year_max - age_min
-
-    @property
-    def cohort_min(self) -> int:
-        return self.year_min - (self.age_min + self.n_ages - 1)
-
-    @property
-    def n_cohorts(self) -> int:
-        return self.gamma.size
-
-    def _cohort_index(self) -> np.ndarray:
-        """(n_ages, n_years) grid of cohort indices, t - a + n_ages - 1 at (a, t)."""
-        return np.arange(self.n_years)[None, :] - np.arange(self.n_ages)[:, None] + (self.n_ages - 1)
-
-    def cohort_cells(self) -> np.ndarray:
-        """Number of grid cells of each cohort, oldest first."""
-        return np.bincount(self._cohort_index().ravel(), minlength=self.n_cohorts)
-
-    def log_rates(self) -> np.ndarray:
-        return super().log_rates() + self.beta2[:, None] * self.gamma[self._cohort_index()]
 
 
 class _Workspace:
@@ -227,7 +206,7 @@ def fit_rh(
         gender=gender,
         age_min=space.age_min,
         year_min=space.year_min,
-        **{kind: getattr(warm_start, kind) for kind in LC_KINDS},
+        **{kind: getattr(warm_start, kind) for kind in LCParams.kinds()},
         beta2=np.full(space.n_ages, 1.0 / space.n_ages),
         gamma=np.zeros(space.n_cohorts),
         rate_floor=cfg.rate_floor,
@@ -259,7 +238,7 @@ def fit_rh(
                 lm_lambda *= 10.0
                 continue
             steps = (u[:, 0], u[:, 1], z[:n_years], u[:, 2], z[n_years:])
-            cand = evaluate({kind: theta[kind] + step for kind, step in zip(RH_KINDS, steps)})
+            cand = evaluate({kind: theta[kind] + step for kind, step in zip(RHParams.kinds(), steps)})
             if cand[2] <= dev:
                 lm_lambda = max(lm_lambda / 3.0, 1e-12)
                 return cand
@@ -269,7 +248,7 @@ def fit_rh(
     # this module's poisson_surface_deviance is looked up at each call, so a
     # wrapper installed on it (the benchmark's tracer) sees every evaluation
     return fit_terms(
-        D, E, start, RH_TERMS, cfg,
+        D, E, start, cfg,
         surface_deviance=lambda *args: poisson_surface_deviance(*args),
         joint_step=joint_step,
     )
@@ -279,14 +258,5 @@ def fit_rh_both(table: MortalityTable, cfg: FitConfig = RH_DEFAULT_CONFIG) -> di
     return {g: fit_rh(table, g, cfg) for g in GENDERS}
 
 
-# the cohort term enters through RHParams.log_rates
+# the cohort term enters through RHParams.TERMS
 predict_rh = predict_lc
-
-
-def rh_params_to_csv(per_gender: dict[str, RHParams]) -> str:
-    """RH parameters as CSV; gamma indexed by birth cohort."""
-    return write_params_csv(per_gender, RH_KINDS)
-
-
-def rh_params_from_csv(text: str, rate_floor: float = FitConfig().rate_floor) -> dict[str, RHParams]:
-    return read_params_csv(text, RH_KINDS, RHParams, rate_floor)

@@ -473,7 +473,7 @@ class TestErrorPaths:
             ([*cod, "--causes", "0", "--buckets", "0-4;5-9"], "--causes needs at least one cause"),
             # a label that would break the tree text's causes line
             ([*cod, "--causes", "a\nb|c|d", "--buckets", "0-4;5-9"],
-             "cause label 'a\\nb' holds '|' or a line break"),
+             "cause label 'a\\nb' in --causes holds a line break"),
         ]
         for argv, message in cases:
             assert main(argv) == 3, argv
@@ -508,6 +508,27 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "--warm-start applies only to fit rh" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_params_of_the_other_model_are_data_errors(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        data = ["--deaths", str(sim_dir / "deaths.txt"), "--exposures", str(sim_dir / "exposures.txt"),
+                "--ages", "0:9", "--years", "2000:2009"]
+        assert main(["fit", "rh", *data, "--max-iter", "1", "--out", str(tmp_path / "rh")]) == 4
+        lc, rh = lc_fit_dir / "params.csv", tmp_path / "rh" / "params.csv"
+        lc_kinds = "beta0/beta1/kappa, got ['beta0', 'beta1', 'beta2', 'gamma', 'kappa']"
+        cases = [
+            (["check", "--params", str(rh), "--kind", "lc"],
+             f"--params {rh}: gender female: expected kinds {lc_kinds}"),
+            (["check", "--params", str(lc), "--kind", "rh"],
+             f"--params {lc}: gender female: expected kinds beta0/beta1/kappa/beta2/gamma, "
+             "got ['beta0', 'beta1', 'kappa']"),
+            (["fit", "rh", *data, "--warm-start", str(rh), "--out", str(tmp_path / "warm")],
+             f"--warm-start {rh}: gender female: expected kinds {lc_kinds}"),
+        ]
+        capsys.readouterr()
+        for argv, message in cases:
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "warm").exists()
 
     def test_check_on_header_only_params_is_data_error(self, tmp_path, capsys):
         params = tmp_path / "params.csv"

@@ -22,15 +22,8 @@ import reference_io as ref
 from conftest import random_working_data
 from mortboost import DEFAULT_CAUSES, FeatureSpace, PoissonTree, RateSurface, TreeConfig, grow_tree, hmd
 from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv
-from mortboost.leecarter import (
-    _KIND_AXIS,
-    LC_KINDS,
-    LCParams,
-    params_from_csv,
-    params_to_csv,
-    read_params_csv,
-)
-from mortboost.renshawhaberman import RH_KINDS, RHParams, rh_params_from_csv, rh_params_to_csv
+from mortboost.leecarter import _KIND_AXIS, LCParams, params_from_csv, params_to_csv
+from mortboost.renshawhaberman import RHParams
 
 # characters that make up the formats, plus any character at all
 SYMBOLS = st.sampled_from(list(",\n\r .-+e0123456789fmalenif")) | st.characters()
@@ -52,7 +45,7 @@ def rate_surfaces(draw):
 
 
 @st.composite
-def param_sets(draw, make, kinds):
+def param_sets(draw, make):
     space = draw(spaces)
     genders = draw(st.sampled_from([("female",), ("male",), ("female", "male")]))
     size = {"age": space.n_ages, "year": space.n_years, "cohort": space.n_cohorts}
@@ -68,7 +61,7 @@ def param_sets(draw, make, kinds):
                     )
                 )
             )
-            for kind in kinds
+            for kind in make.kinds()
         }
         out[g] = make(
             gender=g,
@@ -108,10 +101,10 @@ def reads_or_rejects(reader, text: str) -> None:
         pass
 
 
-def same_params(back, fits, kinds) -> bool:
+def same_params(back, fits) -> bool:
     return list(back) == list(fits) and all(
         (back[g].age_min, back[g].year_min) == (p.age_min, p.year_min)
-        and all(same_bits(getattr(back[g], kind), getattr(p, kind)) for kind in kinds)
+        and all(same_bits(getattr(back[g], kind), getattr(p, kind)) for kind in p.kinds())
         for g, p in fits.items()
     )
 
@@ -149,12 +142,12 @@ def same_rate(a: RateSurface, b: RateSurface) -> bool:
 RATE = (rate_surface_from_csv, ref.rate_surface_from_csv, same_rate)
 
 
-def params_readers(make, kinds):
-    """read_params_csv for one model, its oracle and their comparison."""
+def params_readers(make):
+    """params_from_csv for one model, its oracle and their comparison."""
     return (
-        partial(read_params_csv, kinds=kinds, make=make, rate_floor=1e-8),
-        partial(ref.read_params_csv, kinds=kinds, make=make, rate_floor=1e-8),
-        partial(same_params, kinds=kinds),
+        partial(params_from_csv, model=make, rate_floor=1e-8),
+        partial(ref.read_params_csv, kinds=make.kinds(), make=make, rate_floor=1e-8),
+        same_params,
     )
 
 
@@ -234,27 +227,27 @@ class TestParamsCsv:
         ],
     )
     def test_examples_same_params_or_same_error(self, rows):
-        check_same(*params_readers(LCParams, LC_KINDS), PARAMS_HEAD + rows)
+        check_same(*params_readers(LCParams), PARAMS_HEAD + rows)
 
-    @given(param_sets(LCParams, LC_KINDS))
+    @given(param_sets(LCParams))
     @settings(max_examples=100, deadline=None)
     def test_lc_round_trip(self, fits):
-        assert same_params(params_from_csv(params_to_csv(fits)), fits, LC_KINDS)
+        assert same_params(params_from_csv(params_to_csv(fits)), fits)
 
-    @given(param_sets(RHParams, RH_KINDS))
+    @given(param_sets(RHParams))
     @settings(max_examples=100, deadline=None)
     def test_rh_round_trip(self, fits):
-        assert same_params(rh_params_from_csv(rh_params_to_csv(fits)), fits, RH_KINDS)
+        assert same_params(params_from_csv(params_to_csv(fits), RHParams), fits)
 
-    @given(param_sets(LCParams, LC_KINDS), st.data())
+    @given(param_sets(LCParams), st.data())
     @settings(max_examples=300, deadline=None)
     def test_lc_damaged_text_reads_or_raises_value_error(self, fits, data):
-        check_same(*params_readers(LCParams, LC_KINDS), damage(data, params_to_csv(fits)))
+        check_same(*params_readers(LCParams), damage(data, params_to_csv(fits)))
 
-    @given(param_sets(RHParams, RH_KINDS), st.data())
+    @given(param_sets(RHParams), st.data())
     @settings(max_examples=300, deadline=None)
     def test_rh_damaged_text_reads_or_raises_value_error(self, fits, data):
-        check_same(*params_readers(RHParams, RH_KINDS), damage(data, rh_params_to_csv(fits)))
+        check_same(*params_readers(RHParams), damage(data, params_to_csv(fits)))
 
 
 # --- HMD 1x1 and cause-of-death CSV ----------------------------------------

@@ -202,6 +202,15 @@ class TestParamsCsv:
         assert surf.rate.shape == space.shape
         assert surf.rate[0, 0, 0] == fits["female"].rates()[0, 0]
 
+    def test_surface_on_other_ranges_of_the_same_size_is_rejected(self, rng):
+        space = FeatureSpace(10, 19, 1990, 1999)
+        b0, b1, k = constrained_truth(rng, 10, 10)
+        table, _ = lc_table(rng, space, b0, b1, k)
+        fits = fit_lc_both(table)
+        for other in (FeatureSpace(0, 9, 1990, 1999), FeatureSpace(10, 19, 2000, 2009)):
+            with pytest.raises(ValueError, match="do not match the feature space"):
+                rate_surface(other, fits)
+
 
 def test_nan_deviance_tol_is_rejected():
     with pytest.raises(ValueError, match="deviance_tol must be > 0"):

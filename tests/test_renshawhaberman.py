@@ -5,14 +5,7 @@ import pytest
 
 from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_rh
 from mortboost.leecarter import FitConfig, params_from_csv, params_to_csv, poisson_surface_deviance
-from mortboost.renshawhaberman import (
-    _fisher_system,
-    _joint_step,
-    _Workspace,
-    fit_rh_both,
-    rh_params_from_csv,
-    rh_params_to_csv,
-)
+from mortboost.renshawhaberman import RHParams, _fisher_system, _joint_step, _Workspace, fit_rh_both
 from conftest import noise_free_table
 
 
@@ -209,6 +202,13 @@ class TestFitRH:
         ci = space.cohort_grid() - space.cohort_min
         mult = np.bincount(ci.ravel(), minlength=space.n_cohorts)
         assert abs((mult * rh.gamma).sum()) < 1e-10
+        # the rows `mortboost check --kind rh` prints, in its order
+        assert rh.constraints() == [
+            ("beta1 sum - 1", rh.beta1.sum() - 1.0),
+            ("beta2 sum - 1", rh.beta2.sum() - 1.0),
+            ("kappa sum", rh.kappa.sum()),
+            ("grid-weighted gamma sum", (mult * rh.gamma).sum()),
+        ]
 
     def test_swiss_sized_gamma_length(self, rng):
         space = FeatureSpace(0, 97, 1876, 2014)
@@ -326,11 +326,11 @@ class TestRHParamsCsv:
         (params, log_q) = rh_truth(rng, space)
         table, _ = noise_free_table(space, np.stack([log_q, log_q]))
         fits = fit_rh_both(table, FitConfig(max_iterations=30))
-        text = rh_params_to_csv(fits)
-        back = rh_params_from_csv(text)
+        text = params_to_csv(fits)
+        back = params_from_csv(text, RHParams)
         for g in ("female", "male"):
             for name in ("beta0", "beta1", "kappa", "beta2", "gamma"):
                 assert np.array_equal(getattr(back[g], name), getattr(fits[g], name)), name
             assert back[g].cohort_min == fits[g].cohort_min
         with pytest.raises(ValueError, match="no parameter rows"):
-            rh_params_from_csv(text.splitlines()[0] + "\n")
+            params_from_csv(text.splitlines()[0] + "\n", RHParams)
