@@ -348,6 +348,7 @@ def cmd_cod(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _read_file("--spec", args.spec, load_sim_spec)
     table = sample_deaths(spec)
+    cod_table = sample_cause_deaths(spec)[0] if spec.theta is not None else None
     space = spec.q.space
 
     def grid(values) -> hmd.HmdGrid:
@@ -367,8 +368,7 @@ def cmd_simulate(args) -> int:
     outputs = [out / "deaths.txt", out / "exposures.txt"]
     (out / "deaths.txt").write_text(hmd.write_hmd_1x1(grid(table.deaths)))
     (out / "exposures.txt").write_text(hmd.write_hmd_1x1(grid(table.exposure)))
-    if spec.theta is not None:
-        cod_table, _ = sample_cause_deaths(spec)
+    if cod_table is not None:
         (out / "cod.csv").write_text(hmd.write_cod_csv(cod_table))
         outputs.append(out / "cod.csv")
     write_manifest(

@@ -136,7 +136,7 @@ class RateSurface:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", _as_grid(self.rate, self.space, np.float64, "rate"))
-        if np.any(self.rate < 0) or np.any(self.rate > 1):
+        if not np.all((self.rate >= 0) & (self.rate <= 1)):  # NaN fails too
             raise ValueError("rates must lie in [0, 1]")
 
 

@@ -347,14 +347,20 @@ def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> 
 
 def predict_lc(params: LCParams, gender: str, age: int, year: int) -> float:
     """Fitted rate at one feature, clamped to [rate_floor, 1]; no extrapolation.
-    Serves every model: the rate is the cell's entry of params.log_rates()."""
+    Serves every model: the log rate is the cell's entry of params.log_rates(),
+    summed from the cell's own terms in log_rate_grid's order."""
     if gender != params.gender:
         raise ValueError(f"parameters are for {params.gender}, not {gender}")
     ai = age - params.age_min
     ti = year - params.year_min
     if not (0 <= ai < params.n_ages and 0 <= ti < params.n_years):
         raise ValueError(f"feature (age={age}, year={year}) outside the fitted ranges")
-    return float(np.clip(np.exp(params.log_rates()[ai, ti]), params.rate_floor, 1.0))
+    theta = params.theta()
+    at = {"age": ai, "year": ti, "cohort": ti - ai + params.n_ages - 1}
+    log_rate = theta["beta0"][ai]
+    for age_kind, period in params.TERMS:
+        log_rate = log_rate + theta[age_kind][ai] * theta[period][at[_KIND_AXIS[period]]]
+    return float(np.clip(np.exp(log_rate), params.rate_floor, 1.0))
 
 
 def fit_lc_both(table: MortalityTable, cfg: FitConfig = FitConfig()) -> dict[str, LCParams]:

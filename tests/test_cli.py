@@ -480,6 +480,32 @@ class TestErrorPaths:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists(), argv
 
+    def test_non_finite_simulation_input_names_its_key(self, tmp_path, capsys):
+        head = "ages = 0:9\nyears = 2000:2009\nseed = 1\n"
+        out = tmp_path / "s"
+        cases = [
+            ("exposure = nan", "line 4: exposure must be finite, got 'nan'"),
+            ("base_rate = nan", "line 4: base_rate must be finite, got 'nan'"),
+            ("exposure = 1e300", "mean q * exposure 5.000000000000001e+295 at (female, 0, 2000) "
+                                 "is above numpy's Poisson limit 9.223372006484771e+18"),
+        ]
+        for i, (line, message) in enumerate(cases):
+            spec = tmp_path / f"spec{i}.cfg"
+            spec.write_text(f"{head}{line}\n")
+            assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 3, line
+            assert capsys.readouterr().err == f"error: --spec {spec}: {message}\n"
+            assert not out.exists(), line
+
+    def test_failed_cause_draw_writes_nothing(self, tmp_path, capsys):
+        # each cell mean is below numpy's Poisson limit, their bucket's sum is not
+        spec = tmp_path / "sim.cfg"
+        spec.write_text("ages = 0:1\nyears = 2000:2000\nseed = 1\nexposure = 1e23\n"
+                        "causes = 1\nbuckets = 0-1\n")
+        out = tmp_path / "s"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: lam value too large\n"
+        assert not out.exists()
+
     def test_cod_field_over_the_csv_limit_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys):
         lines = (sim_dir / "cod.csv").read_text().splitlines()
         g, b, t, k, _ = lines[2].split(",")

@@ -172,6 +172,16 @@ class TestAggregateRates:
             assert np.all(np.abs(got - expected) <= np.spacing(expected))
 
 
+class TestRateSurface:
+    def test_rates_outside_the_unit_interval_rejected(self):
+        sp = small_space()
+        for bad in (-0.1, 1.5, np.nan):
+            rate = np.full(sp.shape, 0.5)
+            rate[0, 1, 1] = bad
+            with pytest.raises(ValueError, match=r"^rates must lie in \[0, 1\]$"):
+                RateSurface(sp, rate)
+
+
 class TestRateSurfaceCsv:
     def test_round_trip(self, rng):
         sp = small_space()

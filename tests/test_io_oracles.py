@@ -99,7 +99,8 @@ class TestHmdWriter:
 
 class TestGridWriters:
     # rates lie in [0, 1]; 1 - 2**-53 is the largest double below 1
-    RATE_EDGES = [0.0, 1.0, 5e-324, 1 - 2**-53, np.nan, 1e-300, 0.1, 1 / 3]
+    # a RateSurface holds no NaN: it is not a rate in [0, 1]
+    RATE_EDGES = [0.0, 1.0, 5e-324, 1 - 2**-53, 1e-300, 0.1, 1 / 3]
 
     @pytest.mark.parametrize("space", [FeatureSpace(0, 4, 1990, 1995), FeatureSpace(97, 97, 2014, 2014)])
     def test_rate_surface_to_csv(self, space):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mortboost import FeatureSpace, MortalityTable, fit_lc, predict_lc
+from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_lc
 from mortboost.leecarter import (
     FitConfig,
     fit_lc_both,
@@ -167,6 +167,19 @@ class TestPredictLC:
         fit = fit_lc(table, "female")
         # sum(kappa) = 0 makes the time-average of log rates equal beta0
         np.testing.assert_allclose(fit.log_rates().mean(axis=1), fit.beta0, atol=1e-12)
+
+    def test_equals_the_log_rate_grid_at_every_cell(self, rng):
+        # the cell's own terms give the grid's entry bit for bit, LC and RH
+        space = FeatureSpace(50, 58, 2000, 2011)
+        E = np.full(space.shape, 1e5)
+        q = 1e-3 * np.exp(0.08 * (space.ages() - 50))[:, None] * np.ones(space.n_years)
+        table = MortalityTable(space, E, rng.poisson(q * E).astype(np.int64))
+        for p in (fit_lc(table, "female"), fit_rh(table, "female", FitConfig(max_iterations=20))):
+            grid = p.log_rates()
+            for a, age in enumerate(space.ages()):
+                for t, year in enumerate(space.years()):
+                    want = float(np.clip(np.exp(grid[a, t]), p.rate_floor, 1.0))
+                    assert predict_lc(p, "female", int(age), int(year)) == want
 
     def test_no_extrapolation(self):
         with pytest.raises(ValueError, match="outside"):

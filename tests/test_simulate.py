@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_sampler
 from mortboost import (
     AgeBucketing,
     FeatureSpace,
@@ -9,9 +12,16 @@ from mortboost import (
     RateSurface,
     SimSpec,
     ThetaSurface,
+    simulate,
 )
 from mortboost.grids import aggregate_rates
-from mortboost.simulate import _draw_poisson, load_sim_spec, sample_cause_deaths, sample_deaths
+from mortboost.simulate import (
+    POISSON_LAM_MAX,
+    _draw_poisson,
+    load_sim_spec,
+    sample_cause_deaths,
+    sample_deaths,
+)
 
 
 def per_cell_draw(seed, domain, index, mean):
@@ -27,6 +37,22 @@ def spread_means(rng, size):
     means[rng.random(size) < 0.05] = 0.0
     means[rng.random(size) < 0.05] = 1e6
     return means
+
+
+def sampler_cases(rng, size):
+    """Means in every branch and edge of the sampler: means from 10 up,
+    where PTRS can draw k <= 5 (log Gamma's small-argument loop), means of
+    1e15 up to numpy's limit, and shuffled, repeated and 64-bit indices."""
+    means = np.concatenate([
+        spread_means(rng, size),
+        [0.0, 5e-324, 1e-310, 9.999999999999998, 10.0, 10.000000000000002, POISSON_LAM_MAX],
+        rng.uniform(10.0, 11.0, size // 4),
+        10 ** rng.uniform(15, np.log10(POISSON_LAM_MAX), size // 20),
+    ])
+    indices = rng.integers(0, 2**64 - 1, means.size, dtype=np.uint64, endpoint=True)
+    indices[: size // 4] = rng.permutation(size // 4)
+    indices[size // 4 : size // 2] = indices[: size // 4]
+    return indices, means
 
 
 def flat_spec(q=0.01, exposure=1e4, seed=42, n_ages=5, n_years=4):
@@ -106,6 +132,89 @@ class TestSampleDeaths:
         rel = 5.0 / np.sqrt(R)
         assert abs(draws.mean() - mean) <= rel * mean
         assert abs(draws.var() - mean) <= 3 * rel * mean
+
+
+_SEEDS = st.integers(0, 2**63 - 1) | st.integers(2**63, 2**64 - 1) | st.integers(2**64, 2**70)
+# small indices repeat within a call; the others reach 2**64 - 1
+_INDICES = st.integers(0, 20) | st.integers(2**63, 2**64 - 1) | st.integers(0, 2**64 - 1)
+_MEANS = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+    st.just(10.0),
+    st.floats(10.0, 1e6),
+    st.floats(1e15, 9.22e18),  # up to numpy's limit, 9.223372006484771e18
+)
+
+
+class TestSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=_SEEDS,
+        domain=st.sampled_from([0, 1]),
+        cells=st.lists(st.tuples(_INDICES, _MEANS), min_size=1, max_size=30),
+    )
+    def test_matches_the_per_cell_reference(self, seed, domain, cells):
+        indices, means = (list(column) for column in zip(*cells))
+        want = reference_sampler.draw_poisson(seed, domain, indices, means)
+        assert np.array_equal(_draw_poisson(seed, domain, indices, means), want)
+
+    def test_libm_for_every_comparison_gives_the_same_draws(self, monkeypatch):
+        indices, means = sampler_cases(np.random.default_rng(21), 4000)
+        want = reference_sampler.draw_poisson(77, 1, indices.tolist(), means.tolist())
+        monkeypatch.setattr(simulate, "_LIBM_MARGIN", np.inf)
+        assert np.array_equal(_draw_poisson(77, 1, indices, means), want)
+
+    def test_log_and_exp_off_by_a_few_ulps_give_the_same_draws(self, monkeypatch):
+        indices, means = sampler_cases(np.random.default_rng(22), 4000)
+        want = reference_sampler.draw_poisson(78, 0, indices.tolist(), means.tolist())
+        rng = np.random.default_rng(23)
+
+        def off_by_ulps(f):
+            def perturbed(x):
+                y = f(x)
+                with np.errstate(invalid="ignore"):
+                    off = y + np.spacing(y) * rng.integers(-4, 5, np.shape(y))
+                return np.where(np.isfinite(y), off, y)
+            return perturbed
+
+        monkeypatch.setattr(np, "log", off_by_ulps(np.log))
+        monkeypatch.setattr(np, "exp", off_by_ulps(np.exp))
+        assert np.array_equal(_draw_poisson(78, 0, indices, means), want)
+        # the perturbation is large enough to change draws without the libm rule
+        monkeypatch.setattr(simulate, "_LIBM_MARGIN", 0.0)
+        assert not np.array_equal(_draw_poisson(78, 0, indices, means), want)
+
+    def test_multiplication_near_ties_are_decided_as_in_c(self, monkeypatch):
+        # means whose exp(-mean) lands on or a few ulps from the cell's first
+        # double, so the first product ties with exp(-mean) or nearly does
+        rng = np.random.default_rng(24)
+        indices = np.arange(3000)
+        first = np.array([
+            np.random.Philox(key=31, counter=int(i) << 128).random_raw(1)[0] >> 11 for i in indices
+        ]) * 2.0**-53
+        means = -np.log(first) + rng.integers(-3, 4, first.size) * np.spacing(-np.log(first))
+        keep = (means > 0) & (means < 10)
+        indices, means = indices[keep], means[keep]
+        want = reference_sampler.draw_poisson(31, 0, indices.tolist(), means.tolist())
+        assert np.array_equal(_draw_poisson(31, 0, indices, means), want)
+        real_exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: real_exp(x) * (1 + 4 * np.spacing(1.0)))
+        assert np.array_equal(_draw_poisson(31, 0, indices, means), want)
+
+    def test_rejected_means_raise_numpys_errors(self):
+        # the first rejected mean decides the message, as in a per-cell loop
+        too_large = "^lam value too large$"
+        for means, message in [
+            ([1.0, np.nan, 1e300], "^lam < 0 or lam is NaN$"),
+            ([1.0, 1e300, np.nan], too_large),
+            ([-1e-300], "^lam < 0 or lam is NaN$"),
+            ([np.inf], too_large),
+            ([np.nextafter(POISSON_LAM_MAX, np.inf)], too_large),
+        ]:
+            for draw in (_draw_poisson, reference_sampler.draw_poisson):
+                with pytest.raises(ValueError, match=message):
+                    draw(5, 0, list(range(len(means))), means)
 
 
 class TestSampleCauseDeaths:
@@ -199,6 +308,29 @@ class TestSampleCauseDeaths:
             self.cause_spec([0.5, 0.4, 0.0])
 
 
+class TestSimSpec:
+    def test_exposure_must_be_finite(self):
+        space = FeatureSpace(0, 1, 2000, 2000)
+        q = RateSurface(space, np.full(space.shape, 0.5))
+        for bad in (np.nan, np.inf):
+            exposure = np.full(space.shape, 1e3)
+            exposure[1, 1, 0] = bad
+            with pytest.raises(ValueError, match="^exposure must be finite$"):
+                SimSpec(q=q, exposure=exposure, seed=1)
+
+    def test_means_above_numpys_poisson_limit_rejected(self):
+        space = FeatureSpace(0, 1, 2000, 2000)
+        q = RateSurface(space, np.full(space.shape, 0.5))
+        exposure = np.full(space.shape, 2 * POISSON_LAM_MAX)
+        SimSpec(q=q, exposure=exposure, seed=1)  # means of exactly the limit
+        exposure[1, 0, 0] = np.nextafter(2 * POISSON_LAM_MAX, np.inf)
+        with pytest.raises(ValueError, match=(
+            r"^mean q \* exposure 9\.223372006484772e\+18 at \(male, 0, 2000\) "
+            r"is above numpy's Poisson limit 9\.223372006484771e\+18$"
+        )):
+            SimSpec(q=q, exposure=exposure, seed=1)
+
+
 class TestLoadSimSpec:
     def test_parse_and_build(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -248,6 +380,13 @@ buckets = 0-4;5-9
         assert load_sim_spec(path).seed == 3
         with pytest.raises(ParseError, match=r"^line 1: expected key = value"):
             load_sim_spec(str(path))
+
+    def test_non_finite_values_name_their_line(self):
+        head = "ages = 0:5\nyears = 2000:2001\nseed = 1\n"
+        for key, value in [("exposure", "nan"), ("exposure", "inf"), ("base_rate", "nan"),
+                           ("age_slope", "-inf"), ("male_factor", "NaN")]:
+            with pytest.raises(ParseError, match=rf"^line 4: {key} must be finite, got '{value}'$"):
+                load_sim_spec(f"{head}{key} = {value}\n")
 
     def test_causes_need_buckets(self):
         with pytest.raises(ValueError, match="buckets"):
