@@ -13,6 +13,7 @@ defaults; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,16 +44,25 @@ EXIT_INTERNAL = 5
 
 DEFAULT_BUCKETS = "0;1-14;15-44;45-64;65-84;85+"
 MODELS = {"lc": leecarter.LCParams, "rh": renshawhaberman.RHParams}
+# rh: weakly identified directions make the last decades of relative
+# deviance improvement (1e-8 .. 1e-10) cost minutes for statistically
+# irrelevant gains, so the CLI default stops earlier; --tol overrides
+FIT_DEFAULTS = {
+    "lc": leecarter.FitConfig(),
+    "rh": dataclasses.replace(renshawhaberman.RH_DEFAULT_CONFIG, deviance_tol=1e-8),
+}
 
 
 class DataError(Exception):
     pass
 
 
-def _load_table(deaths_path, exposures_path, space, pool_top_age):
-    deaths = _read_hmd("--deaths", deaths_path, "deaths")
-    exposures = _read_hmd("--exposures", exposures_path, "exposures")
-    return hmd.clip_to_space(deaths, exposures, space, pool_top_age)
+def _load_table(args, space: FeatureSpace):
+    """The command's --deaths (all 0 for a command without it) and --exposures,
+    clipped to the space."""
+    deaths = _read_hmd("--deaths", args.deaths, "deaths") if hasattr(args, "deaths") else None
+    exposures = _read_hmd("--exposures", args.exposures, "exposures")
+    return hmd.clip_to_space(deaths, exposures, space, not args.no_pool_top_age)
 
 
 def _read_file(flag: str, path: str, reader):
@@ -76,15 +86,10 @@ def _load_warm_start(path: str, space: FeatureSpace) -> dict[str, leecarter.LCPa
     for g in GENDERS:
         if g not in warm:
             raise DataError(f"--warm-start {path}: no {g} parameters")
-        p = warm[g]
-        if (p.age_min, p.n_ages, p.year_min, p.n_years) != (
-            space.age_min, space.n_ages, space.year_min, space.n_years
-        ):
+        if warm[g].space != space:
             raise DataError(
-                f"--warm-start {path}: {g} parameters cover ages "
-                f"{p.age_min}:{p.age_min + p.n_ages - 1}, years {p.year_min}:{p.year_min + p.n_years - 1}; "
-                f"the fit uses ages {space.age_min}:{space.age_max}, "
-                f"years {space.year_min}:{space.year_max}"
+                f"--warm-start {path}: {g} parameters cover {warm[g].space.describe()}; "
+                f"the fit uses {space.describe()}"
             )
     return warm
 
@@ -93,17 +98,9 @@ def cmd_fit(args) -> int:
     ages = hmd.parse_range(args.ages, "--ages")
     years = hmd.parse_range(args.years, "--years")
     space = FeatureSpace(ages[0], ages[1], years[0], years[1])
-    table, report = _load_table(args.deaths, args.exposures, space, not args.no_pool_top_age)
-    # rh: weakly identified directions make the last decades of relative
-    # deviance improvement (1e-8 .. 1e-10) cost minutes for statistically
-    # irrelevant gains, so the CLI default stops earlier; --tol overrides
-    default_tol = 1e-8 if args.model == "rh" else 1e-10
-    default = renshawhaberman.RH_DEFAULT_CONFIG if args.model == "rh" else leecarter.FitConfig()
-    cfg = leecarter.FitConfig(
-        max_iterations=args.max_iter if args.max_iter is not None else default.max_iterations,
-        deviance_tol=args.tol if args.tol is not None else default_tol,
-        rate_floor=args.rate_floor,
-    )
+    table, report = _load_table(args, space)
+    given = {"max_iterations": args.max_iter, "deviance_tol": args.tol, "rate_floor": args.rate_floor}
+    cfg = dataclasses.replace(FIT_DEFAULTS[args.model], **{k: v for k, v in given.items() if v is not None})
     warnings = list(report.warnings)
     if args.model == "lc":
         fits = {g: leecarter.fit_lc(table, g, cfg) for g in GENDERS}
@@ -161,12 +158,16 @@ def _years_to_plot(spec: str, space: FeatureSpace) -> list[int]:
     return years
 
 
+def _tree_config(args) -> TreeConfig:
+    return TreeConfig(cp=args.cp, min_bucket=args.min_bucket, max_depth=args.max_depth)
+
+
 def cmd_backtest(args) -> int:
     q_init = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_init.space
     years = _years_to_plot(args.years_to_plot, space) if args.years_to_plot else []
-    table, report = _load_table(args.deaths, args.exposures, space, not args.no_pool_top_age)
-    cfg = TreeConfig(cp=args.cp, min_bucket=args.min_bucket, max_depth=args.max_depth)
+    table, report = _load_table(args, space)
+    cfg = _tree_config(args)
     result = run_backtest(q_init, table, cfg, initial_model_tag=args.tag)
 
     out = Path(args.out)
@@ -244,17 +245,7 @@ def cmd_cod(args) -> int:
     cod = _read_file("--cod", args.cod, lambda text: hmd.parse_cod_csv(text, causes=causes))
     q_full = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_full.space
-    exposures = _read_hmd("--exposures", args.exposures, "exposures")
-    deaths_placeholder = hmd.HmdGrid(
-        "deaths",
-        exposures.ages,
-        exposures.years,
-        np.zeros_like(exposures.female),
-        np.zeros_like(exposures.male),
-        np.zeros_like(exposures.total),
-        exposures.open_age,
-    )
-    table, report = hmd.clip_to_space(deaths_placeholder, exposures, space, not args.no_pool_top_age)
+    table, report = _load_table(args, space)
     try:
         bucketing = AgeBucketing.from_spec(args.buckets, space.age_min, space.age_max)
     except ValueError as exc:
@@ -277,7 +268,7 @@ def cmd_cod(args) -> int:
         cod.n_causes, cod.n_buckets, cod.n_years, mode=args.theta_init, cod=cod
     )
     working = codboost.make_cod_working_data(cod, qtilde, theta0)
-    cfg = TreeConfig(cp=args.cp, min_bucket=args.min_bucket, max_depth=args.max_depth)
+    cfg = _tree_config(args)
     raw, norm, tree = codboost.estimate_theta_tree(working, theta0, cfg)
     residuals = codboost.pearson_residuals(cod, raw)
 
@@ -393,76 +384,73 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_DATA
 
 
-# config keys that may supply defaults for same-named flags (dashes allowed)
+# the names a config file may set: defaults of the same-named flags (dashes allowed)
 _CONFIG_KEYS = {
-    "cp": float,
-    "min_bucket": int,
-    "max_depth": int,
-    "white_band": float,
-    "tol": float,
-    "max_iter": int,
-    "rate_floor": float,
-    "buckets": str,
-    "causes": str,
-    "theta_init": str,
-    "smooth_window": int,
-    "tag": str,
+    "cp", "min_bucket", "max_depth", "white_band", "tol", "max_iter", "rate_floor",
+    "buckets", "causes", "theta_init", "smooth_window", "tag",
 }
 
 
-def _config_defaults(text: str) -> dict:
-    defaults = {}
+def _set_config_defaults(parser: argparse.ArgumentParser, text: str) -> None:
+    """Make a config file's values the defaults of the same-named flags of
+    every command, each converted by its flag's type."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a for command in commands.choices.values() for a in command._actions if a.dest in _CONFIG_KEYS]
+    seen = set()
     for key, (value, line) in hmd.read_key_values(text).items():
         dest = key.replace("-", "_")
         if dest not in _CONFIG_KEYS:
             raise hmd.ParseError(f"unknown key {key!r}", line)
-        if dest in defaults:
+        if dest in seen:
             raise hmd.ParseError(f"duplicate key {key!r}", line)
-        try:
-            defaults[dest] = _CONFIG_KEYS[dest](value)
-        except ValueError:
-            raise hmd.ParseError(f"bad value for {key!r}: {value!r}", line) from None
-    return defaults
+        seen.add(dest)
+        for flag in flags:
+            if flag.dest == dest:
+                try:
+                    flag.default = (flag.type or str)(value)
+                except ValueError:
+                    raise hmd.ParseError(f"bad value for {key!r}: {value!r}", line) from None
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mortboost", description=__doc__)
     parser.add_argument("--config", help="key = value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share, each declared once
+    tree = argparse.ArgumentParser(add_help=False)
+    tree.add_argument("--cp", type=float, default=TreeConfig.cp)
+    tree.add_argument("--min-bucket", type=int, default=TreeConfig.min_bucket)
+    tree.add_argument("--max-depth", type=int, default=TreeConfig.max_depth)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--exposures", required=True)
+    table.add_argument("--no-pool-top-age", action="store_true")
 
-    fit = sub.add_parser("fit", help="fit a mortality model by Poisson maximum likelihood")
+    fit = sub.add_parser("fit", parents=[table], help="fit a mortality model by Poisson maximum likelihood")
     fit.add_argument("model", choices=list(MODELS))
     fit.add_argument("--deaths", required=True)
-    fit.add_argument("--exposures", required=True)
     fit.add_argument("--ages", required=True, help="age range LO:HI")
     fit.add_argument("--years", required=True, help="year range LO:HI")
     fit.add_argument("--out", required=True)
     fit.add_argument("--max-iter", type=int, default=None)
-    fit.add_argument("--tol", type=float, default=None, help="relative deviance-change stop (default 1e-10 for lc, 1e-8 for rh)")
-    fit.add_argument("--rate-floor", type=float, default=1e-12)
+    tols = ", ".join(f"{cfg.deviance_tol:.0e} for {model}" for model, cfg in FIT_DEFAULTS.items())
+    fit.add_argument("--tol", type=float, default=None, help=f"relative deviance-change stop (default {tols})")
+    fit.add_argument("--rate-floor", type=float, default=leecarter.FitConfig.rate_floor)
     fit.add_argument("--warm-start", help="params.csv of an lc fit (rh only)")
-    fit.add_argument("--no-pool-top-age", action="store_true")
     fit.set_defaults(func=cmd_fit)
 
-    back = sub.add_parser("backtest", help="one-step tree boosting back-test of fitted rates")
+    back = sub.add_parser("backtest", parents=[table, tree], help="one-step tree boosting back-test of fitted rates")
     back.add_argument("--qfit", required=True)
     back.add_argument("--deaths", required=True)
-    back.add_argument("--exposures", required=True)
     back.add_argument("--out", required=True)
-    back.add_argument("--cp", type=float, default=2e-3)
-    back.add_argument("--min-bucket", type=int, default=10)
-    back.add_argument("--max-depth", type=int, default=30)
     back.add_argument("--white-band", type=float, default=0.05)
     back.add_argument("--tag", default="external", help="initial-model label for outputs")
     back.add_argument("--years-to-plot", help="comma-separated years for the rates chart")
     back.add_argument("--svg", action="store_true")
-    back.add_argument("--no-pool-top-age", action="store_true")
     back.set_defaults(func=cmd_backtest)
 
-    cod = sub.add_parser("cod", help="cause-of-death probabilities and residuals")
+    cod = sub.add_parser("cod", parents=[table, tree], help="cause-of-death probabilities and residuals")
     cod.add_argument("--cod", required=True)
     cod.add_argument("--qfit", required=True)
-    cod.add_argument("--exposures", required=True)
     cod.add_argument("--out", required=True)
     cod.add_argument("--buckets", default=DEFAULT_BUCKETS)
     cod.add_argument(
@@ -470,13 +458,9 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         help="cause registry: a count (generic labels) or pipe-separated labels; "
         "default is the built-in 12-cause registry",
     )
-    cod.add_argument("--cp", type=float, default=2e-3)
-    cod.add_argument("--min-bucket", type=int, default=10)
-    cod.add_argument("--max-depth", type=int, default=30)
     cod.add_argument("--theta-init", choices=["uniform", "empirical"], default="uniform")
     cod.add_argument("--smooth-window", type=int, default=None)
     cod.add_argument("--svg", action="store_true")
-    cod.add_argument("--no-pool-top-age", action="store_true")
     cod.set_defaults(func=cmd_cod)
 
     sim = sub.add_parser("simulate", help="sample synthetic data in the ingest formats")
@@ -489,27 +473,18 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     check.add_argument("--kind", choices=list(MODELS), required=True)
     check.add_argument("--tol", type=float, default=1e-10)
     check.set_defaults(func=cmd_check)
-
-    if config_defaults:
-        for sp in (fit, back, cod, sim, check):
-            applicable = {
-                k: v for k, v in config_defaults.items()
-                if any(a.dest == k for a in sp._actions)
-            }
-            sp.set_defaults(**applicable)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config_defaults = None
+        parser = build_parser()
         probe = argparse.ArgumentParser(add_help=False)
         probe.add_argument("--config")
-        known, _ = probe.parse_known_args(argv)
-        if known.config:
-            config_defaults = _read_file("--config", known.config, _config_defaults)
-        parser = build_parser(config_defaults)
+        config = probe.parse_known_args(argv)[0].config
+        if config:
+            _read_file("--config", config, lambda text: _set_config_defaults(parser, text))
         args = parser.parse_args(argv)
         if args.command == "fit" and args.model == "lc" and args.warm_start:
             parser.error("--warm-start applies only to fit rh")

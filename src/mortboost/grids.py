@@ -66,6 +66,9 @@ class FeatureSpace:
     def years(self) -> np.ndarray:
         return np.arange(self.year_min, self.year_max + 1)
 
+    def describe(self) -> str:
+        return f"ages {self.age_min}:{self.age_max}, years {self.year_min}:{self.year_max}"
+
     @property
     def cohort_min(self) -> int:
         return self.year_min - self.age_max

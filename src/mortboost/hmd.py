@@ -195,62 +195,59 @@ class ClipReport:
     warnings: list[str]
     n_rounded: int
     max_rounding_delta: float
-    total_rounding_delta: float
 
 
 def clip_to_space(
-    deaths: HmdGrid,
+    deaths: HmdGrid | None,
     exposures: HmdGrid,
     space: FeatureSpace,
     pool_top_age: bool,
 ) -> tuple[MortalityTable, ClipReport]:
     """Cut per-gender grids down to a feature space, optionally pooling all
-    ages >= age_max into the top row; deaths are rounded to integers."""
-    if deaths.kind != "deaths" or exposures.kind != "exposures":
+    ages >= age_max into the top row; deaths are rounded to integers, and are
+    all 0 when no deaths grid is given (an exposure-only caller). The grids'
+    ages and years ascend, as parse_hmd_1x1 gives them."""
+    if (deaths is not None and deaths.kind != "deaths") or exposures.kind != "exposures":
         raise ValueError("pass the deaths grid first and the exposures grid second")
-    report = ClipReport([], 0, 0.0, 0.0)
-    requested_years = set(range(space.year_min, space.year_max + 1))
-    for grid in (deaths, exposures):
-        missing_years = sorted(requested_years - {int(t) for t in grid.years})
-        if missing_years:
-            raise ValueError(f"{grid.kind} file lacks requested years: {missing_years}")
-        missing_ages = sorted(set(range(space.age_min, space.age_max + 1)) - {int(a) for a in grid.ages})
-        if missing_ages:
-            raise ValueError(f"{grid.kind} file lacks requested ages: {missing_ages}")
+    ages, years = space.ages(), space.years()
+    grids = [exposures] if deaths is None else [deaths, exposures]
+    for grid in grids:
+        for name, wanted, present in (("years", years, grid.years), ("ages", ages, grid.ages)):
+            missing = sorted(set(wanted.tolist()) - set(present.tolist()))
+            if missing:
+                raise ValueError(f"{grid.kind} file lacks requested {name}: {missing}")
+    warnings: list[str] = []
 
     def cut(grid: HmdGrid, gender: str) -> np.ndarray:
         src = grid.gender_grid(gender)
-        t_sel = np.isin(grid.years, np.arange(space.year_min, space.year_max + 1))
-        out = np.zeros((space.n_ages, space.n_years))
-        for ai, a in enumerate(range(space.age_min, space.age_max + 1)):
-            row = src[np.nonzero(grid.ages == a)[0][0], t_sel]
-            out[ai] = row
+        cols = np.searchsorted(grid.years, years)
+        out = src[np.ix_(np.searchsorted(grid.ages, ages), cols)]
         if pool_top_age:
-            top = np.zeros(space.n_years)
-            for a in grid.ages[grid.ages >= space.age_max]:
-                top = top + np.nan_to_num(src[np.nonzero(grid.ages == a)[0][0], t_sel], nan=0.0)
-            out[-1] = top
-        nan_cells = np.nonzero(np.isnan(out))
-        if nan_cells[0].size:
-            report.warnings.append(
-                f"{grid.kind}/{gender}: {nan_cells[0].size} missing cells treated as zero"
-            )
+            # a running sum in age order; + 0.0 as from a 0.0 start (no -0.0)
+            pooled = np.nan_to_num(src[grid.ages >= space.age_max][:, cols], nan=0.0)
+            out[-1] = np.add.accumulate(pooled)[-1] + 0.0
+        n_missing = int(np.isnan(out).sum())
+        if n_missing:
+            warnings.append(f"{grid.kind}/{gender}: {n_missing} missing cells treated as zero")
             out = np.nan_to_num(out, nan=0.0)
         return out
 
     E = np.stack([cut(exposures, g) for g in GENDERS])
-    D_raw = np.stack([cut(deaths, g) for g in GENDERS])
+    D_raw = np.zeros_like(E) if deaths is None else np.stack([cut(deaths, g) for g in GENDERS])
     orphan = (E == 0) & (D_raw > 0)
     if np.any(orphan):
-        report.warnings.append(
-            f"{int(orphan.sum())} cells had deaths with zero exposure; deaths zeroed"
-        )
+        warnings.append(f"{int(orphan.sum())} cells had deaths with zero exposure; deaths zeroed")
         D_raw = np.where(orphan, 0.0, D_raw)
+    over = np.argwhere(D_raw >= 2.0**63)
+    if over.size:
+        g, a, t = over[0].tolist()
+        raise ValueError(
+            f"deaths {float(D_raw[g, a, t])!r} at ({GENDERS[g]}, {a + space.age_min}, "
+            f"{t + space.year_min}) do not fit a 64-bit count"
+        )
     D = np.rint(D_raw)
     delta = np.abs(D - D_raw)
-    report.n_rounded = int((delta > 0).sum())
-    report.max_rounding_delta = float(delta.max()) if delta.size else 0.0
-    report.total_rounding_delta = float(delta.sum())
+    report = ClipReport(warnings, int((delta > 0).sum()), float(delta.max()) if delta.size else 0.0)
     return MortalityTable(space, E, D.astype(np.int64)), report
 
 

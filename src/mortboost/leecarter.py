@@ -91,6 +91,13 @@ class LCParams:
         return self.kappa.size
 
     @property
+    def space(self) -> FeatureSpace:
+        """The ages and years the parameters cover."""
+        return FeatureSpace(
+            self.age_min, self.age_min + self.n_ages - 1, self.year_min, self.year_min + self.n_years - 1
+        )
+
+    @property
     def cohort_min(self) -> int:
         return self.year_min - (self.age_min + self.n_ages - 1)
 
@@ -372,9 +379,7 @@ def rate_surface(space: FeatureSpace, per_gender: dict[str, "LCParams"]) -> Rate
     rate = np.empty(space.shape)
     for g in GENDERS:
         p = per_gender[g]
-        if (p.age_min, p.n_ages, p.year_min, p.n_years) != (
-            space.age_min, space.n_ages, space.year_min, space.n_years
-        ):
+        if p.space != space:
             raise ValueError("fitted parameter ranges do not match the feature space")
         rate[gender_index(g)] = p.rates()
     return RateSurface(space, rate)

@@ -197,10 +197,12 @@ def fit_rh(
     warm_start: LCParams | None = None,
 ) -> RHParams:
     """Fit one gender slice, warm-started from Lee-Carter (fitted here if not given)."""
+    space = table.space
     if warm_start is None:
         warm_start = fit_lc(table, gender, cfg)
+    elif warm_start.space != space:
+        raise ValueError(f"warm start covers {warm_start.space.describe()}; the fit uses {space.describe()}")
     D, E = _gender_slice(table, gender)
-    space = table.space
     n_years = space.n_years
     start = RHParams(
         gender=gender,

@@ -280,15 +280,11 @@ class SimSpec:
             raise ValueError("exposure must be finite")
         if np.any(exposure < 0):
             raise ValueError("negative exposure")
-        means = self.q.rate * exposure
-        over = np.argwhere(means > POISSON_LAM_MAX)
-        if over.size:
-            g, a, t = over[0]
-            space = self.q.space
-            raise ValueError(
-                f"mean q * exposure {float(means[g, a, t])!r} at ({GENDERS[g]}, {a + space.age_min}, "
-                f"{t + space.year_min}) is above numpy's Poisson limit {POISSON_LAM_MAX!r}"
-            )
+        space = self.q.space
+        _check_poisson_limit(
+            "q * exposure", self.q.rate * exposure,
+            lambda g, a, t: f"{GENDERS[g]}, {a + space.age_min}, {t + space.year_min}",
+        )
         object.__setattr__(self, "exposure", exposure)
         if self.theta is not None:
             if self.bucketing is None:
@@ -310,6 +306,28 @@ class SimSpec:
             if len(labels) != self.theta.n_causes:
                 raise ValueError("cause_labels length != number of causes")
             object.__setattr__(self, "cause_labels", tuple(labels))
+            _check_poisson_limit(
+                "theta * q * exposure", self.cause_means(),
+                lambda g, b, t, k: f"{GENDERS[g]}, ages {self.bucketing.label(b)}, "
+                f"{t + space.year_min}, {labels[k]}",
+            )
+
+    def cause_means(self) -> np.ndarray:
+        """(2, I, T, K) cause means theta_k * q * E on the bucketed grid."""
+        zero_table = MortalityTable(self.q.space, self.exposure, np.zeros(self.q.space.shape, dtype=np.int64))
+        condensed = aggregate_rates(self.q, zero_table, self.bucketing)
+        return self.theta.values * (condensed.rate * condensed.exposure)[..., None]
+
+
+def _check_poisson_limit(name: str, means: np.ndarray, cell) -> None:
+    """Reject the first mean above numpy's Poisson limit, naming its cell
+    by cell(*index)."""
+    over = np.argwhere(means > POISSON_LAM_MAX)
+    if over.size:
+        i = tuple(over[0].tolist())
+        raise ValueError(
+            f"mean {name} {float(means[i])!r} at ({cell(*i)}) is above numpy's Poisson limit {POISSON_LAM_MAX!r}"
+        )
 
 
 def sample_deaths(spec: SimSpec) -> MortalityTable:
@@ -329,9 +347,7 @@ def sample_cause_deaths(spec: SimSpec) -> tuple[CauseDeathTable, np.ndarray]:
     if spec.theta is None:
         raise ValueError("spec has no cause probabilities")
     space = spec.q.space
-    zero_table = MortalityTable(space, spec.exposure, np.zeros(space.shape, dtype=np.int64))
-    condensed = aggregate_rates(spec.q, zero_table, spec.bucketing)
-    means = spec.theta.values * (condensed.rate * condensed.exposure)[..., None]
+    means = spec.cause_means()
     # cause k of cell c draws from counter block c * K + k, the flat index
     flat = means.ravel()
     counts = _draw_poisson(spec.seed, _DOMAIN_CAUSES, np.arange(flat.size), flat)
@@ -404,10 +420,13 @@ def load_sim_spec(source: str | Path) -> SimSpec:
 
     ages = space.ages().astype(np.float64)
     years = space.years().astype(np.float64)
-    base = get("base_rate") * np.exp(
-        get("age_slope") * ages[:, None] + get("year_drift") * (years[None, :] - year_min)
-    )
-    rate = np.stack([base, base * get("male_factor")])
+    # a rate that overflows is capped at 1 like any other rate above 1; a
+    # zero base rate times an overflow (NaN) is rejected by RateSurface
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = get("base_rate") * np.exp(
+            get("age_slope") * ages[:, None] + get("year_drift") * (years[None, :] - year_min)
+        )
+        rate = np.stack([base, base * get("male_factor")])
     rate = np.minimum(rate, 1.0)
     exposure = np.full(space.shape, get("exposure"))
 

@@ -1,7 +1,8 @@
-"""Per-row reference implementations of the text parsers, writers, smoothing,
-SVG panels and heatmap, kept as the oracles that the array versions in the
-package must match byte for byte (writers, SVG), bit for bit (smoothing), or
-result for result and error text for error text (parsers).
+"""Per-row reference implementations of the text parsers, writers, the HMD
+clip, smoothing, SVG panels and heatmap, kept as the oracles that the array
+versions in the package must match byte for byte (writers, SVG), bit for bit
+(clip, smoothing), or result for result and error text for error text
+(parsers).
 
 Each reads or formats one row, cell or point at a time, as the package did
 before it worked on whole arrays.
@@ -13,8 +14,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from mortboost.grids import GENDERS, FeatureSpace, RateSurface, gender_index
-from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, HmdGrid, ParseError
+from mortboost.grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, gender_index
+from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, ClipReport, HmdGrid, ParseError
 from mortboost.svgplot import _PALETTE, _diverging_color
 
 # --- HMD 1x1 ---------------------------------------------------------------
@@ -84,6 +85,50 @@ def write_hmd_1x1(grid, title=None):
                 f"{fmt(grid.total[ai, ti])}\n"
             )
     return buf.getvalue()
+
+
+def clip_to_space(deaths, exposures, space, pool_top_age):
+    """Each age found by its own lookup, the pooled top row as a running sum
+    from 0.0; deaths=None gives all-zero counts."""
+    if (deaths is not None and deaths.kind != "deaths") or exposures.kind != "exposures":
+        raise ValueError("pass the deaths grid first and the exposures grid second")
+    warnings = []
+    requested_years = set(range(space.year_min, space.year_max + 1))
+    for grid in (exposures,) if deaths is None else (deaths, exposures):
+        missing_years = sorted(requested_years - {int(t) for t in grid.years})
+        if missing_years:
+            raise ValueError(f"{grid.kind} file lacks requested years: {missing_years}")
+        missing_ages = sorted(set(range(space.age_min, space.age_max + 1)) - {int(a) for a in grid.ages})
+        if missing_ages:
+            raise ValueError(f"{grid.kind} file lacks requested ages: {missing_ages}")
+
+    def cut(grid, gender):
+        src = grid.gender_grid(gender)
+        t_sel = np.isin(grid.years, np.arange(space.year_min, space.year_max + 1))
+        out = np.zeros((space.n_ages, space.n_years))
+        for ai, a in enumerate(range(space.age_min, space.age_max + 1)):
+            out[ai] = src[np.nonzero(grid.ages == a)[0][0], t_sel]
+        if pool_top_age:
+            top = np.zeros(space.n_years)
+            for a in grid.ages[grid.ages >= space.age_max]:
+                top = top + np.nan_to_num(src[np.nonzero(grid.ages == a)[0][0], t_sel], nan=0.0)
+            out[-1] = top
+        nan_cells = np.nonzero(np.isnan(out))
+        if nan_cells[0].size:
+            warnings.append(f"{grid.kind}/{gender}: {nan_cells[0].size} missing cells treated as zero")
+            out = np.nan_to_num(out, nan=0.0)
+        return out
+
+    E = np.stack([cut(exposures, g) for g in GENDERS])
+    D_raw = np.zeros_like(E) if deaths is None else np.stack([cut(deaths, g) for g in GENDERS])
+    orphan = (E == 0) & (D_raw > 0)
+    if np.any(orphan):
+        warnings.append(f"{int(orphan.sum())} cells had deaths with zero exposure; deaths zeroed")
+        D_raw = np.where(orphan, 0.0, D_raw)
+    D = np.rint(D_raw)
+    delta = np.abs(D - D_raw)
+    report = ClipReport(warnings, int((delta > 0).sum()), float(delta.max()) if delta.size else 0.0)
+    return MortalityTable(space, E, D.astype(np.int64)), report
 
 
 # --- cause-of-death CSV ----------------------------------------------------

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortboost import PoissonTree, parse_hmd_1x1
 from mortboost.backtest import grid_features
 from mortboost.cli import main
 from mortboost.grids import rate_surface_from_csv
+from test_codec_properties import damage
 
 SIM_SPEC = """
 ages = 0:9
@@ -307,6 +314,25 @@ class TestConfigFile:
         assert manifest["config"]["cp"] == 1e-3
         assert manifest["config"]["min_bucket"] == 7
 
+    def test_every_config_key_sets_a_flag_converted_by_its_type(self):
+        from mortboost.cli import _CONFIG_KEYS, _set_config_defaults, build_parser
+
+        values = {"cp": 0.5, "min_bucket": 7, "max_depth": 4, "white_band": 0.1, "tol": 1e-3, "max_iter": 12,
+                  "rate_floor": 1e-9, "buckets": "0-4;5-9", "causes": "3", "theta_init": "empirical",
+                  "smooth_window": 3, "tag": "lc"}
+        assert set(values) == _CONFIG_KEYS
+        parser = build_parser()
+        _set_config_defaults(parser, "".join(f"{k} = {v}\n" for k, v in values.items()))
+        seen = {}
+        for argv in (["fit", "lc", "--deaths", "d", "--exposures", "e", "--ages", "0:1", "--years", "0:1",
+                      "--out", "o"],
+                     ["backtest", "--qfit", "q", "--deaths", "d", "--exposures", "e", "--out", "o"],
+                     ["cod", "--cod", "c", "--qfit", "q", "--exposures", "e", "--out", "o"],
+                     ["check", "--params", "p", "--kind", "lc"]):
+            seen.update((k, v) for k, v in vars(parser.parse_args(argv)).items() if k in values)
+        assert seen == values
+        assert all(type(seen[k]) is type(values[k]) for k in values)
+
     def test_unknown_config_key_is_data_error(self, tmp_path):
         cfg = tmp_path / "mort.cfg"
         cfg.write_text("bogus = 1\n")
@@ -496,6 +522,19 @@ class TestErrorPaths:
             assert capsys.readouterr().err == f"error: --spec {spec}: {message}\n"
             assert not out.exists(), line
 
+    def test_rates_that_overflow_are_capped_at_one(self, tmp_path, capsys):
+        # exp(90 * 9) overflows: capped at 1 as any rate above 1, no warning;
+        # times a zero base rate it is rejected
+        head = "ages = 0:9\nyears = 2000:2001\nseed = 1\nage_slope = 90\n"
+        spec = tmp_path / "sim.cfg"
+        spec.write_text(head)
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 0
+        deaths = parse_hmd_1x1((tmp_path / "s" / "deaths.txt").read_text(), "deaths")
+        assert deaths.female[-1, 0] > 9e4  # Poisson(1e5)
+        spec.write_text(head + "base_rate = 0\n")
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "z")]) == 3
+        assert capsys.readouterr().err == f"error: --spec {spec}: rates must lie in [0, 1]\n"
+
     def test_failed_cause_draw_writes_nothing(self, tmp_path, capsys):
         # each cell mean is below numpy's Poisson limit, their bucket's sum is not
         spec = tmp_path / "sim.cfg"
@@ -503,7 +542,10 @@ class TestErrorPaths:
                         "causes = 1\nbuckets = 0-1\n")
         out = tmp_path / "s"
         assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: lam value too large\n"
+        assert capsys.readouterr().err == (
+            f"error: --spec {spec}: mean theta * q * exposure 1.0443585333491995e+19 at "
+            "(female, ages 0+, 2000, cause 1) is above numpy's Poisson limit 9.223372006484771e+18\n"
+        )
         assert not out.exists()
 
     def test_cod_field_over_the_csv_limit_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys):
@@ -583,3 +625,43 @@ class TestErrorPaths:
             "invalid start byte\n"
         )
         assert not (tmp_path / "o").exists()
+
+
+# each command's fixed arguments (OUT: its output directory) and the input
+# flags it reads, each of which names a file of the sim_dir / lc_fit_dir
+# fixtures; the fixture's fit takes 15 iterations, and a damaged table that
+# does not converge stops at 200 (exit 4) rather than 10,000
+OUT = object()
+DAMAGE_RUNS = {
+    "fit lc": (["fit", "lc", "--ages", "0:9", "--years", "2000:2009", "--max-iter", "200", "--out", OUT],
+               ("deaths", "exposures")),
+    "backtest": (["backtest", "--out", OUT], ("qfit", "deaths", "exposures")),
+    "cod": (["cod", "--causes", "3", "--buckets", "0-4;5-9", "--out", OUT], ("cod", "qfit", "exposures")),
+    "check": (["check", "--kind", "lc"], ("params",)),
+    "simulate": (["simulate", "--out", OUT], ("spec",)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_input_file_is_never_an_internal_error(sim_dir, lc_fit_dir, data):
+    """One damaged input file: the command succeeds, rejects it (3) or does
+    not converge (4); it never exits 5."""
+    inputs = {
+        "deaths": sim_dir / "deaths.txt", "exposures": sim_dir / "exposures.txt",
+        "cod": sim_dir / "cod.csv", "qfit": lc_fit_dir / "qfit.csv",
+        "params": lc_fit_dir / "params.csv", "spec": sim_dir.parent / "sim.cfg",
+    }
+    head, flags = DAMAGE_RUNS[data.draw(st.sampled_from(sorted(DAMAGE_RUNS)))]
+    target = data.draw(st.sampled_from(flags))
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged = Path(tmp) / inputs[target].name
+        damaged.write_bytes(damage(data, inputs[target].read_text()).encode("utf-8", "surrogatepass"))
+        files = {flag: damaged if flag == target else inputs[flag] for flag in flags}
+        argv = [str(Path(tmp) / "out") if arg is OUT else arg for arg in head]
+        argv += [arg for flag in flags for arg in (f"--{flag}", str(files[flag]))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 3, 4), (argv, err.getvalue())
+    assert "internal error" not in err.getvalue()

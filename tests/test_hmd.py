@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_io as ref
 from mortboost import DEFAULT_CAUSES, FeatureSpace, ParseError, parse_cod_csv, parse_hmd_1x1, write_cod_csv, write_hmd_1x1
-from mortboost.hmd import cause_total_report, clip_to_space
+from mortboost.hmd import HmdGrid, cause_total_report, clip_to_space
 
 
 def hmd_text(rows, title="Switzerland, Deaths (period 1x1)"):
@@ -127,6 +132,87 @@ class TestClipToSpace:
         exposures = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001), "exposures")
         with pytest.raises(ValueError, match=r"\[2002, 2003\]"):
             clip_to_space(deaths, exposures, FeatureSpace(0, 4, 2000, 2003), pool_top_age=False)
+
+    def test_deaths_beyond_a_64_bit_count_rejected(self):
+        # the cast to int64 would wrap them to negative counts
+        exposures = parse_hmd_1x1(synthetic_file(0, 1, 2000, 2000), "exposures")
+        for value, shown in (("1e20", "1e+20"), ("inf", "inf")):
+            deaths = parse_hmd_1x1(hmd_text(["2000  0  1.0  1.0  2.0", f"2000  1  2.0  {value}  2.0"]), "deaths")
+            message = rf"^deaths {re.escape(shown)} at \(male, 1, 2000\) do not fit a 64-bit count$"
+            with pytest.raises(ValueError, match=message):
+                clip_to_space(deaths, exposures, FeatureSpace(0, 1, 2000, 2000), pool_top_age=False)
+
+    def test_exposure_only_caller_gets_zero_deaths(self):
+        exposures = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001, value=lambda a, t: 70.0), "exposures")
+        table, report = clip_to_space(None, exposures, FeatureSpace(0, 3, 2000, 2001), pool_top_age=True)
+        assert table.deaths.dtype == np.int64 and not table.deaths.any()
+        assert np.all(table.exposure[:, -1] == 140.0)
+        assert (report.warnings, report.n_rounded, report.max_rounding_delta) == ([], 0, 0.0)
+        with pytest.raises(ValueError, match=r"exposures file lacks requested years: \[2002\]"):
+            clip_to_space(None, exposures, FeatureSpace(0, 3, 2000, 2002), pool_top_age=True)
+
+    def test_one_year_pools_many_ages_as_a_running_sum(self):
+        # exposures falling with age, as at the oldest ages; numpy's sum of one
+        # column of 8 or more rows is pairwise and gives other bits here
+        rng = np.random.default_rng(6)
+        values = np.round(1e5 * 0.7 ** np.arange(12)[:, None] * rng.uniform(0.5, 1, (12, 1)), 2)
+        exposures = HmdGrid("exposures", np.arange(12), np.array([2000]), values, values, 2 * values)
+        args = (None, exposures, FeatureSpace(0, 0, 2000, 2000), True)
+        assert outcome(clip_to_space, *args) == outcome(ref.clip_to_space, *args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_table_warnings_and_rounding_as_the_per_age_reference(self, data):
+        space, deaths, exposures, pool = data.draw(clip_inputs())
+        got, want = (outcome(clip, deaths, exposures, space, pool) for clip in (clip_to_space, ref.clip_to_space))
+        assert got == want
+
+
+# a clip's cells: missing, zero (both signs), whole, and with two decimals as
+# in HMD files (whose sums round)
+CLIP_VALUES = st.sampled_from([np.nan, 0.0, -0.0, 1.0, 2.5]) | st.integers(0, 10**8).map(lambda n: n / 100)
+
+
+def clip_axis(draw, lo: int, hi: int) -> np.ndarray:
+    """lo..hi with about one value in twelve left out (gaps)."""
+    keep = st.sampled_from([True] * 11 + [False])
+    return np.array([v for v in range(lo, hi + 1) if draw(keep)], dtype=np.int64)
+
+
+@st.composite
+def clip_grids(draw, kind: str, axes=None):
+    ages, years = axes or (clip_axis(draw, 0, draw(st.integers(4, 11))), clip_axis(draw, 2000, 2002))
+    female, male = (
+        np.reshape(draw(st.lists(CLIP_VALUES, min_size=ages.size * years.size, max_size=ages.size * years.size)),
+                   (ages.size, years.size))
+        for _ in range(2)
+    )
+    open_age = int(ages[-1]) if ages.size and draw(st.booleans()) else None
+    return HmdGrid(kind, ages, years, female, male, female + male, open_age)
+
+
+@st.composite
+def clip_inputs(draw):
+    """A space inside 0..11 x 2000..2002, an exposures grid, a deaths grid
+    (or None) and the pooling switch."""
+    age_min = draw(st.integers(0, 6))
+    age_max = draw(st.integers(age_min, 7))
+    year_min = draw(st.integers(2000, 2002))
+    space = FeatureSpace(age_min, age_max, year_min, draw(st.integers(year_min, 2002)))
+    exposures = draw(clip_grids("exposures"))
+    shared = (exposures.ages, exposures.years)
+    deaths = draw(st.none() | clip_grids("deaths", shared) | clip_grids("deaths"))
+    return space, deaths, exposures, draw(st.booleans())
+
+
+def outcome(clip, *args):
+    """The bits of the clipped table and the report, or the error."""
+    try:
+        table, report = clip(*args)
+    except ValueError as exc:
+        return repr(exc)
+    return (table.exposure.view(np.int64).tolist(), table.deaths.dtype, table.deaths.tolist(),
+            report.warnings, report.n_rounded, report.max_rounding_delta)
 
 
 def cod_csv(rows):

@@ -273,6 +273,20 @@ class TestFitRH:
         assert "loaded from CSV" not in rh.flags
         assert "age 1: zero deaths in every year; fitted at rate_floor" in rh.flags
 
+    @pytest.mark.parametrize(
+        "warm_space, covers",
+        [(FeatureSpace(40, 50, 2000, 2006), "ages 40:50, years 2000:2006"),  # another size
+         (FeatureSpace(41, 49, 2000, 2006), "ages 41:49, years 2000:2006")],  # same size, shifted
+    )
+    def test_warm_start_on_other_ranges_rejected(self, warm_space, covers):
+        def table(space):
+            return MortalityTable(space, np.full(space.shape, 1e4), np.full(space.shape, 50, dtype=np.int64))
+
+        warm = fit_lc(table(warm_space), "female", FitConfig(max_iterations=5))
+        message = f"warm start covers {covers}; the fit uses ages 40:48, years 2000:2006"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_rh(table(FeatureSpace(40, 48, 2000, 2006)), "female", warm_start=warm)
+
     def test_reparameterization_invariance(self, rng):
         space = FeatureSpace(40, 45, 2000, 2006)
         (params, log_q) = rh_truth(rng, space)

@@ -330,6 +330,22 @@ class TestSimSpec:
         )):
             SimSpec(q=q, exposure=exposure, seed=1)
 
+    def test_cause_means_above_numpys_poisson_limit_rejected(self):
+        # every cell mean is 0.8 of the limit; a bucket sums two cells, and
+        # its second cause takes 0.7 of that
+        space = FeatureSpace(0, 3, 2000, 2000)
+        q = RateSurface(space, np.full(space.shape, 0.5))
+        exposure = np.full(space.shape, 1.6 * POISSON_LAM_MAX)
+        bucketing = AgeBucketing.from_spec("0-1;2-3", 0, 3)
+        theta = ThetaSurface(np.broadcast_to([0.3, 0.7], (2, 2, 1, 2)))
+        with pytest.raises(ValueError, match=(
+            r"^mean theta \* q \* exposure 1\.0330176647262943e\+19 at \(female, ages 0-1, 2000, "
+            r"cause 2\) is above numpy's Poisson limit 9\.223372006484771e\+18$"
+        )):
+            SimSpec(q=q, exposure=exposure, seed=1, theta=theta, bucketing=bucketing)
+        theta = ThetaSurface(np.broadcast_to([0.5, 0.5], (2, 2, 1, 2)))
+        SimSpec(q=q, exposure=exposure, seed=1, theta=theta, bucketing=bucketing)
+
 
 class TestLoadSimSpec:
     def test_parse_and_build(self, tmp_path):
