@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface
-from .hmd import float_fields
+from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, float_fields, grid_csv
 from .tree import PoissonTree, TreeConfig, WorkingData, grow_tree
 
 BACKTEST_FEATURES = ("gender", "age", "year", "cohort")
@@ -22,13 +21,10 @@ BACKTEST_FEATURES = ("gender", "age", "year", "cohort")
 
 def grid_features(space: FeatureSpace) -> np.ndarray:
     """(size, 4) matrix of (gender, age, year, cohort) rows in storage order."""
-    g, a, t = np.meshgrid(
-        np.arange(len(GENDERS), dtype=np.float64),
-        space.ages().astype(np.float64),
-        space.years().astype(np.float64),
-        indexing="ij",
-    )
-    return np.column_stack([g.ravel(), a.ravel(), t.ravel(), (t - a).ravel()])
+    g, a, t = np.indices(space.shape, dtype=np.float64).reshape(3, -1)
+    a += space.age_min
+    t += space.year_min
+    return np.column_stack([g, a, t, t - a])
 
 
 def make_working_data(
@@ -42,24 +38,18 @@ def make_working_data(
     space = table.space
     if q_init.space != space:
         raise ValueError("rate surface and table are on different feature spaces")
-    volume = (q_init.rate * table.exposure).ravel()
-    deaths = table.deaths.astype(np.float64).ravel()
-    bad = (volume == 0) & (deaths > 0)
-    if np.any(bad):
-        flat = int(np.nonzero(bad)[0][0])
-        g, a, t = np.unravel_index(flat, space.shape)
+    volume = q_init.rate * table.exposure
+    deaths = table.deaths.astype(np.float64)
+    bad = np.argwhere((volume == 0) & (deaths > 0))
+    if bad.size:
         raise ValueError(
-            f"observed deaths with zero initial expected deaths at "
-            f"({GENDERS[g]}, {a + space.age_min}, {t + space.year_min})"
+            "observed deaths with zero initial expected deaths at ({}, {}, {})".format(*space.cell(*bad[0]))
         )
     keep = volume > 0
-    dropped = []
-    for flat in np.nonzero(~keep)[0]:
-        g, a, t = np.unravel_index(int(flat), space.shape)
-        dropped.append((GENDERS[g], int(a + space.age_min), int(t + space.year_min)))
+    dropped = [space.cell(*i) for i in np.argwhere(~keep)]
     data = WorkingData(
         ordered_names=BACKTEST_FEATURES,
-        ordered=grid_features(space)[keep],
+        ordered=grid_features(space)[keep.ravel()],
         volume=volume[keep],
         deaths=deaths[keep],
     )
@@ -105,11 +95,10 @@ def backtest(
 def delta_to_csv(result: BacktestResult) -> str:
     """Full-grid relative changes, columns gender,age,year,cohort,delta."""
     space = result.space
-    ages, years = space.ages().tolist(), space.years().tolist()
-    keys = [f"{g},{a},{t},{t - a}" for g in GENDERS for a in ages for t in years]
+    cohorts = list(map(str, np.broadcast_to(space.cohort_grid(), space.shape).ravel().tolist()))
     # a tree has few leaves, so delta repeats few values
     deltas = float_fields(result.delta)
-    return "\n".join(["gender,age,year,cohort,delta", *map(",".join, zip(keys, deltas))]) + "\n"
+    return grid_csv("gender,age,year,cohort,delta", (GENDERS, space.ages(), space.years()), cohorts, deltas)
 
 
 def export_delta_heatmap(

@@ -59,10 +59,13 @@ class DataError(Exception):
 
 def _load_table(args, space: FeatureSpace):
     """The command's --deaths (all 0 for a command without it) and --exposures,
-    clipped to the space."""
+    clipped to the space; a fault of either grid names its flag and file."""
     deaths = _read_hmd("--deaths", args.deaths, "deaths") if hasattr(args, "deaths") else None
     exposures = _read_hmd("--exposures", args.exposures, "exposures")
-    return hmd.clip_to_space(deaths, exposures, space, not args.no_pool_top_age)
+    try:
+        return hmd.clip_to_space(deaths, exposures, space, not args.no_pool_top_age)
+    except hmd.GridError as exc:  # the grid's kind is its flag and args field
+        raise DataError(f"--{exc.kind} {getattr(args, exc.kind)}: {exc}") from None
 
 
 def _read_file(flag: str, path: str, reader):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import GENDERS, BucketedRates
-from .hmd import CauseDeathTable, cod_grid_csv, float_fields
+from .grids import GENDERS, BucketedRates, float_fields, frozen, grid_csv
+from .hmd import CauseDeathTable
 from .tree import PoissonTree, TreeConfig, WorkingData, grow_tree
 
 COD_FEATURES = ("gender", "bucket", "year")
@@ -29,13 +29,11 @@ class ThetaSurface:
     values: np.ndarray  # (2, I, T, K) in [0, 1]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = frozen(self.values, np.float64, "theta")
         if values.ndim != 4 or values.shape[0] != len(GENDERS):
             raise ValueError(f"theta must have shape (2, I, T, K), got {values.shape}")
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("theta values must lie in [0, 1]")
-        values = np.array(values)
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -76,15 +74,8 @@ def init_theta(
 def grid_features(shape: tuple[int, ...], year_min: int) -> tuple[np.ndarray, np.ndarray]:
     """(size, 3) matrix of (gender, 1-based bucket, year) rows and the cause
     codes of every cell of a (2, I, T, K) grid, in storage order."""
-    _, n_buckets, n_years, n_causes = shape
-    g, b, t, k = np.meshgrid(
-        np.arange(len(GENDERS), dtype=np.float64),
-        np.arange(1, n_buckets + 1, dtype=np.float64),
-        np.arange(year_min, year_min + n_years, dtype=np.float64),
-        np.arange(n_causes),
-        indexing="ij",
-    )
-    return np.column_stack([g.ravel(), b.ravel(), t.ravel()]), k.ravel().astype(np.int64)
+    g, b, t, k = np.indices(shape, dtype=np.float64).reshape(4, -1)
+    return np.column_stack([g, b + 1, t + year_min]), k.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -119,35 +110,25 @@ def make_cod_working_data(
     K = cod.n_causes
     if theta0.values.shape != (len(GENDERS), cod.n_buckets, cod.n_years, K):
         raise ValueError("theta0 shape does not match the cause table")
-    support = theta0.values == 0
-    observed_positive = (~cod.missing) & (cod.counts > 0)
-    if np.any(support & observed_positive):
-        gi, b, ti, k = [idx[0] for idx in np.nonzero(support & observed_positive)]
-        raise ValueError(
-            f"theta0 = 0 with observed deaths at ({GENDERS[gi]}, bucket {b + 1}, "
-            f"{cod.year_min + ti}, {cod.causes[k]})"
-        )
     volume = theta0.values * qtilde.rate[..., None] * qtilde.exposure[..., None]
-    if np.any((volume == 0) & observed_positive):
-        gi, b, ti, k = [idx[0] for idx in np.nonzero((volume == 0) & observed_positive)]
-        raise ValueError(
-            f"zero working volume with observed deaths at ({GENDERS[gi]}, bucket {b + 1}, "
-            f"{cod.year_min + ti}, {cod.causes[k]})"
-        )
+    observed_positive = (~cod.missing) & (cod.counts > 0)
+    for zero, what in ((theta0.values == 0, "theta0 = 0"), (volume == 0, "zero working volume")):
+        bad = np.argwhere(zero & observed_positive)
+        if bad.size:
+            raise ValueError(
+                "{} with observed deaths at ({}, bucket {}, {}, {})".format(what, *cod.cell(*bad[0]))
+            )
     response = np.where(cod.missing, np.nan, cod.counts.astype(np.float64))
 
     ordered, cause = grid_features(volume.shape, cod.year_min)
-    keep = volume.ravel() > 0
-    dropped = []
-    for flat in np.nonzero(~keep)[0]:
-        gi, bi, ti, ki = np.unravel_index(int(flat), volume.shape)
-        dropped.append((GENDERS[gi], int(bi + 1), int(cod.year_min + ti), cod.causes[ki]))
+    keep = volume > 0
+    flat_keep = keep.ravel()
     data = WorkingData(
         ordered_names=COD_FEATURES,
-        ordered=ordered[keep],
-        volume=volume.ravel()[keep],
-        deaths=response.ravel()[keep],
-        cause=cause[keep],
+        ordered=ordered[flat_keep],
+        volume=volume[keep],
+        deaths=response[keep],
+        cause=cause[flat_keep],
         cause_labels=cod.causes,
     )
     return CodWorkingData(
@@ -156,7 +137,7 @@ def make_cod_working_data(
         year_min=cod.year_min,
         n_years=cod.n_years,
         available=~cod.missing,
-        dropped=tuple(dropped),
+        dropped=tuple(cod.cell(*i) for i in np.argwhere(~keep)),
     )
 
 
@@ -188,12 +169,9 @@ class ResidualGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
+        object.__setattr__(self, "values", frozen(self.values, np.float64, "residuals"))
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("residuals must be finite")
-        values = np.array(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 def pearson_residuals(
@@ -258,9 +236,9 @@ def theta_to_csv(
         header += ",theta_raw_smooth"
         by_year = smooth_series(np.moveaxis(raw.values, 2, -1), smooth_window)
         columns.append(float_fields(np.moveaxis(by_year, -1, 2)))
-    return cod_grid_csv(header, cod, *columns)
+    return grid_csv(header, cod.axes(), *columns)
 
 
 def residuals_to_csv(cod: CauseDeathTable, residuals: ResidualGrid) -> str:
     """Columns gender,age_group,year,cause,delta."""
-    return cod_grid_csv("gender,age_group,year,cause,delta", cod, float_fields(residuals.values))
+    return grid_csv("gender,age_group,year,cause,delta", cod.axes(), float_fields(residuals.values))

@@ -2,7 +2,11 @@
 
 All grid-valued data is stored dense with axes (gender, age, year); gender 0
 is female, gender 1 is male. Iteration and export order is gender-major,
-age-major, year-minor throughout the package.
+age-major, year-minor throughout the package. This module is the one place
+for that layout: `frozen` makes every grid type's read-only copy,
+`FeatureSpace.cell` names a cell of the (gender, age, year) grid
+(`hmd.CauseDeathTable.cell` one of the cause grid), and `grid_csv` writes
+one row per cell in storage order.
 
 `TableFormat` is the one column reader of the rate, parameter, HMD and
 cause-of-death tables: it converts every column once per distinct token and,
@@ -13,11 +17,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 
 import numpy as np
 
 GENDERS = ("female", "male")
+
+
+def frozen(values, dtype, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A private read-only copy of values as dtype; raises when a shape is
+    given and values have another."""
+    out = np.array(values, dtype=dtype)
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"{name} has shape {out.shape}, expected {shape}")
+    out.setflags(write=False)
+    return out
 
 
 def gender_index(gender: str) -> int:
@@ -81,6 +95,10 @@ class FeatureSpace:
     def n_cohorts(self) -> int:
         return self.cohort_max - self.cohort_min + 1
 
+    def cell(self, g: int, a: int, t: int) -> tuple[str, int, int]:
+        """The (gender, age, year) of the grid cell at index (g, a, t)."""
+        return GENDERS[g], self.age_min + int(a), self.year_min + int(t)
+
     def iter_features(self):
         """Yield (gender, age, year) in the canonical storage order."""
         for g in GENDERS:
@@ -93,15 +111,6 @@ class FeatureSpace:
         return self.years()[None, :] - self.ages()[:, None]
 
 
-def _as_grid(values, space: FeatureSpace, dtype, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.shape != space.shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {space.shape}")
-    out = np.array(arr, dtype=dtype)  # private copy, then frozen
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class MortalityTable:
     """Exposures (person-years) and integer death counts over a FeatureSpace."""
@@ -111,19 +120,15 @@ class MortalityTable:
     deaths: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "exposure", _as_grid(self.exposure, self.space, np.float64, "exposure"))
-        object.__setattr__(self, "deaths", _as_grid(self.deaths, self.space, np.int64, "deaths"))
+        object.__setattr__(self, "exposure", frozen(self.exposure, np.float64, "exposure", self.space.shape))
+        object.__setattr__(self, "deaths", frozen(self.deaths, np.int64, "deaths", self.space.shape))
         if np.any(self.exposure < 0):
             raise ValueError("negative exposure")
         if np.any(self.deaths < 0):
             raise ValueError("negative death count")
-        bad = (self.exposure == 0) & (self.deaths > 0)
-        if np.any(bad):
-            g, a, t = [idx[0] for idx in np.nonzero(bad)]
-            raise ValueError(
-                f"deaths with zero exposure at ({GENDERS[g]}, {a + self.space.age_min}, "
-                f"{t + self.space.year_min})"
-            )
+        bad = np.argwhere((self.exposure == 0) & (self.deaths > 0))
+        if bad.size:
+            raise ValueError("deaths with zero exposure at ({}, {}, {})".format(*self.space.cell(*bad[0])))
 
     @property
     def total_deaths(self) -> int:
@@ -138,7 +143,7 @@ class RateSurface:
     rate: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", _as_grid(self.rate, self.space, np.float64, "rate"))
+        object.__setattr__(self, "rate", frozen(self.rate, np.float64, "rate", self.space.shape))
         if not np.all((self.rate >= 0) & (self.rate <= 1)):  # NaN fails too
             raise ValueError("rates must lie in [0, 1]")
 
@@ -152,19 +157,15 @@ def crude_rates(table: MortalityTable) -> tuple[RateSurface, list[str]]:
     space = table.space
     E = table.exposure
     D = table.deaths.astype(np.float64)
-    warnings: list[str] = []
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(E > 0, D / np.where(E > 0, E, 1.0), 0.0)
-    for g, a, t in zip(*np.nonzero(E == 0)):
-        warnings.append(
-            f"zero exposure at ({GENDERS[g]}, {a + space.age_min}, {t + space.year_min}): rate set to 0"
-        )
-    clamped = rate > 1.0
-    for g, a, t in zip(*np.nonzero(clamped)):
-        warnings.append(
-            f"crude rate {rate[g, a, t]:.6g} > 1 at ({GENDERS[g]}, {a + space.age_min}, "
-            f"{t + space.year_min}): clamped to 1"
-        )
+    warnings = [
+        "zero exposure at ({}, {}, {}): rate set to 0".format(*space.cell(*i)) for i in np.argwhere(E == 0)
+    ]
+    warnings += [
+        "crude rate {:.6g} > 1 at ({}, {}, {}): clamped to 1".format(rate[tuple(i)], *space.cell(*i))
+        for i in np.argwhere(rate > 1.0)
+    ]
     rate = np.minimum(rate, 1.0)
     return RateSurface(space, rate), warnings
 
@@ -249,14 +250,9 @@ class BucketedRates:
     exposure: np.ndarray  # (2, n_buckets, n_years)
 
     def __post_init__(self):
-        shape = (len(GENDERS), self.bucketing.n_buckets, self.year_max - self.year_min + 1)
+        shape = (len(GENDERS), self.bucketing.n_buckets, self.n_years)
         for name in ("rate", "exposure"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            arr = np.array(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64, name, shape))
 
     @property
     def n_years(self) -> int:
@@ -266,13 +262,36 @@ class BucketedRates:
         return np.arange(self.year_min, self.year_max + 1)
 
 
+def float_fields(values) -> list[str]:
+    """repr of every value in C order, each distinct bit pattern formatted
+    once: fitted and simulated grids repeat few values (a tree's leaf rates,
+    a constant exposure), and repr is the cost of a float CSV."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    bits, index = np.unique(flat.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(text.__getitem__, index.tolist()))
+
+
+def grid_csv(header: str, axes: Sequence[Sequence], *columns: list[str]) -> str:
+    """CSV text with one row per cell of the product of the axes' labels, in
+    storage order (the last axis fastest): the cell's labels, then one
+    already formatted field from each column, each in that same order."""
+    labels = [list(map(str, axis)) for axis in axes]
+    half = len(labels) // 2
+    # each label is joined once per cell of its half, not once per cell
+    lead, trail = ([",".join(key) for key in product(*part)] for part in (labels[:half], labels[half:]))
+    keys = [f"{o},{i}" for o in lead for i in trail]
+    for col in columns:
+        if len(col) != len(keys):
+            raise ValueError(f"column of {len(col)} fields for {len(keys)} cells")
+    return "\n".join([header, *map(",".join, zip(keys, *columns))]) + "\n"
+
+
 def rate_surface_to_csv(surface: RateSurface) -> str:
     """Dense dump in storage order, columns gender,age,year,rate."""
     space = surface.space
-    ages, years = space.ages().tolist(), space.years().tolist()
-    keys = [f"{g},{a},{t}" for g in GENDERS for a in ages for t in years]
-    rates = map(repr, surface.rate.ravel().tolist())
-    return "\n".join(["gender,age,year,rate", *map(",".join, zip(keys, rates))]) + "\n"
+    rates = list(map(repr, surface.rate.ravel().tolist()))
+    return grid_csv("gender,age,year,rate", (GENDERS, space.ages(), space.years()), rates)
 
 
 def _line_error(message: str, line: int | None = None) -> ValueError:

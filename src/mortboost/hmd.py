@@ -29,6 +29,9 @@ from .grids import (
     MortalityTable,
     TableFormat,
     comma_fields,
+    float_fields,
+    frozen,
+    grid_csv,
     kept_rows,
     list_fields,
 )
@@ -155,16 +158,6 @@ def parse_hmd_1x1(text: str, kind: str) -> HmdGrid:
     return HmdGrid(kind, age_values, year_values, *grids, open_age)
 
 
-def float_fields(values) -> list[str]:
-    """repr of every value in C order, each distinct bit pattern formatted
-    once: fitted and simulated grids repeat few values (a tree's leaf rates,
-    a constant exposure), and repr is the cost of a float CSV."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    bits, index = np.unique(flat.view(np.int64), return_inverse=True)
-    text = list(map(repr, bits.view(np.float64).tolist()))
-    return list(map(text.__getitem__, index.tolist()))
-
-
 def _hmd_field(values) -> list[str]:
     """One value column of the 1x1 layout: year-major, "." for NaN."""
     col = np.asarray(values, dtype=np.float64).T
@@ -190,6 +183,15 @@ def write_hmd_1x1(grid: HmdGrid, title: str | None = None) -> str:
     return "\n".join([*head, *map("  ".join, zip(keys, *fields))]) + "\n"
 
 
+class GridError(ValueError):
+    """A fault of one input grid (an age or year it lacks, a value out of
+    range); `kind` is that grid's kind."""
+
+    def __init__(self, grid: HmdGrid, message: str):
+        self.kind = grid.kind
+        super().__init__(message)
+
+
 @dataclass
 class ClipReport:
     warnings: list[str]
@@ -206,7 +208,9 @@ def clip_to_space(
     """Cut per-gender grids down to a feature space, optionally pooling all
     ages >= age_max into the top row; deaths are rounded to integers, and are
     all 0 when no deaths grid is given (an exposure-only caller). The grids'
-    ages and years ascend, as parse_hmd_1x1 gives them."""
+    ages and years ascend, as parse_hmd_1x1 gives them. A requested age or
+    year that a grid lacks, a non-finite exposure and a death count beyond 64
+    bits raise GridError."""
     if (deaths is not None and deaths.kind != "deaths") or exposures.kind != "exposures":
         raise ValueError("pass the deaths grid first and the exposures grid second")
     ages, years = space.ages(), space.years()
@@ -215,21 +219,22 @@ def clip_to_space(
         for name, wanted, present in (("years", years, grid.years), ("ages", ages, grid.ages)):
             missing = sorted(set(wanted.tolist()) - set(present.tolist()))
             if missing:
-                raise ValueError(f"{grid.kind} file lacks requested {name}: {missing}")
+                raise GridError(grid, f"{grid.kind} file lacks requested {name}: {missing}")
     warnings: list[str] = []
 
     def cut(grid: HmdGrid, gender: str) -> np.ndarray:
         src = grid.gender_grid(gender)
         cols = np.searchsorted(grid.years, years)
         out = src[np.ix_(np.searchsorted(grid.ages, ages), cols)]
+        # NaN (missing) counts as 0; an infinite value stays for the checks below
         if pool_top_age:
             # a running sum in age order; + 0.0 as from a 0.0 start (no -0.0)
-            pooled = np.nan_to_num(src[grid.ages >= space.age_max][:, cols], nan=0.0)
-            out[-1] = np.add.accumulate(pooled)[-1] + 0.0
+            top = src[grid.ages >= space.age_max][:, cols]
+            out[-1] = np.add.accumulate(np.where(np.isnan(top), 0.0, top))[-1] + 0.0
         n_missing = int(np.isnan(out).sum())
         if n_missing:
             warnings.append(f"{grid.kind}/{gender}: {n_missing} missing cells treated as zero")
-            out = np.nan_to_num(out, nan=0.0)
+            out = np.where(np.isnan(out), 0.0, out)
         return out
 
     E = np.stack([cut(exposures, g) for g in GENDERS])
@@ -238,13 +243,14 @@ def clip_to_space(
     if np.any(orphan):
         warnings.append(f"{int(orphan.sum())} cells had deaths with zero exposure; deaths zeroed")
         D_raw = np.where(orphan, 0.0, D_raw)
-    over = np.argwhere(D_raw >= 2.0**63)
-    if over.size:
-        g, a, t = over[0].tolist()
-        raise ValueError(
-            f"deaths {float(D_raw[g, a, t])!r} at ({GENDERS[g]}, {a + space.age_min}, "
-            f"{t + space.year_min}) do not fit a 64-bit count"
-        )
+    for grid, values, bad, fault in (
+        (exposures, E, ~np.isfinite(E), "exposure {!r} at ({}, {}, {}) is not finite"),
+        (deaths, D_raw, D_raw >= 2.0**63, "deaths {!r} at ({}, {}, {}) do not fit a 64-bit count"),
+    ):
+        hit = np.argwhere(bad)
+        if hit.size:
+            i = tuple(hit[0])
+            raise GridError(grid, fault.format(float(values[i]), *space.cell(*i)))
     D = np.rint(D_raw)
     delta = np.abs(D - D_raw)
     report = ClipReport(warnings, int((delta > 0).sum()), float(delta.max()) if delta.size else 0.0)
@@ -267,21 +273,13 @@ class CauseDeathTable:
         if len(self.causes) < 1:
             raise ValueError("need at least one cause")
         shape = (len(GENDERS), self.n_buckets, self.n_years, len(self.causes))
-        counts = np.asarray(self.counts, dtype=np.int64)
-        missing = np.asarray(self.missing, dtype=bool)
-        if counts.shape != shape or missing.shape != shape:
-            raise ValueError(f"counts/missing must have shape {shape}")
-        if np.any(counts < 0):
-            raise ValueError("negative death count")
-        if np.any(counts[missing] != 0):
-            raise ValueError("missing cells must carry count 0")
-        counts = np.array(counts)
-        counts.setflags(write=False)
-        missing = np.array(missing)
-        missing.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "counts", frozen(self.counts, np.int64, "counts", shape))
+        object.__setattr__(self, "missing", frozen(self.missing, bool, "missing", shape))
         object.__setattr__(self, "causes", tuple(self.causes))
+        if np.any(self.counts < 0):
+            raise ValueError("negative death count")
+        if np.any(self.counts[self.missing] != 0):
+            raise ValueError("missing cells must carry count 0")
 
     @property
     def n_years(self) -> int:
@@ -290,6 +288,16 @@ class CauseDeathTable:
     @property
     def n_causes(self) -> int:
         return len(self.causes)
+
+    def cell(self, g: int, b: int, t: int, k: int) -> tuple[str, int, int, str]:
+        """The (gender, 1-based age group, year, cause) of the cell at index (g, b, t, k)."""
+        return GENDERS[g], int(b) + 1, self.year_min + int(t), self.causes[k]
+
+    def axes(self) -> tuple:
+        """The labels of the grid's axes in its CSV files: gender, 1-based
+        age group, year and 1-based cause index."""
+        buckets, causes = range(1, self.n_buckets + 1), range(1, self.n_causes + 1)
+        return GENDERS, buckets, range(self.year_min, self.year_max + 1), causes
 
     def all_cause_counts(self) -> np.ndarray:
         """(2, I, T) sums over causes with available data."""
@@ -419,30 +427,13 @@ def parse_cod_csv(
     )
 
 
-def cod_grid_csv(header: str, table: CauseDeathTable, *columns: list[str]) -> str:
-    """CSV text with one row per (gender, age group, year, cause) cell of the
-    table, in storage order: the four key fields, then one already formatted
-    field from each column (each in the same order)."""
-    outer = [f"{g},{b}," for g in GENDERS for b in range(1, table.n_buckets + 1)]
-    inner = [
-        f"{t},{k}"
-        for t in range(table.year_min, table.year_max + 1)
-        for k in range(1, table.n_causes + 1)
-    ]
-    keys = [o + i for o in outer for i in inner]
-    for col in columns:
-        if len(col) != len(keys):
-            raise ValueError(f"column of {len(col)} fields for {len(keys)} cells")
-    return "\n".join([header, *map(",".join, zip(keys, *columns))]) + "\n"
-
-
 def write_cod_csv(table: CauseDeathTable) -> str:
     """Full-grid serialization; MISSING cells get an empty deaths field."""
     deaths = [
         "" if m else str(c)
         for c, m in zip(table.counts.ravel().tolist(), table.missing.ravel().tolist())
     ]
-    return cod_grid_csv("gender,age_group,year,cause,deaths", table, deaths)
+    return grid_csv("gender,age_group,year,cause,deaths", table.axes(), deaths)
 
 
 def cause_total_report(table: CauseDeathTable, all_cause: np.ndarray) -> list[str]:

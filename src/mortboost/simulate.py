@@ -282,8 +282,7 @@ class SimSpec:
             raise ValueError("negative exposure")
         space = self.q.space
         _check_poisson_limit(
-            "q * exposure", self.q.rate * exposure,
-            lambda g, a, t: f"{GENDERS[g]}, {a + space.age_min}, {t + space.year_min}",
+            "q * exposure", self.q.rate * exposure, lambda *i: "{}, {}, {}".format(*space.cell(*i))
         )
         object.__setattr__(self, "exposure", exposure)
         if self.theta is not None:

@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from mortboost.grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, gender_index
-from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, ClipReport, HmdGrid, ParseError
+from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, ClipReport, GridError, HmdGrid, ParseError
 from mortboost.svgplot import _PALETTE, _diverging_color
 
 # --- HMD 1x1 ---------------------------------------------------------------
@@ -97,10 +97,10 @@ def clip_to_space(deaths, exposures, space, pool_top_age):
     for grid in (exposures,) if deaths is None else (deaths, exposures):
         missing_years = sorted(requested_years - {int(t) for t in grid.years})
         if missing_years:
-            raise ValueError(f"{grid.kind} file lacks requested years: {missing_years}")
+            raise GridError(grid, f"{grid.kind} file lacks requested years: {missing_years}")
         missing_ages = sorted(set(range(space.age_min, space.age_max + 1)) - {int(a) for a in grid.ages})
         if missing_ages:
-            raise ValueError(f"{grid.kind} file lacks requested ages: {missing_ages}")
+            raise GridError(grid, f"{grid.kind} file lacks requested ages: {missing_ages}")
 
     def cut(grid, gender):
         src = grid.gender_grid(gender)

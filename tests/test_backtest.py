@@ -24,19 +24,21 @@ class TestMakeWorkingData:
         space = FeatureSpace(0, 1, 2000, 2001)
         E = np.full(space.shape, 100.0)
         D = np.full(space.shape, 2)
-        E[0, 0, 0] = 0.0
-        D[0, 0, 0] = 0
+        E[0, 0, 0] = E[1, 1, 1] = 0.0
+        D[0, 0, 0] = D[1, 1, 1] = 0
         data, dropped = make_working_data(flat_surface(space, 0.05), MortalityTable(space, E, D))
-        assert data.n == space.size - 1
-        assert dropped == [("female", 0, 2000)]
+        assert data.n == space.size - 2
+        assert dropped == [("female", 0, 2000), ("male", 1, 2001)]
+        assert all(list(map(type, cell)) == [str, int, int] for cell in dropped)
 
     def test_zero_volume_with_deaths_is_an_error(self):
         space = FeatureSpace(0, 1, 2000, 2001)
         E = np.full(space.shape, 100.0)
         D = np.full(space.shape, 2)
         q = np.full(space.shape, 0.05)
-        q[0, 0, 0] = 0.0
-        with pytest.raises(ValueError, match="zero initial expected deaths"):
+        q[1, 1, 0] = 0.0
+        message = r"^observed deaths with zero initial expected deaths at \(male, 1, 2000\)$"
+        with pytest.raises(ValueError, match=message):
             make_working_data(RateSurface(space, q), MortalityTable(space, E, D))
 
     def test_swiss_grid_point_count(self):

@@ -29,6 +29,17 @@ buckets = 0-4;5-9
 """
 
 
+def hmd_with(source: Path, path: Path, line: int, field: int, value: str) -> Path:
+    """source's HMD text with field `field` of its 1-based `line` set to
+    value, written to path; line 4 is year 2000, age 0 of the fixtures."""
+    lines = source.read_text().splitlines()
+    fields = lines[line - 1].split()
+    fields[field] = value
+    lines[line - 1] = "  ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("sim")
@@ -278,6 +289,21 @@ class TestCod:
         assert "--smooth-window must be an odd integer >= 1, got 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empirical_prior_drops_a_cause_without_deaths(self, sim_dir, lc_fit_dir, tmp_path):
+        # cause 2 has no deaths, so its empirical prior and working volumes are 0
+        rows = [line.split(",") for line in (sim_dir / "cod.csv").read_text().splitlines()]
+        cod = tmp_path / "cod.csv"
+        cod.write_text("".join(",".join(r[:4] + ["0" if r[3] == "2" else r[4]]) + "\n" for r in rows))
+        out = tmp_path / "out"
+        code = main(["cod", "--cod", str(cod), "--qfit", str(lc_fit_dir / "qfit.csv"),
+                     "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3",
+                     "--buckets", "0-4;5-9", "--theta-init", "empirical", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dropped_cells"] == [
+            [g, b, t, "cause 2"] for g in ("female", "male") for b in (1, 2) for t in range(2000, 2010)
+        ]
+
     def test_bucket_mismatch_is_data_error(self, sim_dir, lc_fit_dir, tmp_path):
         code = main(
             [
@@ -476,6 +502,50 @@ class TestErrorPaths:
         for argv, message in cases:
             assert main(argv) == 3, argv
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_clip_errors_name_the_flag_and_file(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        deaths, exposures = sim_dir / "deaths.txt", sim_dir / "exposures.txt"
+        short = tmp_path / "short.txt"  # without the rows of 2009
+        rows = exposures.read_text().splitlines()
+        short.write_text("".join(f"{row}\n" for row in rows if row.split()[:1] != ["2009"]))
+        big = hmd_with(deaths, tmp_path / "big.txt", 5, 3, "1e20")  # male, age 1, 2000
+        out = tmp_path / "out"
+        fit = ["fit", "lc", "--years", "2000:2009", "--out", str(out)]
+        cases = [
+            ([*fit, "--ages", "0:10", "--deaths", str(deaths), "--exposures", str(exposures)],
+             f"--deaths {deaths}: deaths file lacks requested ages: [10]"),
+            ([*fit, "--ages", "0:9", "--deaths", str(deaths), "--exposures", str(short)],
+             f"--exposures {short}: exposures file lacks requested years: [2009]"),
+            (["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(lc_fit_dir / "qfit.csv"),
+              "--exposures", str(short), "--causes", "3", "--buckets", "0-4;5-9", "--out", str(out)],
+             f"--exposures {short}: exposures file lacks requested years: [2009]"),
+            ([*fit, "--ages", "0:9", "--deaths", str(big), "--exposures", str(exposures)],
+             f"--deaths {big}: deaths 1e+20 at (male, 1, 2000) do not fit a 64-bit count"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists(), argv
+
+    @pytest.mark.parametrize("command", ["fit lc", "backtest", "cod"])
+    def test_non_finite_exposure_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys, command):
+        deaths, qfit = str(sim_dir / "deaths.txt"), str(lc_fit_dir / "qfit.csv")
+        inf = hmd_with(sim_dir / "exposures.txt", tmp_path / "inf.txt", 6, 2, "inf")  # female, age 2, 2000
+        out = tmp_path / "out"
+        argv = {
+            "fit lc": ["fit", "lc", "--deaths", deaths, "--ages", "0:9", "--years", "2000:2009"],
+            "backtest": ["backtest", "--qfit", qfit, "--deaths", deaths],
+            "cod": ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", qfit, "--causes", "3",
+                    "--buckets", "0-4;5-9"],
+        }[command] + ["--exposures", str(inf), "--out", str(out)]
+        message = f"error: --exposures {inf}: exposure inf at (female, {{}}, 2000) is not finite\n"
+        assert main(argv) == 3
+        assert capsys.readouterr().err == message.format(2)
+        assert not out.exists()
+        if command == "fit lc":  # pooled into the top age of a narrower fit
+            hmd_with(sim_dir / "exposures.txt", inf, 13, 2, "inf")  # female, age 9, 2000
+            assert main([*argv[:5], "0:8", *argv[6:]]) == 3
+            assert capsys.readouterr().err == message.format(8)
 
     def test_bad_flag_values_exit_3_before_any_output(self, sim_dir, lc_fit_dir, tmp_path, capsys):
         deaths, exposures = str(sim_dir / "deaths.txt"), str(sim_dir / "exposures.txt")

@@ -105,13 +105,36 @@ class TestMakeCodWorkingData:
         assert working.data.n == 3600
 
     def test_zero_theta_with_deaths_rejected(self):
-        counts = np.full((2, 1, 1, 2), 5, dtype=np.int64)
+        counts = np.full((2, 2, 2, 2), 5, dtype=np.int64)
         table = cause_table(counts)
-        qtilde = bucket_rates(1, 2000, 2000, 0.01, 1e4)
-        theta = np.full((2, 1, 1, 2), 0.5)
-        theta[0, 0, 0, 1] = 0.0
-        with pytest.raises(ValueError, match="theta0 = 0"):
+        qtilde = bucket_rates(2, 2000, 2001, 0.01, 1e4)
+        theta = np.full((2, 2, 2, 2), 0.5)
+        theta[1, 1, 1, 1] = 0.0
+        message = r"^theta0 = 0 with observed deaths at \(male, bucket 2, 2001, cause 2\)$"
+        with pytest.raises(ValueError, match=message):
             make_cod_working_data(table, qtilde, ThetaSurface(theta))
+
+    def test_zero_volume_with_deaths_rejected(self):
+        table = cause_table(np.full((2, 2, 2, 2), 5, dtype=np.int64))
+        qtilde = bucket_rates(2, 2000, 2001, 0.01, 1e4)
+        exposure = qtilde.exposure.copy()
+        exposure[1, 0, 1] = 0.0
+        qtilde = BucketedRates(qtilde.bucketing, 2000, 2001, qtilde.rate, exposure)
+        message = r"^zero working volume with observed deaths at \(male, bucket 1, 2001, cause 1\)$"
+        with pytest.raises(ValueError, match=message):
+            make_cod_working_data(table, qtilde, init_theta(2, 2, 2))
+
+    def test_zero_volume_cells_without_deaths_dropped(self):
+        counts = np.full((2, 2, 2, 2), 5, dtype=np.int64)
+        counts[0, 1, 0, 1] = counts[1, 0, 1, 0] = 0
+        theta = np.full((2, 2, 2, 2), 0.5)
+        theta[0, 1, 0, 1] = theta[1, 0, 1, 0] = 0.0
+        working = make_cod_working_data(
+            cause_table(counts), bucket_rates(2, 2000, 2001, 0.01, 1e4), ThetaSurface(theta)
+        )
+        assert working.data.n == counts.size - 2
+        assert working.dropped == (("female", 2, 2000, "cause 2"), ("male", 1, 2001, "cause 1"))
+        assert all(list(map(type, cell)) == [str, int, int, str] for cell in working.dropped)
 
 
 class TestEstimateThetaTree:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference_io as ref
 from mortboost import DEFAULT_CAUSES, FeatureSpace, ParseError, parse_cod_csv, parse_hmd_1x1, write_cod_csv, write_hmd_1x1
-from mortboost.hmd import HmdGrid, cause_total_report, clip_to_space
+from mortboost.hmd import GridError, HmdGrid, cause_total_report, clip_to_space
 
 
 def hmd_text(rows, title="Switzerland, Deaths (period 1x1)"):
@@ -141,6 +141,17 @@ class TestClipToSpace:
             message = rf"^deaths {re.escape(shown)} at \(male, 1, 2000\) do not fit a 64-bit count$"
             with pytest.raises(ValueError, match=message):
                 clip_to_space(deaths, exposures, FeatureSpace(0, 1, 2000, 2000), pool_top_age=False)
+
+    def test_non_finite_exposure_rejected_naming_its_cell(self):
+        # pooled or not, and beside a missing cell (which counts as 0)
+        cells = {(0, 2000): ".", (2, 2001): "inf"}
+        rows = [f"{t}  {a}  {cells.get((a, t), '50')}  50  100" for t in (2000, 2001) for a in range(3)]
+        exposures = parse_hmd_1x1(hmd_text(rows), "exposures")
+        for age_max, pool in ((2, False), (1, True)):
+            message = rf"^exposure inf at \(female, {age_max}, 2001\) is not finite$"
+            with pytest.raises(GridError, match=message) as exc:
+                clip_to_space(None, exposures, FeatureSpace(0, age_max, 2000, 2001), pool)
+            assert exc.value.kind == "exposures"
 
     def test_exposure_only_caller_gets_zero_deaths(self):
         exposures = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001, value=lambda a, t: 70.0), "exposures")

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import reference_io as ref
-from mortboost import hmd, svgplot
+from mortboost import svgplot
 from mortboost.backtest import delta_to_csv
 from mortboost.codboost import ResidualGrid, ThetaSurface, residuals_to_csv, smooth_series, theta_to_csv
-from mortboost.grids import FeatureSpace, RateSurface, rate_surface_to_csv
+from mortboost.grids import FeatureSpace, RateSurface, grid_csv, rate_surface_to_csv
 from mortboost.hmd import CauseDeathTable, HmdGrid, write_cod_csv, write_hmd_1x1
 
 EDGE = [np.nan, -0.0, 0.0, 1e-300, 5e-324, 1.0, 0.1, 1 / 3]
@@ -82,7 +82,7 @@ class TestCodWriters:
     def test_column_length_must_match_the_table(self):
         table = cause_table(np.random.default_rng(4))
         with pytest.raises(ValueError, match="fields for"):
-            hmd.cod_grid_csv("h", table, ["1"])
+            grid_csv("h", table.axes(), ["1"])
 
 
 class TestHmdWriter:
