@@ -294,6 +294,19 @@ def rate_surface_to_csv(surface: RateSurface) -> str:
     return grid_csv("gender,age,year,rate", (GENDERS, space.ages(), space.years()), rates)
 
 
+# the smallest positive normal float; dividing by a positive value below it
+# can overflow, so an input value there is rejected
+TINY = float(np.finfo(np.float64).tiny)
+
+
+def _rate(token: str) -> float:
+    """A rate field's float, unless it is positive and below TINY."""
+    rate = float(token)
+    if 0.0 < rate < TINY:
+        raise ValueError(f"rate {rate!r} is below the smallest normal float {TINY!r}")
+    return rate
+
+
 def _line_error(message: str, line: int | None = None) -> ValueError:
     return ValueError(message if line is None else f"line {line}: {message}")
 
@@ -433,7 +446,7 @@ class TableFormat:
 
 _RATE_HEADER = "gender,age,year,rate"
 _RATE_FORMAT = TableFormat(
-    4, four_fields, ((0, gender_index), (1, int), (2, int), (3, float)), 3,
+    4, four_fields, ((0, gender_index), (1, int), (2, int), (3, _rate)), 3,
     lambda f, v: f"duplicate rate row for {f[0]}, age {v[1]}, year {v[2]}",
     "no rate rows after the header",
 )

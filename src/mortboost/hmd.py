@@ -24,6 +24,7 @@ import numpy as np
 
 from .grids import (
     GENDERS,
+    TINY,
     AgeBucketing,
     FeatureSpace,
     MortalityTable,
@@ -209,8 +210,9 @@ def clip_to_space(
     ages >= age_max into the top row; deaths are rounded to integers, and are
     all 0 when no deaths grid is given (an exposure-only caller). The grids'
     ages and years ascend, as parse_hmd_1x1 gives them. A requested age or
-    year that a grid lacks, a non-finite exposure and a death count beyond 64
-    bits raise GridError."""
+    year that a grid lacks, a non-finite exposure (a pooled sum that
+    overflows too), a positive exposure below the smallest normal float and a
+    death count beyond 64 bits raise GridError."""
     if (deaths is not None and deaths.kind != "deaths") or exposures.kind != "exposures":
         raise ValueError("pass the deaths grid first and the exposures grid second")
     ages, years = space.ages(), space.years()
@@ -228,9 +230,11 @@ def clip_to_space(
         out = src[np.ix_(np.searchsorted(grid.ages, ages), cols)]
         # NaN (missing) counts as 0; an infinite value stays for the checks below
         if pool_top_age:
-            # a running sum in age order; + 0.0 as from a 0.0 start (no -0.0)
+            # a running sum in age order; + 0.0 as from a 0.0 start (no -0.0);
+            # a sum that overflows is inf, which the checks below reject
             top = src[grid.ages >= space.age_max][:, cols]
-            out[-1] = np.add.accumulate(np.where(np.isnan(top), 0.0, top))[-1] + 0.0
+            with np.errstate(over="ignore"):
+                out[-1] = np.add.accumulate(np.where(np.isnan(top), 0.0, top))[-1] + 0.0
         n_missing = int(np.isnan(out).sum())
         if n_missing:
             warnings.append(f"{grid.kind}/{gender}: {n_missing} missing cells treated as zero")
@@ -245,6 +249,8 @@ def clip_to_space(
         D_raw = np.where(orphan, 0.0, D_raw)
     for grid, values, bad, fault in (
         (exposures, E, ~np.isfinite(E), "exposure {!r} at ({}, {}, {}) is not finite"),
+        (exposures, E, (E > 0) & (E < TINY),
+         f"exposure {{!r}} at ({{}}, {{}}, {{}}) is below the smallest normal float {TINY!r}"),
         (deaths, D_raw, D_raw >= 2.0**63, "deaths {!r} at ({}, {}, {}) do not fit a 64-bit count"),
     ):
         hit = np.argwhere(bad)

@@ -19,13 +19,21 @@ model's joint-step hook if it has one, and re-imposes the constraints (each
 age kind sums to 1, each period kind has grid-weighted mean 0) by exactly
 prediction-invariant transformations. Every step is halved until the
 deviance does not increase, so the deviance trace is monotone.
+
+A point of the fit carries its theta, each period kind on the grid, each
+term's grid, the fitted means E * exp(log rate) and the deviance. exp runs
+once per point: the deviance, the next block steps and the joint step read
+the carried fitted means. A step along one kind recomputes only the term
+grid that holds it, and the log rate is summed in TERMS order as
+`log_rate_grid` sums it, so every result has the bits of a full recompute.
+The deviance reads its per-fit constants from `PoissonCells`.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -153,25 +161,58 @@ class LCParams:
         return np.clip(np.exp(self.log_rates()), self.rate_floor, 1.0)
 
 
-def poisson_surface_deviance(deaths, exposure, log_rate) -> float:
-    """Poisson deviance of a fitted log-rate surface against a (D, E) grid.
+class PoissonCells:
+    """One gender's deaths and exposure as the Poisson deviance reads them,
+    set once per fit: the exposure grid, the deaths of the exposed cells in
+    storage order, the mask of the exposed cells (None when every cell is
+    exposed), and the flat positions of the cells without exposure and of
+    the exposed cells without deaths."""
+
+    def __init__(self, deaths, exposure):
+        self.exposure = np.asarray(exposure, dtype=np.float64)
+        d = np.asarray(deaths, dtype=np.float64).ravel()
+        exposed = self.exposure.ravel() > 0
+        self.unexposed = np.flatnonzero(~exposed)
+        self.exposed = exposed if self.unexposed.size else None
+        self.deaths = d if self.exposed is None else d[exposed]
+        self.deathless = np.flatnonzero(~(self.deaths > 0))
+
+    def fitted_means(self, log_rate: np.ndarray) -> np.ndarray:
+        """The (age, year) grid E * exp(log_rate), 0 where E = 0."""
+        fitted = np.exp(log_rate)
+        fitted *= self.exposure
+        fitted.reshape(-1)[self.unexposed] = 0.0
+        return fitted
+
+
+def poisson_surface_deviance(cells: PoissonCells, fitted: np.ndarray) -> float:
+    """Poisson deviance of a grid of fitted means, cells.fitted_means of a
+    log-rate grid, against the cells' deaths.
 
     Cells with zero exposure are excluded (they carry no likelihood). The
     unit deviance D log(D/mu) - (D - mu) is evaluated with log1p((D - mu)/mu),
     which keeps its rounding error proportional to |D - mu| instead of D, and
-    is clamped at 0 (its exact value is never negative) before the sum.
+    is clamped at 0 (its exact value is never negative) before the sum. A
+    fitted mean of 0 stands in as 1 in the logarithm. An infinite fitted mean
+    gives an invalid-value warning unless the caller ignores it, as
+    fit_terms does.
     """
-    d = np.asarray(deaths, dtype=np.float64).ravel()
-    e = np.asarray(exposure, dtype=np.float64).ravel()
-    log_rate = np.asarray(log_rate).ravel()
-    exposed = e > 0
-    if not exposed.all():
-        d, e, log_rate = d[exposed], e[exposed], log_rate[exposed]
-    fitted = e * np.exp(log_rate)
-    mu = np.where(fitted > 0, fitted, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(d > 0, d * np.log1p((d - mu) / mu), 0.0)
-    return float(2.0 * np.maximum(terms - (d - fitted), 0.0).sum())
+    f = fitted.reshape(-1)
+    if cells.exposed is not None:
+        f = f[cells.exposed]
+    d = cells.deaths
+    resid = d - f
+    if f.min(initial=np.inf) > 0:  # then mu is f
+        ratio = resid / f
+    else:
+        mu = np.where(f > 0, f, 1.0)
+        ratio = (d - mu) / mu
+    # D log(D/mu) of a cell without deaths is log1p(0) * 0 = 0, with no log of 0
+    ratio[cells.deathless] = 0.0
+    terms = np.log1p(ratio, out=ratio)
+    terms *= d
+    terms -= resid
+    return float(2.0 * np.maximum(terms, 0.0, out=terms).sum())
 
 
 def _gender_slice(table: MortalityTable, gender: str) -> tuple[np.ndarray, np.ndarray]:
@@ -209,6 +250,18 @@ def log_rate_grid(theta: dict[str, np.ndarray], terms, ci) -> np.ndarray:
     return log_rate
 
 
+class _Point(NamedTuple):
+    """A point of the fit: theta maps kinds to vectors, on_grid maps each
+    period kind to its (age, year) grid, terms holds each term's grid
+    age_kind * period kind in TERMS order, and fitted the fitted means."""
+
+    theta: dict[str, np.ndarray]
+    on_grid: dict[str, np.ndarray]
+    terms: tuple[np.ndarray, ...]
+    fitted: np.ndarray
+    deviance: float
+
+
 def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_deviance, joint_step=None):
     """Fit beta0 and start's TERMS to one gender's deaths D and exposure E.
 
@@ -216,17 +269,19 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
     a copy of it with the fitted ones. Its flags are those of age rows without
     exposure or deaths (whose beta0 keeps its start value), then start.flags,
     then one for non-convergence, which is reported, never raised. Every
-    deviance is surface_deviance(D, E, log_rate). joint_step(point, fitted,
-    evaluate), if given, runs after the block steps: point is (theta, its
-    log-rate grid, its deviance dev), theta maps kinds to vectors, fitted is
-    the grid of fitted means, and evaluate(theta) gives the point of a
-    candidate theta. It returns a point with a deviance no higher than dev.
+    deviance is surface_deviance(cells, fitted) for the fit's PoissonCells.
+    joint_step(point, evaluate), if given, runs after the block steps: point
+    is a _Point and evaluate(theta) gives the point of a candidate theta. It
+    returns a point with a deviance no higher than point's. The loop runs
+    under one np.errstate that ignores divide and invalid (an age row without
+    exposure, an infinite fitted mean).
     """
     if (E.sum(axis=1) > 0).sum() < 2 or (E.sum(axis=0) > 0).sum() < 2:
         raise ValueError("need at least 2 ages and 2 years with positive exposure")
     terms = start.TERMS
     theta = start.theta()
-    ci, cells = start._cohort_index(), start.cohort_cells()
+    ci, multiplicity = start._cohort_index(), start.cohort_cells()
+    cells = PoissonCells(D, E)
 
     age_D = D.sum(axis=1)
     age_E = E.sum(axis=1)
@@ -237,84 +292,95 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
             flags.append(f"age {a + start.age_min}: zero {what} in every year; fitted at rate_floor")
     flags += start.flags
 
-    def evaluate(th):
-        """The point (th, its log-rate grid, its deviance)."""
-        log_rate = log_rate_grid(th, terms, ci)
-        return th, log_rate, surface_deviance(D, E, log_rate)
+    def grids(th, base=None, kind=None):
+        """(on_grid, terms, fitted) of th, which differs from base's theta in
+        kind only: base's grids serve every term without kind. Without a
+        base, every grid is computed."""
+        on_grid = {} if base is None else dict(base.on_grid)
+        term_grids = [None] * len(terms) if base is None else list(base.terms)
+        for i, (age_kind, period) in enumerate(terms):
+            if base is None or kind == period:
+                on_grid[period] = _on_grid(period, th[period], ci)
+            if base is None or kind in (age_kind, period):
+                term_grids[i] = th[age_kind][:, None] * on_grid[period]
+        log_rate = th["beta0"][:, None] + term_grids[0]
+        for grid in term_grids[1:]:
+            log_rate += grid
+        return on_grid, tuple(term_grids), cells.fitted_means(log_rate)
 
-    def fitted_means(log_rate):
-        return np.where(E > 0, E * np.exp(log_rate), 0.0)
+    def evaluate(th, base=None, kind=None):
+        """The point of th (grids' arguments)."""
+        on_grid, term_grids, fitted = grids(th, base, kind)
+        return _Point(th, on_grid, term_grids, fitted, surface_deviance(cells, fitted))
 
     def damped(point, kind, step):
         """point moved by step along kind, the step halved until the deviance
         does not increase."""
-        th, _, dev = point
+        th = point.theta
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = evaluate({**th, kind: th[kind] + scale * step})
-            if cand[2] <= dev:
+            cand = evaluate({**th, kind: th[kind] + scale * step}, point, kind)
+            if cand.deviance <= point.deviance:
                 return cand
             scale *= 0.5
         return point  # step rejected
 
-    # a point is (theta, its log-rate grid, the carried deviance); each grid is
-    # evaluated once and serves both the deviance and the next fitted means
     point = evaluate(theta)
-    trace = [point[2]]
+    trace = [point.deviance]
     converged = False
     it = 0
-    for it in range(1, cfg.max_iterations + 1):
-        # beta0: per-age closed-form maximization, gated against the carried
-        # deviance (renormalization is invariant only up to rounding)
-        fitted_age = fitted_means(point[1]).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, cfg.max_iterations + 1):
+            # beta0: per-age closed-form maximization, gated against the carried
+            # deviance (renormalization is invariant only up to rounding)
+            fitted_age = point.fitted.sum(axis=1)
             shift = np.log(age_D / fitted_age)
-        point = damped(point, "beta0", np.where(updatable & (fitted_age > 0), shift, 0.0))
+            point = damped(point, "beta0", np.where(updatable & (fitted_age > 0), shift, 0.0))
 
-        for age_kind, period in terms:
-            for kind, other in ((period, age_kind), (age_kind, period)):
-                theta = point[0]
-                fitted = fitted_means(point[1])
-                factor = _on_grid(other, theta[other], ci)
-                n = theta[kind].size
-                grad = _per_index(kind, factor * (D - fitted), ci, n)
-                hess = _per_index(kind, factor**2 * fitted, ci, n)
-                step = np.where(hess > 0, grad / np.where(hess > 0, hess, 1.0), 0.0)
-                if np.any(step):
-                    point = damped(point, kind, step)
+            for age_kind, period in terms:
+                for kind, other in ((period, age_kind), (age_kind, period)):
+                    theta, fitted = point.theta, point.fitted
+                    factor = point.on_grid[other] if other == period else _on_grid(other, theta[other], ci)
+                    n = theta[kind].size
+                    grad = _per_index(kind, factor * (D - fitted), ci, n)
+                    hess = _per_index(kind, factor**2 * fitted, ci, n)
+                    step = np.where(hess > 0, grad / np.where(hess > 0, hess, 1.0), 0.0)
+                    if step.any():
+                        point = damped(point, kind, step)
 
-        if joint_step is not None:
-            point = joint_step(point, fitted_means(point[1]), evaluate)
+            if joint_step is not None:
+                point = joint_step(point, evaluate)
 
-        # re-impose constraints (prediction-invariant); a year has as many
-        # cells as any other, so kappa's grid-weighted mean is its plain mean
-        theta, _, dev = point
-        for age_kind, period in terms:
-            b, k = theta[age_kind], theta[period]
-            if _KIND_AXIS[period] == "year":
-                k_mean = k.mean()
-            else:
-                k_mean = float((cells * k).sum() / cells.sum())
-            theta["beta0"] = theta["beta0"] + b * k_mean
-            k = k - k_mean
-            scale = b.sum()
-            if scale != 0.0:
-                b, k = b / scale, k * scale
-            theta[age_kind], theta[period] = b, k
-        # the constraints change theta's bits, so its grid is evaluated again
-        point = (theta, log_rate_grid(theta, terms, ci), dev)
+            # re-impose constraints (prediction-invariant); a year has as many
+            # cells as any other, so kappa's grid-weighted mean is its plain mean
+            theta, dev = point.theta, point.deviance
+            for age_kind, period in terms:
+                b, k = theta[age_kind], theta[period]
+                if _KIND_AXIS[period] == "year":
+                    k_mean = k.mean()
+                else:
+                    k_mean = float((multiplicity * k).sum() / multiplicity.sum())
+                theta["beta0"] = theta["beta0"] + b * k_mean
+                k = k - k_mean
+                scale = b.sum()
+                if scale != 0.0:
+                    b, k = b / scale, k * scale
+                theta[age_kind], theta[period] = b, k
+            # the constraints change theta's bits, so its grids are computed
+            # again; the deviance is carried
+            point = _Point(theta, *grids(theta), dev)
 
-        trace.append(dev)
-        prev = trace[-2]
-        if prev - dev <= cfg.deviance_tol * max(prev, 1e-300):
-            converged = True
-            break
+            trace.append(dev)
+            prev = trace[-2]
+            if prev - dev <= cfg.deviance_tol * max(prev, 1e-300):
+                converged = True
+                break
 
     if not converged:
         flags.append(f"not converged after {cfg.max_iterations} iterations")
     return replace(
         start,
-        **point[0],
+        **point.theta,
         converged=converged,
         n_iterations=it,
         deviance_trace=np.asarray(trace),

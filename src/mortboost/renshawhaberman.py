@@ -33,7 +33,12 @@ L^-1 X and the Schur complement S, live in one _Workspace per fit, with the
 fit's cohort index codes. Every iteration fills X and P in place and every LM
 trial overwrites Y and S. Fresh arrays of this size (0.4 to 0.5 MB each on the
 README grid) would be returned to the kernel when freed and page-faulted in
-again on every trial.
+again on every trial. A grid cell (a, t) of cohort c is the only cell of its
+(age, cohort) and of its (year, cohort) pair, so X's age-cohort couplings
+X[a, j, T + c] and P's year-cohort block P[t, T + c] = P[T + c, t] are
+written cell by cell through the workspace's band views (x_bands, p_bands),
+whose entries sit at exactly those positions; the rest of X and P's cohort
+columns stays zero.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grids import GENDERS, MortalityTable
 from .leecarter import (
@@ -68,33 +74,52 @@ class RHParams(LCParams):
 
 
 class _Workspace:
-    """The joint step's large arrays and the cohort index codes of one fit,
-    allocated once by fit_rh and reused by every iteration. P's off-diagonal
-    zeros are written here once; _fisher_system writes only its diagonals and
-    its dense kappa-gamma blocks."""
+    """The joint step's arrays and the cohort index codes of one fit,
+    allocated once by fit_rh and reused by every iteration. X and P start at
+    zero, and _fisher_system writes only X's year columns, P's diagonal and
+    the band views: cell (a, t) of cohort c = ci[a, t] at X[a, j, T + c]
+    (x_bands[j]), P[t, T + c] and P[T + c, t] (p_bands)."""
 
     def __init__(self, ci: np.ndarray, n_cohorts: int):
         A, T = ci.shape
         C = n_cohorts
         n = T + C
         self.n_cohorts = C
-        self.ci = ci
         self.c_idx = ci.ravel()
-        self.age_cohort = (np.arange(A)[:, None] * C + ci).ravel()
-        self.year_cohort = (np.arange(T)[None, :] * C + ci).ravel()
-        self.X = np.empty((A, 3, n))
+        self.X = np.zeros((A, 3, n))
         self.P = np.zeros((n, n))
+        self.P_diag = self.P.reshape(-1)[:: n + 1]
         self.Y = np.empty((3 * A, n))
         self.S = np.empty((n, n))
+        self.Bd = np.empty((A, 3, 3))
+        self.Bd_diag = self.Bd.reshape(A, 9)[:, ::4]
+        self.d_age = np.empty((A, 3))
+        self.d_z = np.empty(n)
+        self.rhs = np.empty(n)
+        # c = t - a + A - 1, so one step in a moves a band entry back by one
+        # cohort; each view stays inside its array for every (a, t)
+        x, p = self.X.reshape(-1), self.P.reshape(-1)
+        self.x_bands = [_band(x, j * n + T + A - 1, 3 * n - 1, 1, (A, T)) for j in range(3)]
+        self.p_bands = (
+            _band(p, T + A - 1, -1, n + 1, (A, T)),
+            _band(p, (T + A - 1) * n, -n, n + 1, (A, T)),
+        )
 
 
-def _fisher_system(work: _Workspace, W, R, beta1, beta2, kappa, gamma):
+def _band(flat: np.ndarray, start: int, step_a: int, step_t: int, shape) -> np.ndarray:
+    """The view of flat whose (a, t) entry is flat[start + a*step_a + t*step_t]."""
+    size = flat.itemsize
+    return as_strided(flat[start:], shape=shape, strides=(step_a * size, step_t * size))
+
+
+def _fisher_system(work: _Workspace, W, R, beta1, beta2, kappa, GM):
     """Expected-information normal equations for one joint scoring step, by group.
 
     Parameter order [beta0 (A), beta1 (A), kappa (T), beta2 (A), gamma (C)];
     W holds the fitted means (Fisher weights), R the raw residuals D - fitted,
-    both zeroed on zero-exposure cells. Every age-age block is diagonal, so the
-    age unknowns form A independent 3x3 blocks over (beta0, beta1, beta2)[a].
+    both zeroed on zero-exposure cells, and GM is gamma on the (age, year)
+    grid. Every age-age block is diagonal, so the age unknowns form A
+    independent 3x3 blocks over (beta0, beta1, beta2)[a].
     Returns
       B (A, 3, 3)        the age blocks,
       X (A, 3, T+C)      X[a, j] couples [kappa; gamma] to age parameter j of a,
@@ -102,18 +127,15 @@ def _fisher_system(work: _Workspace, W, R, beta1, beta2, kappa, gamma):
                          gamma-gamma, dense kappa-gamma),
       score_age (A, 3)   and score_z (T+C,), the score in the same grouping.
     X and P are work.X and work.P, filled in place: the returned system is
-    valid until the next _fisher_system call on the same workspace.
-    Each (age, cohort) and (year, cohort) pair is one grid cell at most, so the
-    cohort blocks are bincounts.
+    valid until the next _fisher_system call on the same workspace. Their
+    cohort entries are written through the workspace's band views, + 0.0 as
+    a sum from a 0.0 start (no -0.0); the gamma diagonal and score are sums
+    over the cells of a cohort, so they are bincounts.
     """
     A, T = W.shape
     C = work.n_cohorts
     B2 = beta2[:, None]
-    GM = gamma[work.ci]
     WG = W * GM
-
-    def by_cohort(codes, n, values):
-        return np.bincount(codes, weights=values.ravel(), minlength=n * C).reshape(n, C)
 
     B = np.empty((A, 3, 3))
     B[:, 0, 0] = W.sum(axis=1)
@@ -127,24 +149,25 @@ def _fisher_system(work: _Workspace, W, R, beta1, beta2, kappa, gamma):
     WB1 = W * beta1[:, None]
     WB2 = W * B2
     X[:, 0, :T] = WB1
-    X[:, 1, :T] = WB1 * kappa
-    X[:, 2, :T] = WB1 * GM
-    X[:, 0, T:] = by_cohort(work.age_cohort, A, WB2)
-    X[:, 1, T:] = by_cohort(work.age_cohort, A, WB2 * kappa)
-    X[:, 2, T:] = by_cohort(work.age_cohort, A, WB2 * GM)
+    np.multiply(WB1, kappa, out=X[:, 1, :T])
+    np.multiply(WB1, GM, out=X[:, 2, :T])
+    for band, values in zip(work.x_bands, (WB2, WB2 * kappa, WB2 * GM)):
+        np.add(values, 0.0, out=band)
 
-    P = work.P
-    kg = by_cohort(work.year_cohort, T, WB1 * B2)
-    P[:T, T:] = kg
-    P[T:, :T] = kg.T
-    np.fill_diagonal(P[:T, :T], beta1 @ WB1)
-    np.fill_diagonal(P[T:, T:], np.bincount(work.c_idx, weights=(WB2 * B2).ravel(), minlength=C))
+    kg = WB1 * B2
+    for band in work.p_bands:
+        np.add(kg, 0.0, out=band)
+    work.P_diag[:T] = beta1 @ WB1
+    work.P_diag[T:] = np.bincount(work.c_idx, weights=(WB2 * B2).ravel(), minlength=C)
 
-    score_age = np.stack([R.sum(axis=1), R @ kappa, (R * GM).sum(axis=1)], axis=1)
+    score_age = np.empty((A, 3))
+    score_age[:, 0] = R.sum(axis=1)
+    score_age[:, 1] = R @ kappa
+    score_age[:, 2] = (R * GM).sum(axis=1)
     score_z = np.concatenate(
         [beta1 @ R, np.bincount(work.c_idx, weights=(R * B2).ravel(), minlength=C)]
     )
-    return B, X, P, score_age, score_z
+    return B, X, work.P, score_age, score_z
 
 
 def _joint_step(system, lam, work: _Workspace):
@@ -156,8 +179,9 @@ def _joint_step(system, lam, work: _Workspace):
     The 3x3 age blocks are eliminated: with B_a = L_a L_a^T and Y = L^-1 X,
     the dense Schur complement S = P - Y^T Y of the T + C unknowns [kappa;
     gamma] goes to np.linalg.solve, and each age's 3-vector follows by
-    back-substitution. Y and S are written into work.Y and work.S; X and P
-    are only read, so one system serves every LM trial of an iteration.
+    back-substitution. The damped blocks, the diagonals, Y, S and the
+    right-hand side are written into the workspace; X and P are only read, so
+    one system serves every LM trial of an iteration.
     Returns the age steps (A, 3) over (beta0, beta1, beta2) and the [kappa;
     gamma] step. A non-positive-definite age block or a singular S raises
     np.linalg.LinAlgError.
@@ -165,17 +189,17 @@ def _joint_step(system, lam, work: _Workspace):
     B, X, P, score_age, score_z = system
     A = B.shape[0]
     n = P.shape[0]
-    d_age = B.diagonal(axis1=1, axis2=2).copy()
-    d_z = P.diagonal().copy()
+    d_age, d_z = work.d_age, work.d_z
+    np.copyto(d_age, B.diagonal(axis1=1, axis2=2))
+    np.copyto(d_z, P.diagonal())
     d_age[d_age <= 0] = 1.0
     d_z[d_z <= 0] = 1.0
     eps = 1e-12 * max(d_age.max(), d_z.max())
 
-    Bd = B.copy()
-    Bd_diag = Bd.reshape(A, 9)[:, ::4]  # a view of the three diagonals
-    Bd_diag += lam * d_age
-    Bd_diag += eps
-    Linv = np.linalg.inv(np.linalg.cholesky(Bd))  # (A, 3, 3), lower triangular
+    np.copyto(work.Bd, B)
+    work.Bd_diag += lam * d_age
+    work.Bd_diag += eps
+    Linv = np.linalg.inv(np.linalg.cholesky(work.Bd))  # (A, 3, 3), lower triangular
 
     Y, S = work.Y, work.S
     np.matmul(Linv, X, out=Y.reshape(A, 3, n))  # L^-1 X, one row per (age, parameter)
@@ -185,7 +209,11 @@ def _joint_step(system, lam, work: _Workspace):
     S_diag += lam * d_z
     S_diag += eps
     v = Linv @ score_age[:, :, None]  # L^-1 score_age, (A, 3, 1)
-    z = np.linalg.solve(S, score_z - Y.T @ v.ravel())
+    rhs = np.subtract(score_z, Y.T @ v.ravel(), out=work.rhs)
+    # S is exactly symmetric (P is, and numpy mirrors the rank-k product's
+    # triangle), so S.T holds the same values in the column order LAPACK
+    # reads, which solve copies without transposing
+    z = np.linalg.solve(S.T, rhs)
     u = (Linv.transpose(0, 2, 1) @ (v - (Y @ z).reshape(A, 3, 1)))[:, :, 0]
     return u, z
 
@@ -226,13 +254,13 @@ def fit_rh(
     lm_lambda = 1e-3
     work = _Workspace(ci, start.n_cohorts)
 
-    def joint_step(point, fitted, evaluate):
+    def joint_step(point, evaluate):
         """One Levenberg-Marquardt damped Fisher-scoring step on all parameters;
         the alternating block steps alone zigzag-stall on this model."""
         nonlocal lm_lambda
-        theta, _, dev = point
-        beta1, kappa, beta2, gamma = (theta[kind] for kind in ("beta1", "kappa", "beta2", "gamma"))
-        system = _fisher_system(work, fitted, D - fitted, beta1, beta2, kappa, gamma)
+        theta, fitted = point.theta, point.fitted
+        beta1, kappa, beta2 = (theta[kind] for kind in ("beta1", "kappa", "beta2"))
+        system = _fisher_system(work, fitted, D - fitted, beta1, beta2, kappa, point.on_grid["gamma"])
         for _ in range(12):
             try:
                 u, z = _joint_step(system, lm_lambda, work)
@@ -241,7 +269,7 @@ def fit_rh(
                 continue
             steps = (u[:, 0], u[:, 1], z[:n_years], u[:, 2], z[n_years:])
             cand = evaluate({kind: theta[kind] + step for kind, step in zip(RHParams.kinds(), steps)})
-            if cand[2] <= dev:
+            if cand.deviance <= point.deviance:
                 lm_lambda = max(lm_lambda / 3.0, 1e-12)
                 return cand
             lm_lambda = min(lm_lambda * 10.0, 1e12)
@@ -251,7 +279,7 @@ def fit_rh(
     # wrapper installed on it (the benchmark's tracer) sees every evaluation
     return fit_terms(
         D, E, start, cfg,
-        surface_deviance=lambda *args: poisson_surface_deviance(*args),
+        surface_deviance=lambda cells, fitted: poisson_surface_deviance(cells, fitted),
         joint_step=joint_step,
     )
 

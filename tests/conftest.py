@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mortboost import FeatureSpace, MortalityTable, WorkingData
+from mortboost.leecarter import PoissonCells, poisson_surface_deviance
 
 
 def dyadic_rates(log_rates: np.ndarray, bits: int = 40) -> np.ndarray:
@@ -21,6 +22,12 @@ def noise_free_table(space: FeatureSpace, log_rates: np.ndarray, bits: int = 40)
     D = q * E  # exact: (m / 2**bits) * 2**bits == m
     assert np.all(D == np.rint(D))
     return MortalityTable(space, E, D.astype(np.int64)), q
+
+
+def surface_deviance(deaths, exposure, log_rate) -> float:
+    """Poisson deviance of a log-rate grid against a (deaths, exposure) grid."""
+    cells = PoissonCells(deaths, exposure)
+    return poisson_surface_deviance(cells, cells.fitted_means(log_rate))
 
 
 def random_working_data(rng: np.random.Generator, n_ordered: int = 2,

@@ -307,6 +307,8 @@ def rate_surface_from_csv(text):
             g, a, t, r = ln.split(",")
             key = (gender_index(g), int(a), int(t))
             value = float(r)
+            if 0.0 < value < 2.2250738585072014e-308:
+                raise ValueError(f"rate {value!r} is below the smallest normal float 2.2250738585072014e-308")
         except ValueError as exc:
             raise ValueError(f"line {ln_no}: {exc}") from None
         if key in rows:

@@ -509,6 +509,9 @@ class TestErrorPaths:
         rows = exposures.read_text().splitlines()
         short.write_text("".join(f"{row}\n" for row in rows if row.split()[:1] != ["2009"]))
         big = hmd_with(deaths, tmp_path / "big.txt", 5, 3, "1e20")  # male, age 1, 2000
+        # female, ages 8 and 9, 2000: their pooled sum overflows
+        huge = hmd_with(exposures, tmp_path / "huge.txt", 12, 2, "1e308")
+        hmd_with(huge, huge, 13, 2, "1e308")
         out = tmp_path / "out"
         fit = ["fit", "lc", "--years", "2000:2009", "--out", str(out)]
         cases = [
@@ -521,6 +524,8 @@ class TestErrorPaths:
              f"--exposures {short}: exposures file lacks requested years: [2009]"),
             ([*fit, "--ages", "0:9", "--deaths", str(big), "--exposures", str(exposures)],
              f"--deaths {big}: deaths 1e+20 at (male, 1, 2000) do not fit a 64-bit count"),
+            ([*fit, "--ages", "0:8", "--deaths", str(deaths), "--exposures", str(huge)],
+             f"--exposures {huge}: exposure inf at (female, 8, 2000) is not finite"),
         ]
         for argv, message in cases:
             assert main(argv) == 3, argv
@@ -546,6 +551,35 @@ class TestErrorPaths:
             hmd_with(sim_dir / "exposures.txt", inf, 13, 2, "inf")  # female, age 9, 2000
             assert main([*argv[:5], "0:8", *argv[6:]]) == 3
             assert capsys.readouterr().err == message.format(8)
+
+    @pytest.mark.parametrize("command", ["fit lc", "backtest", "cod"])
+    def test_subnormal_exposure_and_rate_are_data_errors(self, sim_dir, lc_fit_dir, tmp_path, capsys, command):
+        # a division by either would overflow
+        deaths, exposures = str(sim_dir / "deaths.txt"), sim_dir / "exposures.txt"
+        qfit = lc_fit_dir / "qfit.csv"
+        tiny = hmd_with(exposures, tmp_path / "tiny.txt", 6, 2, "1e-320")  # female, age 2, 2000
+        rows = qfit.read_text().splitlines()
+        rows[2] = ",".join(rows[2].split(",")[:3] + ["5e-324"])  # line 3
+        tiny_q = tmp_path / "tiny_q.csv"
+        tiny_q.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        below = "is below the smallest normal float 2.2250738585072014e-308"
+
+        def argv(q, e):
+            return {
+                "fit lc": ["fit", "lc", "--deaths", deaths, "--ages", "0:9", "--years", "2000:2009"],
+                "backtest": ["backtest", "--qfit", str(q), "--deaths", deaths],
+                "cod": ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(q), "--causes", "3",
+                        "--buckets", "0-4;5-9"],
+            }[command] + ["--exposures", str(e), "--out", str(out)]
+
+        cases = [(argv(qfit, tiny), f"--exposures {tiny}: exposure 1e-320 at (female, 2, 2000) {below}")]
+        if command != "fit lc":
+            cases.append((argv(tiny_q, exposures), f"--qfit {tiny_q}: line 3: rate 5e-324 {below}"))
+        for args, message in cases:
+            assert main(args) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_bad_flag_values_exit_3_before_any_output(self, sim_dir, lc_fit_dir, tmp_path, capsys):
         deaths, exposures = str(sim_dir / "deaths.txt"), str(sim_dir / "exposures.txt")

@@ -153,6 +153,32 @@ class TestClipToSpace:
                 clip_to_space(None, exposures, FeatureSpace(0, age_max, 2000, 2001), pool)
             assert exc.value.kind == "exposures"
 
+    def test_pooled_sum_that_overflows_is_rejected_naming_its_cell(self):
+        values = np.array([[1.0], [1e308], [1e308]])
+        grids = {kind: HmdGrid(kind, np.arange(3), np.array([2000]), values, values, values)
+                 for kind in ("deaths", "exposures")}
+        space = FeatureSpace(0, 1, 2000, 2000)
+        with pytest.raises(GridError, match=r"^exposure inf at \(female, 1, 2000\) is not finite$") as exc:
+            clip_to_space(None, grids["exposures"], space, True)
+        assert exc.value.kind == "exposures"
+        exposures = parse_hmd_1x1(synthetic_file(0, 2, 2000, 2000), "exposures")
+        message = r"^deaths inf at \(female, 1, 2000\) do not fit a 64-bit count$"
+        with pytest.raises(GridError, match=message) as exc:
+            clip_to_space(grids["deaths"], exposures, space, True)
+        assert exc.value.kind == "deaths"
+
+    def test_subnormal_exposure_rejected_naming_its_cell(self):
+        # D / E would overflow; zero and the smallest normal float stay
+        cells = {(1, 2000): "1e-320", (2, 2000): "0", (0, 2001): "2.2250738585072014e-308"}
+        rows = [f"{t}  {a}  {cells.get((a, t), '50')}  50  100" for t in (2000, 2001) for a in range(3)]
+        exposures = parse_hmd_1x1(hmd_text(rows), "exposures")
+        tiny = re.escape(repr(np.finfo(float).tiny.item()))
+        message = rf"^exposure 1e-320 at \(female, 1, 2000\) is below the smallest normal float {tiny}$"
+        with pytest.raises(GridError, match=message):
+            clip_to_space(None, exposures, FeatureSpace(0, 2, 2000, 2001), False)
+        table, _ = clip_to_space(None, exposures, FeatureSpace(0, 2, 2001, 2001), False)
+        assert table.exposure[0, 0, 0] == np.finfo(float).tiny
+
     def test_exposure_only_caller_gets_zero_deaths(self):
         exposures = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001, value=lambda a, t: 70.0), "exposures")
         table, report = clip_to_space(None, exposures, FeatureSpace(0, 3, 2000, 2001), pool_top_age=True)

@@ -9,10 +9,9 @@ from mortboost.leecarter import (
     fit_lc_both,
     params_from_csv,
     params_to_csv,
-    poisson_surface_deviance,
     rate_surface,
 )
-from conftest import noise_free_table
+from conftest import noise_free_table, surface_deviance
 
 
 def constrained_truth(rng, n_ages, n_years, level=(-6.0, -3.0)):
@@ -50,7 +49,7 @@ class TestFitLC:
         assert fit.converged
         # oracle: deviance evaluated at the generating parameters
         log_truth = b0[:, None] + b1[:, None] * k[None, :]
-        dev_truth = poisson_surface_deviance(table.deaths[1], table.exposure[1], log_truth)
+        dev_truth = surface_deviance(table.deaths[1], table.exposure[1], log_truth)
         assert fit.deviance <= dev_truth + 1e-8
         assert np.max(np.abs(fit.log_rates() - log_truth)) < 1e-4
 
@@ -131,7 +130,7 @@ class TestPoissonDeviance:
         E = np.full(D.shape, 2.0**41)
         log_rate = np.log(D / E)
         E[0, 0] = D[0, 0] = 0.0  # an unexposed cell carries no deviance
-        assert 0.0 <= poisson_surface_deviance(D, E, log_rate) < 1e-12
+        assert 0.0 <= surface_deviance(D, E, log_rate) < 1e-12
 
 
 class TestPredictLC:

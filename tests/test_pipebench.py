@@ -61,9 +61,12 @@ def test_traced_rh_fit_reaches_the_solver_entry_points():
         "numpy.linalg.solve",
     ):
         assert t.calls(entry) > 0, entry
-    # one Fisher system per iteration serves up to 12 damped solves
-    assert t.calls("renshawhaberman._fisher_system") == got.n_iterations
-    assert t.calls("numpy.linalg.solve") >= got.n_iterations
+    # one Fisher system per iteration serves up to 12 damped solves, and one
+    # deviance per evaluated point; the counts of this fit, as run.py counts
+    # them on the walkthrough
+    assert t.calls("renshawhaberman._fisher_system") == got.n_iterations == 20
+    assert t.calls("numpy.linalg.solve") == 30
+    assert t.calls("renshawhaberman.poisson_surface_deviance") == 131
     assert np.array_equal(got.deviance_trace, want.deviance_trace)
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_rh
-from mortboost.leecarter import FitConfig, params_from_csv, params_to_csv, poisson_surface_deviance
+from mortboost.leecarter import FitConfig, params_from_csv, params_to_csv
 from mortboost.renshawhaberman import RHParams, _fisher_system, _joint_step, _Workspace, fit_rh_both
-from conftest import noise_free_table
+from conftest import noise_free_table, surface_deviance
 
 
 def rh_truth(rng, space):
@@ -26,10 +26,11 @@ def rh_truth(rng, space):
     return (b0, b1, k, b2, g), log_q
 
 
-def rh_jacobian(ci, beta1, kappa, beta2, gamma):
-    """Dense d log_rates / d[beta0, beta1, kappa, beta2, gamma], one row per grid cell."""
+def rh_jacobian(ci, beta1, kappa, beta2, gamma_grid):
+    """Dense d log_rates / d[beta0, beta1, kappa, beta2, gamma], one row per
+    grid cell; gamma_grid is gamma on the (age, year) grid."""
     A, T = ci.shape
-    C = gamma.size
+    C = A + T - 1
     a, t = np.divmod(np.arange(A * T), T)
     c = ci.ravel()
     rows = np.arange(A * T)
@@ -37,7 +38,7 @@ def rh_jacobian(ci, beta1, kappa, beta2, gamma):
     J[rows, a] = 1.0
     J[rows, A + a] = kappa[t]
     J[rows, 2 * A + t] = beta1[a]
-    J[rows, 2 * A + T + a] = gamma[c]
+    J[rows, 2 * A + T + a] = gamma_grid.ravel()
     J[rows, 3 * A + T + c] = beta2[a]
     return J
 
@@ -72,7 +73,7 @@ SYSTEM_SPACE = FeatureSpace(30, 35, 2000, 2008)
 
 def random_rh_inputs(rng, unexposed=False):
     """_fisher_system's arguments after the workspace, at random parameters,
-    weights and residuals on a small grid."""
+    weights and residuals on a small grid; gamma is given on the grid."""
     space = SYSTEM_SPACE
     A, T, C = space.n_ages, space.n_years, space.n_cohorts
     b1, k, b2, g = rng.normal(size=A), rng.normal(size=T), rng.normal(size=A), rng.normal(size=C)
@@ -82,7 +83,7 @@ def random_rh_inputs(rng, unexposed=False):
     if unexposed:
         W[3] = R[3] = 0.0  # an age row
         W[-1, 0] = R[-1, 0] = 0.0  # the oldest cohort's only cell
-    return W, R, b1, b2, k, g
+    return W, R, b1, b2, k, g[space.cohort_grid() - space.cohort_min]
 
 
 def new_workspace():
@@ -93,9 +94,9 @@ def new_workspace():
 def random_rh_system(rng, unexposed=False):
     """The grouped Fisher system of random_rh_inputs in a fresh workspace,
     with its dense reference J^T diag(W) J and J^T R."""
-    W, R, b1, b2, k, g = inputs = random_rh_inputs(rng, unexposed)
+    W, R, b1, b2, k, g_grid = inputs = random_rh_inputs(rng, unexposed)
     work = new_workspace()
-    J = rh_jacobian(work.ci, b1, k, b2, g)
+    J = rh_jacobian(SYSTEM_SPACE.cohort_grid() - SYSTEM_SPACE.cohort_min, b1, k, b2, g_grid)
     system = _fisher_system(work, *inputs)
     return system, J.T @ (W.ravel()[:, None] * J), J.T @ R.ravel(), SYSTEM_SPACE.n_years
 
@@ -174,7 +175,7 @@ class TestFitRH:
         table, q = noise_free_table(space, np.stack([log_q, log_q]))
         rh = fit_rh(table, "male")
         # oracle: deviance evaluated at the generating parameters
-        dev_truth = poisson_surface_deviance(table.deaths[1], table.exposure[1], log_q)
+        dev_truth = surface_deviance(table.deaths[1], table.exposure[1], log_q)
         assert rh.deviance <= dev_truth + 1e-8
 
     def test_nesting_under_warm_start(self, rng):
