@@ -32,19 +32,21 @@ def make_working_data(
 ) -> tuple[WorkingData, list[tuple[str, int, int]]]:
     """One working point per grid cell with volume q_init * E and response D.
 
-    Cells with zero volume and zero deaths are dropped (and returned);
-    zero volume with observed deaths is an error.
+    Cells with zero volume and zero deaths are dropped (and returned).
+    Observed deaths over a volume so small that their quotient, which the
+    tree reads, is not finite are an error: zero volume, or a positive one.
     """
     space = table.space
     if q_init.space != space:
         raise ValueError("rate surface and table are on different feature spaces")
     volume = q_init.rate * table.exposure
     deaths = table.deaths.astype(np.float64)
-    bad = np.argwhere((volume == 0) & (deaths > 0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bad = np.argwhere((deaths > 0) & ~(deaths / volume < np.inf))
     if bad.size:
-        raise ValueError(
-            "observed deaths with zero initial expected deaths at ({}, {}, {})".format(*space.cell(*bad[0]))
-        )
+        v = float(volume[tuple(bad[0])])
+        what = f"over initial expected deaths {v!r} overflow" if v else "with zero initial expected deaths"
+        raise ValueError("observed deaths {} at ({}, {}, {})".format(what, *space.cell(*bad[0])))
     keep = volume > 0
     dropped = [space.cell(*i) for i in np.argwhere(~keep)]
     data = WorkingData(

@@ -171,7 +171,10 @@ def cmd_backtest(args) -> int:
     years = _years_to_plot(args.years_to_plot, space) if args.years_to_plot else []
     table, report = _load_table(args, space)
     cfg = _tree_config(args)
-    result = run_backtest(q_init, table, cfg, initial_model_tag=args.tag)
+    try:
+        result = run_backtest(q_init, table, cfg, initial_model_tag=args.tag)
+    except ValueError as exc:  # a point's volume is a --qfit rate times an exposure
+        raise DataError(f"--qfit {args.qfit}, --exposures {args.exposures}: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -200,6 +200,26 @@ class ClipReport:
     max_rounding_delta: float
 
 
+_SHOWN_MISSING = 10
+
+
+def _lacking(present: np.ndarray, lo: int, hi: int, name: str) -> str:
+    """What the ascending, distinct present lacks of the requested name
+    (ages or years) lo..hi: '' when nothing, else the missing values, cut to
+    their count and the first _SHOWN_MISSING for a long list. lo..hi is
+    never built, so a huge range costs no memory."""
+    inside = present[np.searchsorted(present, lo) : np.searchsorted(present, hi, side="right")].tolist()
+    first: list[int] = []
+    expected = lo
+    for value in inside + [hi + 1]:
+        first += range(expected, min(value, expected + _SHOWN_MISSING - len(first)))
+        expected = value + 1
+    n = hi - lo + 1 - len(inside)
+    if n > _SHOWN_MISSING:
+        return f"{n} requested {name}; the first {_SHOWN_MISSING}: {first}"
+    return f"requested {name}: {first}" if n else ""
+
+
 def clip_to_space(
     deaths: HmdGrid | None,
     exposures: HmdGrid,
@@ -215,13 +235,16 @@ def clip_to_space(
     death count beyond 64 bits raise GridError."""
     if (deaths is not None and deaths.kind != "deaths") or exposures.kind != "exposures":
         raise ValueError("pass the deaths grid first and the exposures grid second")
+    for grid in [exposures] if deaths is None else [deaths, exposures]:
+        for name, lo, hi, present in (
+            ("years", space.year_min, space.year_max, grid.years),
+            ("ages", space.age_min, space.age_max, grid.ages),
+        ):
+            lacks = _lacking(present, lo, hi, name)
+            if lacks:
+                raise GridError(grid, f"{grid.kind} file lacks {lacks}")
+    # every requested age and year is in the grids, so these are no larger
     ages, years = space.ages(), space.years()
-    grids = [exposures] if deaths is None else [deaths, exposures]
-    for grid in grids:
-        for name, wanted, present in (("years", years, grid.years), ("ages", ages, grid.ages)):
-            missing = sorted(set(wanted.tolist()) - set(present.tolist()))
-            if missing:
-                raise GridError(grid, f"{grid.kind} file lacks requested {name}: {missing}")
     warnings: list[str] = []
 
     def cut(grid: HmdGrid, gender: str) -> np.ndarray:

@@ -9,12 +9,13 @@ plus a sum of bilinear terms age_kind[a] * period_kind[p] (LCParams.TERMS
 here; RHParams adds ("beta2", "gamma")), and `_KIND_AXIS` gives each kind
 its axis: age, year or birth cohort. The terms give the model's kinds and
 their CSV row order (beta0, then each term's kinds), its log-rate grid
-(`log_rate_grid`), its constraints (`LCParams.constraints`) and its fit
-(`fit_terms`). The axis decides how a vector is broadcast onto the (age,
-year) grid and how a grid is reduced to it: a row sum, a column sum or a
-cohort bincount. Each iteration of `fit_terms`, with an exposure
-offset, moves beta0 to its closed-form per-age maximiser, takes one damped
-Newton step on each kind (per term, the period kind first), runs the
+(`log_rate_grid`), its fit's start (`LCParams.start`), its constraints
+(`LCParams.constraints`; `period_sum` states a period kind's for the fit
+too) and its fit (`fit_terms`). The axis decides how a vector is broadcast
+onto the (age, year) grid and how a grid is reduced to it: a row sum, a
+column sum or a cohort bincount. Each iteration of `fit_terms`, with an
+exposure offset, moves beta0 to its closed-form per-age maximiser, takes one
+damped Newton step on each kind (per term, the period kind first), runs the
 model's joint-step hook if it has one, and re-imposes the constraints (each
 age kind sums to 1, each period kind has grid-weighted mean 0) by exactly
 prediction-invariant transformations. Every step is halved until the
@@ -49,6 +50,9 @@ from .grids import (
 )
 
 _MAX_HALVINGS = 30
+
+# the double next above -1, the smallest ratio whose log1p is finite
+_ABOVE_MINUS_ONE = np.nextafter(-1.0, 0.0)
 
 # the axis each parameter kind is indexed by: in the fit, and in the CSV,
 # where the index starts at the parameter object's age_min, year_min or
@@ -107,11 +111,11 @@ class LCParams:
 
     @property
     def cohort_min(self) -> int:
-        return self.year_min - (self.age_min + self.n_ages - 1)
+        return self.space.cohort_min
 
     @property
     def n_cohorts(self) -> int:
-        return self.n_ages + self.n_years - 1
+        return self.space.n_cohorts
 
     @property
     def deviance(self) -> float:
@@ -121,6 +125,20 @@ class LCParams:
     def kinds(cls) -> tuple[str, ...]:
         """The parameter vectors in CSV row order: beta0, then each term's."""
         return ("beta0", *(kind for term in cls.TERMS for kind in term))
+
+    @classmethod
+    def start(cls, gender: str, space: FeatureSpace, rate_floor: float, beta0: np.ndarray, **given):
+        """A fit's starting point over space, before any iteration: each age
+        kind of TERMS is 1/n_ages and each period kind 0, unless given."""
+        theta = {"beta0": beta0}
+        for age_kind, period in cls.TERMS:
+            theta[age_kind] = np.full(space.n_ages, 1.0 / space.n_ages)
+            theta[period] = np.zeros(getattr(space, f"n_{_KIND_AXIS[period]}s"))
+        theta.update(given)
+        return cls(
+            gender=gender, age_min=space.age_min, year_min=space.year_min, **theta, rate_floor=rate_floor,
+            converged=False, n_iterations=0, deviance_trace=np.array([]), flags=[],
+        )
 
     def theta(self) -> dict[str, np.ndarray]:
         """The parameter vectors by kind."""
@@ -133,7 +151,7 @@ class LCParams:
 
     def _cohort_index(self) -> np.ndarray:
         """(n_ages, n_years) grid of cohort indices, t - a + n_ages - 1 at (a, t)."""
-        return np.arange(self.n_years)[None, :] - np.arange(self.n_ages)[:, None] + (self.n_ages - 1)
+        return self.space.cohort_grid() - self.cohort_min
 
     def cohort_cells(self) -> np.ndarray:
         """Number of grid cells of each cohort, oldest first."""
@@ -146,19 +164,26 @@ class LCParams:
     def constraints(self) -> list[tuple[str, float]]:
         """The identifiability constraints as (name, residual) pairs, each 0
         on an exact fit: every age kind sums to 1, then every period kind has
-        grid-weighted sum 0 (a year kind's is its plain sum, as every year
-        has as many cells)."""
+        grid-weighted sum 0."""
         out = [(f"{kind} sum - 1", float(getattr(self, kind).sum() - 1.0)) for kind, _ in self.TERMS]
+        cells = self.cohort_cells()
         for _, period in self.TERMS:
-            k = getattr(self, period)
-            if _KIND_AXIS[period] == "year":
-                out.append((f"{period} sum", float(k.sum())))
-            else:
-                out.append((f"grid-weighted {period} sum", float((self.cohort_cells() * k).sum())))
+            name, total, _ = period_sum(period, getattr(self, period), cells)
+            out.append((name, float(total)))
         return out
 
     def rates(self) -> np.ndarray:
         return np.clip(np.exp(self.log_rates()), self.rate_floor, 1.0)
+
+
+def period_sum(kind: str, k: np.ndarray, cohort_cells: np.ndarray) -> tuple[str, float, int]:
+    """A period kind's constraint: its name, the grid-weighted sum of k and
+    the total weight, for the number of grid cells of each cohort. Every
+    year has as many cells, so a year kind's sum is its plain sum, and its
+    weight its length."""
+    if _KIND_AXIS[kind] == "year":
+        return f"{kind} sum", k.sum(), k.size
+    return f"grid-weighted {kind} sum", (cohort_cells * k).sum(), cohort_cells.sum()
 
 
 class PoissonCells:
@@ -192,10 +217,12 @@ def poisson_surface_deviance(cells: PoissonCells, fitted: np.ndarray) -> float:
     Cells with zero exposure are excluded (they carry no likelihood). The
     unit deviance D log(D/mu) - (D - mu) is evaluated with log1p((D - mu)/mu),
     which keeps its rounding error proportional to |D - mu| instead of D, and
-    is clamped at 0 (its exact value is never negative) before the sum. A
-    fitted mean of 0 stands in as 1 in the logarithm. An infinite fitted mean
-    gives an invalid-value warning unless the caller ignores it, as
-    fit_terms does.
+    is clamped at 0 (its exact value is never negative) before the sum; where
+    (D - mu)/mu overflows, as for a fitted mean far below a normal float, the
+    unit deviance is D (log D - log mu) - (D - mu). A fitted mean of 0 stands
+    in as 1 in the logarithm. An infinite fitted mean gives an invalid-value
+    warning, and an overflowing quotient an overflow warning, unless the
+    caller ignores them, as fit_terms does.
     """
     f = fitted.reshape(-1)
     if cells.exposed is not None:
@@ -209,10 +236,19 @@ def poisson_surface_deviance(cells: PoissonCells, fitted: np.ndarray) -> float:
         ratio = (d - mu) / mu
     # D log(D/mu) of a cell without deaths is log1p(0) * 0 = 0, with no log of 0
     ratio[cells.deathless] = 0.0
+    # a ratio that rounds to -1 (mu at least 2**53 D) is read as the next
+    # double above it, so its term is about mu, not -inf clamped to 0; every
+    # other ratio keeps its bits
+    np.maximum(ratio, _ABOVE_MINUS_ONE, out=ratio)
     terms = np.log1p(ratio, out=ratio)
     terms *= d
     terms -= resid
-    return float(2.0 * np.maximum(terms, 0.0, out=terms).sum())
+    total = 2.0 * np.maximum(terms, 0.0, out=terms).sum()
+    if total == np.inf:  # (D - mu)/mu overflowed; a finite total keeps its bits
+        big = np.isinf(terms)
+        terms[big] = d[big] * (np.log(d[big]) - np.log(f[big])) - resid[big]
+        total = 2.0 * terms.sum()
+    return float(total)
 
 
 def _gender_slice(table: MortalityTable, gender: str) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +308,10 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
     deviance is surface_deviance(cells, fitted) for the fit's PoissonCells.
     joint_step(point, evaluate), if given, runs after the block steps: point
     is a _Point and evaluate(theta) gives the point of a candidate theta. It
-    returns a point with a deviance no higher than point's. The loop runs
-    under one np.errstate that ignores divide and invalid (an age row without
-    exposure, an infinite fitted mean).
+    returns a point with a deviance no higher than point's. The fit runs
+    under one np.errstate that ignores divide, invalid and overflow (an age
+    row without exposure, a candidate whose exp overflows: its deviance is
+    not a number, so the step is halved).
     """
     if (E.sum(axis=1) > 0).sum() < 2 or (E.sum(axis=0) > 0).sum() < 2:
         raise ValueError("need at least 2 ages and 2 years with positive exposure")
@@ -325,11 +362,11 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
             scale *= 0.5
         return point  # step rejected
 
-    point = evaluate(theta)
-    trace = [point.deviance]
     converged = False
     it = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        point = evaluate(theta)
+        trace = [point.deviance]
         for it in range(1, cfg.max_iterations + 1):
             # beta0: per-age closed-form maximization, gated against the carried
             # deviance (renormalization is invariant only up to rounding)
@@ -351,15 +388,12 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
             if joint_step is not None:
                 point = joint_step(point, evaluate)
 
-            # re-impose constraints (prediction-invariant); a year has as many
-            # cells as any other, so kappa's grid-weighted mean is its plain mean
+            # re-impose constraints (prediction-invariant)
             theta, dev = point.theta, point.deviance
             for age_kind, period in terms:
                 b, k = theta[age_kind], theta[period]
-                if _KIND_AXIS[period] == "year":
-                    k_mean = k.mean()
-                else:
-                    k_mean = float((multiplicity * k).sum() / multiplicity.sum())
+                _, total, weight = period_sum(period, k, multiplicity)
+                k_mean = total / weight
                 theta["beta0"] = theta["beta0"] + b * k_mean
                 k = k - k_mean
                 scale = b.sum()
@@ -391,7 +425,6 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
 def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> LCParams:
     """Fit one gender slice; never raises on non-convergence (converged=False)."""
     D, E = _gender_slice(table, gender)
-    space = table.space
     age_D = D.sum(axis=1)
     age_E = E.sum(axis=1)
     beta0 = np.where(
@@ -399,20 +432,7 @@ def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> 
         np.log((age_D + 0.5) / np.where(age_E > 0, age_E, 1.0)),
         np.log(cfg.rate_floor),
     )
-    start = LCParams(
-        gender=gender,
-        age_min=space.age_min,
-        year_min=space.year_min,
-        beta0=beta0,
-        beta1=np.full(space.n_ages, 1.0 / space.n_ages),
-        kappa=np.zeros(space.n_years),
-        rate_floor=cfg.rate_floor,
-        converged=False,
-        n_iterations=0,
-        deviance_trace=np.array([]),
-        flags=[],
-    )
-    fit = fit_terms(D, E, start, cfg)
+    fit = fit_terms(D, E, LCParams.start(gender, table.space, cfg.rate_floor, beta0), cfg)
     if np.max(np.abs(fit.kappa)) < 1e-8:
         fit.flags.append("kappa is numerically zero: time-homogeneous surface, beta1 weakly identified")
     return fit

@@ -28,16 +28,18 @@ complement to np.linalg.solve; each age's three unknowns then follow by
 back-substitution. On the 98-age, 65-year README grid that is a 227-square
 solve in place of a 521-square one.
 
-The system's large arrays, the coupling X, the [kappa; gamma] block P, Y =
-L^-1 X and the Schur complement S, live in one _Workspace per fit, with the
-fit's cohort index codes. Every iteration fills X and P in place and every LM
-trial overwrites Y and S. Fresh arrays of this size (0.4 to 0.5 MB each on the
-README grid) would be returned to the kernel when freed and page-faulted in
-again on every trial. A grid cell (a, t) of cohort c is the only cell of its
-(age, cohort) and of its (year, cohort) pair, so X's age-cohort couplings
-X[a, j, T + c] and P's year-cohort block P[t, T + c] = P[T + c, t] are
-written cell by cell through the workspace's band views (x_bands, p_bands),
-whose entries sit at exactly those positions; the rest of X and P's cohort
+The system's four large arrays, the coupling X, the [kappa; gamma] block P,
+Y = L^-1 X and the Schur complement S, live in one _Workspace per fit, with
+the fit's cohort index codes and the band views below. Every iteration
+fills X and P in place and every LM trial overwrites Y and S. Fresh arrays
+of this size (0.4 to 0.5 MB each on the README grid) would be returned to
+the kernel when freed and page-faulted in again on every trial; the joint
+step's small arrays (damped age blocks, diagonals, right-hand side) are its
+locals. A grid cell (a, t) of cohort c is the only cell of its (age,
+cohort) and of its (year, cohort) pair, so X's age-cohort couplings X[a, j,
+T + c] and P's year-cohort block P[t, T + c] = P[T + c, t] are written cell
+by cell through the workspace's band views (x_bands, p_bands), whose
+entries sit at exactly those positions; the rest of X and P's cohort
 columns stays zero.
 """
 
@@ -82,20 +84,13 @@ class _Workspace:
 
     def __init__(self, ci: np.ndarray, n_cohorts: int):
         A, T = ci.shape
-        C = n_cohorts
-        n = T + C
-        self.n_cohorts = C
+        n = T + n_cohorts
         self.c_idx = ci.ravel()
         self.X = np.zeros((A, 3, n))
         self.P = np.zeros((n, n))
         self.P_diag = self.P.reshape(-1)[:: n + 1]
         self.Y = np.empty((3 * A, n))
         self.S = np.empty((n, n))
-        self.Bd = np.empty((A, 3, 3))
-        self.Bd_diag = self.Bd.reshape(A, 9)[:, ::4]
-        self.d_age = np.empty((A, 3))
-        self.d_z = np.empty(n)
-        self.rhs = np.empty(n)
         # c = t - a + A - 1, so one step in a moves a band entry back by one
         # cohort; each view stays inside its array for every (a, t)
         x, p = self.X.reshape(-1), self.P.reshape(-1)
@@ -133,7 +128,7 @@ def _fisher_system(work: _Workspace, W, R, beta1, beta2, kappa, GM):
     over the cells of a cohort, so they are bincounts.
     """
     A, T = W.shape
-    C = work.n_cohorts
+    C = work.P.shape[0] - T
     B2 = beta2[:, None]
     WG = W * GM
 
@@ -179,9 +174,8 @@ def _joint_step(system, lam, work: _Workspace):
     The 3x3 age blocks are eliminated: with B_a = L_a L_a^T and Y = L^-1 X,
     the dense Schur complement S = P - Y^T Y of the T + C unknowns [kappa;
     gamma] goes to np.linalg.solve, and each age's 3-vector follows by
-    back-substitution. The damped blocks, the diagonals, Y, S and the
-    right-hand side are written into the workspace; X and P are only read, so
-    one system serves every LM trial of an iteration.
+    back-substitution. Y and S are written into the workspace; X and P are
+    only read, so one system serves every LM trial of an iteration.
     Returns the age steps (A, 3) over (beta0, beta1, beta2) and the [kappa;
     gamma] step. A non-positive-definite age block or a singular S raises
     np.linalg.LinAlgError.
@@ -189,17 +183,17 @@ def _joint_step(system, lam, work: _Workspace):
     B, X, P, score_age, score_z = system
     A = B.shape[0]
     n = P.shape[0]
-    d_age, d_z = work.d_age, work.d_z
-    np.copyto(d_age, B.diagonal(axis1=1, axis2=2))
-    np.copyto(d_z, P.diagonal())
+    d_age = B.diagonal(axis1=1, axis2=2).copy()
+    d_z = P.diagonal().copy()
     d_age[d_age <= 0] = 1.0
     d_z[d_z <= 0] = 1.0
     eps = 1e-12 * max(d_age.max(), d_z.max())
 
-    np.copyto(work.Bd, B)
-    work.Bd_diag += lam * d_age
-    work.Bd_diag += eps
-    Linv = np.linalg.inv(np.linalg.cholesky(work.Bd))  # (A, 3, 3), lower triangular
+    Bd = B.copy()
+    Bd_diag = Bd.reshape(A, 9)[:, ::4]
+    Bd_diag += lam * d_age
+    Bd_diag += eps
+    Linv = np.linalg.inv(np.linalg.cholesky(Bd))  # (A, 3, 3), lower triangular
 
     Y, S = work.Y, work.S
     np.matmul(Linv, X, out=Y.reshape(A, 3, n))  # L^-1 X, one row per (age, parameter)
@@ -209,7 +203,7 @@ def _joint_step(system, lam, work: _Workspace):
     S_diag += lam * d_z
     S_diag += eps
     v = Linv @ score_age[:, :, None]  # L^-1 score_age, (A, 3, 1)
-    rhs = np.subtract(score_z, Y.T @ v.ravel(), out=work.rhs)
+    rhs = score_z - Y.T @ v.ravel()
     # S is exactly symmetric (P is, and numpy mirrors the rank-k product's
     # triangle), so S.T holds the same values in the column order LAPACK
     # reads, which solve copies without transposing
@@ -224,7 +218,8 @@ def fit_rh(
     cfg: FitConfig = RH_DEFAULT_CONFIG,
     warm_start: LCParams | None = None,
 ) -> RHParams:
-    """Fit one gender slice, warm-started from Lee-Carter (fitted here if not given)."""
+    """Fit one gender slice, warm-started from Lee-Carter (fitted here if not
+    given); the warm start's vectors seed every kind it has."""
     space = table.space
     if warm_start is None:
         warm_start = fit_lc(table, gender, cfg)
@@ -232,19 +227,7 @@ def fit_rh(
         raise ValueError(f"warm start covers {warm_start.space.describe()}; the fit uses {space.describe()}")
     D, E = _gender_slice(table, gender)
     n_years = space.n_years
-    start = RHParams(
-        gender=gender,
-        age_min=space.age_min,
-        year_min=space.year_min,
-        **{kind: getattr(warm_start, kind) for kind in LCParams.kinds()},
-        beta2=np.full(space.n_ages, 1.0 / space.n_ages),
-        gamma=np.zeros(space.n_cohorts),
-        rate_floor=cfg.rate_floor,
-        converged=False,
-        n_iterations=0,
-        deviance_trace=np.array([]),
-        flags=[],
-    )
+    start = RHParams.start(gender, space, cfg.rate_floor, **warm_start.theta())
     ci = start._cohort_index()
     for c in np.flatnonzero(start.cohort_cells() == 1):
         start.flags.append(f"cohort {c + start.cohort_min}: observed in a single grid cell, weakly identified")
@@ -275,13 +258,7 @@ def fit_rh(
             lm_lambda = min(lm_lambda * 10.0, 1e12)
         return point
 
-    # this module's poisson_surface_deviance is looked up at each call, so a
-    # wrapper installed on it (the benchmark's tracer) sees every evaluation
-    return fit_terms(
-        D, E, start, cfg,
-        surface_deviance=lambda cells, fitted: poisson_surface_deviance(cells, fitted),
-        joint_step=joint_step,
-    )
+    return fit_terms(D, E, start, cfg, surface_deviance=poisson_surface_deviance, joint_step=joint_step)
 
 
 def fit_rh_both(table: MortalityTable, cfg: FitConfig = RH_DEFAULT_CONFIG) -> dict[str, RHParams]:

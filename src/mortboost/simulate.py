@@ -375,6 +375,10 @@ _SPEC_DEFAULTS = {
 }
 _SPEC_KEYS = {"ages", "years", "seed", "causes", "buckets", *_SPEC_DEFAULTS}
 
+# the most cells a spec's (gender, age, year) grid, and its (gender, bucket,
+# year, cause) grid, may hold: each is sampled and written in memory
+MAX_SIM_CELLS = 10_000_000
+
 
 def _uniform_theta(mode: str) -> None:
     if mode != "uniform":
@@ -388,8 +392,9 @@ def load_sim_spec(source: str | Path) -> SimSpec:
     base_rate, age_slope, year_drift, male_factor, causes (with buckets).
     The rate surface is log-linear in age and calendar year:
     q = base_rate * exp(age_slope*a + year_drift*(t - t_min)) * male_factor^[male].
-    A malformed or non-finite value or an unknown key raises ParseError with
-    its line.
+    A malformed or non-finite value, an unknown key, and a grid above
+    MAX_SIM_CELLS cells raise ParseError with the line at fault (the wider
+    of the ages and years ranges, or the causes).
     """
     text = source.read_text() if isinstance(source, Path) else source
     entries = read_key_values(text)
@@ -415,6 +420,10 @@ def load_sim_spec(source: str | Path) -> SimSpec:
     age_min, age_max = get("ages", parse_range, "ages")
     year_min, year_max = get("years", parse_range, "years")
     space = FeatureSpace(age_min, age_max, year_min, year_max)
+    if space.size > MAX_SIM_CELLS:
+        wider = "ages" if space.n_ages > space.n_years else "years"
+        message = f"a grid of {space.size} cells is above the limit of {MAX_SIM_CELLS}"
+        raise ParseError(message, entries[wider][1])
     seed = get("seed", int)
 
     ages = space.ages().astype(np.float64)
@@ -433,13 +442,17 @@ def load_sim_spec(source: str | Path) -> SimSpec:
     bucketing = None
     if "causes" in entries:
         K = get("causes", int)
+        if K < 1:
+            raise ParseError(f"causes must be >= 1, got {K}", entries["causes"][1])
         if "buckets" not in entries:
             raise ValueError("causes given without a buckets partition spec")
         bucketing = get("buckets", AgeBucketing.from_spec, age_min, age_max)
         get("theta", _uniform_theta)
-        theta = ThetaSurface(
-            np.full((len(GENDERS), bucketing.n_buckets, space.n_years, K), 1.0 / K)
-        )
+        shape = (len(GENDERS), bucketing.n_buckets, space.n_years, K)
+        if math.prod(shape) > MAX_SIM_CELLS:
+            message = f"a cause grid of {math.prod(shape)} cells is above the limit of {MAX_SIM_CELLS}"
+            raise ParseError(message, entries["causes"][1])
+        theta = ThetaSurface(np.full(shape, 1.0 / K))
     return SimSpec(
         q=RateSurface(space, rate),
         exposure=exposure,

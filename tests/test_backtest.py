@@ -41,6 +41,22 @@ class TestMakeWorkingData:
         with pytest.raises(ValueError, match=message):
             make_working_data(RateSurface(space, q), MortalityTable(space, E, D))
 
+    def test_deaths_over_a_volume_that_overflows_are_an_error(self):
+        # 3 deaths over 1e-308 overflow; a cell without deaths may have any volume
+        space = FeatureSpace(0, 1, 2000, 2001)
+        E = np.full(space.shape, 100.0)
+        D = np.full(space.shape, 3)
+        E[0, 0, 1] = 1e-300
+        D[0, 0, 0] = 0
+        q = np.full(space.shape, 0.05)
+        q[0, 0, 0] = 1e-308
+        data, dropped = make_working_data(RateSurface(space, q), MortalityTable(space, E, D))
+        assert (data.n, dropped) == (space.size, [])
+        q[0, 0, 1] = 1e-8
+        message = r"^observed deaths over initial expected deaths 1e-308 overflow at \(female, 0, 2001\)$"
+        with pytest.raises(ValueError, match=message):
+            make_working_data(RateSurface(space, q), MortalityTable(space, E, D))
+
     def test_swiss_grid_point_count(self):
         space = FeatureSpace(0, 97, 1876, 2014)
         E = np.full(space.shape, 10.0)

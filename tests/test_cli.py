@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mortboost
 from mortboost import PoissonTree, parse_hmd_1x1
 from mortboost.backtest import grid_features
 from mortboost.cli import main
@@ -38,6 +42,36 @@ def hmd_with(source: Path, path: Path, line: int, field: int, value: str) -> Pat
     lines[line - 1] = "  ".join(fields)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def exposure_argv(command: str, sim_dir: Path, qfit: Path, exposures: Path, out: Path) -> list[str]:
+    """argv of a `fit lc`, `backtest` or `cod` run on the sim_dir fixture that
+    reads the exposures and (but for `fit lc`) the qfit file given."""
+    deaths = str(sim_dir / "deaths.txt")
+    return {
+        "fit lc": ["fit", "lc", "--deaths", deaths, "--ages", "0:9", "--years", "2000:2009"],
+        "backtest": ["backtest", "--qfit", str(qfit), "--deaths", deaths],
+        "cod": ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(qfit), "--causes", "3",
+                "--buckets", "0-4;5-9"],
+    }[command] + ["--exposures", str(exposures), "--out", str(out)]
+
+
+def main_in_1gb(argv: list[str]) -> subprocess.CompletedProcess:
+    """main(argv) in a child process whose address space is capped at 1 GB,
+    so that a run which builds a huge range fails at once (MemoryError, exit
+    5) instead of exhausting the host's memory."""
+    script = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from mortboost.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(mortboost.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -534,15 +568,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command", ["fit lc", "backtest", "cod"])
     def test_non_finite_exposure_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys, command):
-        deaths, qfit = str(sim_dir / "deaths.txt"), str(lc_fit_dir / "qfit.csv")
         inf = hmd_with(sim_dir / "exposures.txt", tmp_path / "inf.txt", 6, 2, "inf")  # female, age 2, 2000
         out = tmp_path / "out"
-        argv = {
-            "fit lc": ["fit", "lc", "--deaths", deaths, "--ages", "0:9", "--years", "2000:2009"],
-            "backtest": ["backtest", "--qfit", qfit, "--deaths", deaths],
-            "cod": ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", qfit, "--causes", "3",
-                    "--buckets", "0-4;5-9"],
-        }[command] + ["--exposures", str(inf), "--out", str(out)]
+        argv = exposure_argv(command, sim_dir, lc_fit_dir / "qfit.csv", inf, out)
         message = f"error: --exposures {inf}: exposure inf at (female, {{}}, 2000) is not finite\n"
         assert main(argv) == 3
         assert capsys.readouterr().err == message.format(2)
@@ -555,8 +583,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["fit lc", "backtest", "cod"])
     def test_subnormal_exposure_and_rate_are_data_errors(self, sim_dir, lc_fit_dir, tmp_path, capsys, command):
         # a division by either would overflow
-        deaths, exposures = str(sim_dir / "deaths.txt"), sim_dir / "exposures.txt"
-        qfit = lc_fit_dir / "qfit.csv"
+        exposures, qfit = sim_dir / "exposures.txt", lc_fit_dir / "qfit.csv"
         tiny = hmd_with(exposures, tmp_path / "tiny.txt", 6, 2, "1e-320")  # female, age 2, 2000
         rows = qfit.read_text().splitlines()
         rows[2] = ",".join(rows[2].split(",")[:3] + ["5e-324"])  # line 3
@@ -564,22 +591,36 @@ class TestErrorPaths:
         tiny_q.write_text("\n".join(rows) + "\n")
         out = tmp_path / "out"
         below = "is below the smallest normal float 2.2250738585072014e-308"
-
-        def argv(q, e):
-            return {
-                "fit lc": ["fit", "lc", "--deaths", deaths, "--ages", "0:9", "--years", "2000:2009"],
-                "backtest": ["backtest", "--qfit", str(q), "--deaths", deaths],
-                "cod": ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(q), "--causes", "3",
-                        "--buckets", "0-4;5-9"],
-            }[command] + ["--exposures", str(e), "--out", str(out)]
-
-        cases = [(argv(qfit, tiny), f"--exposures {tiny}: exposure 1e-320 at (female, 2, 2000) {below}")]
+        argv = exposure_argv(command, sim_dir, qfit, tiny, out)
+        cases = [(argv, f"--exposures {tiny}: exposure 1e-320 at (female, 2, 2000) {below}")]
         if command != "fit lc":
-            cases.append((argv(tiny_q, exposures), f"--qfit {tiny_q}: line 3: rate 5e-324 {below}"))
+            argv = exposure_argv(command, sim_dir, tiny_q, exposures, out)
+            cases.append((argv, f"--qfit {tiny_q}: line 3: rate 5e-324 {below}"))
         for args, message in cases:
             assert main(args) == 3
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e-12", "1e-300", "1e-305", "1e18", "1e300"])
+    @pytest.mark.parametrize("command", ["fit lc", "backtest", "cod"])
+    def test_extreme_normal_exposure_is_never_an_internal_error(
+        self, sim_dir, lc_fit_dir, tmp_path, capsys, command, value
+    ):
+        # female, age 0, 2000, with about 100 deaths: the fit reads the cell
+        # near its own rate, but a back-test volume of rate * 1e-305 is too
+        # small to divide its deaths by
+        qfit = lc_fit_dir / "qfit.csv"
+        extreme = hmd_with(sim_dir / "exposures.txt", tmp_path / "extreme.txt", 4, 2, value)
+        out = tmp_path / "out"
+        code = main(exposure_argv(command, sim_dir, qfit, extreme, out))
+        err = capsys.readouterr().err
+        if (command, value) != ("backtest", "1e-305"):
+            assert (code, err) == (0, "")
+            return
+        assert code == 3
+        assert err.startswith(f"error: --qfit {qfit}, --exposures {extreme}: observed deaths over initial ")
+        assert err.endswith(" overflow at (female, 0, 2000)\n")
+        assert not out.exists()
 
     def test_bad_flag_values_exit_3_before_any_output(self, sim_dir, lc_fit_dir, tmp_path, capsys):
         deaths, exposures = str(sim_dir / "deaths.txt"), str(sim_dir / "exposures.txt")
@@ -616,6 +657,7 @@ class TestErrorPaths:
         cases = [
             ("exposure = nan", "line 4: exposure must be finite, got 'nan'"),
             ("base_rate = nan", "line 4: base_rate must be finite, got 'nan'"),
+            ("causes = 0\nbuckets = 0-4;5-9", "line 4: causes must be >= 1, got 0"),
             ("exposure = 1e300", "mean q * exposure 5.000000000000001e+295 at (female, 0, 2000) "
                                  "is above numpy's Poisson limit 9.223372006484771e+18"),
         ]
@@ -625,6 +667,30 @@ class TestErrorPaths:
             assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 3, line
             assert capsys.readouterr().err == f"error: --spec {spec}: {message}\n"
             assert not out.exists(), line
+
+    def test_huge_ranges_are_rejected_before_they_are_built(self, sim_dir, tmp_path):
+        # each range alone would take gigabytes; the check reads its endpoints
+        out = tmp_path / "out"
+        deaths, exposures = sim_dir / "deaths.txt", sim_dir / "exposures.txt"
+        fit = main_in_1gb(["fit", "lc", "--deaths", str(deaths), "--exposures", str(exposures),
+                           "--ages", "0:9", "--years", "2000:300000000", "--out", str(out)])
+        assert (fit.returncode, fit.stderr) == (3, (
+            f"error: --deaths {deaths}: deaths file lacks 299997991 requested years; "
+            f"the first 10: {list(range(2010, 2020))}\n"
+        ))
+        head = "ages = 0:9\nyears = 2000:2009\nseed = 1\n"
+        cases = [
+            ("ages = 0:9\nyears = 1:400000000\nseed = 1\n",
+             "line 2: a grid of 8000000000 cells is above the limit of 10000000"),
+            (head + "causes = 1000000000\nbuckets = 0-4;5-9\n",
+             "line 4: a cause grid of 40000000000 cells is above the limit of 10000000"),
+        ]
+        for i, (text, message) in enumerate(cases):
+            spec = tmp_path / f"spec{i}.cfg"
+            spec.write_text(text)
+            run = main_in_1gb(["simulate", "--spec", str(spec), "--out", str(out)])
+            assert (run.returncode, run.stderr) == (3, f"error: --spec {spec}: {message}\n")
+        assert not out.exists()
 
     def test_rates_that_overflow_are_capped_at_one(self, tmp_path, capsys):
         # exp(90 * 9) overflows: capped at 1 as any rate above 1, no warning;

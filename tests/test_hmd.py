@@ -133,6 +133,16 @@ class TestClipToSpace:
         with pytest.raises(ValueError, match=r"\[2002, 2003\]"):
             clip_to_space(deaths, exposures, FeatureSpace(0, 4, 2000, 2003), pool_top_age=False)
 
+    def test_a_long_list_of_missing_years_is_cut_to_its_first_ten(self):
+        deaths = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001), "deaths")
+        exposures = parse_hmd_1x1(synthetic_file(0, 4, 1990, 2003), "exposures")
+        message = r"^deaths file lacks 19 requested years; the first 10: \[1985, 1986, .*, 1994\]$"
+        with pytest.raises(GridError, match=message):
+            clip_to_space(deaths, exposures, FeatureSpace(0, 4, 1985, 2005), pool_top_age=False)
+        message = r"^exposures file lacks requested years: \[1985, 1986, 1987, 1988, 1989, 2004, 2005\]$"
+        with pytest.raises(GridError, match=message):
+            clip_to_space(None, exposures, FeatureSpace(0, 4, 1985, 2005), pool_top_age=False)
+
     def test_deaths_beyond_a_64_bit_count_rejected(self):
         # the cast to int64 would wrap them to negative counts
         exposures = parse_hmd_1x1(synthetic_file(0, 1, 2000, 2000), "exposures")

@@ -108,6 +108,23 @@ class TestFitLC:
         with pytest.raises(ValueError, match="2 ages"):
             fit_lc(MortalityTable(space, E, np.zeros(space.shape, np.int64)), "female")
 
+    @pytest.mark.parametrize("exposure", [1e-12, 1e-300, 1e-305, 1e18, 1e300])
+    def test_cell_of_extreme_exposure_is_fitted_near_its_own_rate(self, exposure):
+        # one cell's exposure is far off its deaths: candidates whose exp
+        # overflows are halved away, and the deviance stays exact with fitted
+        # means 2**53 times the deaths or far below a normal float
+        space = FeatureSpace(0, 9, 2000, 2009)
+        log_q = np.log(2e-3) + 0.12 * np.arange(10)[:, None] - 0.01 * np.arange(10)[None, :]
+        table, _ = noise_free_table(space, np.stack([log_q, log_q]), bits=16)
+        E = table.exposure.copy()
+        E[0, 0, 0] = exposure
+        fit = fit_lc(MortalityTable(space, E, table.deaths), "female")
+        assert fit.converged
+        D, mu = table.deaths[0], E[0] * np.exp(fit.log_rates())
+        exact = 2.0 * np.sum(np.where(D > 0, D * (np.log(D) - np.log(mu)), 0.0) - (D - mu))
+        assert fit.deviance == pytest.approx(exact, rel=1e-9)
+        assert fit.log_rates()[0, 0] == pytest.approx(np.log(table.deaths[0, 0, 0] / exposure), abs=1e-4)
+
     def test_reparameterization_invariance(self, rng):
         # scaling (beta1 <- 2 beta1, kappa <- kappa/2) before re-normalization
         # leaves predictions unchanged (bit-exact for the power-of-two scale)
@@ -131,6 +148,18 @@ class TestPoissonDeviance:
         log_rate = np.log(D / E)
         E[0, 0] = D[0, 0] = 0.0  # an unexposed cell carries no deviance
         assert 0.0 <= surface_deviance(D, E, log_rate) < 1e-12
+
+
+    def test_extreme_fitted_means(self):
+        # mu 2**60 times D, where (D - mu)/mu rounds to -1, and mu far below a
+        # normal float, where it overflows: each unit deviance is its exact
+        # value D log(D/mu) - (D - mu) up to rounding
+        D = np.array([[3.0, 7.0]])
+        for mu in (3.0 * 2.0**60, 1e-310):
+            log_rate = np.log(np.array([[mu, 7.0]]))
+            exact = 2.0 * (3.0 * (np.log(3.0) - np.log(mu)) - (3.0 - mu))
+            with np.errstate(over="ignore"):
+                assert surface_deviance(D, np.ones((1, 2)), log_rate) == pytest.approx(exact, rel=1e-12)
 
 
 class TestPredictLC:
