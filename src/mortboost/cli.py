@@ -43,6 +43,9 @@ EXIT_NOCONV = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_BUCKETS = "0;1-14;15-44;45-64;65-84;85+"
+# a `--causes` count is checked before its labels are built; ICD-10 has about
+# 2,000 three-character categories
+MAX_CAUSES = 10_000
 MODELS = {"lc": leecarter.LCParams, "rh": renshawhaberman.RHParams}
 # rh: weakly identified directions make the last decades of relative
 # deviance improvement (1e-8 .. 1e-10) cost minutes for statistically
@@ -233,6 +236,8 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
     if spec.isdigit():
         if int(spec) < 1:
             raise DataError("--causes needs at least one cause")
+        if int(spec) > MAX_CAUSES:
+            raise DataError(f"--causes {spec} is above the limit of {MAX_CAUSES} causes")
         return tuple(f"cause {k + 1}" for k in range(int(spec)))
     labels = tuple(part.strip() for part in spec.split("|"))
     for lab in labels:

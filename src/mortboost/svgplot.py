@@ -6,12 +6,15 @@ is acceptance-relevant beyond producing well-formed SVG.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78")
+
+
+def _escape(text: str) -> str:
+    """Text as SVG character data: '&', '<' and '>' as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _diverging_color(value: float, white_band: float, saturate: float = 0.5) -> str:
@@ -39,7 +42,7 @@ def heatmap_svg(values, row_values, col_values, white_band: float, title: str,
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<text x="{left}" y="16" font-family="sans-serif" font-size="12">{escape(title)}</text>',
+        f'<text x="{left}" y="16" font-family="sans-serif" font-size="12">{_escape(title)}</text>',
     ]
     # one colour per distinct value: a tree's delta takes few values
     distinct, which = np.unique(values, return_inverse=True)
@@ -105,7 +108,7 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
         f'<rect x="{x0 + ml}" y="{y0 + mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#cccccc"/>',
         f'<text x="{x0 + ml}" y="{y0 + 12}" font-family="sans-serif" font-size="10">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
         f'<text x="{x0 + 2}" y="{y0 + mt + 8}" font-family="sans-serif" font-size="8">'
         f"{y_max:.3g}</text>",
         f'<text x="{x0 + 2}" y="{y0 + mt + ph}" font-family="sans-serif" font-size="8">'

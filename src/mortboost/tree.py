@@ -7,13 +7,13 @@ deviance reduction clears the cost-complexity threshold. Missing responses
 
 Growth codes every feature as integer levels once per tree, an ordered
 column by its sorted distinct values and the cause by its registry codes,
-and grows one depth at a time. The frontier of a depth is every node that
-may still split, and it carries only observed points. Each feature scans the
-whole frontier in one call, `kernels.best_cut`: an ordered feature in code
-order, the cause in rate order. Both select at float32 with one tie rule,
-and earlier features win ties between features. A node's split depends only
-on its own points, so the tree is the one that depth-first growth, node by
-node, would give.
+and grows one depth at a time over a frontier: the nodes that may still
+split, with their observed points. Each feature scans the whole frontier in
+one call, `kernels.best_cut`: an ordered feature in code order, the cause in
+rate order, at float32 with one tie rule; earlier features win ties. Growth
+routes an accepted split's points by the scan's level masks, and a rule is
+built only for such a split. A node's split depends only on its own points,
+so the tree is the one that depth-first growth, node by node, would give.
 """
 
 from __future__ import annotations
@@ -196,33 +196,36 @@ _scan_cause = kernels.best_cut
 
 
 def _best_split(features, node_obs, slog, deaths, volume, min_bucket: int):
-    """Best split of each node of a frontier over all features, as
-    (rule, reduction, right_codes) or None. node_obs holds each node's
-    observed points in ascending order. Each feature scans the whole frontier
-    in one call. Selection is at float32, and earlier features win ties."""
+    """Best split of each node of a frontier, as (feature, reduction, scans):
+    feature[k] indexes node k's best feature (-1: no admissible cut), scans[j]
+    is feature j's (left, right, reduction). node_obs holds each node's
+    observed points, ascending. Selection is at float32; earlier features win."""
     n_nodes = len(node_obs)
     points = np.concatenate(node_obs)
     s, D, d = slog[points], deaths[points], volume[points]
     node_of = np.repeat(np.arange(n_nodes), [idx.size for idx in node_obs])
-    best = [None] * n_nodes
-    best32 = np.full(n_nodes, -np.inf, dtype=np.float32)
-    for name, codes, n_levels, values in features:
-        scan = kernels.best_cut if values is not None else _scan_cause
-        left, right, red = scan(
-            codes[points], node_of, n_nodes, s, D, d, n_levels, min_bucket, by_rate=values is None
-        )
-        red32 = red.astype(np.float32)
-        better = np.flatnonzero(red32 > best32)
-        best32[better] = red32[better]
-        for k in better:
-            left_set, right_set = np.flatnonzero(left[k]), np.flatnonzero(right[k])
-            if values is None:
-                rule = SplitRule(name, left_codes=tuple(left_set.tolist()))
-                best[k] = rule, float(red[k]), tuple(right_set.tolist())
-            else:
-                threshold = (values[left_set[-1]] + values[right_set[0]]) / 2.0
-                best[k] = SplitRule(name, threshold=float(threshold)), float(red[k]), ()
-    return best
+    scans = [(kernels.best_cut if values is not None else _scan_cause)(
+        codes[points], node_of, n_nodes, s, D, d, n_levels, min_bucket, by_rate=values is None
+    ) for _, codes, n_levels, values in features]
+    feature, reduction = np.full(n_nodes, -1), np.full(n_nodes, -np.inf)
+    for j, (_, _, red) in enumerate(scans):
+        better = red.astype(np.float32) > reduction.astype(np.float32)
+        feature[better], reduction[better] = j, red[better]
+    return feature, reduction, scans
+
+
+def _rule(feature, left, right) -> tuple[SplitRule, tuple[int, ...]]:
+    """A cut's (rule, right_codes) from the scan's masks of the levels that go
+    left and right. An ordered threshold lies midway between the largest left
+    value lo and the smallest right value hi, or at lo where the midpoint
+    rounds up to hi or overflows, so that exactly the left levels are <= it."""
+    name, _, _, values = feature
+    left, right = np.flatnonzero(left), np.flatnonzero(right)
+    if values is None:
+        return SplitRule(name, left_codes=tuple(left.tolist())), tuple(right.tolist())
+    lo, hi = float(values[left[-1]]), float(values[right[0]])
+    mid = (lo + hi) / 2.0
+    return SplitRule(name, threshold=mid if mid < hi else lo), ()
 
 
 def best_split(data: WorkingData, feature: str, min_bucket: int = 1) -> tuple[SplitRule, float] | None:
@@ -232,8 +235,9 @@ def best_split(data: WorkingData, feature: str, min_bucket: int = 1) -> tuple[Sp
         raise ValueError(f"unknown feature {feature!r}")
     obs = np.flatnonzero(~np.isnan(data.deaths))
     slog = _slog_terms(data.deaths, data.volume)
-    found = _best_split(features, [obs], slog, data.deaths, data.volume, min_bucket)[0]
-    return None if found is None else found[:2]
+    found, red, [(left, right, _)] = _best_split(features, [obs], slog, data.deaths, data.volume,
+                                                 min_bucket)
+    return None if found[0] < 0 else (_rule(features[0], left[0], right[0])[0], float(red[0]))
 
 
 def _node_from_row(parts: list[str]) -> Node:
@@ -449,8 +453,7 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
     features = _features(data)
 
     root = _node(root_obs, data.deaths, data.volume, slog)
-    threshold = max(cfg.cp * root.deviance, _NOISE_FLOOR * (root.deviance + 1.0))
-    threshold32 = np.float32(threshold)
+    threshold32 = np.float32(max(cfg.cp * root.deviance, _NOISE_FLOOR * (root.deviance + 1.0)))
 
     # (node, its observed points) for the nodes of one depth
     frontier = [(root, root_obs)]
@@ -458,19 +461,15 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
         frontier = [f for f in frontier if f[1].size >= 2 * cfg.min_bucket]
         if not frontier:
             break
-        found = _best_split(
+        found, reduction, scans = _best_split(
             features, [f[1] for f in frontier], slog, data.deaths, data.volume, cfg.min_bucket
         )
         children = []
-        for (node, idx), hit in zip(frontier, found):
-            if hit is None or hit[1] <= 0.0 or np.float32(hit[1]) < threshold32:
-                continue
-            node.rule, node.reduction, node.right_codes = hit
-            if node.rule.is_categorical:
-                go_left = np.isin(data.cause[idx], node.rule.left_codes)
-            else:
-                col = data.ordered_names.index(node.rule.feature)
-                go_left = data.ordered[idx, col] <= node.rule.threshold
+        for k in np.flatnonzero((reduction > 0.0) & (reduction.astype(np.float32) >= threshold32)):
+            (node, idx), feature, (left, right, _) = frontier[k], features[found[k]], scans[found[k]]
+            node.rule, node.right_codes = _rule(feature, left[k], right[k])
+            node.reduction = float(reduction[k])
+            go_left = left[k][feature[1][idx]]  # the scan's left levels
             for side in (idx[go_left], idx[~go_left]):
                 children.append((_node(side, data.deaths, data.volume, slog), side))
             node.left, node.right = children[-2][0], children[-1][0]

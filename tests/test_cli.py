@@ -668,7 +668,7 @@ class TestErrorPaths:
             assert capsys.readouterr().err == f"error: --spec {spec}: {message}\n"
             assert not out.exists(), line
 
-    def test_huge_ranges_are_rejected_before_they_are_built(self, sim_dir, tmp_path):
+    def test_huge_ranges_are_rejected_before_they_are_built(self, sim_dir, lc_fit_dir, tmp_path):
         # each range alone would take gigabytes; the check reads its endpoints
         out = tmp_path / "out"
         deaths, exposures = sim_dir / "deaths.txt", sim_dir / "exposures.txt"
@@ -678,6 +678,13 @@ class TestErrorPaths:
             f"error: --deaths {deaths}: deaths file lacks 299997991 requested years; "
             f"the first 10: {list(range(2010, 2020))}\n"
         ))
+        # a cause count is checked before its labels are built
+        cod = main_in_1gb(["cod", "--cod", str(sim_dir / "cod.csv"),
+                           "--qfit", str(lc_fit_dir / "qfit.csv"), "--exposures", str(exposures),
+                           "--causes", "1000000000", "--buckets", "0-4;5-9", "--out", str(out)])
+        assert (cod.returncode, cod.stderr) == (
+            3, "error: --causes 1000000000 is above the limit of 10000 causes\n"
+        )
         head = "ages = 0:9\nyears = 2000:2009\nseed = 1\n"
         cases = [
             ("ages = 0:9\nyears = 1:400000000\nseed = 1\n",
@@ -812,11 +819,27 @@ DAMAGE_RUNS = {
 }
 
 
+# exposures far from a population's: overflowing products, subnormal and
+# infinite values
+EXTREME_EXPOSURES = ["1e18", "1e300", "1e-300", "1e-305", "5e-324", "inf"]
+
+
+def extreme_exposure(data, text: str) -> str:
+    """HMD exposures text with one Female, Male or Total field of one data
+    row (after the three header lines) set to an extreme value."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(3, len(lines) - 1))
+    fields = lines[i].split()
+    fields[data.draw(st.integers(2, 4))] = data.draw(st.sampled_from(EXTREME_EXPOSURES))
+    lines[i] = "  ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_damaged_input_file_is_never_an_internal_error(sim_dir, lc_fit_dir, data):
-    """One damaged input file: the command succeeds, rejects it (3) or does
-    not converge (4); it never exits 5."""
+    """One damaged input file, or one extreme exposure: the command succeeds,
+    rejects it (3) or does not converge (4); it never exits 5."""
     inputs = {
         "deaths": sim_dir / "deaths.txt", "exposures": sim_dir / "exposures.txt",
         "cod": sim_dir / "cod.csv", "qfit": lc_fit_dir / "qfit.csv",
@@ -826,7 +849,12 @@ def test_damaged_input_file_is_never_an_internal_error(sim_dir, lc_fit_dir, data
     target = data.draw(st.sampled_from(flags))
     with tempfile.TemporaryDirectory() as tmp:
         damaged = Path(tmp) / inputs[target].name
-        damaged.write_bytes(damage(data, inputs[target].read_text()).encode("utf-8", "surrogatepass"))
+        text = inputs[target].read_text()
+        if target == "exposures" and data.draw(st.booleans()):
+            text = extreme_exposure(data, text)
+        else:
+            text = damage(data, text)
+        damaged.write_bytes(text.encode("utf-8", "surrogatepass"))
         files = {flag: damaged if flag == target else inputs[flag] for flag in flags}
         argv = [str(Path(tmp) / "out") if arg is OUT else arg for arg in head]
         argv += [arg for flag in flags for arg in (f"--{flag}", str(files[flag]))]
@@ -835,3 +863,17 @@ def test_damaged_input_file_is_never_an_internal_error(sim_dir, lc_fit_dir, data
             code = main(argv)
     assert code in (0, 3, 4), (argv, err.getvalue())
     assert "internal error" not in err.getvalue()
+
+
+def test_importing_the_cli_loads_no_network_module():
+    # every command pays for its imports; the SVG writer escapes by hand,
+    # where xml.sax.saxutils would load urllib.request, http, email and ssl
+    script = (
+        "import sys\n"
+        "import mortboost.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'http', 'email', 'ssl'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mortboost.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -210,6 +210,33 @@ class TestGrowTree:
         assert mu.shape == (data.n + extra_rows,)
 
 
+# values whose midpoint is not below the larger one: it rounds up to it, or
+# it overflows to inf
+@pytest.mark.parametrize(
+    "lo, hi", [(math.nextafter(1.0, 0.0), 1.0), (1e308, 1.5e308)], ids=["adjacent", "overflow"]
+)
+class TestSplitIsTheScannedPartition:
+    @staticmethod
+    def data(lo, hi):
+        return make_data([lo] * 5 + [hi] * 5, [0.0] * 5 + [10.0] * 5)
+
+    def test_best_split_threshold_sends_the_left_levels_left(self, lo, hi):
+        data = self.data(lo, hi)
+        rule, reduction = best_split(data, "x")
+        assert lo <= rule.threshold < hi
+        assert reduction == pytest.approx(poisson_deviance(data.deaths, data.volume, 5.0))
+
+    def test_growth_gives_two_non_empty_children(self, lo, hi):
+        data = self.data(lo, hi)
+        tree = grow_tree(data, TreeConfig(cp=0.0, min_bucket=1))
+        assert tree.n_splits == 1
+        assert (tree.root.left.n_obs, tree.root.right.n_obs) == (5, 5)
+        assert (tree.root.left.mu, tree.root.right.mu) == (0.0, 10.0)
+        want = [0.0] * 5 + [10.0] * 5
+        assert tree.predict(data.ordered).tolist() == want
+        assert PoissonTree.from_text(tree.to_text()).predict(data.ordered).tolist() == want
+
+
 class TestPredict:
     def test_root_only_tree(self):
         data = make_data([1.0, 2.0], [25.0, 25.0], volume=[25.0, 25.0])
