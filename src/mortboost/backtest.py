@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, float_fields, grid_csv
+from .grids import GENDERS, FeatureSpace, Fields, MortalityTable, RateSurface, float_fields, grid_csv, write_file
 from .tree import PoissonTree, TreeConfig, WorkingData, grow_tree
 
 BACKTEST_FEATURES = ("gender", "age", "year", "cohort")
@@ -97,7 +97,7 @@ def backtest(
 def delta_to_csv(result: BacktestResult) -> str:
     """Full-grid relative changes, columns gender,age,year,cohort,delta."""
     space = result.space
-    cohorts = list(map(str, np.broadcast_to(space.cohort_grid(), space.shape).ravel().tolist()))
+    cohorts = Fields(np.broadcast_to(space.cohort_grid(), space.shape), str)
     # a tree has few leaves, so delta repeats few values
     deltas = float_fields(result.delta)
     return grid_csv("gender,age,year,cohort,delta", (GENDERS, space.ages(), space.years()), cohorts, deltas)
@@ -113,21 +113,22 @@ def export_delta_heatmap(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "delta.csv"]
-    written[0].write_text(delta_to_csv(result))
+    write_file(written[0], delta_to_csv(result))
     if svg:
         from . import svgplot
 
         space = result.space
         for gi, g in enumerate(GENDERS):
             path = out_dir / f"delta_{g}.svg"
-            path.write_text(
+            write_file(
+                path,
                 svgplot.heatmap_svg(
                     result.delta[gi],
                     row_values=space.ages(),
                     col_values=space.years(),
                     white_band=white_band,
                     title=f"relative rate changes, {g} ({result.initial_model_tag})",
-                )
+                ),
             )
             written.append(path)
     return written

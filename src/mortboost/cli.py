@@ -31,6 +31,7 @@ from .grids import (
     crude_rates,
     rate_surface_from_csv,
     rate_surface_to_csv,
+    write_file,
 )
 from .manifest import write_manifest
 from .simulate import load_sim_spec, sample_cause_deaths, sample_deaths
@@ -122,8 +123,8 @@ def cmd_fit(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "params.csv").write_text(leecarter.params_to_csv(fits))
-    (out / "qfit.csv").write_text(rate_surface_to_csv(surface))
+    write_file(out / "params.csv", leecarter.params_to_csv(fits))
+    write_file(out / "qfit.csv", rate_surface_to_csv(surface))
     converged = {g: fits[g].converged for g in GENDERS}
     inputs = [args.deaths, args.exposures] + ([args.warm_start] if args.warm_start else [])
     write_manifest(
@@ -183,7 +184,7 @@ def cmd_backtest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = export_delta_heatmap(result, out, white_band=args.white_band, svg=args.svg)
     tree_path = out / "tree.txt"
-    tree_path.write_text(result.tree.to_text())
+    write_file(tree_path, result.tree.to_text())
     outputs.append(tree_path)
     if args.svg and years:
         crude, _ = crude_rates(table)
@@ -205,7 +206,7 @@ def cmd_backtest(args) -> int:
                     }
                 )
             path = out / f"rates_{g}.svg"
-            path.write_text(svgplot.panels_svg(panels))
+            write_file(path, svgplot.panels_svg(panels))
             outputs.append(path)
     write_manifest(
         out,
@@ -234,11 +235,15 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
     """Either a cause count (generic labels) or pipe-separated labels."""
     spec = spec.strip()
     if spec.isdigit():
-        if int(spec) < 1:
-            raise DataError("--causes needs at least one cause")
-        if int(spec) > MAX_CAUSES:
+        if not spec.isdecimal():  # a digit such as ², which int() refuses
+            raise DataError(f"--causes {spec} is not a decimal count")
+        # int() refuses more than 4,300 digits: a longer count is above the limit anyway
+        digits = spec.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_CAUSES)) or int(digits) > MAX_CAUSES:
             raise DataError(f"--causes {spec} is above the limit of {MAX_CAUSES} causes")
-        return tuple(f"cause {k + 1}" for k in range(int(spec)))
+        if int(digits) < 1:
+            raise DataError("--causes needs at least one cause")
+        return tuple(f"cause {k + 1}" for k in range(int(digits)))
     labels = tuple(part.strip() for part in spec.split("|"))
     for lab in labels:
         if not lab:
@@ -286,11 +291,9 @@ def cmd_cod(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "theta.csv", out / "residuals.csv", out / "tree.txt"]
-    (out / "theta.csv").write_text(
-        codboost.theta_to_csv(cod, raw, norm, smooth_window=args.smooth_window)
-    )
-    (out / "residuals.csv").write_text(codboost.residuals_to_csv(cod, residuals))
-    (out / "tree.txt").write_text(tree.to_text())
+    write_file(out / "theta.csv", codboost.theta_to_csv(cod, raw, norm, smooth_window=args.smooth_window))
+    write_file(out / "residuals.csv", codboost.residuals_to_csv(cod, residuals))
+    write_file(out / "tree.txt", tree.to_text())
     if args.svg:
         years = np.arange(cod.year_min, cod.year_max + 1)
         for gi, g in enumerate(GENDERS):
@@ -312,9 +315,9 @@ def cmd_cod(args) -> int:
                 )
                 resid_panels.append({"title": f"{cause} ({g})", "x": years, "dots": dots})
             p1 = out / f"theta_{g}.svg"
-            p1.write_text(svgplot.panels_svg(theta_panels))
+            write_file(p1, svgplot.panels_svg(theta_panels))
             p2 = out / f"residuals_{g}.svg"
-            p2.write_text(svgplot.panels_svg(resid_panels))
+            write_file(p2, svgplot.panels_svg(resid_panels))
             outputs.extend([p1, p2])
     missing_note = (
         "all-cause totals for residuals use the sum over available causes; "
@@ -368,10 +371,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "deaths.txt", out / "exposures.txt"]
-    (out / "deaths.txt").write_text(hmd.write_hmd_1x1(grid(table.deaths)))
-    (out / "exposures.txt").write_text(hmd.write_hmd_1x1(grid(table.exposure)))
+    write_file(out / "deaths.txt", hmd.write_hmd_1x1(grid(table.deaths)))
+    write_file(out / "exposures.txt", hmd.write_hmd_1x1(grid(table.exposure)))
     if cod_table is not None:
-        (out / "cod.csv").write_text(hmd.write_cod_csv(cod_table))
+        write_file(out / "cod.csv", hmd.write_cod_csv(cod_table))
         outputs.append(out / "cod.csv")
     write_manifest(
         out,

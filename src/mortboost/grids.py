@@ -9,14 +9,21 @@ for that layout: `frozen` makes every grid type's read-only copy,
 one row per cell in storage order.
 
 `TableFormat` is the one column reader of the rate, parameter, HMD and
-cause-of-death tables: it converts every column once per distinct token and,
-if some row is malformed, names the first such row.
+cause-of-death tables, and `block_text` the one writer of their text. Both
+work a fixed block of rows at a time, so that a table's text never exists as
+one Python string per field: the reader splits and converts _READ_ROWS rows
+at once, converting each column once per distinct token of a block, and
+names the first malformed row of the whole table; the writer formats
+_WRITE_CELLS cells at once from value arrays (`Fields`).
 """
 
 from __future__ import annotations
 
+import math
+import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, product, repeat
 
 import numpy as np
@@ -262,36 +269,97 @@ class BucketedRates:
         return np.arange(self.year_min, self.year_max + 1)
 
 
-def float_fields(values) -> list[str]:
+# rows of text that one step of TableFormat.read splits and converts at once
+_READ_ROWS = 1 << 10
+# cells whose fields one step of block_text formats at once
+_WRITE_CELLS = 1 << 10
+# characters that write_file encodes at once
+_WRITE_CHARS = 1 << 16
+
+# the most cells a dense grid built in memory may hold: a grid sampled from
+# a spec, and the cause grid read from a cause-of-death file
+MAX_GRID_CELLS = 10_000_000
+
+
+class Fields:
+    """One column of a text table: text(value) for each of `values` in C
+    order, made a slice of cells at a time. A value that occurs once is
+    formatted in its slice; a value that repeats (a tree's leaf rate, a
+    constant exposure) is formatted once, beforehand. Values are told apart
+    by their bits, so -0.0 and 0.0 each get their own text."""
+
+    def __init__(self, values: np.ndarray, text: Callable[[object], str] = repr):
+        self.values, self.text = values, text
+        bits, counts = np.unique(values.reshape(-1).view(np.int64), return_counts=True)
+        self._repeats = bits[counts > 1]
+        self._repeat_text = np.array(list(map(text, self._repeats.view(values.dtype).tolist())), dtype=object)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __getitem__(self, cells: slice) -> list[str]:
+        block = self.values.flat[cells]
+        bits = block.view(np.int64)
+        at = np.searchsorted(self._repeats, bits)
+        repeat = at < self._repeats.size
+        repeat[repeat] = self._repeats[at[repeat]] == bits[repeat]
+        fields = np.empty(block.size, dtype=object)
+        fields[repeat] = self._repeat_text[at[repeat]]
+        once = ~repeat
+        fields[once] = list(map(self.text, block[once].tolist()))
+        return fields.tolist()
+
+
+def float_fields(values) -> Fields:
     """repr of every value in C order, each distinct bit pattern formatted
     once: fitted and simulated grids repeat few values (a tree's leaf rates,
     a constant exposure), and repr is the cost of a float CSV."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    bits, index = np.unique(flat.view(np.int64), return_inverse=True)
-    text = list(map(repr, bits.view(np.float64).tolist()))
-    return list(map(text.__getitem__, index.tolist()))
+    return Fields(np.asarray(values, dtype=np.float64))
 
 
-def grid_csv(header: str, axes: Sequence[Sequence], *columns: list[str]) -> str:
+def block_text(head: list[str], keys, columns: Sequence, sep: str) -> str:
+    """The lines head, then a line per cell: the cell's key, taken from the
+    iterator keys, and its field of each column, joined by sep. A column is
+    a sequence of fields (a list, or Fields); the lines are built
+    _WRITE_CELLS cells at a time, so one block's fields are alive at once."""
+    n = len(columns[0])
+    text = "\n".join(head) + "\n"
+    for start in range(0, n, _WRITE_CELLS):
+        cells = slice(start, min(start + _WRITE_CELLS, n))
+        lines = map(sep.join, zip(islice(keys, _WRITE_CELLS), *(col[cells] for col in columns)))
+        # CPython appends to a str that nothing else refers to in place, so
+        # the text is never held twice
+        text += "\n".join(lines)
+        text += "\n"
+    return text
+
+
+def write_file(path, text: str) -> None:
+    """Path(path).write_text(text) a block of characters at a time, where
+    write_text would hold an encoded copy of the whole text."""
+    with open(path, "w") as f:  # write_text's defaults
+        for start in range(0, len(text), _WRITE_CHARS):
+            f.write(text[start : start + _WRITE_CHARS])
+
+
+def grid_csv(header: str, axes: Sequence[Sequence], *columns) -> str:
     """CSV text with one row per cell of the product of the axes' labels, in
-    storage order (the last axis fastest): the cell's labels, then one
-    already formatted field from each column, each in that same order."""
+    storage order (the last axis fastest): the cell's labels, then one field
+    from each column (a list of fields, or Fields), each in that same order."""
     labels = [list(map(str, axis)) for axis in axes]
-    half = len(labels) // 2
-    # each label is joined once per cell of its half, not once per cell
-    lead, trail = ([",".join(key) for key in product(*part)] for part in (labels[:half], labels[half:]))
-    keys = [f"{o},{i}" for o in lead for i in trail]
+    n = math.prod(map(len, labels))
     for col in columns:
-        if len(col) != len(keys):
-            raise ValueError(f"column of {len(col)} fields for {len(keys)} cells")
-    return "\n".join([header, *map(",".join, zip(keys, *columns))]) + "\n"
+        if len(col) != n:
+            raise ValueError(f"column of {len(col)} fields for {n} cells")
+    # the labels of all but the last axis are joined once per run of the last
+    keys = (f"{lead},{last}" for lead in map(",".join, product(*labels[:-1])) for last in labels[-1])
+    return block_text([header], keys, columns, ",")
 
 
 def rate_surface_to_csv(surface: RateSurface) -> str:
     """Dense dump in storage order, columns gender,age,year,rate."""
     space = surface.space
-    rates = list(map(repr, surface.rate.ravel().tolist()))
-    return grid_csv("gender,age,year,rate", (GENDERS, space.ages(), space.years()), rates)
+    return grid_csv("gender,age,year,rate", (GENDERS, space.ages(), space.years()), float_fields(surface.rate))
 
 
 # the smallest positive normal float; dividing by a positive value below it
@@ -327,20 +395,73 @@ def list_fields(rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
     return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.intp, len(rows))
 
 
-def kept_rows(rows: list, keep, lines: Sequence[int]) -> tuple[list, Callable[[int], int]]:
-    """The rows that keep() accepts, and the line number of the k-th of them
-    (counted only when asked for) when rows[i] starts on line lines[i]."""
-
-    def line_of(k: int) -> int:
-        return next(islice((ln for ln, row in zip(lines, rows) if keep(row)), k, None))
-
-    return list(filter(keep, rows)), line_of
+def newline_rows(block: str) -> list[str]:
+    """The rows of a block of text split at each newline and nowhere else
+    (as str.split("\\n"); a newline that ends the block ends its last row)."""
+    return block.removesuffix("\n").split("\n") if block else []
 
 
-def _distinct_values(convert, tokens: list[str]) -> tuple[dict, set]:
-    """convert(token) of every distinct token, and the tokens it rejects."""
+def first_line(text: str, split: Callable[[str], list] = str.splitlines) -> str | None:
+    """The first of the lines that split(text) gives, or None for none."""
+    lines = split(text[: text.find("\n") + 1 or len(text)])
+    return lines[0] if lines else None
+
+
+def line_blocks(text: str, split: Callable[[str], list] = str.splitlines, skip: int = 0):
+    """The lines that split(text) gives past the first `skip`, as (lines,
+    their 1-based numbers) per block of _READ_ROWS lines. Each block is cut
+    from the text right after a newline, so a block splits as it would
+    inside the whole text; a block may hold more lines where split also cuts
+    at other characters."""
+    # up to _READ_ROWS lines, each up to and including its "\n"
+    block = re.compile(r"(?:[^\n]*\n){1,%d}" % _READ_ROWS)
+    start, line = 0, 1
+    while start < len(text):
+        match = block.match(text, start)
+        end = match.end() if match else len(text)
+        rows = split(text[start:end])
+        first = max(skip + 1 - line, 0)
+        yield rows[first:], range(line + first, line + len(rows))
+        start, line = end, line + len(rows)
+
+
+def row_blocks(rows):
+    """(rows, their line numbers) per block of _READ_ROWS of the (row, line)
+    pairs that rows gives; a ValueError that rows raises comes after the
+    block of the pairs before it."""
+    block: list[tuple] = []
+    try:
+        for pair in rows:
+            block.append(pair)
+            if len(block) == _READ_ROWS:
+                yield tuple(zip(*block))
+                block = []
+    except ValueError:
+        if block:
+            yield tuple(zip(*block))
+        raise
+    if block:
+        yield tuple(zip(*block))
+
+
+def kept_row(blocks, keep: Callable, k: int) -> tuple:
+    """The k-th row of blocks() that keep() accepts, and its line number."""
+    for rows, lines in blocks():
+        kept = [(row, line) for row, line in zip(rows, lines) if keep(row)]
+        if k < len(kept):
+            return kept[k]
+        k -= len(kept)
+    raise IndexError(f"no kept row {k}")
+
+
+def _distinct_values(convert, tokens: list[str], known: dict) -> tuple[dict, set]:
+    """convert(token) of every distinct token, taken from known where it
+    holds the token, and the tokens that convert rejects."""
     value_of, bad = {}, set()
     for tok in set(tokens):
+        if tok in known:
+            value_of[tok] = known[tok]
+            continue
         try:
             value_of[tok] = convert(tok)
         except ValueError:
@@ -351,8 +472,6 @@ def _distinct_values(convert, tokens: list[str]) -> tuple[dict, set]:
 def _array(value_of: dict, tokens: list[str]) -> np.ndarray:
     """The values of tokens as one array; integers beyond 64 bits give an
     object array of Python integers, never floats."""
-    if not tokens:
-        return np.empty(0)
     kind = type(value_of[tokens[0]])
     try:
         return np.fromiter(map(value_of.__getitem__, tokens), kind, len(tokens))
@@ -369,6 +488,7 @@ def _first_repeat(keys: tuple[np.ndarray, ...]) -> int:
     for key in keys:
         k = key[order]
         same &= k[1:] == k[:-1]
+        del k  # one sorted key column at a time
     return int(order[1:][same].min()) if same.any() else n
 
 
@@ -407,31 +527,65 @@ class TableFormat:
 
         return convert
 
-    def read(self, rows: list, line_of, fields=comma_fields, stop: Exception | None = None) -> tuple:
-        """One array per field of the rows, which fields(rows) splits; raises
-        for the first row of another width, with a rejected value or with a
-        repeated key. Only that row goes through the steps in check order.
-        stop, if given, is raised when no row is bad: the error of the row
-        after the last, which could not be split."""
-        tokens, counts = fields(rows)
-        w, n = self.width, len(rows)
-        wrong = np.flatnonzero(counts != w)
-        end = int(wrong[0]) if wrong.size else n  # rows before the first of another width
-        columns = [tokens[f: end * w: w] for f in range(w)]
-        converted = [_distinct_values(self._converter(f), col) for f, col in enumerate(columns)]
-        for (_, bad), col in zip(converted, columns):
-            if bad:
-                end = min(end, next(i for i, tok in enumerate(col) if tok in bad))
-        values = tuple(_array(value_of, col[:end]) for (value_of, _), col in zip(converted, columns))
-        first = min(end, _first_repeat(values[: self.n_key]))
-        if first < n:
-            start = first * w
-            raise self._row_error(tokens[start: start + int(counts[first])], line_of(first))
+    def read(self, blocks, keep: Callable = str.strip, fields=comma_fields) -> tuple:
+        """One array per field of the rows that keep() accepts, which
+        fields(rows) splits; blocks() gives the rows and their line numbers a
+        block at a time (line_blocks, row_blocks), and may raise ValueError
+        for text it cannot split into rows. Raises for the first row of
+        another width, with a rejected value or with a repeated key; only
+        that row goes through the steps in check order. The error of
+        blocks() is raised when no row before it is bad. A block's tokens
+        are dropped before the next block is split: what grows with the
+        table is its arrays."""
+        convert = [self._converter(f) for f in range(self.width)]
+        known: list[dict] = [{} for _ in range(self.width)]  # the previous block's values
+        parts: list[list[np.ndarray]] = [[] for _ in range(self.width)]
+        n, bad, stop = 0, False, None
+        source = iter(blocks())
+        while not bad:
+            try:
+                rows, _ = next(source)
+            except StopIteration:
+                break
+            except ValueError as exc:  # the text after the last block
+                stop = exc
+                break
+            rows = list(filter(keep, rows))
+            end, good, known = self._good_rows(rows, fields, convert, known)
+            for part, values in zip(parts, good):
+                part.append(values)
+            n += end
+            bad = end < len(rows)
+        columns = []
+        for part in parts:  # one column at a time, so the blocks' arrays are held once
+            columns.append(np.concatenate(part) if part else np.empty(0))
+            part.clear()
+        first = _first_repeat(columns[: self.n_key])
+        if bad or first < n:
+            row, line = kept_row(blocks, keep, first)
+            raise self._row_error(fields([row])[0], line)
         if stop is not None:
             raise stop
         if not n:
             raise self.error(self.empty)
-        return values
+        return tuple(columns)
+
+    def _good_rows(self, rows: list, fields, convert: list[Callable], known: list[dict]) -> tuple:
+        """The number of rows before the first of another width or with a
+        rejected value, one array per field of them (none for none), and
+        each field's values of the rows' tokens; known holds values of
+        tokens already converted."""
+        w = self.width
+        tokens, counts = fields(rows)
+        wrong = np.flatnonzero(counts != w)
+        end = int(wrong[0]) if wrong.size else len(rows)  # rows before the first of another width
+        columns = [tokens[f: end * w: w] for f in range(w)]
+        converted = [_distinct_values(c, col, k) for c, col, k in zip(convert, columns, known)]
+        for (_, rejected), col in zip(converted, columns):
+            if rejected:
+                end = min(end, next(i for i, tok in enumerate(col) if tok in rejected))
+        arrays = [_array(value_of, col[:end]) for (value_of, _), col in zip(converted, columns)] if end else []
+        return end, arrays, [value_of for value_of, _ in converted]
 
     def _row_error(self, fields: list[str], line: int) -> Exception:
         try:
@@ -455,12 +609,10 @@ _RATE_FORMAT = TableFormat(
 def rate_surface_from_csv(text: str) -> RateSurface:
     """Inverse of rate_surface_to_csv: one row per cell of a dense grid, in any
     order; a malformed or repeated row is named by its line."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _RATE_HEADER:
+    header = first_line(text)
+    if header is None or header.strip() != _RATE_HEADER:
         raise ValueError(f"expected header {_RATE_HEADER}")
-    gi, ages, years, values = _RATE_FORMAT.read(
-        *kept_rows(lines[1:], str.strip, range(2, len(lines) + 1))
-    )
+    gi, ages, years, values = _RATE_FORMAT.read(partial(line_blocks, text, skip=1))
     space = FeatureSpace(int(ages.min()), int(ages.max()), int(years.min()), int(years.max()))
     if gi.size != space.size:
         raise ValueError(f"rate grid is not dense: {gi.size} rows for a {space.size}-cell space")

@@ -10,31 +10,42 @@ with 1-based age-group indices, the cause as a 1-based registry index or a
 case-insensitive label, and an empty deaths field meaning MISSING (which is
 distinct from 0). Cells never mentioned in the file are MISSING too.
 
-Both parsers split the text once and read it through grids.TableFormat, which
-converts every column at once and names the first malformed row by its line.
+Both parsers read the text through grids.TableFormat a block of rows at a
+time, converting each column once per distinct token of a block, and name
+the first malformed row by its line; both writers build their text a block
+of rows at a time (grids.block_text).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .grids import (
     GENDERS,
+    MAX_GRID_CELLS,
     TINY,
     AgeBucketing,
     FeatureSpace,
+    Fields,
     MortalityTable,
     TableFormat,
+    block_text,
     comma_fields,
-    float_fields,
+    first_line,
     frozen,
     grid_csv,
-    kept_rows,
+    kept_row,
+    line_blocks,
     list_fields,
+    newline_rows,
+    row_blocks,
 )
 
 DEFAULT_CAUSES = (
@@ -116,14 +127,27 @@ def _is_data_row(tokens: list[str]) -> bool:
     return bool(tokens) and tokens[0].lower() != "year"
 
 
-# Year Age Female Male Total; all three values are converted before any is
-# checked for a negative
-_HMD_FORMAT = TableFormat(
-    5, _five_columns,
-    ((0, int), (1, _hmd_age), (2, _hmd_value), (3, _hmd_value), (4, _hmd_value),
-     (2, _non_negative), (3, _non_negative), (4, _non_negative)),
-    2, lambda f, v: f"duplicate entry for age {f[1]}, year {v[0]}", "no data rows found", ParseError,
-)
+def _hmd_rows(block: str) -> list[list[str]]:
+    return list(map(str.split, block.splitlines()))
+
+
+def _hmd_format(open_ages: set[int]) -> TableFormat:
+    """Year Age Female Male Total; all three values are converted before any
+    is checked for a negative. Each age read with the "+" marker is added to
+    open_ages."""
+
+    def age(token: str) -> int:
+        value = _hmd_age(token)
+        if token.endswith("+"):
+            open_ages.add(value)
+        return value
+
+    return TableFormat(
+        5, _five_columns,
+        ((0, int), (1, age), (2, _hmd_value), (3, _hmd_value), (4, _hmd_value),
+         (2, _non_negative), (3, _non_negative), (4, _non_negative)),
+        2, lambda f, v: f"duplicate entry for age {f[1]}, year {v[0]}", "no data rows found", ParseError,
+    )
 
 
 @dataclass(frozen=True)
@@ -146,26 +170,21 @@ def parse_hmd_1x1(text: str, kind: str) -> HmdGrid:
     """Parse an HMD 1x1 deaths or exposures file into dense per-gender grids."""
     if kind not in ("deaths", "exposures"):
         raise ValueError(f"kind must be 'deaths' or 'exposures', got {kind!r}")
-    rows = list(map(str.split, text.splitlines()[2:]))  # past the two-line header
-    rows, line_of = kept_rows(rows, _is_data_row, range(3, len(rows) + 3))
-    years, ages, *values = _HMD_FORMAT.read(rows, line_of, list_fields)
-    is_open = np.fromiter((row[1].endswith("+") for row in rows), bool, len(rows))
+    open_ages: set[int] = set()
+    years, ages, *values = _hmd_format(open_ages).read(
+        partial(line_blocks, text, _hmd_rows, 2), _is_data_row, list_fields  # past the two-line header
+    )
     # dense grids from the distinct (age, year) rows; cells without a row are NaN
     age_values, ai = np.unique(ages, return_inverse=True)
     year_values, ti = np.unique(years, return_inverse=True)
     grids = np.full((3, age_values.size, year_values.size), np.nan)
     grids[:, ai, ti] = values
-    open_age = int(ages[is_open].max()) if is_open.any() else None
+    open_age = max(open_ages) if open_ages else None
     return HmdGrid(kind, age_values, year_values, *grids, open_age)
 
 
-def _hmd_field(values) -> list[str]:
-    """One value column of the 1x1 layout: year-major, "." for NaN."""
-    col = np.asarray(values, dtype=np.float64).T
-    out = float_fields(col)
-    for i in np.flatnonzero(np.isnan(col.ravel())).tolist():
-        out[i] = "."
-    return out
+def _hmd_text(value: float) -> str:
+    return "." if value != value else repr(value)  # NaN is missing
 
 
 def write_hmd_1x1(grid: HmdGrid, title: str | None = None) -> str:
@@ -179,9 +198,10 @@ def write_hmd_1x1(grid: HmdGrid, title: str | None = None) -> str:
         f"{a}+" if grid.open_age is not None and a == grid.open_age else str(a)
         for a in grid.ages.tolist()
     ]
-    keys = [f"  {t}  {a}" for t in grid.years.tolist() for a in age_tok]
-    fields = (_hmd_field(grid.female), _hmd_field(grid.male), _hmd_field(grid.total))
-    return "\n".join([*head, *map("  ".join, zip(keys, *fields))]) + "\n"
+    keys = (f"  {t}  {a}" for t in grid.years.tolist() for a in age_tok)
+    # the value columns are year-major
+    fields = [Fields(np.asarray(v, dtype=np.float64).T, _hmd_text) for v in (grid.female, grid.male, grid.total)]
+    return block_text(head, keys, fields, "  ")
 
 
 class GridError(ValueError):
@@ -392,22 +412,23 @@ def _cod_format(causes: tuple[str, ...]) -> TableFormat:
     )
 
 
-def _csv_rows(text: str) -> tuple[list[list[str]], list[int], ParseError | None]:
-    """The rows of the csv module's reading of text, blank rows included, up
-    to a row it cannot split; the line each row starts on (a quoted field
-    may hold newlines); and the error naming the row it cannot split."""
+def _csv_rows(text: str):
+    """(row, the line it starts on) of the csv module's reading of text,
+    blank rows included: a quoted field may hold newlines. A row that the
+    module cannot split raises ParseError naming its line."""
     reader = csv.reader(io.StringIO(text))
-    rows: list[list[str]] = []
-    lines: list[int] = []
     start = 1
     try:
         for row in reader:
-            rows.append(row)
-            lines.append(start)
+            yield row, start
             start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over the module's size limit
-        return rows, lines, ParseError(str(exc), start)
-    return rows, lines, None
+        raise ParseError(str(exc), start) from None
+
+
+def _csv_blocks(text: str):
+    """The blocks of the csv module's rows of text past the header."""
+    return row_blocks(islice(_csv_rows(text), 1, None))
 
 
 def _is_csv_data_row(row: list[str]) -> bool:
@@ -420,48 +441,70 @@ def parse_cod_csv(
     causes: tuple[str, ...] = DEFAULT_CAUSES,
     bucketing: AgeBucketing | None = None,
 ) -> CauseDeathTable:
-    """Parse the cause-of-death CSV into a dense table; unmentioned cells are MISSING."""
+    """Parse the cause-of-death CSV into a dense table; unmentioned cells are
+    MISSING. A table whose dense grid would hold more than MAX_GRID_CELLS
+    cells is rejected naming the row that widens it past the limit."""
     # the csv module only for what a split at newlines and commas reads differently
     if '"' in text or "\r" in text or "\0" in text:
-        rows, lines, stop = _csv_rows(text)
-        header = rows[0] if rows else None
+        header = next(_csv_rows(text), (None,))[0]
+        blocks = partial(_csv_blocks, text)
         keep, fields = _is_csv_data_row, list_fields
     else:
-        rows, stop = text.split("\n") if text else [], None
-        lines = range(1, len(rows) + 1)
-        header = rows[0].split(",") if rows else None
+        line = first_line(text, newline_rows)
+        header = None if line is None else line.split(",")
+        blocks = partial(line_blocks, text, newline_rows, 1)
         keep, fields = str.strip, comma_fields
     if header is None:
-        raise stop or ParseError("empty file")
+        raise ParseError("empty file")
     if [h.strip() for h in header] != _COD_HEADER:
         raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
-    gi, bucket, year, k, count = _cod_format(tuple(causes)).read(*kept_rows(rows[1:], keep, lines[1:]), fields, stop)
+    gi, bucket, year, k, count = _cod_format(tuple(causes)).read(blocks, keep, fields)
     n_buckets = int(bucket.max())
     year_min, year_max = int(year.min()), int(year.max())
     shape = (len(GENDERS), n_buckets, year_max - year_min + 1, len(causes))
-    counts = np.zeros(shape, dtype=np.int64)
-    missing = np.ones(shape, dtype=bool)
-    present = count >= 0
-    cells = (gi[present], bucket[present] - 1, year[present] - year_min, k[present])
-    counts[cells] = count[present]
-    missing[cells] = False
+    if math.prod(shape) > MAX_GRID_CELLS:
+        # the first row whose buckets and years so far span too many cells,
+        # in Python integers
+        bucket, year = bucket.astype(object), year.astype(object)
+        span = np.maximum.accumulate(year) - np.minimum.accumulate(year) + 1
+        cells = len(GENDERS) * np.maximum.accumulate(bucket) * span * len(causes)
+        first = int(np.flatnonzero(cells > MAX_GRID_CELLS)[0])
+        message = f"a cause grid of {cells[first]} cells is above the limit of {MAX_GRID_CELLS}"
+        raise ParseError(message, kept_row(blocks, keep, first)[1])
+    # each row's flat cell, built in place of its gender column: the columns
+    # are the table's size
+    cell = gi
+    cell *= n_buckets
+    cell += bucket
+    cell -= 1
+    cell *= shape[2]
+    year -= year_min
+    cell += np.asarray(year, dtype=np.intp)  # a cast, for years beyond 64 bits
+    cell *= shape[3]
+    cell += k
+    counts = np.full(math.prod(shape), -1, dtype=np.int64)  # -1: MISSING, as an empty field reads
+    counts[cell] = count
+    del gi, bucket, year, k, count, cell  # before the table copies its grids
+    missing = counts < 0
+    counts[missing] = 0
     return CauseDeathTable(
         causes=tuple(causes),
         n_buckets=n_buckets,
         year_min=year_min,
         year_max=year_max,
-        counts=counts,
-        missing=missing,
+        counts=counts.reshape(shape),
+        missing=missing.reshape(shape),
         bucketing=bucketing,
     )
 
 
+def _count_text(count: int) -> str:
+    return "" if count < 0 else str(count)  # -1 marks a MISSING cell
+
+
 def write_cod_csv(table: CauseDeathTable) -> str:
     """Full-grid serialization; MISSING cells get an empty deaths field."""
-    deaths = [
-        "" if m else str(c)
-        for c, m in zip(table.counts.ravel().tolist(), table.missing.ravel().tolist())
-    ]
+    deaths = Fields(np.where(table.missing, -1, table.counts), _count_text)
     return grid_csv("gender,age_group,year,cause,deaths", table.axes(), deaths)
 
 

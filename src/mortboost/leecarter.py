@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -44,9 +45,10 @@ from .grids import (
     MortalityTable,
     RateSurface,
     TableFormat,
+    first_line,
     four_fields,
     gender_index,
-    kept_rows,
+    line_blocks,
 )
 
 _MAX_HALVINGS = 30
@@ -498,8 +500,8 @@ def params_from_csv(
     gender's rows must hold exactly the model's kinds. A malformed or
     repeated row is named by its line; a row's value is converted first,
     then its index, then its gender."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _CSV_HEADER:
+    header = first_line(text)
+    if header is None or header.strip() != _CSV_HEADER:
         raise ValueError(f"expected header {_CSV_HEADER}")
     # kind label -> code: a numpy string column would drop a label's trailing NULs
     codes: dict[str, int] = {}
@@ -508,9 +510,7 @@ def params_from_csv(
         ((3, float), (2, int), (0, gender_index), (1, lambda kind: codes.setdefault(kind, len(codes)))),
         3, lambda f, v: f"duplicate {f[0]} {f[1]} row for index {v[2]}", "no parameter rows after the header",
     )
-    gi, code, index, value = params.read(
-        *kept_rows(lines[1:], str.strip, range(2, len(lines) + 1))
-    )
+    gi, code, index, value = params.read(partial(line_blocks, text, skip=1))
     labels = list(codes)
     kinds = model.kinds()
     out = {}

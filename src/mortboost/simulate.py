@@ -45,6 +45,7 @@ import numpy as np
 from .codboost import ThetaSurface
 from .grids import (
     GENDERS,
+    MAX_GRID_CELLS,
     AgeBucketing,
     FeatureSpace,
     MortalityTable,
@@ -375,11 +376,6 @@ _SPEC_DEFAULTS = {
 }
 _SPEC_KEYS = {"ages", "years", "seed", "causes", "buckets", *_SPEC_DEFAULTS}
 
-# the most cells a spec's (gender, age, year) grid, and its (gender, bucket,
-# year, cause) grid, may hold: each is sampled and written in memory
-MAX_SIM_CELLS = 10_000_000
-
-
 def _uniform_theta(mode: str) -> None:
     if mode != "uniform":
         raise ValueError(f"unsupported theta mode {mode!r} (only 'uniform' in spec files)")
@@ -393,7 +389,7 @@ def load_sim_spec(source: str | Path) -> SimSpec:
     The rate surface is log-linear in age and calendar year:
     q = base_rate * exp(age_slope*a + year_drift*(t - t_min)) * male_factor^[male].
     A malformed or non-finite value, an unknown key, and a grid above
-    MAX_SIM_CELLS cells raise ParseError with the line at fault (the wider
+    MAX_GRID_CELLS cells raise ParseError with the line at fault (the wider
     of the ages and years ranges, or the causes).
     """
     text = source.read_text() if isinstance(source, Path) else source
@@ -420,9 +416,9 @@ def load_sim_spec(source: str | Path) -> SimSpec:
     age_min, age_max = get("ages", parse_range, "ages")
     year_min, year_max = get("years", parse_range, "years")
     space = FeatureSpace(age_min, age_max, year_min, year_max)
-    if space.size > MAX_SIM_CELLS:
+    if space.size > MAX_GRID_CELLS:
         wider = "ages" if space.n_ages > space.n_years else "years"
-        message = f"a grid of {space.size} cells is above the limit of {MAX_SIM_CELLS}"
+        message = f"a grid of {space.size} cells is above the limit of {MAX_GRID_CELLS}"
         raise ParseError(message, entries[wider][1])
     seed = get("seed", int)
 
@@ -449,8 +445,8 @@ def load_sim_spec(source: str | Path) -> SimSpec:
         bucketing = get("buckets", AgeBucketing.from_spec, age_min, age_max)
         get("theta", _uniform_theta)
         shape = (len(GENDERS), bucketing.n_buckets, space.n_years, K)
-        if math.prod(shape) > MAX_SIM_CELLS:
-            message = f"a cause grid of {math.prod(shape)} cells is above the limit of {MAX_SIM_CELLS}"
+        if math.prod(shape) > MAX_GRID_CELLS:
+            message = f"a cause grid of {math.prod(shape)} cells is above the limit of {MAX_GRID_CELLS}"
             raise ParseError(message, entries["causes"][1])
         theta = ThetaSurface(np.full(shape, 1.0 / K))
     return SimSpec(

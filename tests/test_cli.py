@@ -642,6 +642,11 @@ class TestErrorPaths:
             ([*cod, "--causes", "3", "--buckets", "0;1-x;15+"],
              "--buckets 0;1-x;15+: invalid literal for int() with base 10: 'x'"),
             ([*cod, "--causes", "0", "--buckets", "0-4;5-9"], "--causes needs at least one cause"),
+            ([*cod, "--causes", "000", "--buckets", "0-4;5-9"], "--causes needs at least one cause"),
+            # a digit that int() refuses, and a count past int()'s 4,300-digit limit
+            ([*cod, "--causes", "\u00b2", "--buckets", "0-4;5-9"], "--causes \u00b2 is not a decimal count"),
+            ([*cod, "--causes", "1" + "0" * 5000, "--buckets", "0-4;5-9"],
+             f"--causes 1{'0' * 5000} is above the limit of 10000 causes"),
             # a label that would break the tree text's causes line
             ([*cod, "--causes", "a\nb|c|d", "--buckets", "0-4;5-9"],
              "cause label 'a\\nb' in --causes holds a line break"),
@@ -685,6 +690,16 @@ class TestErrorPaths:
         assert (cod.returncode, cod.stderr) == (
             3, "error: --causes 1000000000 is above the limit of 10000 causes\n"
         )
+        # a cause table whose year span alone would take gigabytes is named by the
+        # row that widens it past the limit, before its grid is allocated
+        wide = tmp_path / "wide.csv"
+        wide.write_text("gender,age_group,year,cause,deaths\nfemale,1,1950,1,5\nfemale,1,300000000,1,5\n")
+        cod = main_in_1gb(["cod", "--cod", str(wide), "--qfit", str(lc_fit_dir / "qfit.csv"),
+                           "--exposures", str(exposures), "--causes", "12", "--buckets", "0-4;5-9",
+                           "--out", str(out)])
+        assert (cod.returncode, cod.stderr) == (3, (
+            f"error: --cod {wide}: line 3: a cause grid of 7199953224 cells is above the limit of 10000000\n"
+        ))
         head = "ages = 0:9\nyears = 2000:2009\nseed = 1\n"
         cases = [
             ("ages = 0:9\nyears = 1:400000000\nseed = 1\n",

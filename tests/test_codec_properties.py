@@ -4,14 +4,17 @@ the HMD 1x1 table, the cause-of-death CSV and the tree text.
 Every valid object round-trips unchanged through write and read; truncated
 or mutated text gives either a result or ValueError, never another exception.
 The rate CSV, parameter CSV, HMD and cause-of-death parsers each read a text
-once through the shared column reader (grids.TableFormat). Each parser and
-its per-row reference parser must agree on every text: the same result, or
-the same exception type with the same text, which pins each table's check
-order within a row.
+through the shared column reader (grids.TableFormat), a block of rows at a
+time. Each parser and its per-row reference parser must agree on every
+text: the same result, or the same exception type with the same text, which
+pins each table's check order within a row. The damaged-text properties
+also draw the reader's block size (1 to 20 rows), so that a bad row falls
+at a block's edge; the block-boundary tests put each kind of bad row there.
 """
 
 import re
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 import reference_io as ref
 from conftest import random_working_data
-from mortboost import DEFAULT_CAUSES, FeatureSpace, PoissonTree, RateSurface, TreeConfig, grow_tree, hmd
+from mortboost import DEFAULT_CAUSES, FeatureSpace, PoissonTree, RateSurface, TreeConfig, grids, grow_tree, hmd
 from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv
 from mortboost.leecarter import _KIND_AXIS, LCParams, params_from_csv, params_to_csv
 from mortboost.renshawhaberman import RHParams
@@ -126,10 +129,17 @@ def outcome(parse, text):
         return (type(exc), str(exc))
 
 
-def check_same(read, oracle, same, text: str) -> None:
-    """The package reader and its per-row oracle give results that same()
-    finds equal, or raise the same exception type with the same text."""
-    got, want = outcome(read, text), outcome(oracle, text)
+# the rows that TableFormat.read splits at once: as the package sets it, or small
+READ_ROWS = st.none() | st.integers(1, 20)
+
+
+def check_same(read, oracle, same, text: str, read_rows: int | None = None) -> None:
+    """The package reader, reading read_rows rows at a time if given, and its
+    per-row oracle give results that same() finds equal, or raise the same
+    exception type with the same text."""
+    with mock.patch.object(grids, "_READ_ROWS", read_rows or grids._READ_ROWS):
+        got = outcome(read, text)
+    want = outcome(oracle, text)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -191,14 +201,14 @@ class TestRateCsv:
     @given(rate_surfaces(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_damaged_text_reads_or_raises_value_error(self, q, data):
-        check_same(*RATE, damage(data, rate_surface_to_csv(q)))
+        check_same(*RATE, damage(data, rate_surface_to_csv(q)), data.draw(READ_ROWS))
 
     @given(rate_surfaces(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_duplicated_line(self, q, data):
         lines = rate_surface_to_csv(q).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
-        check_same(*RATE, "".join(lines[: i + 1] + lines[i:]))
+        check_same(*RATE, "".join(lines[: i + 1] + lines[i:]), data.draw(READ_ROWS))
 
 
 PARAMS_HEAD = "gender,kind,index,value\n"
@@ -245,12 +255,12 @@ class TestParamsCsv:
     @given(param_sets(LCParams), st.data())
     @settings(max_examples=300, deadline=None)
     def test_lc_damaged_text_reads_or_raises_value_error(self, fits, data):
-        check_same(*params_readers(LCParams), damage(data, params_to_csv(fits)))
+        check_same(*params_readers(LCParams), damage(data, params_to_csv(fits)), data.draw(READ_ROWS))
 
     @given(param_sets(RHParams), st.data())
     @settings(max_examples=300, deadline=None)
     def test_rh_damaged_text_reads_or_raises_value_error(self, fits, data):
-        check_same(*params_readers(RHParams), damage(data, params_to_csv(fits)))
+        check_same(*params_readers(RHParams), damage(data, params_to_csv(fits)), data.draw(READ_ROWS))
 
 
 # --- HMD 1x1 and cause-of-death CSV ----------------------------------------
@@ -365,14 +375,14 @@ class TestHmd1x1:
     @given(hmd_grids(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_damaged_text_same_grid_or_same_error(self, grid, data):
-        check_same(*HMD, damage(data, hmd.write_hmd_1x1(grid)))
+        check_same(*HMD, damage(data, hmd.write_hmd_1x1(grid)), data.draw(READ_ROWS))
 
     @given(hmd_grids(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_duplicated_line(self, grid, data):
         lines = hmd.write_hmd_1x1(grid).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
-        check_same(*HMD, "".join(lines[: i + 1] + lines[i:]))
+        check_same(*HMD, "".join(lines[: i + 1] + lines[i:]), data.draw(READ_ROWS))
 
 
 class TestCodCsv:
@@ -435,14 +445,99 @@ class TestCodCsv:
         text = hmd.write_cod_csv(table)
         if data.draw(st.booleans()):
             text = with_labels(text, table.causes)
-        check_same(*cod_readers(table.causes), damage(data, text))
+        check_same(*cod_readers(table.causes), damage(data, text), data.draw(READ_ROWS))
 
     @given(cause_tables(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_duplicated_line(self, table, data):
         lines = hmd.write_cod_csv(table).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
-        check_same(*cod_readers(table.causes), "".join(lines[: i + 1] + lines[i:]))
+        check_same(*cod_readers(table.causes), "".join(lines[: i + 1] + lines[i:]), data.draw(READ_ROWS))
+
+
+# --- block boundaries --------------------------------------------------------
+
+
+def _lc_params(space: FeatureSpace) -> dict:
+    return {
+        g: LCParams(
+            gender=g, age_min=space.age_min, year_min=space.year_min,
+            beta0=np.linspace(-5.0, -3.0, space.n_ages), beta1=np.full(space.n_ages, 1.0 / space.n_ages),
+            kappa=np.linspace(1.0, -1.0, space.n_years), rate_floor=1e-8, converged=True,
+            n_iterations=0, deviance_trace=np.array([np.nan]), flags=[],
+        )
+        for g in ("female", "male")
+    }
+
+
+def _block_tables():
+    """Each reader, its oracle and comparison, a valid text of 8 to 14 rows,
+    its field separator and its header line count."""
+    space = FeatureSpace(0, 1, 2000, 2001)
+    rates = RateSurface(space, np.linspace(0.01, 0.08, 8).reshape(space.shape))
+    grid = hmd.HmdGrid("deaths", np.arange(3), np.arange(2000, 2003), *np.arange(27.0).reshape(3, 3, 3))
+    shape = (2, 2, 1, 2)
+    cod = hmd.CauseDeathTable(
+        COD_CAUSES[:2], 2, 2000, 2000, np.arange(8).reshape(shape), np.zeros(shape, dtype=bool)
+    )
+    cod_text = hmd.write_cod_csv(cod)
+    return {
+        "rate": (RATE, rate_surface_to_csv(rates), ",", 1),
+        "params": (params_readers(LCParams), params_to_csv(_lc_params(space)), ",", 1),
+        "hmd": (HMD, hmd.write_hmd_1x1(grid), "  ", 3),
+        "cod": (cod_readers(cod.causes), cod_text, ",", 1),
+        # quoted genders send the text through the csv module
+        "cod-csv": (cod_readers(cod.causes), re.sub(r"^(female|male)", r'"\1"', cod_text, flags=re.M), ",", 1),
+    }
+
+
+BLOCK_TABLES = _block_tables()
+DAMAGES = ("width", "value", "duplicate", "blank", "crlf")
+
+
+def damaged_line(lines: list[str], i: int, how: str, sep: str, first: int) -> str:
+    """The text of lines with line i damaged: one field too many, its last
+    field rejected, a copy of line `first`, a blank line before it, or a
+    CRLF end; or, for the csv module, a quoted field over its size limit,
+    alone or after a rejected value."""
+    line = lines[i].rstrip("\n")
+    head = line.rsplit(sep, 1)[0]
+    new = {
+        "width": [f"{line}{sep}1\n"],
+        "value": [f"{head}{sep}x\n"],
+        "duplicate": [lines[first]],
+        "blank": ["\n", lines[i]],
+        "crlf": [f"{line}\r\n"],
+        "csv-error": [f'{head}{sep}"{"1" * 140_000}"\n'],
+        "value, then csv-error": [f"{head}{sep}x\n", f'{head}{sep}"{"1" * 140_000}"\n'],
+    }[how]
+    return "".join(lines[:i] + new + lines[i + 1:])
+
+
+@pytest.mark.parametrize(
+    "name, how",
+    [(name, how) for name in BLOCK_TABLES for how in DAMAGES]
+    + [("cod-csv", "csv-error"), ("cod-csv", "value, then csv-error")],
+)
+def test_a_bad_row_at_a_block_edge_is_named_as_in_one_block(name, how):
+    # every data line takes each damage while the reader splits 1 to 4 rows
+    # at once, so each damage falls on a block's last row and on the next
+    # block's first row; the per-row oracle gives the message and line
+    (read, oracle, same), text, sep, n_head = BLOCK_TABLES[name]
+    lines = text.splitlines(keepends=True)
+    for read_rows in (1, 2, 3, 4):
+        check_same(read, oracle, same, text, read_rows)
+        for i in range(n_head, len(lines)):
+            check_same(read, oracle, same, damaged_line(lines, i, how, sep, n_head), read_rows)
+
+
+@given(hmd_grids(), cause_tables(), rate_surfaces(), st.integers(1, 7))
+@settings(max_examples=50, deadline=None)
+def test_writers_in_small_blocks_match_their_oracles(grid, table, q, cells):
+    with mock.patch.object(grids, "_WRITE_CELLS", cells):
+        assert hmd.write_hmd_1x1(grid) == ref.write_hmd_1x1(grid)
+        assert hmd.write_cod_csv(table) == ref.write_cod_csv(table)
+        assert rate_surface_to_csv(q) == ref.rate_surface_to_csv(q)
 
 
 # --- tree text -------------------------------------------------------------
