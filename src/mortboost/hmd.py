@@ -378,6 +378,8 @@ def _cod_deaths(tok: str) -> int:
         raise ValueError(f"deaths must be an integer or empty, got {tok!r}") from None
     if count < 0:
         raise ValueError(f"negative death count {count}")
+    if count >= 2**63:
+        raise ValueError(f"death count {count} does not fit a 64-bit count")
     return count
 
 

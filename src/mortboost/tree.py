@@ -7,13 +7,21 @@ deviance reduction clears the cost-complexity threshold. Missing responses
 
 Growth codes every feature as integer levels once per tree, an ordered
 column by its sorted distinct values and the cause by its registry codes,
-and grows one depth at a time over a frontier: the nodes that may still
-split, with their observed points. Each feature scans the whole frontier in
-one call, `kernels.best_cut`: an ordered feature in code order, the cause in
-rate order, at float32 with one tie rule; earlier features win ties. Growth
-routes an accepted split's points by the scan's level masks, and a rule is
-built only for such a split. A node's split depends only on its own points,
-so the tree is the one that depth-first growth, node by node, would give.
+and grows one depth at a time over a frontier: the children of the last
+depth's splits, with their observed points. Each feature scans the whole
+frontier in one call, `kernels.best_cut`: an ordered feature in code order,
+the cause in rate order, at float32 with one tie rule; earlier features win
+ties. Of a split's two children only the one with fewer points is binned;
+the other derives its bins from its parent's, kept from the depth before.
+Growth routes an accepted split's points by the scan's level masks, and a
+rule is built only for such a split.
+
+A node's split depends only on its own points. Its bin counts are exact,
+but a derived node's float sums may differ from the sums of its points in
+the last bits, and selection is at float32, so growth is checked against
+depth-first growth node by node (`tests/reference_tree.py`) rather than
+equal to it by construction: trees are byte-identical on every recorded
+benchmark seed and in the per-node oracle property.
 """
 
 from __future__ import annotations
@@ -195,20 +203,40 @@ def _features(data: WorkingData) -> list[tuple]:
 _scan_cause = kernels.best_cut
 
 
-def _best_split(features, node_obs, slog, deaths, volume, min_bucket: int):
+def _scans(features, node_obs, slog, deaths, volume, min_bucket, parents):
+    """Each feature's `kernels.best_cut` over a frontier, or None as soon as a
+    feature's derived bins fail the kernel's check. The list parents is
+    emptied as the features are scanned, so that each feature's parent rows
+    are freed once used."""
+    binned = len(node_obs) - (0 if parents is None else parents[0].shape[1])
+    points = np.concatenate(node_obs[:binned])
+    s, D, d = slog[points], deaths[points], volume[points]
+    node_of = np.repeat(np.arange(binned), [idx.size for idx in node_obs[:binned]])
+    scans = []
+    for _, codes, n_levels, values in features:
+        scans.append((kernels.best_cut if values is not None else _scan_cause)(
+            codes[points], node_of, len(node_obs), s, D, d, n_levels, min_bucket,
+            by_rate=values is None, parents=None if parents is None else parents.pop(0),
+        ))
+        if scans[-1][4]:
+            return None
+    return scans
+
+
+def _best_split(features, node_obs, slog, deaths, volume, min_bucket: int, parents=None):
     """Best split of each node of a frontier, as (feature, reduction, scans):
     feature[k] indexes node k's best feature (-1: no admissible cut), scans[j]
-    is feature j's (left, right, reduction). node_obs holds each node's
-    observed points, ascending. Selection is at float32; earlier features win."""
-    n_nodes = len(node_obs)
-    points = np.concatenate(node_obs)
-    s, D, d = slog[points], deaths[points], volume[points]
-    node_of = np.repeat(np.arange(n_nodes), [idx.size for idx in node_obs])
-    scans = [(kernels.best_cut if values is not None else _scan_cause)(
-        codes[points], node_of, n_nodes, s, D, d, n_levels, min_bucket, by_rate=values is None
-    ) for _, codes, n_levels, values in features]
-    feature, reduction = np.full(n_nodes, -1), np.full(n_nodes, -np.inf)
-    for j, (_, _, red) in enumerate(scans):
+    is feature j's `kernels.best_cut` result. node_obs holds each node's
+    observed points, ascending. With parents, parents[j] the (4, k, levels)
+    bins of k parents for feature j, the last k nodes derive their bins from
+    their parents' and those of their siblings, the first k nodes; should a
+    derived bin fail the kernel's check, the frontier is scanned again with
+    every node binned. Selection is at float32; earlier features win."""
+    args = features, node_obs, slog, deaths, volume, min_bucket
+    scans = _scans(*args, parents) or _scans(*args, None)
+    feature, reduction = np.full(len(node_obs), -1), np.full(len(node_obs), -np.inf)
+    for j, scan in enumerate(scans):
+        red = scan[2]
         better = red.astype(np.float32) > reduction.astype(np.float32)
         feature[better], reduction[better] = j, red[better]
     return feature, reduction, scans
@@ -235,8 +263,8 @@ def best_split(data: WorkingData, feature: str, min_bucket: int = 1) -> tuple[Sp
         raise ValueError(f"unknown feature {feature!r}")
     obs = np.flatnonzero(~np.isnan(data.deaths))
     slog = _slog_terms(data.deaths, data.volume)
-    found, red, [(left, right, _)] = _best_split(features, [obs], slog, data.deaths, data.volume,
-                                                 min_bucket)
+    found, red, [(left, right, *_)] = _best_split(features, [obs], slog, data.deaths, data.volume,
+                                                  min_bucket)
     return None if found[0] < 0 else (_rule(features[0], left[0], right[0])[0], float(red[0]))
 
 
@@ -442,8 +470,10 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
 
     Every feature is coded as levels once, and the tree grows one depth at a
     time: each depth's splits come from one frontier selection
-    (`_best_split`) over the nodes with at least 2 * min_bucket observed
-    points."""
+    (`_best_split`). The children of a split are scanned unless both have
+    fewer than 2 * min_bucket observed points. Only the child with fewer
+    points is binned; the other derives its bins from its parent's, kept
+    from the depth that scanned it."""
     if data.n == 0:
         raise ValueError("empty working data")
     root_obs = np.flatnonzero(~np.isnan(data.deaths))
@@ -455,23 +485,33 @@ def grow_tree(data: WorkingData, cfg: TreeConfig = TreeConfig()) -> PoissonTree:
     root = _node(root_obs, data.deaths, data.volume, slog)
     threshold32 = np.float32(max(cfg.cp * root.deviance, _NOISE_FLOOR * (root.deviance + 1.0)))
 
-    # (node, its observed points) for the nodes of one depth
-    frontier = [(root, root_obs)]
+    # (node, its observed points) for the nodes of one depth: the children of
+    # the last depth's splits, the binned ones first
+    frontier = [(root, root_obs)] if root_obs.size >= 2 * cfg.min_bucket else []
+    parents = None
     for _ in range(cfg.max_depth):
-        frontier = [f for f in frontier if f[1].size >= 2 * cfg.min_bucket]
         if not frontier:
             break
         found, reduction, scans = _best_split(
-            features, [f[1] for f in frontier], slog, data.deaths, data.volume, cfg.min_bucket
+            features, [f[1] for f in frontier], slog, data.deaths, data.volume, cfg.min_bucket,
+            parents,
         )
-        children = []
+        smaller, larger, split = [], [], []
         for k in np.flatnonzero((reduction > 0.0) & (reduction.astype(np.float32) >= threshold32)):
-            (node, idx), feature, (left, right, _) = frontier[k], features[found[k]], scans[found[k]]
+            (node, idx), feature, (left, right, *_) = frontier[k], features[found[k]], scans[found[k]]
             node.rule, node.right_codes = _rule(feature, left[k], right[k])
             node.reduction = float(reduction[k])
             go_left = left[k][feature[1][idx]]  # the scan's left levels
-            for side in (idx[go_left], idx[~go_left]):
-                children.append((_node(side, data.deaths, data.volume, slog), side))
-            node.left, node.right = children[-2][0], children[-1][0]
-        frontier = children
+            children = [(_node(side, data.deaths, data.volume, slog), side)
+                        for side in (idx[go_left], idx[~go_left])]
+            node.left, node.right = children[0][0], children[1][0]
+            small, large = sorted(children, key=lambda c: c[1].size)
+            if large[1].size >= 2 * cfg.min_bucket:
+                smaller.append(small)
+                larger.append(large)
+                split.append(k)
+        frontier = smaller + larger
+        split = np.array(split, dtype=np.intp)
+        parents = [scan[3][:, split] for scan in scans]
+        del scans  # free this depth's tables before the next depth bins; parents keeps rows
     return PoissonTree(root, data.ordered_names, data.cause_labels, root.deviance, cfg)

@@ -194,6 +194,8 @@ def parse_cod_csv(text, causes=DEFAULT_CAUSES):
                 raise ParseError(f"deaths must be an integer or empty, got {deaths_tok!r}", ln_no) from None
             if count < 0:
                 raise ParseError(f"negative death count {count}", ln_no)
+            if count >= 2**63:
+                raise ParseError(f"death count {count} does not fit a 64-bit count", ln_no)
         key = (gi, bucket, year, k)
         if key in rows:
             raise ParseError(f"duplicate entry for ({g_tok},{bucket},{year},{causes[k]})", ln_no)

@@ -754,6 +754,21 @@ class TestErrorPaths:
             f"error: --cod {cod}: line 3: field larger than field limit (131072)\n"
         )
 
+    def test_cod_count_beyond_64_bits_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        lines = (sim_dir / "cod.csv").read_text().splitlines()
+        g, b, t, k, _ = lines[2].split(",")
+        lines[2] = f"{g},{b},{t},{k},99999999999999999999"
+        cod = tmp_path / "cod.csv"
+        cod.write_text("\n".join(lines) + "\n")
+        code = main(["cod", "--cod", str(cod), "--qfit", str(lc_fit_dir / "qfit.csv"),
+                     "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3",
+                     "--buckets", "0-4;5-9", "--out", str(tmp_path / "c")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: --cod {cod}: line 3: death count 99999999999999999999 does not fit a 64-bit count\n"
+        )
+        assert not (tmp_path / "c").exists()
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "lc"])  # missing required flags

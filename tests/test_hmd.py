@@ -304,6 +304,15 @@ class TestParseCodCsv:
         with pytest.raises(ParseError, match="header"):
             parse_cod_csv("a,b,c\n")
 
+    def test_counts_up_to_64_bits(self):
+        table = parse_cod_csv(cod_csv([f"male,1,2000,1,{2**63 - 1}"]))
+        assert table.counts[1, 0, 0, 0] == 2**63 - 1
+        with pytest.raises(ParseError) as exc:
+            parse_cod_csv(cod_csv(["male,1,2000,1,5", f"male,1,2001,1,{2**63}"]))
+        assert (exc.value.line, str(exc.value)) == (
+            3, f"line 3: death count {2**63} does not fit a 64-bit count"
+        )
+
     def test_unmentioned_cells_are_missing(self):
         table = parse_cod_csv(cod_csv(["male,2,2000,1,5", "male,2,2001,1,6"]))
         assert table.missing[0, 0, 0, 0]  # female bucket 1 never mentioned

@@ -18,7 +18,7 @@ def frontier_cuts(codes, node_of, n_nodes, deaths, vols, n_levels, min_bucket, b
     codes = np.asarray(codes)
     deaths = np.asarray(deaths, dtype=np.float64)
     vols = np.asarray(vols, dtype=np.float64)
-    left, right, red = kernels.best_cut(
+    left, right, red, *_ = kernels.best_cut(
         codes, node_of, n_nodes, slog_terms(deaths, vols), deaths, vols, n_levels, min_bucket,
         by_rate,
     )
@@ -217,3 +217,66 @@ def test_tie_rule_matches_its_definition(rng):
                 assert got[0] == left_sets[0]
             decided_by_the_rule += got[0] != left_sets[0]
     assert decided_by_the_rule > 0
+
+
+def bins_of(codes, node_of, n_nodes, deaths, vols, n_levels):
+    """The (count, slog, D, d) bins of a frontier, (4, nodes, levels)."""
+    deaths, vols = np.asarray(deaths, dtype=np.float64), np.asarray(vols, dtype=np.float64)
+    return kernels.best_cut(
+        np.asarray(codes), np.asarray(node_of), n_nodes, slog_terms(deaths, vols), deaths, vols,
+        n_levels, 1,
+    )[3]
+
+
+@pytest.mark.parametrize("by_rate", [False, True])
+def test_derived_bins_scan_as_binned_ones(rng, by_rate):
+    # each parent of a random frontier splits its points at random; the child
+    # with fewer points is binned, its sibling derives. Responses of 0 or of
+    # the volume make every term D*log(D/d) zero, so that every sum is exact
+    # and a derived bin equals the binned one bit for bit
+    for _ in range(200):
+        codes, node_of, n_parents, _, vols, n_levels, min_bucket = random_frontier(rng)
+        deaths = np.where(rng.random(vols.size) < 0.5, vols, 0.0)
+        parents = bins_of(codes, node_of, n_parents, deaths, vols, n_levels)
+        right = rng.random(codes.size) < 0.5
+        n_right = np.bincount(node_of, weights=right, minlength=n_parents)
+        n_left = np.bincount(node_of, minlength=n_parents) - n_right
+        smaller = np.where((n_right < n_left)[node_of], right, ~right)  # ties: the left child
+        if not smaller.any():
+            continue  # a growth bins at least one point
+        child = node_of + np.where(smaller, 0, n_parents)  # smaller children first
+        order = np.argsort(child, kind="stable")
+        slogs = slog_terms(deaths, vols)
+        args = (2 * n_parents, slogs[order], deaths[order], vols[order], n_levels, min_bucket, by_rate)
+        direct = kernels.best_cut(codes[order], child[order], *args)
+        first = smaller[order]
+        args = (2 * n_parents, slogs[order][first], deaths[order][first], vols[order][first],
+                n_levels, min_bucket, by_rate)
+        derived = kernels.best_cut(codes[order][first], child[order][first], *args, parents=parents)
+        assert derived[4] is False
+        for got, want in zip(derived[:4], direct[:4]):
+            assert np.array_equal(got, want)
+
+
+def test_derived_bins_that_are_not_finite_or_cancel_are_unsafe():
+    # one parent with points at levels 0 and 1; node 0 holds its level-0
+    # point of volume 1, node 1 derives the rest
+    def derive(vols):
+        parents = bins_of([0, 0, 1], [0, 0, 0], 1, [1.0, 1.0, 2.0], vols, 2)
+        return kernels.best_cut(np.array([0]), np.array([0]), 2, np.zeros(1), np.array([1.0]),
+                                np.array([1.0]), 2, 1, parents=parents)
+
+    assert derive([1.0, 2.0 ** -20, 1.0])[4] is False
+    # a derived volume of at most 2**-26 of its parent's bin, here 2**-30 of
+    # 1 + 2**-30, may keep fewer than half its bits
+    assert derive([1.0, 2.0 ** -30, 1.0])[4] is True
+    # a parent's sum that is not finite, whatever the sibling's
+    parents = bins_of([0, 0, 1], [0, 0, 0], 1, [1.0, 1.0, 2.0], [1.0, 1.0, 1.0], 2)
+    for k, value in itertools.product((1, 2, 3), (np.inf, -np.inf, np.nan)):
+        if k > 1 and value == -np.inf:
+            continue  # responses and volumes are not negative
+        bad = parents.copy()
+        bad[k, 0, 0] = value
+        got = kernels.best_cut(np.array([0]), np.array([0]), 2, np.zeros(1), np.array([1.0]),
+                               np.array([1.0]), 2, 1, parents=bad)
+        assert got[4] is True and got[0] is None, (k, value)

@@ -10,6 +10,7 @@ that, so a small traced RH fit stands in for its solver entry points.
 
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 from unittest import mock
@@ -85,3 +86,26 @@ def test_full_pass_matches_the_recorded_reference(name, seed, tmp_path):
     assert outcome.problems == []
     assert sorted(reference["digests"]) == sorted(workload.reference_files)
     assert run.reference_problems(reference, outcome) == []
+
+
+@pytest.mark.skipif(
+    os.environ.get("MORTBOOST_ALL_SEEDS") != "1",
+    reason="every recorded seed takes about 90 s: set MORTBOOST_ALL_SEEDS=1",
+)
+@pytest.mark.parametrize("name", ["swiss_closed_loop", "cod_5y"])
+def test_every_recorded_seed_matches_its_reference(name, tmp_path):
+    # all 100 recorded seeds of the workload, each checked as run.py checks a
+    # pass; the tree's growth is where a last-bit change would show
+    workload = workloads.WORKLOADS[name]
+    recorded = json.loads(run.REFERENCE.read_text())[name]
+    assert len(recorded) == 100
+    problems = []
+    for seed, reference in sorted(recorded.items(), key=lambda item: int(item[0])):
+        workdir = tmp_path / seed
+        inputs = workload.setup(int(seed), False, workdir / "setup")
+        passdir = workdir / "pass"
+        outcome = workload.check(inputs, workload.run(inputs, passdir), passdir)
+        found = outcome.failed_ops + outcome.problems + run.reference_problems(reference, outcome)
+        problems += [f"seed {seed}: {problem}" for problem in found]
+        shutil.rmtree(workdir, ignore_errors=True)  # the in-memory workload writes nothing
+    assert problems == []

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tree
+from mortboost import kernels
+from mortboost import tree as tree_module
 from mortboost import PoissonTree, SplitRule, TreeConfig, WorkingData, best_split, grow_tree, poisson_deviance
 from conftest import random_working_data
 from oracle import assert_same_structure, oracle_grow
@@ -340,15 +342,23 @@ class TestSerialization:
 @st.composite
 def growth_cases(draw):
     """Working data with tied feature values, tied responses and missing
-    responses, with or without a cause column, and a growth config."""
+    responses, with or without a cause column, and a growth config. Volumes
+    are small halves, or spread over 121 binades, where the bins that a child
+    derives from its parent's can cancel, or near 1e300."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 120))
     n_ordered = draw(st.integers(1, 3))
     n_values = draw(st.integers(1, 10))
     scale = draw(st.sampled_from([1.0, 0.5, 1e-3]))
     ordered = rng.integers(0, n_values, size=(n, n_ordered)) * scale
-    volume = rng.integers(1, 5, size=n) / 2.0
-    if draw(st.booleans()):
+    volumes = draw(st.sampled_from(["halves", "binades", "huge"]))
+    if volumes == "halves":
+        volume = rng.integers(1, 5, size=n) / 2.0
+    elif volumes == "binades":
+        volume = 2.0 ** rng.integers(-60, 61, size=n)
+    else:
+        volume = rng.integers(1, 5, size=n) * 0.5e300
+    if volumes != "halves" or draw(st.booleans()):
         deaths = rng.integers(0, 3, size=n).astype(np.float64)
     else:
         deaths = rng.poisson(2.0 * volume).astype(np.float64)
@@ -373,6 +383,56 @@ def growth_cases(draw):
 def test_level_wise_growth_matches_the_per_node_reference(case):
     data, cfg = case
     assert grow_tree(data, cfg).to_text() == reference_tree.grow_tree(data, cfg).to_text()
+
+
+def spy_on_fallbacks(monkeypatch):
+    """The list of `best_cut` calls whose derived bins failed the check."""
+    unsafe, scan = [], kernels.best_cut
+
+    def best_cut(*args, **kwargs):
+        result = scan(*args, **kwargs)
+        if result[4]:
+            unsafe.append(args[2])
+        return result
+
+    monkeypatch.setattr(tree_module.kernels, "best_cut", best_cut)
+    monkeypatch.setattr(tree_module, "_scan_cause", best_cut)
+    return unsafe
+
+
+def test_a_derived_volume_that_cancels_is_binned_directly(monkeypatch):
+    # the root splits on a; its right child derives its cause-0 volume as
+    # (1 + 3e-16) - 1, which rounds to 2.2e-16 and would scan cause 0's rate
+    # above cause 1's
+    cause_data = WorkingData(
+        ("a",), [[0.0], [0.0], [1.0], [1.0]], [1.0, 1.0, 3e-16, 2.6e-16], [0.0, 0.0, 1.0, 1.0],
+        cause=[0, 2, 0, 1], cause_labels=("x", "y", "z"),
+    )
+    cfg = TreeConfig(cp=0.0, min_bucket=1)
+    want = reference_tree.grow_tree(cause_data, cfg).to_text()
+    assert "\n1 cause:{0}/{1} 2 " in want
+    unsafe = spy_on_fallbacks(monkeypatch)
+    assert grow_tree(cause_data, cfg).to_text() == want
+    assert unsafe
+    # without the check, the derived bins would split the causes the other way
+    monkeypatch.setattr(kernels, "_CANCELLED", 0.0)
+    assert "\n1 cause:{1}/{0} 2 " in grow_tree(cause_data, cfg).to_text()
+
+
+def test_a_volume_near_the_float_limit_cancels_its_sibling(monkeypatch):
+    # the root's left child splits into the 1e308 point and three points of
+    # volume 1; their node would derive its level-0 volume of feature a as
+    # (1e308 + 3) - 1e308, which rounds to 0
+    data = WorkingData(
+        ("a", "b"), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+        [1.0, 1.0, 1e308, 1.0, 1.0], [2.0, 2.0, 1.0, 2.0, 1.0],
+    )
+    cfg = TreeConfig(cp=0.0, min_bucket=1)
+    unsafe = spy_on_fallbacks(monkeypatch)
+    tree = grow_tree(data, cfg)
+    assert unsafe
+    assert tree.n_splits == 2
+    assert tree.to_text() == reference_tree.grow_tree(data, cfg).to_text()
 
 
 def test_no_reference_cycles(rng):
