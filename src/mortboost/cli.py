@@ -110,13 +110,10 @@ def cmd_fit(args) -> int:
     cfg = dataclasses.replace(FIT_DEFAULTS[args.model], **{k: v for k, v in given.items() if v is not None})
     warnings = list(report.warnings)
     if args.model == "lc":
-        fits = {g: leecarter.fit_lc(table, g, cfg) for g in GENDERS}
+        fits = leecarter.fit_lc_both(table, cfg)
     else:
         warm = _load_warm_start(args.warm_start, space) if args.warm_start else None
-        fits = {
-            g: renshawhaberman.fit_rh(table, g, cfg, warm_start=warm[g] if warm else None)
-            for g in GENDERS
-        }
+        fits = renshawhaberman.fit_rh_both(table, cfg, warm_start=warm)
     for g in GENDERS:
         warnings.extend(f"{g}: {flag}" for flag in fits[g].flags)
     surface = leecarter.rate_surface(space, fits)

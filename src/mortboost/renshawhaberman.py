@@ -15,7 +15,12 @@ progress; the joint step escapes the zigzag stalls the pure alternating
 scheme is prone to on this model. Like every step it is accepted only if the
 deviance does not increase, which makes the LC-nesting property hold by
 construction. RH fitting is known to converge slowly; the default iteration
-budget is deliberately generous.
+budget is deliberately generous. fit_rh_both, which `mortboost fit rh` calls,
+fits the first gender in a forked child process while the caller fits the
+other, on a second core; the child inherits the caller's BLAS thread count
+(Python 3.12+ warns if BLAS threads run at the fork), and a tracer that
+patches this module's functions sees only the caller's gender. Lee-Carter's
+fit_lc_both stays in one process: its fits cost about what a fork does.
 
 The joint step's Fisher system has 3A + T + C unknowns for A ages, T years
 and C cohorts. Every age-age block is diagonal, so the age unknowns fall
@@ -45,6 +50,8 @@ columns stays zero.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -261,8 +268,65 @@ def fit_rh(
     return fit_terms(D, E, start, cfg, surface_deviance=poisson_surface_deviance, joint_step=joint_step)
 
 
-def fit_rh_both(table: MortalityTable, cfg: FitConfig = RH_DEFAULT_CONFIG) -> dict[str, RHParams]:
-    return {g: fit_rh(table, g, cfg) for g in GENDERS}
+def fit_rh_both(
+    table: MortalityTable,
+    cfg: FitConfig = RH_DEFAULT_CONFIG,
+    warm_start: dict[str, LCParams] | None = None,
+) -> dict[str, RHParams]:
+    """fit_rh of every gender, warm-started from warm_start[gender] if given,
+    with the same results and errors. Where os.fork exists, a child process
+    fits GENDERS[0] while this process fits the other, so the two fits share
+    two cores; an error of either is raised here with its type and message."""
+    warm = warm_start or {}
+    if not hasattr(os, "fork"):
+        return {g: fit_rh(table, g, cfg, warm.get(g)) for g in GENDERS}
+    worker, here = GENDERS
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _worker(read_fd, write_fd, lambda: fit_rh(table, worker, cfg, warm.get(worker)))
+    os.close(write_fd)
+    try:
+        # the child blocks on a full pipe until this fit is done and read
+        with open(read_fd, "rb") as pipe:
+            mine = fit_rh(table, here, cfg, warm.get(here))
+            payload = pipe.read()
+    except BaseException:
+        import signal  # not loaded at start-up, and only this path needs it
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    status = os.waitpid(pid, 0)[1]
+    if not payload:
+        raise RuntimeError(f"the Renshaw-Haberman fit of {worker} ended without a result (wait status {status})")
+    ok, result = pickle.loads(payload)
+    if not ok:
+        raise result
+    return {worker: result, here: mine}
+
+
+def _worker(read_fd: int, write_fd: int, fit) -> None:
+    """The forked child's whole life: fit() or its exception, pickled, to
+    write_fd, then os._exit, which flushes none of the parent's stdio buffers
+    and runs no atexit hook. It never returns, whatever happens."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            result = (True, fit())
+        except BaseException as exc:
+            result = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # the cohort term enters through RHParams.TERMS

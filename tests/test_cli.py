@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mortboost
-from mortboost import PoissonTree, parse_hmd_1x1
+from mortboost import GENDERS, FeatureSpace, PoissonTree, clip_to_space, fit_rh, parse_hmd_1x1
 from mortboost.backtest import grid_features
-from mortboost.cli import main
-from mortboost.grids import rate_surface_from_csv
+from mortboost.cli import FIT_DEFAULTS, main
+from mortboost.grids import rate_surface_from_csv, rate_surface_to_csv
+from mortboost.leecarter import params_from_csv, params_to_csv, rate_surface
 from test_codec_properties import damage
 
 SIM_SPEC = """
@@ -210,6 +211,60 @@ class TestFit:
             # one flag per gender: a cold rh fit does not repeat its warm start's
             for g in ("female", "male"):
                 assert manifest["warnings"].count(f"{g}: not converged after 1 iterations") == 1
+
+
+def fit_rh_in_a_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """`mortboost fit rh` with argv in a child process, stdout and stderr on
+    pipes; the child prints a line to stdout before main, where it waits in
+    the block buffer while the fit forks, and registers one to print at exit."""
+    script = (
+        "import atexit, sys\n"
+        "print('before main')\n"
+        "atexit.register(print, 'at exit')\n"
+        "from mortboost.cli import main\n"
+        f"sys.exit(main(['fit', 'rh', *{argv!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mortboost.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestFitRhWorker:
+    """`fit rh` fits one gender in a forked worker (renshawhaberman.fit_rh_both)."""
+
+    def argv(self, sim_dir, exposures, out) -> list[str]:
+        return ["--deaths", str(sim_dir / "deaths.txt"), "--exposures", str(exposures),
+                "--ages", "0:9", "--years", "2000:2009", "--out", str(out)]
+
+    def test_output_once_and_the_csvs_of_per_gender_fits(self, sim_dir, lc_fit_dir, tmp_path):
+        warm_csv = lc_fit_dir / "params.csv"
+        argv = self.argv(sim_dir, sim_dir / "exposures.txt", tmp_path / "rh") + ["--warm-start", str(warm_csv)]
+        run = fit_rh_in_a_child(argv)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "before main\nat exit\n", "")
+
+        space = FeatureSpace(0, 9, 2000, 2009)
+        grids = [parse_hmd_1x1((sim_dir / f"{kind}.txt").read_text(), kind) for kind in ("deaths", "exposures")]
+        table, _ = clip_to_space(*grids, space, True)
+        warm = params_from_csv(warm_csv.read_text())
+        fits = {g: fit_rh(table, g, FIT_DEFAULTS["rh"], warm_start=warm[g]) for g in GENDERS}
+        assert (tmp_path / "rh/params.csv").read_text() == params_to_csv(fits)
+        assert (tmp_path / "rh/qfit.csv").read_text() == rate_surface_to_csv(rate_surface(space, fits))
+
+    @pytest.mark.parametrize("failing", GENDERS)
+    def test_a_failing_gender_exits_3_with_its_message(self, sim_dir, tmp_path, failing):
+        # the failing gender keeps exposure at age 0 only
+        column = 2 + GENDERS.index(failing)
+        lines = (sim_dir / "exposures.txt").read_text().splitlines()
+        for i, line in enumerate(lines[3:], start=3):
+            fields = line.split()
+            if fields[1] != "0":
+                fields[column] = "0.0"
+            lines[i] = "  ".join(fields)
+        exposures = tmp_path / "exposures.txt"
+        exposures.write_text("\n".join(lines) + "\n")
+        run = fit_rh_in_a_child(self.argv(sim_dir, exposures, tmp_path / "rh"))
+        assert (run.returncode, run.stdout) == (3, "before main\nat exit\n")
+        assert run.stderr == "error: need at least 2 ages and 2 years with positive exposure\n"
 
 
 @pytest.fixture(scope="module")

@@ -7,12 +7,21 @@ whose effect is known exactly, bit for bit.
 - Doubling deaths and exposures under the same fitted surface gives a
   back-test tree with the same rules, leaves and mu, and exactly doubled
   deaths, volumes and deviances (a power of two scales without rounding).
+- Permuting the data rows of both HMD files leaves the params.csv and
+  qfit.csv of `fit lc` and `fit rh` byte-identical: a row is placed by its
+  year and age.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortboost import FeatureSpace, MortalityTable, RateSurface, SimSpec, TreeConfig, backtest, sample_deaths
+from mortboost.cli import main
 from mortboost.leecarter import FitConfig, fit_lc
 from mortboost.renshawhaberman import fit_rh
 
@@ -77,3 +86,44 @@ def test_doubled_data_gives_the_same_tree_with_doubled_deviances(table):
         assert (other.rule, other.n_obs, other.mu) == (node.rule, node.n_obs, node.mu)
         assert (other.sum_deaths, other.sum_volume) == (2.0 * node.sum_deaths, 2.0 * node.sum_volume)
         assert (other.deviance, other.reduction) == (2.0 * node.deviance, 2.0 * node.reduction)
+
+
+HMD_HEAD = 3  # title, blank line, column header
+CLI_SPEC = "ages = 0:7\nyears = 2000:2007\nseed = 21\nexposure = 40000\nbase_rate = 2e-3\nage_slope = 0.12\n"
+
+
+def fit_outputs(data: Path, out: Path) -> dict:
+    """Exit code, params.csv and qfit.csv of `fit lc` and `fit rh` on data's
+    HMD files; RH stops after 60 iterations (exit 4) on a ridge of this input."""
+    files = {}
+    for model in ("lc", "rh"):
+        argv = ["fit", model, "--deaths", str(data / "deaths.txt"), "--exposures", str(data / "exposures.txt"),
+                "--ages", "0:7", "--years", "2000:2007", "--max-iter", "60", "--out", str(out / model)]
+        files[f"{model} exit"] = main(argv)
+        files.update({f"{model}/{name}": (out / model / name).read_bytes() for name in ("params.csv", "qfit.csv")})
+    return files
+
+
+@pytest.fixture(scope="module")
+def cli_data(tmp_path_factory):
+    """A simulated 8 x 8 input, its HMD lines and the fits' output bytes."""
+    root = tmp_path_factory.mktemp("permute")
+    (root / "sim.cfg").write_text(CLI_SPEC)
+    assert main(["simulate", "--spec", str(root / "sim.cfg"), "--out", str(root / "data")]) == 0
+    lines = {kind: (root / "data" / f"{kind}.txt").read_text().splitlines(keepends=True)
+             for kind in ("deaths", "exposures")}
+    outputs = fit_outputs(root / "data", root / "fits")
+    assert (outputs["lc exit"], outputs["rh exit"]) == (0, 4)
+    return lines, outputs
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_permuting_hmd_rows_gives_the_same_fit_files(cli_data, data):
+    lines, expected = cli_data
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for kind, text in lines.items():
+            order = data.draw(st.permutations(range(HMD_HEAD, len(text))), label=kind)
+            (root / f"{kind}.txt").write_text("".join(text[:HMD_HEAD] + [text[i] for i in order]))
+        assert fit_outputs(root, root) == expected

@@ -1,9 +1,21 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_rh
+from mortboost import (
+    GENDERS,
+    FeatureSpace,
+    MortalityTable,
+    RateSurface,
+    SimSpec,
+    fit_lc,
+    fit_rh,
+    predict_rh,
+    renshawhaberman,
+    sample_deaths,
+)
 from mortboost.leecarter import FitConfig, params_from_csv, params_to_csv
 from mortboost.renshawhaberman import RHParams, _fisher_system, _joint_step, _Workspace, fit_rh_both
 from conftest import noise_free_table, surface_deviance
@@ -349,3 +361,80 @@ class TestRHParamsCsv:
             assert back[g].cohort_min == fits[g].cohort_min
         with pytest.raises(ValueError, match="no parameter rows"):
             params_from_csv(text.splitlines()[0] + "\n", RHParams)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFitRhBoth:
+    """fit_rh_both fits GENDERS[0] in a forked child and the other gender in
+    this process: the results and errors of fit_rh, and no child left behind."""
+
+    SPACE = FeatureSpace(40, 51, 1990, 2001)
+    CFG = FitConfig(max_iterations=300, deviance_tol=1e-8)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        """Sampled RH surfaces, one truth per gender."""
+        rng = np.random.default_rng(11)
+        log_q = np.stack([rh_truth(rng, self.SPACE)[1] for _ in GENDERS])
+        surface = RateSurface(self.SPACE, np.exp(log_q))
+        return sample_deaths(SimSpec(surface, np.full(self.SPACE.shape, 2e4), seed=5))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "lc_warm_start"])
+    def test_bit_for_bit_the_per_gender_fits(self, table, warm):
+        start = {g: fit_lc(table, g) for g in GENDERS} if warm else None
+        both = fit_rh_both(table, self.CFG, warm_start=start)
+        assert_no_child_left()
+        assert list(both) == list(GENDERS)
+        for g in GENDERS:
+            one = fit_rh(table, g, self.CFG, warm_start=start[g] if warm else None)
+            assert one.n_iterations > 10, g
+            for kind in RHParams.kinds():
+                assert getattr(both[g], kind).tobytes() == getattr(one, kind).tobytes(), (g, kind)
+            assert both[g].deviance_trace.tobytes() == one.deviance_trace.tobytes()
+            assert (both[g].n_iterations, both[g].converged, both[g].flags) == (
+                one.n_iterations, one.converged, one.flags)
+
+    @pytest.mark.parametrize("failing", GENDERS)
+    def test_an_error_of_either_gender_is_raised_with_its_type_and_message(self, table, failing):
+        exposure = table.exposure.copy()
+        exposure[GENDERS.index(failing), 1:] = 0.0  # exposed at one age only
+        bad = MortalityTable(self.SPACE, exposure, np.where(exposure > 0, table.deaths, 0))
+        with pytest.raises(ValueError, match="need at least 2 ages") as direct:
+            fit_rh(bad, failing, self.CFG)
+        with pytest.raises(type(direct.value)) as raised:
+            fit_rh_both(bad, self.CFG)
+        assert str(raised.value) == str(direct.value)
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_is_an_error_naming_its_gender(self, table, monkeypatch):
+        parent, fit = os.getpid(), renshawhaberman.fit_rh
+
+        def dies_in_the_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(renshawhaberman, "fit_rh", dies_in_the_child)
+        with pytest.raises(RuntimeError, match=f"fit of {GENDERS[0]} ended without a result"):
+            fit_rh_both(table, self.CFG)
+        assert_no_child_left()
+
+    def test_a_failed_fork_raises_and_closes_the_pipe(self, table, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        open_fds = len(os.listdir("/dev/fd"))
+        with pytest.raises(BlockingIOError):
+            fit_rh_both(table, self.CFG)
+        assert len(os.listdir("/dev/fd")) == open_fds
+
+    def test_without_fork_the_genders_are_fitted_in_turn(self, table, monkeypatch):
+        forked = fit_rh_both(table, self.CFG)
+        monkeypatch.delattr(os, "fork")
+        in_turn = fit_rh_both(table, self.CFG)
+        assert params_to_csv(in_turn) == params_to_csv(forked)
