@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -87,6 +88,17 @@ def _read_hmd(flag: str, path: str, kind: str) -> hmd.HmdGrid:
     return _read_file(flag, path, lambda text: hmd.parse_hmd_1x1(text, kind))
 
 
+def _config(cfg, **flags):
+    """cfg with each field set in turn to its (flag, value), where the value
+    is not None; a value that the config rejects names its flag."""
+    for field, (flag, value) in flags.items():
+        try:
+            cfg = cfg if value is None else dataclasses.replace(cfg, **{field: value})
+        except ValueError as exc:
+            raise DataError(f"{flag} {value}: {exc}") from None
+    return cfg
+
+
 def _load_warm_start(path: str, space: FeatureSpace) -> dict[str, leecarter.LCParams]:
     """LC parameters for every gender, on exactly the fit's age and year ranges."""
     warm = _read_file("--warm-start", path, leecarter.params_from_csv)
@@ -106,8 +118,8 @@ def cmd_fit(args) -> int:
     years = hmd.parse_range(args.years, "--years")
     space = FeatureSpace(ages[0], ages[1], years[0], years[1])
     table, report = _load_table(args, space)
-    given = {"max_iterations": args.max_iter, "deviance_tol": args.tol, "rate_floor": args.rate_floor}
-    cfg = dataclasses.replace(FIT_DEFAULTS[args.model], **{k: v for k, v in given.items() if v is not None})
+    cfg = _config(FIT_DEFAULTS[args.model], max_iterations=("--max-iter", args.max_iter),
+                  deviance_tol=("--tol", args.tol), rate_floor=("--rate-floor", args.rate_floor))
     warnings = list(report.warnings)
     if args.model == "lc":
         fits = leecarter.fit_lc_both(table, cfg)
@@ -163,10 +175,13 @@ def _years_to_plot(spec: str, space: FeatureSpace) -> list[int]:
 
 
 def _tree_config(args) -> TreeConfig:
-    return TreeConfig(cp=args.cp, min_bucket=args.min_bucket, max_depth=args.max_depth)
+    return _config(TreeConfig(), cp=("--cp", args.cp), min_bucket=("--min-bucket", args.min_bucket),
+                   max_depth=("--max-depth", args.max_depth))
 
 
 def cmd_backtest(args) -> int:
+    if not (math.isfinite(args.white_band) and args.white_band >= 0):
+        raise DataError(f"--white-band must be finite and >= 0, got {args.white_band}")
     q_init = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_init.space
     years = _years_to_plot(args.years_to_plot, space) if args.years_to_plot else []
@@ -240,7 +255,7 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
             raise DataError(f"--causes {spec} is above the limit of {MAX_CAUSES} causes")
         if int(digits) < 1:
             raise DataError("--causes needs at least one cause")
-        return tuple(f"cause {k + 1}" for k in range(int(digits)))
+        return hmd.generic_causes(int(digits))
     labels = tuple(part.strip() for part in spec.split("|"))
     for lab in labels:
         if not lab:
@@ -385,6 +400,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise DataError(f"--tol must be finite and >= 0, got {args.tol}")
     fits = _read_file("--params", args.params, lambda text: leecarter.params_from_csv(text, MODELS[args.kind]))
     ok = True
     for g, p in sorted(fits.items()):

@@ -174,22 +174,12 @@ class ResidualGrid:
             raise ValueError("residuals must be finite")
 
 
-def pearson_residuals(
-    cod: CauseDeathTable,
-    theta: ThetaSurface,
-    all_cause: np.ndarray | None = None,
-) -> ResidualGrid:
+def pearson_residuals(cod: CauseDeathTable, theta: ThetaSurface) -> ResidualGrid:
     """(D_xk - theta * D_x) / sqrt(theta * D_x); 0 where the denominator is 0
-    or the cell is MISSING. Without an all-cause grid, D_x is the sum over
-    available causes."""
+    or the cell is MISSING. D_x is the sum over available causes."""
     if theta.values.shape != cod.counts.shape:
         raise ValueError("theta shape does not match the cause table")
-    if all_cause is None:
-        D_x = cod.all_cause_counts().astype(np.float64)
-    else:
-        D_x = np.asarray(all_cause, dtype=np.float64)
-        if D_x.shape != cod.counts.shape[:3]:
-            raise ValueError("all-cause grid shape does not match the cause table")
+    D_x = cod.all_cause_counts().astype(np.float64)
     expected = theta.values * D_x[..., None]
     valid = (expected > 0) & ~cod.missing
     with np.errstate(divide="ignore", invalid="ignore"):

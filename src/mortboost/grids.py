@@ -106,13 +106,6 @@ class FeatureSpace:
         """The (gender, age, year) of the grid cell at index (g, a, t)."""
         return GENDERS[g], self.age_min + int(a), self.year_min + int(t)
 
-    def iter_features(self):
-        """Yield (gender, age, year) in the canonical storage order."""
-        for g in GENDERS:
-            for a in range(self.age_min, self.age_max + 1):
-                for t in range(self.year_min, self.year_max + 1):
-                    yield (g, a, t)
-
     def cohort_grid(self) -> np.ndarray:
         """(n_ages, n_years) array of cohorts c = year - age."""
         return self.years()[None, :] - self.ages()[:, None]
@@ -139,6 +132,8 @@ class MortalityTable:
 
     @property
     def total_deaths(self) -> int:
+        """The sum of all death counts. No command reads it; it is public
+        because acceptance criterion 9 checks a parsed HMD table by it."""
         return int(self.deaths.sum())
 
 
@@ -221,18 +216,14 @@ class AgeBucketing:
 
     @classmethod
     def single_ages(cls, age_min: int, age_max: int) -> "AgeBucketing":
-        """The trivial partition: one age per bucket."""
+        """The trivial partition: one age per bucket. No command builds it; it
+        is public because aggregating over it gives back the single-age rates,
+        the identity case of acceptance criterion 8."""
         return cls(age_min, age_max, tuple((a, a) for a in range(age_min, age_max + 1)))
 
     @property
     def n_buckets(self) -> int:
         return len(self.bounds)
-
-    def bucket_of(self, age: int) -> int:
-        for i, (lo, hi) in enumerate(self.bounds):
-            if lo <= age <= hi:
-                return i
-        raise ValueError(f"age {age} outside bucketed range {self.age_min}..{self.age_max}")
 
     def label(self, i: int) -> str:
         lo, hi = self.bounds[i]

@@ -63,6 +63,12 @@ DEFAULT_CAUSES = (
     "others/unknown",
 )
 
+
+def generic_causes(n: int) -> tuple[str, ...]:
+    """The labels "cause 1" .. "cause n" of n causes known by count only."""
+    return tuple(f"cause {k + 1}" for k in range(n))
+
+
 _NAN = float("nan")
 
 
@@ -187,10 +193,10 @@ def _hmd_text(value: float) -> str:
     return "." if value != value else repr(value)  # NaN is missing
 
 
-def write_hmd_1x1(grid: HmdGrid, title: str | None = None) -> str:
+def write_hmd_1x1(grid: HmdGrid) -> str:
     """Serialize a grid back to the 1x1 layout (full-precision values)."""
     head = [
-        title or f"Synthetic, {grid.kind.capitalize()} (period 1x1)",
+        f"Synthetic, {grid.kind.capitalize()} (period 1x1)",
         "",
         "  Year          Age             Female            Male           Total",
     ]
@@ -438,11 +444,7 @@ def _is_csv_data_row(row: list[str]) -> bool:
     return len(row) > 1 or bool(row and row[0].strip())
 
 
-def parse_cod_csv(
-    text: str,
-    causes: tuple[str, ...] = DEFAULT_CAUSES,
-    bucketing: AgeBucketing | None = None,
-) -> CauseDeathTable:
+def parse_cod_csv(text: str, causes: tuple[str, ...] = DEFAULT_CAUSES) -> CauseDeathTable:
     """Parse the cause-of-death CSV into a dense table; unmentioned cells are
     MISSING. A table whose dense grid would hold more than MAX_GRID_CELLS
     cells is rejected naming the row that widens it past the limit."""
@@ -496,7 +498,6 @@ def parse_cod_csv(
         year_max=year_max,
         counts=counts.reshape(shape),
         missing=missing.reshape(shape),
-        bucketing=bucketing,
     )
 
 
@@ -508,23 +509,3 @@ def write_cod_csv(table: CauseDeathTable) -> str:
     """Full-grid serialization; MISSING cells get an empty deaths field."""
     deaths = Fields(np.where(table.missing, -1, table.counts), _count_text)
     return grid_csv("gender,age_group,year,cause,deaths", table.axes(), deaths)
-
-
-def cause_total_report(table: CauseDeathTable, all_cause: np.ndarray) -> list[str]:
-    """Cross-validate cause sums against an all-cause grid (2, I, T).
-
-    The sum over available causes should not exceed the all-cause count;
-    violations are reported, not raised.
-    """
-    all_cause = np.asarray(all_cause)
-    expected_shape = (len(GENDERS), table.n_buckets, table.n_years)
-    if all_cause.shape != expected_shape:
-        raise ValueError(f"all-cause grid must have shape {expected_shape}")
-    partial = table.counts.sum(axis=3)
-    report = []
-    for gi, b, ti in zip(*np.nonzero(partial > all_cause)):
-        report.append(
-            f"({GENDERS[gi]}, bucket {b + 1}, {table.year_min + ti}): cause sum "
-            f"{int(partial[gi, b, ti])} exceeds all-cause count {int(all_cause[gi, b, ti])}"
-        )
-    return report

@@ -71,8 +71,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.deviance_tol > 0:
-            raise ValueError("deviance_tol must be > 0")
+        if not (np.isfinite(self.deviance_tol) and self.deviance_tol > 0):
+            raise ValueError(f"deviance_tol must be finite and > 0, got {self.deviance_tol}")
         if not (0 < self.rate_floor < 1):
             raise ValueError("rate_floor must lie in (0, 1)")
 
@@ -496,13 +496,11 @@ def params_to_csv(per_gender: dict[str, LCParams]) -> str:
     return buf.getvalue()
 
 
-def params_from_csv(
-    text: str, model: type[LCParams] = LCParams, rate_floor: float = FitConfig().rate_floor
-) -> dict[str, LCParams]:
+def params_from_csv(text: str, model: type[LCParams] = LCParams) -> dict[str, LCParams]:
     """Inverse of params_to_csv for one model class (LCParams, RHParams); a
-    gender's rows must hold exactly the model's kinds. A malformed or
-    repeated row is named by its line; a row's value is converted first,
-    then its index, then its gender."""
+    gender's rows must hold exactly the model's kinds, and each gender gets
+    the default rate floor. A malformed or repeated row is named by its line;
+    a row's value is converted first, then its index, then its gender."""
     header = first_line(text)
     if header is None or header.strip() != _CSV_HEADER:
         raise ValueError(f"expected header {_CSV_HEADER}")
@@ -536,7 +534,7 @@ def params_from_csv(
             age_min=starts["beta0"],
             year_min=starts["kappa"],
             **vecs,
-            rate_floor=rate_floor,
+            rate_floor=FitConfig.rate_floor,
             converged=True,
             n_iterations=0,
             deviance_trace=np.array([np.nan]),

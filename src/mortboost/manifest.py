@@ -1,6 +1,6 @@
 """Run manifests: one JSON per CLI run recording the resolved configuration,
 input digests, outputs and warnings. No timestamps, so identical runs write
-byte-identical manifests."""
+byte-identical manifests; no NaN or Infinity, which RFC 8259 JSON lacks."""
 
 from __future__ import annotations
 
@@ -34,5 +34,5 @@ def write_manifest(
     if extra:
         doc.update(extra)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

@@ -52,7 +52,7 @@ from .grids import (
     RateSurface,
     aggregate_rates,
 )
-from .hmd import CauseDeathTable, ParseError, parse_range, read_key_values
+from .hmd import CauseDeathTable, ParseError, generic_causes, parse_range, read_key_values
 
 _MASK64 = (1 << 64) - 1
 _DOMAIN_DEATHS = 0
@@ -271,7 +271,6 @@ class SimSpec:
     seed: int
     theta: ThetaSurface | None = None
     bucketing: AgeBucketing | None = None
-    cause_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         exposure = np.asarray(self.exposure, dtype=np.float64)
@@ -300,16 +299,10 @@ class SimSpec:
             )
             if self.theta.values.shape != expected:
                 raise ValueError(f"theta shape {self.theta.values.shape} != {expected}")
-            labels = self.cause_labels or tuple(
-                f"cause {k + 1}" for k in range(self.theta.n_causes)
-            )
-            if len(labels) != self.theta.n_causes:
-                raise ValueError("cause_labels length != number of causes")
-            object.__setattr__(self, "cause_labels", tuple(labels))
             _check_poisson_limit(
                 "theta * q * exposure", self.cause_means(),
                 lambda g, b, t, k: f"{GENDERS[g]}, ages {self.bucketing.label(b)}, "
-                f"{t + space.year_min}, {labels[k]}",
+                f"{t + space.year_min}, {generic_causes(self.theta.n_causes)[k]}",
             )
 
     def cause_means(self) -> np.ndarray:
@@ -341,8 +334,9 @@ def sample_deaths(spec: SimSpec) -> MortalityTable:
 def sample_cause_deaths(spec: SimSpec) -> tuple[CauseDeathTable, np.ndarray]:
     """Cause-level draws D_k ~ Pois(theta_k * q * E) on the bucketed grid.
 
-    Returns the cause table and the implied all-cause grid (the cause sum,
-    which by Poisson additivity has the aggregated q * E mean).
+    Returns the cause table, its causes labelled "cause 1" .. "cause K", and
+    the implied all-cause grid (the cause sum, which by Poisson additivity
+    has the aggregated q * E mean).
     """
     if spec.theta is None:
         raise ValueError("spec has no cause probabilities")
@@ -353,7 +347,7 @@ def sample_cause_deaths(spec: SimSpec) -> tuple[CauseDeathTable, np.ndarray]:
     counts = _draw_poisson(spec.seed, _DOMAIN_CAUSES, np.arange(flat.size), flat)
     counts = counts.reshape(means.shape)
     table = CauseDeathTable(
-        causes=spec.cause_labels,
+        causes=generic_causes(spec.theta.n_causes),
         n_buckets=spec.bucketing.n_buckets,
         year_min=space.year_min,
         year_max=space.year_max,

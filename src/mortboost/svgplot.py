@@ -10,6 +10,9 @@ import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78")
+_SATURATE = 0.5  # |delta| at which the heatmap ramp reaches full colour
+_CELL = 5  # heatmap cell side
+_NCOL, _PANEL_W, _PANEL_H = 3, 260, 170  # small-multiple grid: columns, panel size
 
 
 def _escape(text: str) -> str:
@@ -17,28 +20,27 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _diverging_color(value: float, white_band: float, saturate: float = 0.5) -> str:
-    """White within the band, then a red/blue ramp saturating at `saturate`.
+def _diverging_color(value: float, white_band: float) -> str:
+    """White within the band, then a red/blue ramp saturating at _SATURATE.
 
     Anything outside the band gets at least one tint step, so only in-band
     cells render pure white.
     """
     if not np.isfinite(value) or abs(value) <= white_band:
         return "#ffffff"
-    span = max(saturate - white_band, 1e-12)
+    span = max(_SATURATE - white_band, 1e-12)
     t = min(1.0, (abs(value) - white_band) / span)
     c = min(254, int(round(255 * (1.0 - t))))
     return f"#ff{c:02x}{c:02x}" if value > 0 else f"#{c:02x}{c:02x}ff"
 
 
-def heatmap_svg(values, row_values, col_values, white_band: float, title: str,
-                cell: int = 5) -> str:
+def heatmap_svg(values, row_values, col_values, white_band: float, title: str) -> str:
     """Grid heatmap; rows ascend upward (first row at the bottom)."""
     values = np.asarray(values, dtype=np.float64)
     n_rows, n_cols = values.shape
     left, top, bottom = 50, 28, 30
-    width = left + n_cols * cell + 10
-    height = top + n_rows * cell + bottom
+    width = left + n_cols * _CELL + 10
+    height = top + n_rows * _CELL + bottom
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -48,21 +50,21 @@ def heatmap_svg(values, row_values, col_values, white_band: float, title: str,
     distinct, which = np.unique(values, return_inverse=True)
     colors = [_diverging_color(v, white_band) for v in distinct.tolist()]
     for r, row in enumerate(which.reshape(values.shape).tolist()):
-        y = top + (n_rows - 1 - r) * cell
+        y = top + (n_rows - 1 - r) * _CELL
         parts.extend(
-            f'<rect x="{left + c * cell}" y="{y}" width="{cell}" height="{cell}" fill="{colors[k]}"/>'
+            f'<rect x="{left + c * _CELL}" y="{y}" width="{_CELL}" height="{_CELL}" fill="{colors[k]}"/>'
             for c, k in enumerate(row)
         )
     row_step = max(1, n_rows // 8)
     for r in range(0, n_rows, row_step):
-        y = top + (n_rows - 1 - r) * cell + cell
+        y = top + (n_rows - 1 - r) * _CELL + _CELL
         parts.append(
             f'<text x="4" y="{y}" font-family="sans-serif" font-size="9">{row_values[r]}</text>'
         )
     col_step = max(1, n_cols // 8)
     for c in range(0, n_cols, col_step):
         parts.append(
-            f'<text x="{left + c * cell}" y="{height - 10}" font-family="sans-serif" '
+            f'<text x="{left + c * _CELL}" y="{height - 10}" font-family="sans-serif" '
             f'font-size="9">{col_values[c]}</text>'
         )
     parts.append("</svg>")
@@ -133,19 +135,19 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
     return parts
 
 
-def panels_svg(panels: list[dict], ncol: int = 3, panel_w: int = 260, panel_h: int = 170) -> str:
+def panels_svg(panels: list[dict]) -> str:
     """Small-multiple layout. Each panel dict: title, x, series=[(label, ys)],
     optional dots=[(x, y)], optional y_log=True."""
     n = len(panels)
-    nrow = (n + ncol - 1) // ncol
-    width, height = ncol * panel_w, nrow * panel_h
+    nrow = (n + _NCOL - 1) // _NCOL
+    width, height = _NCOL * _PANEL_W, nrow * _PANEL_H
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
     for i, p in enumerate(panels):
-        x0 = (i % ncol) * panel_w
-        y0 = (i // ncol) * panel_h
+        x0 = (i % _NCOL) * _PANEL_W
+        y0 = (i // _NCOL) * _PANEL_H
         parts.extend(
             _panel(
                 p["x"],
@@ -154,8 +156,8 @@ def panels_svg(panels: list[dict], ncol: int = 3, panel_w: int = 260, panel_h: i
                 p["title"],
                 x0,
                 y0,
-                panel_w,
-                panel_h,
+                _PANEL_W,
+                _PANEL_H,
                 p.get("y_log", False),
             )
         )

@@ -45,8 +45,8 @@ class TreeConfig:
     max_depth: int = 30
 
     def __post_init__(self):
-        if not self.cp >= 0:
-            raise ValueError(f"cp must be >= 0, got {self.cp}")
+        if not (math.isfinite(self.cp) and self.cp >= 0):
+            raise ValueError(f"cp must be finite and >= 0, got {self.cp}")
         if self.min_bucket < 1:
             raise ValueError(f"min_bucket must be >= 1, got {self.min_bucket}")
         if self.max_depth < 1:
@@ -106,12 +106,6 @@ class WorkingData:
     @property
     def n(self) -> int:
         return self.ordered.shape[0]
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        if self.cause is not None:
-            return self.ordered_names + ("cause",)
-        return self.ordered_names
 
 
 @dataclass(frozen=True)
@@ -324,15 +318,7 @@ class PoissonTree:
     def split_features(self) -> list[str]:
         return [n.rule.feature for n in self.nodes() if not n.is_leaf]
 
-    def reductions(self) -> list[float]:
-        """Accepted deviance reductions, largest first (the growth 'story')."""
-        return sorted((n.reduction for n in self.nodes() if not n.is_leaf), reverse=True)
-
-    @property
-    def total_leaf_deviance(self) -> float:
-        return float(sum(n.deviance for n in self.leaves()))
-
-    def _route(self, node: Node, ordered: np.ndarray, cause, idx, out, flags):
+    def _route(self, node: Node, ordered: np.ndarray, cause, idx, out):
         if node.is_leaf:
             out[idx] = node.mu
             return
@@ -341,22 +327,15 @@ class PoissonTree:
             codes = cause[idx]
             go_left = np.isin(codes, rule.left_codes)
             known = go_left | np.isin(codes, node.right_codes)
-            if not known.all():
-                # unseen level: majority-volume routing
-                left_wins = node.left.sum_volume >= node.right.sum_volume
-                for c in sorted(set(int(c) for c in codes[~known])):
-                    flags.append(
-                        f"cause code {c} unseen at a '{rule.feature}' split: routed to the "
-                        f"{'left' if left_wins else 'right'} (larger-volume) child"
-                    )
-                go_left = np.where(known, go_left, left_wins)
+            # a level unseen at this split goes to the larger-volume child
+            go_left = np.where(known, go_left, node.left.sum_volume >= node.right.sum_volume)
         else:
             col = self.ordered_names.index(rule.feature)
             go_left = ordered[idx, col] <= rule.threshold
-        self._route(node.left, ordered, cause, idx[go_left], out, flags)
-        self._route(node.right, ordered, cause, idx[~go_left], out, flags)
+        self._route(node.left, ordered, cause, idx[go_left], out)
+        self._route(node.right, ordered, cause, idx[~go_left], out)
 
-    def predict(self, ordered, cause=None, return_flags: bool = False):
+    def predict(self, ordered, cause=None):
         """Rate factors mu for rows of an ordered-feature matrix (+ cause codes)."""
         ordered = np.atleast_2d(np.asarray(ordered, dtype=np.float64))
         if ordered.shape[1] != len(self.ordered_names):
@@ -368,10 +347,7 @@ class PoissonTree:
         if cause is not None:
             cause = np.asarray(cause, dtype=np.int64)
         out = np.empty(ordered.shape[0])
-        flags: list[str] = []
-        self._route(self.root, ordered, cause, np.arange(ordered.shape[0]), out, flags)
-        if return_flags:
-            return out, flags
+        self._route(self.root, ordered, cause, np.arange(ordered.shape[0]), out)
         return out
 
     # --- text serialization -------------------------------------------------

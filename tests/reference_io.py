@@ -18,6 +18,12 @@ from mortboost.grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, 
 from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, ClipReport, GridError, HmdGrid, ParseError
 from mortboost.svgplot import _PALETTE, _diverging_color
 
+# the layout and rate floor the oracles expect, stated here rather than read
+# from the modules under test so that a change to either one shows
+_NCOL, _PANEL_W, _PANEL_H = 3, 260, 170
+_CELL = 5
+_RATE_FLOOR = 1e-12
+
 # --- HMD 1x1 ---------------------------------------------------------------
 
 
@@ -68,9 +74,9 @@ def parse_hmd_1x1(text, kind):
     return HmdGrid(kind, ages, years, *grids, open_age)
 
 
-def write_hmd_1x1(grid, title=None):
+def write_hmd_1x1(grid):
     buf = io.StringIO()
-    buf.write((title or f"Synthetic, {grid.kind.capitalize()} (period 1x1)") + "\n")
+    buf.write(f"Synthetic, {grid.kind.capitalize()} (period 1x1)\n")
     buf.write("\n")
     buf.write("  Year          Age             Female            Male           Total\n")
 
@@ -348,7 +354,7 @@ def delta_to_csv(result):
 _PARAM_AXIS = {"beta0": "age", "beta1": "age", "beta2": "age", "kappa": "year", "gamma": "cohort"}
 
 
-def read_params_csv(text, kinds, make, rate_floor):
+def read_params_csv(text, kinds, make):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "gender,kind,index,value":
         raise ValueError("expected header gender,kind,index,value")
@@ -393,7 +399,7 @@ def read_params_csv(text, kinds, make, rate_floor):
             age_min=age_min,
             year_min=year_min,
             **vecs,
-            rate_floor=rate_floor,
+            rate_floor=_RATE_FLOOR,
             converged=True,
             n_iterations=0,
             deviance_trace=np.array([np.nan]),
@@ -459,20 +465,20 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
     return parts
 
 
-def panels_svg(panels, ncol=3, panel_w=260, panel_h=170):
+def panels_svg(panels):
     n = len(panels)
-    nrow = (n + ncol - 1) // ncol
-    width, height = ncol * panel_w, nrow * panel_h
+    nrow = (n + _NCOL - 1) // _NCOL
+    width, height = _NCOL * _PANEL_W, nrow * _PANEL_H
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
     for i, p in enumerate(panels):
-        x0 = (i % ncol) * panel_w
-        y0 = (i // ncol) * panel_h
+        x0 = (i % _NCOL) * _PANEL_W
+        y0 = (i // _NCOL) * _PANEL_H
         parts.extend(
             _panel(p["x"], p.get("series", []), p.get("dots"), p["title"], x0, y0,
-                   panel_w, panel_h, p.get("y_log", False))
+                   _PANEL_W, _PANEL_H, p.get("y_log", False))
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -481,34 +487,34 @@ def panels_svg(panels, ncol=3, panel_w=260, panel_h=170):
 # --- SVG heatmap -----------------------------------------------------------
 
 
-def heatmap_svg(values, row_values, col_values, white_band, title, cell=5):
+def heatmap_svg(values, row_values, col_values, white_band, title):
     values = np.asarray(values, dtype=np.float64)
     n_rows, n_cols = values.shape
     left, top, bottom = 50, 28, 30
-    width = left + n_cols * cell + 10
-    height = top + n_rows * cell + bottom
+    width = left + n_cols * _CELL + 10
+    height = top + n_rows * _CELL + bottom
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<text x="{left}" y="16" font-family="sans-serif" font-size="12">{escape(title)}</text>',
     ]
     for r in range(n_rows):
-        y = top + (n_rows - 1 - r) * cell
+        y = top + (n_rows - 1 - r) * _CELL
         for c in range(n_cols):
             color = _diverging_color(values[r, c], white_band)
             parts.append(
-                f'<rect x="{left + c * cell}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>'
+                f'<rect x="{left + c * _CELL}" y="{y}" width="{_CELL}" height="{_CELL}" fill="{color}"/>'
             )
     row_step = max(1, n_rows // 8)
     for r in range(0, n_rows, row_step):
-        y = top + (n_rows - 1 - r) * cell + cell
+        y = top + (n_rows - 1 - r) * _CELL + _CELL
         parts.append(
             f'<text x="4" y="{y}" font-family="sans-serif" font-size="9">{row_values[r]}</text>'
         )
     col_step = max(1, n_cols // 8)
     for c in range(0, n_cols, col_step):
         parts.append(
-            f'<text x="{left + c * cell}" y="{height - 10}" font-family="sans-serif" '
+            f'<text x="{left + c * _CELL}" y="{height - 10}" font-family="sans-serif" '
             f'font-size="9">{col_values[c]}</text>'
         )
     parts.append("</svg>")

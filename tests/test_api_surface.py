@@ -1,0 +1,89 @@
+"""Every public function, method and property of the package has a user.
+
+A public name is covered by one of: a reference in src/ outside its own
+definition, an export from mortboost/__init__.py, a use in pipebench/ (as a
+name or as the string the tracer patches by), or an entry of ALLOWED with
+its reason. A name that only tests call is library surface that no command
+or workload runs. References are matched by name, so two definitions of one
+name are covered together.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mortboost"
+
+ALLOWED = {
+    "grids.MortalityTable.total_deaths": "acceptance criterion 9 checks a parsed HMD table by it",
+    "grids.AgeBucketing.single_ages": "the trivial partition, the identity case of acceptance criterion 8",
+    "tree.PoissonTree.leaves": "acceptance criterion 2 checks the calibration of every leaf over it",
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def definitions() -> dict[str, tuple[Path, str, int, int]]:
+    """Qualified name -> (file, bare name, first line, last line) of every
+    public module-level function and every public method of a module-level
+    class."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                found[f"{module}.{node.name}"] = (path, node.name, node.lineno, node.end_lineno)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        qualified = f"{module}.{node.name}.{item.name}"
+                        found[qualified] = (path, item.name, item.lineno, item.end_lineno)
+    return found
+
+
+def references(paths, strings: bool = False) -> dict[str, list[tuple[Path, int]]]:
+    """Bare name -> (file, line) of every name or attribute read in paths,
+    and of every string constant when strings is set."""
+    found: dict[str, list[tuple[Path, int]]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            found.setdefault(name, []).append((path, node.lineno))
+    return found
+
+
+def exports() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def uncovered() -> list[str]:
+    in_src = references(sorted(PACKAGE.glob("*.py")))
+    in_bench = references(sorted((ROOT / "pipebench").glob("*.py")), strings=True)
+    exported = exports()
+    dead = []
+    for qualified, (path, name, first, last) in definitions().items():
+        used = any(p != path or not first <= line <= last for p, line in in_src.get(name, ()))
+        exported_here = qualified.count(".") == 1 and name in exported
+        if not (used or exported_here or name in in_bench or qualified in ALLOWED):
+            dead.append(qualified)
+    return dead
+
+
+def test_every_public_name_has_a_user():
+    dead = uncovered()
+    assert not dead, f"no command, export or workload uses {dead}: delete them, or allow them with a reason"
+
+
+def test_every_allowed_name_still_exists():
+    assert set(ALLOWED) <= set(definitions())

@@ -136,7 +136,7 @@ class TestBacktest:
         assert first.tree.n_splits > 0
         second = backtest(first.q_tree, table, cfg)
         assert second.tree.root_deviance == pytest.approx(
-            first.tree.total_leaf_deviance, rel=1e-9
+            sum(leaf.deviance for leaf in first.tree.leaves()), rel=1e-9
         )
 
 

@@ -57,6 +57,15 @@ def exposure_argv(command: str, sim_dir: Path, qfit: Path, exposures: Path, out:
     }[command] + ["--exposures", str(exposures), "--out", str(out)]
 
 
+def _not_json(constant: str):
+    raise ValueError(f"manifest holds {constant}, which JSON (RFC 8259) does not allow")
+
+
+def read_manifest(out_dir: Path) -> dict:
+    """out_dir's manifest.json as strict JSON: NaN, Infinity and -Infinity raise."""
+    return json.loads((out_dir / "manifest.json").read_text(), parse_constant=_not_json)
+
+
 def main_in_1gb(argv: list[str]) -> subprocess.CompletedProcess:
     """main(argv) in a child process whose address space is capped at 1 GB,
     so that a run which builds a huge range fails at once (MemoryError, exit
@@ -115,7 +124,7 @@ class TestSimulate:
         exposures = parse_hmd_1x1((sim_dir / "exposures.txt").read_text(), "exposures")
         assert not np.any(np.isnan(deaths.female))
         assert not np.any(np.isnan(exposures.male))
-        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        manifest = read_manifest(sim_dir)
         assert manifest["warnings"] == []
 
 
@@ -124,7 +133,7 @@ class TestFit:
         assert (lc_fit_dir / "params.csv").exists()
         qfit_lines = (lc_fit_dir / "qfit.csv").read_text().splitlines()
         assert len(qfit_lines) == 1 + 2 * 10 * 10
-        manifest = json.loads((lc_fit_dir / "manifest.json").read_text())
+        manifest = read_manifest(lc_fit_dir)
         assert manifest["converged"] == {"female": True, "male": True}
         assert "threads" not in manifest["config"]
 
@@ -162,8 +171,8 @@ class TestFit:
             ]
         )
         assert code in (0, 4)  # capped iterations may stop before the tolerance
-        rh_manifest = json.loads((out / "manifest.json").read_text())
-        lc_manifest = json.loads((lc_fit_dir / "manifest.json").read_text())
+        rh_manifest = read_manifest(out)
+        lc_manifest = read_manifest(lc_fit_dir)
         assert lc_manifest["config"]["deviance_tol"] == 1e-10
         assert rh_manifest["config"]["deviance_tol"] == 1e-8  # rh-specific default
         for g in ("female", "male"):
@@ -205,7 +214,7 @@ class TestFit:
                 ]
             )
             assert code == 4, model
-            manifest = json.loads((out / "manifest.json").read_text())
+            manifest = read_manifest(out)
             assert manifest["converged"] == {"female": False, "male": False}
             assert (out / "qfit.csv").exists()
             # one flag per gender: a cold rh fit does not repeat its warm start's
@@ -312,7 +321,7 @@ class TestBacktest:
             ET.fromstring((backtest_dir / name).read_text())
 
     def test_manifest_has_split_info(self, backtest_dir):
-        manifest = json.loads((backtest_dir / "manifest.json").read_text())
+        manifest = read_manifest(backtest_dir)
         assert manifest["config"]["white_band"] == 0.05
         assert "n_splits" in manifest
 
@@ -359,7 +368,7 @@ class TestCod:
             residuals[(g, int(b), int(t), int(k))] = float(d)
         for key in blanked:
             assert residuals[key] == 0.0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["config"]["theta_init_value"] == pytest.approx(1 / 3)
 
     def test_smooth_window_must_be_odd_and_positive(self, tmp_path, capsys):
@@ -388,7 +397,7 @@ class TestCod:
                      "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3",
                      "--buckets", "0-4;5-9", "--theta-init", "empirical", "--out", str(out)])
         assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["dropped_cells"] == [
             [g, b, t, "cause 2"] for g in ("female", "male") for b in (1, 2) for t in range(2000, 2010)
         ]
@@ -425,7 +434,7 @@ class TestConfigFile:
             ]
         )
         assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert manifest["config"]["cp"] == 1e-3
         assert manifest["config"]["min_bucket"] == 7
 
@@ -481,6 +490,15 @@ def test_default_buckets_follow_the_six_group_scheme():
     assert args.buckets == DEFAULT_BUCKETS
     assert args.theta_init == "uniform"
     assert args.cp == 2e-3
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_manifest_refuses_nan_and_infinity(tmp_path, value):
+    from mortboost.manifest import write_manifest
+
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_manifest(tmp_path, "fit", {"deviance_tol": value}, [], [], [])
+    assert not (tmp_path / "manifest.json").exists()
 
 
 class TestErrorPaths:
@@ -685,15 +703,11 @@ class TestErrorPaths:
                     "--out", str(out)]
         cod = ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", qfit, "--exposures", exposures,
                "--out", str(out)]
-        fit = ["fit", "lc", "--deaths", deaths, "--exposures", exposures, "--ages", "0:9",
-               "--years", "2000:2009", "--out", str(out)]
         cases = [
             ([*backtest, "--svg", "--years-to-plot", "1800"],
              "--years-to-plot year 1800 outside 2000:2009"),
             ([*backtest, "--svg", "--years-to-plot", "1990,x"],
              "--years-to-plot 1990,x: invalid literal for int() with base 10: 'x'"),
-            ([*backtest, "--cp", "nan"], "cp must be >= 0, got nan"),
-            ([*fit, "--tol", "nan", "--max-iter", "300"], "deviance_tol must be > 0"),
             ([*cod, "--causes", "3", "--buckets", "0;1-x;15+"],
              "--buckets 0;1-x;15+: invalid literal for int() with base 10: 'x'"),
             ([*cod, "--causes", "0", "--buckets", "0-4;5-9"], "--causes needs at least one cause"),
@@ -710,6 +724,48 @@ class TestErrorPaths:
             assert main(argv) == 3, argv
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists(), argv
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("backtest", "white_band", "nan"),
+            ("backtest", "white_band", "inf"),
+            ("backtest", "white_band", "-1"),
+            ("backtest", "cp", "nan"),
+            ("backtest", "cp", "inf"),
+            ("fit lc", "tol", "nan"),
+            ("fit lc", "tol", "inf"),
+            ("check", "tol", "nan"),
+            ("check", "tol", "inf"),
+            ("check", "tol", "-1"),
+        ],
+    )
+    def test_non_finite_or_negative_value_names_its_flag(
+        self, sim_dir, lc_fit_dir, tmp_path, capsys, command, key, value, via_config
+    ):
+        # such a value used to run and write NaN or Infinity into manifest.json,
+        # or, for check, to fail every constraint (nan, -1) or pass every one (inf)
+        out = tmp_path / "out"
+        if command == "check":
+            argv = ["check", "--params", str(lc_fit_dir / "params.csv"), "--kind", "lc"]
+        else:
+            argv = exposure_argv(command, sim_dir, lc_fit_dir / "qfit.csv", sim_dir / "exposures.txt", out)
+        if via_config:
+            cfg = tmp_path / "mort.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv = ["--config", str(cfg), *argv]
+        else:
+            argv += ["--" + key.replace("_", "-"), value]
+        message = {
+            ("backtest", "white_band"): f"--white-band must be finite and >= 0, got {float(value)}",
+            ("backtest", "cp"): f"--cp {value}: cp must be finite and >= 0, got {value}",
+            ("fit lc", "tol"): f"--tol {value}: deviance_tol must be finite and > 0, got {value}",
+            ("check", "tol"): f"--tol must be finite and >= 0, got {float(value)}",
+        }[command, key]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_non_finite_simulation_input_names_its_key(self, tmp_path, capsys):
         head = "ages = 0:9\nyears = 2000:2009\nseed = 1\n"

@@ -271,14 +271,6 @@ class TestPearsonResiduals:
         res = pearson_residuals(table, theta)
         assert res.values[1, 0, 1, 2] == 0.0
 
-    def test_external_all_cause_grid(self):
-        counts = np.full((2, 1, 1, 2), 50, dtype=np.int64)
-        table = cause_table(counts)
-        all_cause = np.full((2, 1, 1), 200.0)
-        theta = ThetaSurface(np.full((2, 1, 1, 2), 0.25))
-        res = pearson_residuals(table, theta, all_cause=all_cause)
-        assert np.all(res.values == 0.0)
-
     def test_zero_denominator_rule(self):
         counts = np.zeros((2, 1, 1, 2), dtype=np.int64)
         table = cause_table(counts)

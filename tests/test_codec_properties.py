@@ -156,8 +156,8 @@ RATE = (rate_surface_from_csv, ref.rate_surface_from_csv, same_rate)
 def params_readers(make):
     """params_from_csv for one model, its oracle and their comparison."""
     return (
-        partial(params_from_csv, model=make, rate_floor=1e-8),
-        partial(ref.read_params_csv, kinds=make.kinds(), make=make, rate_floor=1e-8),
+        partial(params_from_csv, model=make),
+        partial(ref.read_params_csv, kinds=make.kinds(), make=make),
         same_params,
     )
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference_io as ref
 from mortboost import DEFAULT_CAUSES, FeatureSpace, ParseError, parse_cod_csv, parse_hmd_1x1, write_cod_csv, write_hmd_1x1
-from mortboost.hmd import GridError, HmdGrid, cause_total_report, clip_to_space
+from mortboost.hmd import GridError, HmdGrid, clip_to_space
 
 
 def hmd_text(rows, title="Switzerland, Deaths (period 1x1)"):
@@ -335,14 +335,3 @@ class TestParseCodCsv:
         assert np.array_equal(table.counts, again.counts)
         assert np.array_equal(table.missing, again.missing)
         assert table.causes == again.causes
-
-
-class TestCauseTotalReport:
-    def test_discrepancies_reported_not_raised(self):
-        table = parse_cod_csv(cod_csv(["male,1,2000,1,10", "male,1,2000,2,10"]))
-        all_cause = np.zeros((2, 1, 1))
-        all_cause[1, 0, 0] = 15  # less than 20 reported by cause
-        report = cause_total_report(table, all_cause)
-        assert len(report) == 1 and "exceeds" in report[0]
-        ok = np.full((2, 1, 1), 25.0)
-        assert cause_total_report(table, ok) == []

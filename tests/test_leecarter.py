@@ -253,6 +253,7 @@ class TestParamsCsv:
                 rate_surface(other, fits)
 
 
-def test_nan_deviance_tol_is_rejected():
-    with pytest.raises(ValueError, match="deviance_tol must be > 0"):
-        FitConfig(deviance_tol=math.nan)
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_non_finite_deviance_tol_is_rejected(tol):
+    with pytest.raises(ValueError, match=f"^deviance_tol must be finite and > 0, got {tol}$"):
+        FitConfig(deviance_tol=tol)

@@ -103,7 +103,7 @@ class TestBestSplit:
             obs = [i for i in range(data.n)]
             want = oracle_best_split(data, obs, min_bucket=1)
             candidates = []
-            for feat in data.feature_names:
+            for feat in data.ordered_names + ("cause",):
                 got = best_split(data, feat, min_bucket=1)
                 if got is not None:
                     candidates.append(got)
@@ -166,12 +166,12 @@ class TestGrowTree:
                 data.deaths[obs].sum(), rel=1e-9
             )
 
-    def test_total_leaf_deviance_monotone_in_cp(self, rng):
+    def test_leaf_deviance_sum_monotone_in_cp(self, rng):
         data = random_working_data(rng, n_ordered=2, with_cause=False, max_points=60)
         devs = []
         for cp in (0.1, 0.01, 0.001):
             tree = grow_tree(data, TreeConfig(cp=cp, min_bucket=2, max_depth=30))
-            devs.append(tree.total_leaf_deviance)
+            devs.append(sum(leaf.deviance for leaf in tree.leaves()))
         assert devs[0] >= devs[1] - 1e-12
         assert devs[1] >= devs[2] - 1e-12
 
@@ -289,8 +289,7 @@ class TestPredict:
         )
         tree = grow_tree(data, TreeConfig(cp=0.0, min_bucket=1, max_depth=1))
         assert tree.root.rule.is_categorical
-        mu, flags = tree.predict(np.array([[0.5]]), np.array([2]), return_flags=True)
-        assert len(flags) == 1 and "unseen" in flags[0]
+        mu = tree.predict(np.array([[0.5]]), np.array([2]))
         # right child holds volume 6 > 2: unseen level routes there
         assert mu[0] == pytest.approx(2.0)
 
@@ -468,9 +467,10 @@ def test_config_validation():
         TreeConfig(max_depth=0)
 
 
-def test_nan_cp_is_rejected():
-    with pytest.raises(ValueError, match="cp must be >= 0, got nan"):
-        TreeConfig(cp=math.nan)
+@pytest.mark.parametrize("cp", [math.nan, math.inf])
+def test_non_finite_cp_is_rejected(cp):
+    with pytest.raises(ValueError, match=f"^cp must be finite and >= 0, got {cp}$"):
+        TreeConfig(cp=cp)
 
 
 def test_names_and_labels_fit_the_tree_text():
