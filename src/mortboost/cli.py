@@ -64,13 +64,20 @@ class DataError(Exception):
 
 def _load_table(args, space: FeatureSpace):
     """The command's --deaths (all 0 for a command without it) and --exposures,
-    clipped to the space; a fault of either grid names its flag and file."""
+    clipped to the space, and the clip's warnings, one more for death counts
+    rounded to whole counts; a fault of either grid names its flag and file."""
     deaths = _read_hmd("--deaths", args.deaths, "deaths") if hasattr(args, "deaths") else None
     exposures = _read_hmd("--exposures", args.exposures, "exposures")
     try:
-        return hmd.clip_to_space(deaths, exposures, space, not args.no_pool_top_age)
+        table, report = hmd.clip_to_space(deaths, exposures, space, not args.no_pool_top_age)
     except hmd.GridError as exc:  # the grid's kind is its flag and args field
         raise DataError(f"--{exc.kind} {getattr(args, exc.kind)}: {exc}") from None
+    if report.n_rounded:
+        report.warnings.append(
+            f"deaths: {report.n_rounded} cell{'s' if report.n_rounded > 1 else ''} rounded to a "
+            f"whole count, largest change {report.max_rounding_delta:.3g}"
+        )
+    return table, report.warnings
 
 
 def _read_file(flag: str, path: str, reader):
@@ -117,10 +124,9 @@ def cmd_fit(args) -> int:
     ages = hmd.parse_range(args.ages, "--ages")
     years = hmd.parse_range(args.years, "--years")
     space = FeatureSpace(ages[0], ages[1], years[0], years[1])
-    table, report = _load_table(args, space)
+    table, warnings = _load_table(args, space)
     cfg = _config(FIT_DEFAULTS[args.model], max_iterations=("--max-iter", args.max_iter),
                   deviance_tol=("--tol", args.tol), rate_floor=("--rate-floor", args.rate_floor))
-    warnings = list(report.warnings)
     if args.model == "lc":
         fits = leecarter.fit_lc_both(table, cfg)
     else:
@@ -185,7 +191,7 @@ def cmd_backtest(args) -> int:
     q_init = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_init.space
     years = _years_to_plot(args.years_to_plot, space) if args.years_to_plot else []
-    table, report = _load_table(args, space)
+    table, warnings = _load_table(args, space)
     cfg = _tree_config(args)
     try:
         result = run_backtest(q_init, table, cfg, initial_model_tag=args.tag)
@@ -200,25 +206,13 @@ def cmd_backtest(args) -> int:
     outputs.append(tree_path)
     if args.svg and years:
         crude, _ = crude_rates(table)
+        ages, cols = space.ages(), np.array(years) - space.year_min
         for gi, g in enumerate(GENDERS):
-            panels = []
-            for year in years:
-                ti = year - space.year_min
-                ages = space.ages()
-                panels.append(
-                    {
-                        "title": f"{g} {year}",
-                        "x": ages,
-                        "series": [
-                            ("initial", q_init.rate[gi, :, ti]),
-                            ("boosted", result.q_tree.rate[gi, :, ti]),
-                        ],
-                        "dots": list(zip(ages, crude.rate[gi, :, ti])),
-                        "y_log": True,
-                    }
-                )
+            # (year, initial | boosted, age)
+            lines = np.stack([q_init.rate[gi][:, cols], result.q_tree.rate[gi][:, cols]]).transpose(2, 0, 1)
+            dots = [(ages, crude.rate[gi, :, t]) for t in cols]
             path = out / f"rates_{g}.svg"
-            write_file(path, svgplot.panels_svg(panels))
+            write_file(path, svgplot.panels_svg([f"{g} {y}" for y in years], ages, lines, dots, True))
             outputs.append(path)
     write_manifest(
         out,
@@ -233,7 +227,7 @@ def cmd_backtest(args) -> int:
         },
         [args.qfit, args.deaths, args.exposures],
         outputs,
-        report.warnings,
+        warnings,
         extra={
             "dropped_cells": [list(c) for c in result.dropped],
             "n_splits": result.tree.n_splits,
@@ -273,7 +267,7 @@ def cmd_cod(args) -> int:
     cod = _read_file("--cod", args.cod, lambda text: hmd.parse_cod_csv(text, causes=causes))
     q_full = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_full.space
-    table, report = _load_table(args, space)
+    table, warnings = _load_table(args, space)
     try:
         bucketing = AgeBucketing.from_spec(args.buckets, space.age_min, space.age_max)
     except ValueError as exc:
@@ -308,29 +302,19 @@ def cmd_cod(args) -> int:
     write_file(out / "tree.txt", tree.to_text())
     if args.svg:
         years = np.arange(cod.year_min, cod.year_max + 1)
+        bucket_years = np.tile(years, cod.n_buckets)
         for gi, g in enumerate(GENDERS):
-            theta_panels = []
-            resid_panels = []
-            for k, cause in enumerate(cod.causes):
-                theta_panels.append(
-                    {
-                        "title": f"{cause} ({g})",
-                        "x": years,
-                        "series": [
-                            (bucketing.label(b), raw.values[gi, b, :, k])
-                            for b in range(cod.n_buckets)
-                        ],
-                    }
-                )
-                dots = list(
-                    zip(np.tile(years, cod.n_buckets), residuals.values[gi, :, :, k].ravel())
-                )
-                resid_panels.append({"title": f"{cause} ({g})", "x": years, "dots": dots})
-            p1 = out / f"theta_{g}.svg"
-            write_file(p1, svgplot.panels_svg(theta_panels))
-            p2 = out / f"residuals_{g}.svg"
-            write_file(p2, svgplot.panels_svg(resid_panels))
-            outputs.extend([p1, p2])
+            # per cause: theta draws a line per bucket, residuals a dot per (bucket, year)
+            resid = residuals.values[gi].transpose(2, 0, 1).reshape(cod.n_causes, -1)
+            figures = {
+                "theta": (raw.values[gi].transpose(2, 0, 1), np.empty((cod.n_causes, 2, 0))),
+                "residuals": (np.empty((cod.n_causes, 0, years.size)), [(bucket_years, r) for r in resid]),
+            }
+            titles = [f"{cause} ({g})" for cause in cod.causes]
+            for name, (lines, dots) in figures.items():
+                path = out / f"{name}_{g}.svg"
+                write_file(path, svgplot.panels_svg(titles, years, lines, dots, False))
+                outputs.append(path)
     missing_note = (
         "all-cause totals for residuals use the sum over available causes; "
         "years with missing cause data use the partial sum"
@@ -353,7 +337,7 @@ def cmd_cod(args) -> int:
         },
         [args.cod, args.qfit, args.exposures],
         outputs,
-        report.warnings + [missing_note],
+        warnings + [missing_note],
         extra={
             "dropped_cells": [list(c) for c in working.dropped],
             "n_splits": tree.n_splits,

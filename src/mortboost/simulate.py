@@ -366,13 +366,8 @@ _SPEC_DEFAULTS = {
     "age_slope": 0.085,
     "year_drift": 0.0,
     "male_factor": 1.0,
-    "theta": "uniform",
 }
 _SPEC_KEYS = {"ages", "years", "seed", "causes", "buckets", *_SPEC_DEFAULTS}
-
-def _uniform_theta(mode: str) -> None:
-    if mode != "uniform":
-        raise ValueError(f"unsupported theta mode {mode!r} (only 'uniform' in spec files)")
 
 
 def load_sim_spec(source: str | Path) -> SimSpec:
@@ -437,7 +432,6 @@ def load_sim_spec(source: str | Path) -> SimSpec:
         if "buckets" not in entries:
             raise ValueError("causes given without a buckets partition spec")
         bucketing = get("buckets", AgeBucketing.from_spec, age_min, age_max)
-        get("theta", _uniform_theta)
         shape = (len(GENDERS), bucketing.n_buckets, space.n_years, K)
         if math.prod(shape) > MAX_GRID_CELLS:
             message = f"a cause grid of {math.prod(shape)} cells is above the limit of {MAX_GRID_CELLS}"

@@ -78,16 +78,13 @@ def _drawn(ys: np.ndarray, y_log: bool) -> np.ndarray:
     return keep & (ys > 0) if y_log else keep
 
 
-def _panel(x, series, dots, title, x0, y0, w, h, y_log):
+def _panel(title, x, lines, dots, x0, y0, y_log):
     """One line/scatter panel as SVG fragments (fixed margins inside the box)."""
     ml, mr, mt, mb = 34, 6, 16, 18
-    pw, ph = w - ml - mr, h - mt - mb
-    xs = np.asarray(x, dtype=np.float64)
-    lines = [np.asarray(ys, dtype=np.float64) for _, ys in series]
-    dot_x, dot_y = (
-        (np.asarray(v, dtype=np.float64) for v in zip(*dots)) if dots else (xs[:0], xs[:0])
-    )
-    all_y = np.concatenate([ys[_drawn(ys, y_log)] for ys in [*lines, dot_y]])
+    pw, ph = _PANEL_W - ml - mr, _PANEL_H - mt - mb
+    dot_x, dot_y = dots
+    keep_lines, keep_dots = _drawn(lines, y_log), _drawn(dot_y, y_log)
+    all_y = np.concatenate([lines[keep_lines], dot_y[keep_dots]])
     if y_log:
         all_y = np.log10(all_y)
     # Python's min and max keep the first of equal values (0.0 before -0.0)
@@ -95,7 +92,7 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
     y_min, y_max = min(all_y), max(all_y)
     if y_max <= y_min:
         y_max = y_min + 1.0
-    x_min, x_max = float(min(x)), float(max(x))
+    x_min, x_max = float(x.min()), float(x.max())
     if x_max <= x_min:
         x_max = x_min + 1.0
 
@@ -116,50 +113,35 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
         f'<text x="{x0 + 2}" y="{y0 + mt + ph}" font-family="sans-serif" font-size="8">'
         f"{y_min:.3g}</text>",
     ]
-    for idx, ys in enumerate(lines):
-        n = min(xs.size, ys.size)  # zip(x, ys)
-        keep = _drawn(ys[:n], y_log)
+    for idx, (ys, keep) in enumerate(zip(lines, keep_lines)):
         if keep.any():
-            pts = " ".join(map("{:.2f},{:.2f}".format, *coords(xs[:n][keep], ys[:n][keep])))
+            pts = " ".join(map("{:.2f},{:.2f}".format, *coords(x[keep], ys[keep])))
             parts.append(
                 f'<polyline points="{pts}" fill="none" '
                 f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1"/>'
             )
-    keep = _drawn(dot_y, y_log)
     parts.extend(
         map(
             '<circle cx="{:.2f}" cy="{:.2f}" r="1.4" fill="#333333"/>'.format,
-            *coords(dot_x[keep], dot_y[keep]),
+            *coords(dot_x[keep_dots], dot_y[keep_dots]),
         )
     )
     return parts
 
 
-def panels_svg(panels: list[dict]) -> str:
-    """Small-multiple layout. Each panel dict: title, x, series=[(label, ys)],
-    optional dots=[(x, y)], optional y_log=True."""
-    n = len(panels)
-    nrow = (n + _NCOL - 1) // _NCOL
+def panels_svg(titles, x, lines, dots, y_log: bool) -> str:
+    """Small multiples over one x axis, every y axis log10 when y_log. The
+    panel titled titles[i] draws each row of lines[i], a (series, len(x))
+    array, as a polyline and the (x, y) arrays of dots[i] as points; a panel
+    without lines or dots gets empty arrays."""
+    nrow = (len(titles) + _NCOL - 1) // _NCOL
     width, height = _NCOL * _PANEL_W, nrow * _PANEL_H
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for i, p in enumerate(panels):
-        x0 = (i % _NCOL) * _PANEL_W
-        y0 = (i // _NCOL) * _PANEL_H
-        parts.extend(
-            _panel(
-                p["x"],
-                p.get("series", []),
-                p.get("dots"),
-                p["title"],
-                x0,
-                y0,
-                _PANEL_W,
-                _PANEL_H,
-                p.get("y_log", False),
-            )
-        )
+    for i, title in enumerate(titles):
+        x0, y0 = (i % _NCOL) * _PANEL_W, (i // _NCOL) * _PANEL_H
+        parts.extend(_panel(title, x, lines[i], dots[i], x0, y0, y_log))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

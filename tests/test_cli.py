@@ -157,6 +157,21 @@ class TestFit:
         for name in ("params.csv", "qfit.csv", "manifest.json"):
             assert (out2 / name).read_bytes() == (lc_fit_dir / name).read_bytes(), name
 
+    def test_non_integer_death_count_is_rounded_with_a_warning(self, sim_dir, lc_fit_dir, tmp_path):
+        assert read_manifest(lc_fit_dir)["warnings"] == []  # whole counts: no warning
+        deaths = sim_dir / "deaths.txt"
+        count = float(deaths.read_text().splitlines()[5].split()[2])  # female, age 2, 2000
+        edited = hmd_with(deaths, tmp_path / "deaths.txt", 6, 2, repr(count + 0.4))
+        out = tmp_path / "out"
+        argv = exposure_argv("fit lc", sim_dir, lc_fit_dir / "qfit.csv", sim_dir / "exposures.txt", out)
+        argv[argv.index(str(deaths))] = str(edited)
+        assert main(argv) == 0
+        warning = "deaths: 1 cell rounded to a whole count, largest change 0.4"
+        assert read_manifest(out)["warnings"] == [warning]
+        # the count rounds back to the fixture's, so the fit is the fixture's
+        for name in ("params.csv", "qfit.csv"):
+            assert (out / name).read_bytes() == (lc_fit_dir / name).read_bytes(), name
+
     def test_rh_warm_start_nests(self, sim_dir, lc_fit_dir, tmp_path):
         out = tmp_path / "rh"
         code = main(

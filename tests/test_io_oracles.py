@@ -117,38 +117,45 @@ class TestGridWriters:
         assert delta_to_csv(result) == ref.delta_to_csv(result)
 
 
+def panel_dicts(titles, x, lines, dots, y_log):
+    """A figure as the oracle's per-panel dicts: unlabelled series, zipped dots."""
+    return [{"title": title, "x": x, "series": [(None, ys) for ys in ls], "dots": list(zip(*d)),
+             "y_log": y_log} for title, ls, d in zip(titles, lines, dots)]
+
+
+def assert_like_oracle(*figure):
+    assert svgplot.panels_svg(*figure) == ref.panels_svg(panel_dicts(*figure))
+
+
 class TestPanels:
-    def panels(self, rng):
+    def figures(self, rng):
         years = np.arange(1990, 2010)
         ages = np.arange(0, 30)
-        series = [(f"b{b}", with_edges(rng.integers(0, 5, years.size) / 9, EDGE[b:])) for b in range(4)]
+        theta = np.stack([with_edges(rng.integers(0, 5, years.size) / 9, EDGE[b:]) for b in range(4)])
+        residuals = (np.tile(years, 3), with_edges(rng.normal(size=3 * years.size)))
         rates = with_edges(1e-4 * np.exp(0.1 * ages), [np.nan, 0.0, -0.0, 1e-300, np.inf])
         crude = with_edges(rates * rng.uniform(0.5, 1.5, ages.size), [0.0, -1.0, np.nan])
+        no_dots = (np.empty(0), np.empty(0))
         return [
-            {"title": "theta <&>", "x": years, "series": series},
-            {"title": "residuals", "x": years,
-             "dots": list(zip(np.tile(years, 3), with_edges(rng.normal(size=3 * years.size))))},
-            {"title": "rates", "x": ages, "series": [("initial", rates), ("boosted", rates * 1.1)],
-             "dots": list(zip(ages, crude)), "y_log": True},
-            {"title": "no finite values", "x": ages, "series": [("nan", np.full(ages.size, np.nan))],
-             "y_log": True},
-            {"title": "one x", "x": [2000], "series": [("list", [-0.0])], "dots": [(2000, 0.0)]},
-            {"title": "ragged series", "x": [2000, 2001, 2002],
-             "series": [("long", [0.5, 0.25, 0.125, 9.0]), ("short", [0.3])]},
-            {"title": "flat", "x": years, "series": [("zero", np.zeros(years.size))]},
+            (["theta <&>", "residuals", "flat"], years,
+             [theta, np.empty((0, years.size)), np.zeros((1, years.size))],
+             [no_dots, residuals, no_dots], False),
+            (["rates", "no finite values"], ages,
+             [np.stack([rates, rates * 1.1]), np.full((1, ages.size), np.nan)],
+             [(ages, crude), no_dots], True),
+            (["one x"], np.array([2000]), [np.array([[-0.0]])], [(np.array([2000]), np.array([0.0]))],
+             False),
         ]
 
     def test_panels_svg(self):
-        panels = self.panels(np.random.default_rng(6))
-        assert svgplot.panels_svg(panels) == ref.panels_svg(panels)
+        for figure in self.figures(np.random.default_rng(6)):
+            assert_like_oracle(*figure)
 
     def test_negative_zero_minimum(self):
         # the axis label shows the first of equal extremes: 0 before -0
-        panels = [{"title": "t", "x": [1, 2, 3], "series": [("s", [0.0, -0.0, 1.0])],
-                   "dots": [(1, -0.0)]}]
-        assert svgplot.panels_svg(panels) == ref.panels_svg(panels)
-        panels[0]["series"] = [("s", [-0.0, 0.0, 1.0])]
-        assert svgplot.panels_svg(panels) == ref.panels_svg(panels)
+        dots = [(np.array([1]), np.array([-0.0]))]
+        assert_like_oracle(["t"], np.arange(1, 4), np.array([[[0.0, -0.0, 1.0]]]), dots, False)
+        assert_like_oracle(["t"], np.arange(1, 4), np.array([[[-0.0, 0.0, 1.0]]]), dots, False)
 
 
 class TestHeatmap:

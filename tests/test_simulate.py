@@ -386,6 +386,10 @@ buckets = 0-4;5-9
     def test_unknown_key_names_its_line(self):
         with pytest.raises(ParseError, match=r"^line 4: unknown key 'age_slop'$"):
             load_sim_spec("ages = 0:5\nyears = 2000:2001\nseed = 1\nage_slop = 0.5\n")
+        # every cause spec draws a uniform theta; there is no key to choose it
+        with pytest.raises(ParseError, match=r"^line 6: unknown key 'theta'$"):
+            load_sim_spec("ages = 0:5\nyears = 2000:2001\nseed = 1\ncauses = 2\nbuckets = 0-5\n"
+                          "theta = uniform\n")
 
     def test_str_is_text_and_path_is_read(self, tmp_path):
         # a str naming no file, or an existing one, is still parsed as text
