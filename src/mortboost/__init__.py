@@ -35,17 +35,9 @@ from .hmd import (
     write_cod_csv,
     write_hmd_1x1,
 )
-from .leecarter import FitConfig, LCParams, fit_lc, predict_lc
-from .renshawhaberman import RHParams, fit_rh, predict_rh
+from .leecarter import FitConfig, LCParams, fit_lc
+from .renshawhaberman import RHParams, fit_rh
 from .simulate import SimSpec, load_sim_spec, sample_cause_deaths, sample_deaths
-from .tree import (
-    PoissonTree,
-    SplitRule,
-    TreeConfig,
-    WorkingData,
-    best_split,
-    grow_tree,
-    poisson_deviance,
-)
+from .tree import PoissonTree, SplitRule, TreeConfig, WorkingData, grow_tree
 
 __version__ = "0.1.0"

@@ -123,7 +123,10 @@ def _load_warm_start(path: str, space: FeatureSpace) -> dict[str, leecarter.LCPa
 def cmd_fit(args) -> int:
     ages = hmd.parse_range(args.ages, "--ages")
     years = hmd.parse_range(args.years, "--years")
-    space = FeatureSpace(ages[0], ages[1], years[0], years[1])
+    try:
+        space = FeatureSpace(ages[0], ages[1], years[0], years[1])
+    except ValueError as exc:
+        raise DataError(f"--ages {args.ages}, --years {args.years}: {exc}") from None
     table, warnings = _load_table(args, space)
     cfg = _config(FIT_DEFAULTS[args.model], max_iterations=("--max-iter", args.max_iter),
                   deviance_tol=("--tol", args.tol), rate_floor=("--rate-floor", args.rate_floor))

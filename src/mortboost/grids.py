@@ -233,9 +233,6 @@ class AgeBucketing:
             return f"{lo}+"
         return f"{lo}-{hi}"
 
-    def labels(self) -> list[str]:
-        return [self.label(i) for i in range(self.n_buckets)]
-
 
 @dataclass(frozen=True)
 class BucketedRates:

@@ -25,8 +25,9 @@ A point of the fit carries its theta, each period kind on the grid, each
 term's grid, the fitted means E * exp(log rate) and the deviance. exp runs
 once per point: the deviance, the next block steps and the joint step read
 the carried fitted means. A step along one kind recomputes only the term
-grid that holds it, and the log rate is summed in TERMS order as
-`log_rate_grid` sums it, so every result has the bits of a full recompute.
+grid that holds it, and the log rate is summed by `_sum_terms`, the one
+sum `log_rate_grid` runs too, so every result has the bits of a full
+recompute.
 The deviance reads its per-fit constants from `PoissonCells`.
 """
 
@@ -279,13 +280,19 @@ def _per_index(kind: str, grid: np.ndarray, ci, n: int) -> np.ndarray:
     return np.bincount(ci.ravel(), weights=grid.ravel(), minlength=n)
 
 
+def _sum_terms(beta0: np.ndarray, term_grids) -> np.ndarray:
+    """The (age, year) log-rate grid beta0 + term_grids[0] + ..., summed in
+    TERMS order; the one sum behind `log_rate_grid` and every fit point."""
+    log_rate = beta0[:, None] + term_grids[0]
+    for grid in term_grids[1:]:
+        log_rate += grid
+    return log_rate
+
+
 def log_rate_grid(theta: dict[str, np.ndarray], terms, ci) -> np.ndarray:
     """The (age, year) grid of beta0 plus the bilinear terms, for theta
     mapping kinds to vectors; ci is the grid of cohort indices."""
-    log_rate = theta["beta0"][:, None]
-    for age_kind, period in terms:
-        log_rate = log_rate + theta[age_kind][:, None] * _on_grid(period, theta[period], ci)
-    return log_rate
+    return _sum_terms(theta["beta0"], [theta[a][:, None] * _on_grid(p, theta[p], ci) for a, p in terms])
 
 
 class _Point(NamedTuple):
@@ -308,9 +315,13 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
     exposure or deaths (whose beta0 keeps its start value), then start.flags,
     then one for non-convergence, which is reported, never raised. Every
     deviance is surface_deviance(cells, fitted) for the fit's PoissonCells.
-    joint_step(point, evaluate), if given, runs after the block steps: point
-    is a _Point and evaluate(theta) gives the point of a candidate theta. It
-    returns a point with a deviance no higher than point's. The fit runs
+    That parameter exists only so that fit_rh can pass
+    renshawhaberman.poisson_surface_deviance, the name pipebench/tracer.py
+    patches to time RH's evaluations apart from LC's; ROADMAP item 3(c),
+    spans that the code reports itself, deletes it. joint_step(point,
+    evaluate), if given, runs after the block steps: point is a _Point and
+    evaluate(theta) gives the point of a candidate theta. It returns a
+    point with a deviance no higher than point's. The fit runs
     under one np.errstate that ignores divide, invalid and overflow (an age
     row without exposure, a candidate whose exp overflows: its deviance is
     not a number, so the step is halved).
@@ -342,10 +353,7 @@ def fit_terms(D, E, start, cfg: FitConfig, surface_deviance=poisson_surface_devi
                 on_grid[period] = _on_grid(period, th[period], ci)
             if base is None or kind in (age_kind, period):
                 term_grids[i] = th[age_kind][:, None] * on_grid[period]
-        log_rate = th["beta0"][:, None] + term_grids[0]
-        for grid in term_grids[1:]:
-            log_rate += grid
-        return on_grid, tuple(term_grids), cells.fitted_means(log_rate)
+        return on_grid, tuple(term_grids), cells.fitted_means(_sum_terms(th["beta0"], term_grids))
 
     def evaluate(th, base=None, kind=None):
         """The point of th (grids' arguments)."""
@@ -438,24 +446,6 @@ def fit_lc(table: MortalityTable, gender: str, cfg: FitConfig = FitConfig()) -> 
     if np.max(np.abs(fit.kappa)) < 1e-8:
         fit.flags.append("kappa is numerically zero: time-homogeneous surface, beta1 weakly identified")
     return fit
-
-
-def predict_lc(params: LCParams, gender: str, age: int, year: int) -> float:
-    """Fitted rate at one feature, clamped to [rate_floor, 1]; no extrapolation.
-    Serves every model: the log rate is the cell's entry of params.log_rates(),
-    summed from the cell's own terms in log_rate_grid's order."""
-    if gender != params.gender:
-        raise ValueError(f"parameters are for {params.gender}, not {gender}")
-    ai = age - params.age_min
-    ti = year - params.year_min
-    if not (0 <= ai < params.n_ages and 0 <= ti < params.n_years):
-        raise ValueError(f"feature (age={age}, year={year}) outside the fitted ranges")
-    theta = params.theta()
-    at = {"age": ai, "year": ti, "cohort": ti - ai + params.n_ages - 1}
-    log_rate = theta["beta0"][ai]
-    for age_kind, period in params.TERMS:
-        log_rate = log_rate + theta[age_kind][ai] * theta[period][at[_KIND_AXIS[period]]]
-    return float(np.clip(np.exp(log_rate), params.rate_floor, 1.0))
 
 
 def fit_lc_both(table: MortalityTable, cfg: FitConfig = FitConfig()) -> dict[str, LCParams]:

@@ -66,7 +66,6 @@ from .leecarter import (
     fit_lc,
     fit_terms,
     poisson_surface_deviance,
-    predict_lc,
 )
 
 RH_DEFAULT_CONFIG = FitConfig(max_iterations=50000)
@@ -327,7 +326,3 @@ def _worker(read_fd: int, write_fd: int, fit) -> None:
         code = 0
     finally:
         os._exit(code)
-
-
-# the cohort term enters through RHParams.TERMS
-predict_rh = predict_lc

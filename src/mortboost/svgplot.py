@@ -116,9 +116,12 @@ def _panel(title, x, lines, dots, x0, y0, y_log):
     for idx, (ys, keep) in enumerate(zip(lines, keep_lines)):
         if keep.any():
             pts = " ".join(map("{:.2f},{:.2f}".format, *coords(x[keep], ys[keep])))
+            # series 12k + i: colour i, solid for k = 0 and dashes 3k long after
+            k, color = divmod(idx, len(_PALETTE))
+            dash = f' stroke-dasharray="{3 * k},2"' if k else ""
             parts.append(
                 f'<polyline points="{pts}" fill="none" '
-                f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1"/>'
+                f'stroke="{_PALETTE[color]}" stroke-width="1"{dash}/>'
             )
     parts.extend(
         map(

@@ -143,26 +143,6 @@ class Node:
         return self.rule is None
 
 
-def poisson_deviance(deaths, volume, rate_factor: float) -> float:
-    """Poisson deviance 2*sum[D log(D/(mu d)) - (D - mu d)] of a point set.
-
-    Uses the convention 0*log(0) = 0; NaN responses contribute nothing.
-    Returns inf when rate_factor is 0 but some response is positive.
-    """
-    D = np.asarray(deaths, dtype=np.float64).ravel()
-    d = np.asarray(volume, dtype=np.float64).ravel()
-    obs = ~np.isnan(D)
-    D, d = D[obs], d[obs]
-    mu = float(rate_factor)
-    if mu < 0:
-        raise ValueError(f"rate_factor must be >= 0, got {mu}")
-    if mu == 0.0:
-        return math.inf if np.any(D > 0) else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(D > 0, D * np.log(D / (mu * d)), 0.0) - (D - mu * d)
-    return float(2.0 * terms.sum())
-
-
 def _node(idx_obs: np.ndarray, deaths, volume, slog) -> Node:
     """A leaf over observed points, fitted at its own mu = sum D / sum d."""
     sD = float(deaths[idx_obs].sum())
@@ -248,18 +228,6 @@ def _rule(feature, left, right) -> tuple[SplitRule, tuple[int, ...]]:
     lo, hi = float(values[left[-1]]), float(values[right[0]])
     mid = (lo + hi) / 2.0
     return SplitRule(name, threshold=mid if mid < hi else lo), ()
-
-
-def best_split(data: WorkingData, feature: str, min_bucket: int = 1) -> tuple[SplitRule, float] | None:
-    """Best admissible split of the whole dataset on one feature, or None."""
-    features = [f for f in _features(data) if f[0] == feature]
-    if not features:
-        raise ValueError(f"unknown feature {feature!r}")
-    obs = np.flatnonzero(~np.isnan(data.deaths))
-    slog = _slog_terms(data.deaths, data.volume)
-    found, red, [(left, right, *_)] = _best_split(features, [obs], slog, data.deaths, data.volume,
-                                                  min_bucket)
-    return None if found[0] < 0 else (_rule(features[0], left[0], right[0])[0], float(red[0]))
 
 
 def _node_from_row(parts: list[str]) -> Node:

@@ -454,9 +454,11 @@ def _panel(x, series, dots, title, x0, y0, w, h, y_log):
             if np.isfinite(yv) and (not y_log or yv > 0)
         )
         if pts:
+            # the 12 colours in turn, then again with dashes 3, 6, ... long
+            dash = f' stroke-dasharray="{3 * (idx // 12)},2"' if idx >= 12 else ""
             parts.append(
                 f'<polyline points="{pts}" fill="none" '
-                f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1"/>'
+                f'stroke="{_PALETTE[idx % 12]}" stroke-width="1"{dash}/>'
             )
     if dots:
         for xv, yv in dots:

@@ -1,11 +1,14 @@
 """Every public function, method and property of the package has a user.
 
 A public name is covered by one of: a reference in src/ outside its own
-definition, an export from mortboost/__init__.py, a use in pipebench/ (as a
-name or as the string the tracer patches by), or an entry of ALLOWED with
-its reason. A name that only tests call is library surface that no command
-or workload runs. References are matched by name, so two definitions of one
-name are covered together.
+definition, a use in pipebench/ (as a name or as the string the tracer
+patches by), or an entry of ALLOWED with its reason. A function is
+referenced by its bare name or as an attribute (module.name); a method or
+property only as an attribute (x.name), so that a local variable of the same
+name does not cover it. An export from mortboost/__init__.py is not a use: a
+name that only tests and the export list reach is library surface that no
+command or workload runs. References are matched by name, so two
+definitions of one name are covered together.
 """
 
 import ast
@@ -43,46 +46,40 @@ def definitions() -> dict[str, tuple[Path, str, int, int]]:
     return found
 
 
-def references(paths, strings: bool = False) -> dict[str, list[tuple[Path, int]]]:
-    """Bare name -> (file, line) of every name or attribute read in paths,
-    and of every string constant when strings is set."""
-    found: dict[str, list[tuple[Path, int]]] = {}
+def references(paths, strings: bool = False) -> dict[str, list[tuple[Path, int, bool]]]:
+    """Bare name -> (file, line, is attribute) of every name or attribute
+    read in paths, and of every string constant when strings is set."""
+    found: dict[str, list[tuple[Path, int, bool]]] = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
+                name, attribute = node.id, False
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                name = node.attr
+                name, attribute = node.attr, True
             elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value
+                name, attribute = node.value, False
             else:
                 continue
-            found.setdefault(name, []).append((path, node.lineno))
+            found.setdefault(name, []).append((path, node.lineno, attribute))
     return found
-
-
-def exports() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names}
 
 
 def uncovered() -> list[str]:
     in_src = references(sorted(PACKAGE.glob("*.py")))
     in_bench = references(sorted((ROOT / "pipebench").glob("*.py")), strings=True)
-    exported = exports()
     dead = []
     for qualified, (path, name, first, last) in definitions().items():
-        used = any(p != path or not first <= line <= last for p, line in in_src.get(name, ()))
-        exported_here = qualified.count(".") == 1 and name in exported
-        if not (used or exported_here or name in in_bench or qualified in ALLOWED):
+        method = qualified.count(".") == 2
+        used = any((p != path or not first <= line <= last) and (attribute or not method)
+                   for p, line, attribute in in_src.get(name, ()))
+        if not (used or name in in_bench or qualified in ALLOWED):
             dead.append(qualified)
     return dead
 
 
 def test_every_public_name_has_a_user():
     dead = uncovered()
-    assert not dead, f"no command, export or workload uses {dead}: delete them, or allow them with a reason"
+    assert not dead, f"no command or workload uses {dead}: delete them, or allow them with a reason"
 
 
 def test_every_allowed_name_still_exists():

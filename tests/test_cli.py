@@ -718,7 +718,16 @@ class TestErrorPaths:
                     "--out", str(out)]
         cod = ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", qfit, "--exposures", exposures,
                "--out", str(out)]
+
+        def fit(ages, years):
+            return ["fit", "lc", "--deaths", deaths, "--exposures", exposures, f"--ages={ages}",
+                    f"--years={years}", "--out", str(out)]
+
         cases = [
+            # ranges that parse but that the feature space rejects
+            (fit("5:3", "2000:2009"), "--ages 5:3, --years 2000:2009: empty age range 5..3"),
+            (fit("-1:3", "2000:2009"), "--ages -1:3, --years 2000:2009: age_min must be >= 0, got -1"),
+            (fit("0:9", "2009:1990"), "--ages 0:9, --years 2009:1990: empty year range 2009..1990"),
             ([*backtest, "--svg", "--years-to-plot", "1800"],
              "--years-to-plot year 1800 outside 2000:2009"),
             ([*backtest, "--svg", "--years-to-plot", "1990,x"],

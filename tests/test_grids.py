@@ -94,7 +94,7 @@ class TestAgeBucketing:
         b = AgeBucketing.from_spec("0;1-14;15-44;45-64;65-84;85+", 0, 97)
         assert b.n_buckets == 6
         assert b.bounds == ((0, 0), (1, 14), (15, 44), (45, 64), (65, 84), (85, 97))
-        assert b.labels() == ["0", "1-14", "15-44", "45-64", "65-84", "85+"]
+        assert [b.label(i) for i in range(b.n_buckets)] == ["0", "1-14", "15-44", "45-64", "65-84", "85+"]
 
     def test_partition_violations_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The array writers, smoothing, SVG panels and heatmap against their per-row
 references in reference_io.py: byte-identical text, bit-identical smoothing."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -156,6 +157,16 @@ class TestPanels:
         dots = [(np.array([1]), np.array([-0.0]))]
         assert_like_oracle(["t"], np.arange(1, 4), np.array([[[0.0, -0.0, 1.0]]]), dots, False)
         assert_like_oracle(["t"], np.arange(1, 4), np.array([[[-0.0, 0.0, 1.0]]]), dots, False)
+
+    def test_series_beyond_the_palette_are_told_apart(self):
+        # a cod theta panel draws one series per age bucket: 21 five-year buckets
+        x = np.arange(10)
+        figure = (["theta"], x, [np.arange(21.0)[:, None] + np.zeros(x.size)], [(np.empty(0), np.empty(0))],
+                  False)
+        assert_like_oracle(*figure)
+        styles = re.findall(r'<polyline [^>]* stroke="([^"]+)" stroke-width="1"(?: stroke-dasharray="([^"]+)")?/>',
+                            svgplot.panels_svg(*figure))
+        assert len(styles) == len(set(styles)) == 21
 
 
 class TestHeatmap:

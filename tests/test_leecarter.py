@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh, predict_lc
+from mortboost import FeatureSpace, MortalityTable, fit_lc
 from mortboost.leecarter import (
     FitConfig,
+    PoissonCells,
     fit_lc_both,
     params_from_csv,
     params_to_csv,
+    poisson_surface_deviance,
     rate_surface,
 )
 from conftest import noise_free_table, surface_deviance
@@ -138,7 +140,37 @@ class TestFitLC:
         assert np.array_equal(rates_scaled, np.exp(fit.log_rates()))
 
 
+def deviance_at(deaths, exposure, fitted) -> float:
+    """poisson_surface_deviance of given fitted means, on a one-row grid."""
+    return poisson_surface_deviance(PoissonCells(np.atleast_2d(deaths), np.atleast_2d(exposure)),
+                                    np.atleast_2d(np.asarray(fitted, dtype=np.float64)))
+
+
 class TestPoissonDeviance:
+    def test_saturated_fit_is_zero(self):
+        # D = mu * E exactly at every cell
+        E = np.array([1.0, 2.0, 4.0])
+        assert deviance_at(3.0 * E, E, 3.0 * E) == 0.0
+
+    def test_single_cell_closed_form(self):
+        got = deviance_at([2.0], [1.0], [1.0])
+        assert got == pytest.approx(2 * (2 * math.log(2) - 1), abs=1e-12)
+        assert got == pytest.approx(0.77259, abs=5e-6)
+
+    def test_mean_rate_minimizes_over_grid(self, rng):
+        # grid-search oracle on one rate factor mu in [0.01, 10] for all cells
+        for _ in range(20):
+            E = rng.uniform(0.5, 3.0, size=6)
+            D = rng.poisson(1.2 * E).astype(float)
+            at_mean = deviance_at(D, E, D.sum() / E.sum() * E)
+            grid = np.linspace(0.01, 10.0, 1000)
+            assert all(at_mean <= deviance_at(D, E, m * E) + 1e-12 for m in grid)
+
+    def test_unexposed_cell_contributes_nothing(self):
+        # an unexposed cell is a missing response, whatever its deaths and fitted mean
+        base = deviance_at([2.0], [1.0], [1.0])
+        assert deviance_at([2.0, 3.0], [1.0, 0.0], [1.0, 5.0]) == base
+
     def test_saturated_fit_at_large_counts(self, rng):
         # log rates log(D/E) reproduce the deaths up to a few ulps, so the
         # deviance is ~0; D log(D/mu) - (D - mu) left ~1e-3 of cancellation
@@ -162,7 +194,7 @@ class TestPoissonDeviance:
                 assert surface_deviance(D, np.ones((1, 2)), log_rate) == pytest.approx(exact, rel=1e-12)
 
 
-class TestPredictLC:
+class TestRates:
     def setup_method(self):
         space = FeatureSpace(60, 62, 2000, 2002)
         rng = np.random.default_rng(0)
@@ -175,14 +207,16 @@ class TestPredictLC:
         p.beta0[:] = -4.0
         p.beta1[:] = 0.5
         p.kappa[:] = 0.0
-        assert predict_lc(p, "female", 61, 2001) == pytest.approx(math.exp(-4), rel=1e-12)
+        # age 61, year 2001
+        assert p.rates()[1, 1] == pytest.approx(math.exp(-4), rel=1e-12)
 
     def test_clamped_at_one(self):
         p = self.fit
         p.beta0[:] = 0.0
         p.beta1[:] = 1.0
         p.kappa[:] = 5.0
-        assert predict_lc(p, "female", 60, 2000) == 1.0
+        # age 60, year 2000
+        assert p.rates()[0, 0] == 1.0
 
     def test_mean_log_rate_equals_beta0(self, rng):
         space = FeatureSpace(30, 35, 2000, 2009)
@@ -195,27 +229,6 @@ class TestPredictLC:
         fit = fit_lc(table, "female")
         # sum(kappa) = 0 makes the time-average of log rates equal beta0
         np.testing.assert_allclose(fit.log_rates().mean(axis=1), fit.beta0, atol=1e-12)
-
-    def test_equals_the_log_rate_grid_at_every_cell(self, rng):
-        # the cell's own terms give the grid's entry bit for bit, LC and RH
-        space = FeatureSpace(50, 58, 2000, 2011)
-        E = np.full(space.shape, 1e5)
-        q = 1e-3 * np.exp(0.08 * (space.ages() - 50))[:, None] * np.ones(space.n_years)
-        table = MortalityTable(space, E, rng.poisson(q * E).astype(np.int64))
-        for p in (fit_lc(table, "female"), fit_rh(table, "female", FitConfig(max_iterations=20))):
-            grid = p.log_rates()
-            for a, age in enumerate(space.ages()):
-                for t, year in enumerate(space.years()):
-                    want = float(np.clip(np.exp(grid[a, t]), p.rate_floor, 1.0))
-                    assert predict_lc(p, "female", int(age), int(year)) == want
-
-    def test_no_extrapolation(self):
-        with pytest.raises(ValueError, match="outside"):
-            predict_lc(self.fit, "female", 59, 2000)
-        with pytest.raises(ValueError, match="outside"):
-            predict_lc(self.fit, "female", 60, 2003)
-        with pytest.raises(ValueError, match="parameters are for"):
-            predict_lc(self.fit, "male", 60, 2000)
 
 
 class TestParamsCsv:

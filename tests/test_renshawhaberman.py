@@ -12,7 +12,6 @@ from mortboost import (
     SimSpec,
     fit_lc,
     fit_rh,
-    predict_rh,
     renshawhaberman,
     sample_deaths,
 )
@@ -311,7 +310,7 @@ class TestFitRH:
         assert np.array_equal(base, scaled)
 
 
-class TestPredictRH:
+class TestRHRates:
     def make_params(self, rng):
         space = FeatureSpace(60, 63, 2000, 2003)
         (params, log_q) = rh_truth(rng, space)
@@ -321,7 +320,8 @@ class TestPredictRH:
     def test_gamma_zero_nests_lc(self, rng):
         p = self.make_params(rng)
         p.gamma[:] = 0.0
-        got = predict_rh(p, "female", 61, 2001)
+        # age 61, year 2001
+        got = p.rates()[1, 1]
         want = float(np.clip(np.exp(p.beta0[1] + p.beta1[1] * p.kappa[1]), p.rate_floor, 1.0))
         assert got == want
 
@@ -332,19 +332,15 @@ class TestPredictRH:
         p.kappa[:] = 0.0
         p.beta2[:] = 0.5
         p.gamma[:] = 2.0
-        assert predict_rh(p, "female", 60, 2000) == pytest.approx(math.exp(-3.0), rel=1e-12)
+        # age 60, year 2000
+        assert p.rates()[0, 0] == pytest.approx(math.exp(-3.0), rel=1e-12)
 
     def test_clamped_at_one(self, rng):
         p = self.make_params(rng)
         p.beta0[:] = 1.0
         p.beta1[:] = 0.0
         p.beta2[:] = 0.0
-        assert predict_rh(p, "female", 60, 2000) == 1.0
-
-    def test_no_extrapolation(self, rng):
-        p = self.make_params(rng)
-        with pytest.raises(ValueError, match="outside"):
-            predict_rh(p, "female", 59, 2000)
+        assert p.rates()[0, 0] == 1.0
 
 
 class TestRHParamsCsv:

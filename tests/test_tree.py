@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference_tree
 from mortboost import kernels
 from mortboost import tree as tree_module
-from mortboost import PoissonTree, SplitRule, TreeConfig, WorkingData, best_split, grow_tree, poisson_deviance
+from mortboost import PoissonTree, SplitRule, TreeConfig, WorkingData, grow_tree
 from conftest import random_working_data
 from oracle import assert_same_structure, oracle_grow
 
@@ -46,77 +46,39 @@ ORACLE_DATA = {
 }
 
 
-class TestPoissonDeviance:
-    def test_saturated_fit_is_zero(self):
-        # D = mu * d exactly at every point
-        d = np.array([1.0, 2.0, 4.0])
-        assert poisson_deviance(3.0 * d, d, 3.0) == 0.0
-
-    def test_single_point_closed_form(self):
-        got = poisson_deviance([2.0], [1.0], 1.0)
-        assert got == pytest.approx(2 * (2 * math.log(2) - 1), abs=1e-12)
-        assert got == pytest.approx(0.77259, abs=5e-6)
-
-    def test_mu_hat_minimizes_over_grid(self, rng):
-        # grid-search oracle on mu in [0.01, 10]
-        for _ in range(20):
-            d = rng.uniform(0.5, 3.0, size=6)
-            D = rng.poisson(1.2 * d).astype(float)
-            mu_hat = D.sum() / d.sum()
-            dev_hat = poisson_deviance(D, d, mu_hat)
-            grid = np.linspace(0.01, 10.0, 1000)
-            assert all(dev_hat <= poisson_deviance(D, d, m) + 1e-12 for m in grid)
-
-    def test_zero_rate_with_deaths_is_infinite(self):
-        assert poisson_deviance([1.0], [1.0], 0.0) == math.inf
-        assert poisson_deviance([0.0, 0.0], [1.0, 2.0], 0.0) == 0.0
-
-    def test_missing_responses_contribute_nothing(self):
-        base = poisson_deviance([2.0], [1.0], 1.0)
-        with_missing = poisson_deviance([2.0, np.nan], [1.0, 5.0], 1.0)
-        assert with_missing == base
-
-    def test_negative_rate_factor_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_deviance([1.0], [1.0], -0.5)
+# one depth of growth at any positive reduction: the root's rule and
+# reduction are the best admissible split of the whole dataset
+ROOT_SPLIT = TreeConfig(cp=0.0, min_bucket=1, max_depth=1)
 
 
 class TestBestSplit:
     def test_two_point_split_saturates_children(self):
         data = make_data([1.0, 2.0], [0.0, 2.0])
-        rule, reduction = best_split(data, "x")
-        assert rule.threshold == 1.5
-        parent = poisson_deviance(data.deaths, data.volume, 1.0)
-        assert parent == pytest.approx(2 * (2 * math.log(2) - 1) + 2, abs=1e-12)
-        assert reduction == pytest.approx(parent, abs=1e-12)
+        root = grow_tree(data, ROOT_SPLIT).root
+        assert root.rule.threshold == 1.5
+        assert root.deviance == pytest.approx(2 * (2 * math.log(2) - 1) + 2, abs=1e-12)
+        assert root.reduction == pytest.approx(root.deviance, abs=1e-12)
 
     def test_homogeneous_node_has_no_positive_reduction(self):
         data = make_data([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0])
-        res = best_split(data, "x")
-        assert res is None or res[1] <= 1e-12
+        root = grow_tree(data, ROOT_SPLIT).root
+        assert root.rule is None or root.reduction <= 1e-12
 
     def test_matches_exhaustive_enumeration(self, rng):
-        from oracle import oracle_best_split
+        from oracle import NOISE_FLOOR, oracle_best_split
 
         for _ in range(50):
             data = random_working_data(rng, n_ordered=2, with_cause=True)
-            obs = [i for i in range(data.n)]
+            obs = [i for i in range(data.n) if not math.isnan(data.deaths[i])]
             want = oracle_best_split(data, obs, min_bucket=1)
-            candidates = []
-            for feat in data.ordered_names + ("cause",):
-                got = best_split(data, feat, min_bucket=1)
-                if got is not None:
-                    candidates.append(got)
-            if want is None:
+            root = grow_tree(data, ROOT_SPLIT).root
+            if root.rule is None:
+                # no cut, or one below the noise floor that growth refuses
+                floor = np.float32(NOISE_FLOOR * (root.deviance + 1.0))
+                assert want is None or want.reduction <= 0.0 or np.float32(want.reduction) < floor
                 continue
-            best = max(candidates, key=lambda c: np.float32(c[1]))
-            assert best[0].feature == want.feature
-            assert best[1] == pytest.approx(want.reduction, abs=1e-10)
-
-    def test_unknown_feature_raises(self):
-        data = make_data([1.0, 2.0], [0.0, 2.0])
-        with pytest.raises(ValueError):
-            best_split(data, "bogus")
+            assert root.rule.feature == want.feature
+            assert root.reduction == pytest.approx(want.reduction, abs=1e-10)
 
 
 class TestGrowTree:
@@ -223,10 +185,11 @@ class TestSplitIsTheScannedPartition:
         return make_data([lo] * 5 + [hi] * 5, [0.0] * 5 + [10.0] * 5)
 
     def test_best_split_threshold_sends_the_left_levels_left(self, lo, hi):
-        data = self.data(lo, hi)
-        rule, reduction = best_split(data, "x")
-        assert lo <= rule.threshold < hi
-        assert reduction == pytest.approx(poisson_deviance(data.deaths, data.volume, 5.0))
+        root = grow_tree(self.data(lo, hi), ROOT_SPLIT).root
+        assert lo <= root.rule.threshold < hi
+        # both children are saturated: the split removes the root's deviance at mu = 5
+        assert root.mu == 5.0
+        assert root.reduction == pytest.approx(root.deviance)
 
     def test_growth_gives_two_non_empty_children(self, lo, hi):
         data = self.data(lo, hi)
