@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mortboost import FeatureSpace, MortalityTable, fit_lc
+from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh
 from mortboost.leecarter import (
     FitConfig,
     PoissonCells,
@@ -171,6 +171,15 @@ class TestPoissonDeviance:
         base = deviance_at([2.0], [1.0], [1.0])
         assert deviance_at([2.0, 3.0], [1.0, 0.0], [1.0, 5.0]) == base
 
+    def test_deathless_cell_contributes_twice_its_mean(self):
+        # D = 0 leaves 2 mu of the unit deviance, and nothing at mu = 0
+        assert deviance_at([0.0, 0.0], [1.0, 2.0], [0.5, 0.0]) == 1.0
+        assert deviance_at([0.0, 0.0], [1.0, 2.0], [0.0, 0.0]) == 0.0
+
+    def test_fitted_means_are_zero_where_unexposed(self):
+        cells = PoissonCells(np.ones((1, 3)), np.array([[2.0, 0.0, 3.0]]))
+        assert np.array_equal(cells.fitted_means(np.array([[0.0, 5.0, 0.0]])), [[2.0, 0.0, 3.0]])
+
     def test_saturated_fit_at_large_counts(self, rng):
         # log rates log(D/E) reproduce the deaths up to a few ulps, so the
         # deviance is ~0; D log(D/mu) - (D - mu) left ~1e-3 of cancellation
@@ -217,6 +226,28 @@ class TestRates:
         p.kappa[:] = 5.0
         # age 60, year 2000
         assert p.rates()[0, 0] == 1.0
+
+    def test_clamped_at_the_floor(self):
+        p = self.fit
+        p.beta0[:] = -800.0
+        assert np.array_equal(p.rates(), np.full((p.n_ages, p.n_years), p.rate_floor))
+
+    def test_equals_the_log_rate_grid_at_every_cell(self, rng):
+        # the cell's own terms give the grid's entry bit for bit, and its rate
+        # is that entry clamped, LC and RH
+        space = FeatureSpace(50, 58, 2000, 2011)
+        E = np.full(space.shape, 1e5)
+        q = 1e-3 * np.exp(0.08 * (space.ages() - 50))[:, None] * np.ones(space.n_years)
+        table = MortalityTable(space, E, rng.poisson(q * E).astype(np.int64))
+        for p in (fit_lc(table, "female"), fit_rh(table, "female", FitConfig(max_iterations=20))):
+            grid, rates = p.log_rates(), p.rates()
+            for a in range(space.n_ages):
+                for t in range(space.n_years):
+                    want = p.beta0[a] + p.beta1[a] * p.kappa[t]
+                    if hasattr(p, "gamma"):
+                        want += p.beta2[a] * p.gamma[t - a + space.n_ages - 1]
+                    assert grid[a, t] == want
+                    assert rates[a, t] == np.clip(np.exp(want), p.rate_floor, 1.0)
 
     def test_mean_log_rate_equals_beta0(self, rng):
         space = FeatureSpace(30, 35, 2000, 2009)

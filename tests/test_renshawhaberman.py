@@ -342,6 +342,16 @@ class TestRHRates:
         p.beta2[:] = 0.0
         assert p.rates()[0, 0] == 1.0
 
+    def test_gamma_follows_the_cohort(self, rng):
+        # gamma alone: every cell of a birth year t - a has that cohort's rate
+        p = self.make_params(rng)
+        p.beta0[:] = 0.0
+        p.beta1[:] = 0.0
+        p.beta2[:] = 1.0
+        p.gamma[:] = -np.arange(1.0, p.n_cohorts + 1)
+        ages, years = np.indices((p.n_ages, p.n_years))
+        assert np.array_equal(p.log_rates(), p.gamma[years - ages + p.n_ages - 1])
+
 
 class TestRHParamsCsv:
     def test_round_trip(self, rng):

@@ -80,6 +80,13 @@ class TestBestSplit:
             assert root.rule.feature == want.feature
             assert root.reduction == pytest.approx(want.reduction, abs=1e-10)
 
+    def test_missing_responses_leave_the_root_alone(self):
+        # a missing response is no point of the root's deviance, mean or split
+        base = grow_tree(make_data([1.0, 2.0], [0.0, 2.0]), ROOT_SPLIT).root
+        root = grow_tree(make_data([1.0, 2.0, 3.0], [0.0, 2.0, np.nan], [1.0, 1.0, 5.0]), ROOT_SPLIT).root
+        assert (root.deviance, root.mu, root.reduction) == (base.deviance, base.mu, base.reduction)
+        assert root.rule.threshold == base.rule.threshold
+
 
 class TestGrowTree:
     def test_homogeneous_data_root_only(self):
