@@ -26,7 +26,6 @@ from .backtest import export_delta_heatmap
 from .grids import (
     GENDERS,
     AgeBucketing,
-    BucketedRates,
     FeatureSpace,
     aggregate_rates,
     crude_rates,
@@ -259,6 +258,10 @@ def _cause_registry(spec: str) -> tuple[str, ...]:
             raise DataError("empty cause label in --causes")
         if len((lab + ".").splitlines()) > 1:  # the tree text keeps the labels on one line
             raise DataError(f"cause label {lab!r} in --causes holds a line break")
+    try:
+        hmd.cause_index(labels)
+    except ValueError as exc:
+        raise DataError(f"--causes: {exc}") from None
     return labels
 
 
@@ -267,34 +270,20 @@ def cmd_cod(args) -> int:
     if window is not None and (window < 1 or window % 2 == 0):
         raise DataError(f"--smooth-window must be an odd integer >= 1, got {window}")
     causes = _cause_registry(args.causes) if args.causes else hmd.DEFAULT_CAUSES
-    cod = _read_file("--cod", args.cod, lambda text: hmd.parse_cod_csv(text, causes=causes))
     q_full = _read_file("--qfit", args.qfit, rate_surface_from_csv)
     space = q_full.space
-    table, warnings = _load_table(args, space)
     try:
         bucketing = AgeBucketing.from_spec(args.buckets, space.age_min, space.age_max)
     except ValueError as exc:
         raise DataError(f"--buckets {args.buckets}: {exc}") from None
-    if bucketing.n_buckets != cod.n_buckets:
-        raise DataError(
-            f"bucket spec has {bucketing.n_buckets} buckets, cause table has {cod.n_buckets}"
-        )
-    if cod.year_min < space.year_min or cod.year_max > space.year_max:
-        raise DataError(
-            f"cause table years {cod.year_min}..{cod.year_max} are not covered by "
-            f"the fitted rates ({space.year_min}..{space.year_max})"
-        )
-    condensed = aggregate_rates(q_full, table, bucketing)
-    sl = slice(cod.year_min - space.year_min, cod.year_max - space.year_min + 1)
-    qtilde = BucketedRates(
-        bucketing, cod.year_min, cod.year_max, condensed.rate[:, :, sl], condensed.exposure[:, :, sl]
-    )
-    theta0 = codboost.init_theta(
-        cod.n_causes, cod.n_buckets, cod.n_years, mode=args.theta_init, cod=cod
-    )
+    table, warnings = _load_table(args, space)
+    qtilde = aggregate_rates(q_full, table, bucketing)
+    del q_full, table  # freed before the cause table is read: a smaller heap at the pass's peak
+    cod = _read_file("--cod", args.cod, lambda text: hmd.parse_cod_csv(text, bucketing.n_buckets, causes))
+    theta0 = codboost.init_theta(cod, args.theta_init)
     working = codboost.make_cod_working_data(cod, qtilde, theta0)
     cfg = _tree_config(args)
-    raw, norm, tree = codboost.estimate_theta_tree(working, theta0, cfg)
+    raw, norm, tree = codboost.estimate_theta_tree(working, cfg)
     residuals = codboost.pearson_residuals(cod, raw)
 
     out = Path(args.out)

@@ -1,9 +1,10 @@
 """Cause-of-death decomposition by one-step tree boosting.
 
-Starting from a prior conditional cause probability theta0 (uniform 1/K by
-default), the working volume theta0 * q * E per (feature, cause) cell turns
-the tree's fitted factor mu into boosted probabilities theta_tree = mu *
-theta0. Pearson residuals against the all-cause counts diagnose the result.
+Starting from a prior conditional cause probability theta0 (uniform 1/K, or
+the observed cause frequencies), the working volume theta0 * q * E per
+(feature, cause) cell turns the tree's fitted factor mu into boosted
+probabilities theta_tree = mu * theta0. Pearson residuals against the
+all-cause counts diagnose the result.
 The tree is grown over (gender, age bucket, year, cause) without a cohort
 feature.
 """
@@ -44,30 +45,17 @@ class ThetaSurface:
         return self.values.sum(axis=3)
 
 
-def init_theta(
-    n_causes: int,
-    n_buckets: int,
-    n_years: int,
-    mode: str = "uniform",
-    cod: CauseDeathTable | None = None,
-) -> ThetaSurface:
-    """Feature-independent prior: uniform 1/K, or global observed frequencies."""
-    if n_causes < 1:
-        raise ValueError(f"need at least one cause, got {n_causes}")
-    shape = (len(GENDERS), n_buckets, n_years, n_causes)
+def init_theta(cod: CauseDeathTable, mode: str) -> ThetaSurface:
+    """Feature-independent prior on cod's grid: uniform 1/K, or the table's
+    global observed frequencies."""
     if mode == "uniform":
-        return ThetaSurface(np.full(shape, 1.0 / n_causes))
+        return ThetaSurface(np.full(cod.counts.shape, 1.0 / cod.n_causes))
     if mode == "empirical":
-        if cod is None:
-            raise ValueError("empirical initialization needs the cause-of-death table")
-        if cod.n_causes != n_causes:
-            raise ValueError("cause count mismatch")
         per_cause = cod.counts.sum(axis=(0, 1, 2)).astype(np.float64)
         total = per_cause.sum()
         if total <= 0:
             raise ValueError("no observed deaths to take frequencies from")
-        freq = per_cause / total
-        return ThetaSurface(np.broadcast_to(freq, shape).copy())
+        return ThetaSurface(np.broadcast_to(per_cause / total, cod.counts.shape))  # ThetaSurface copies
     raise ValueError(f"unknown theta initialization mode {mode!r}")
 
 
@@ -80,13 +68,11 @@ def grid_features(shape: tuple[int, ...], year_min: int) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class CodWorkingData:
-    """Working points over (gender, bucket, year) x cause, plus grid metadata."""
+    """Working points over (gender, bucket, year) x cause, with their table and prior."""
 
     data: WorkingData
-    n_buckets: int
-    year_min: int
-    n_years: int
-    available: np.ndarray  # (2, I, T, K): response present (not MISSING)
+    cod: CauseDeathTable
+    theta0: ThetaSurface
     dropped: tuple[tuple[str, int, int, str], ...]
 
 
@@ -95,22 +81,23 @@ def make_cod_working_data(
 ) -> CodWorkingData:
     """Volumes d = theta0 * q * E per (feature, cause); MISSING responses kept.
 
-    The condensed rates must come from the same bucket scheme and years as
-    the cause table (aggregate_rates does the Remark-style condensation).
+    The condensed rates must come from the same bucket scheme as the cause
+    table and cover its years (aggregate_rates does the Remark-style
+    condensation); the table's years are taken from them.
     """
     if qtilde.bucketing.n_buckets != cod.n_buckets:
         raise ValueError(
             f"bucket mismatch: rates have {qtilde.bucketing.n_buckets}, table has {cod.n_buckets}"
         )
-    if (qtilde.year_min, qtilde.year_max) != (cod.year_min, cod.year_max):
+    if cod.year_min < qtilde.year_min or cod.year_max > qtilde.year_max:
         raise ValueError(
-            f"year mismatch: rates cover {qtilde.year_min}..{qtilde.year_max}, "
-            f"table covers {cod.year_min}..{cod.year_max}"
+            f"cause table years {cod.year_min}..{cod.year_max} are not covered by "
+            f"the fitted rates ({qtilde.year_min}..{qtilde.year_max})"
         )
-    K = cod.n_causes
-    if theta0.values.shape != (len(GENDERS), cod.n_buckets, cod.n_years, K):
+    if theta0.values.shape != cod.counts.shape:
         raise ValueError("theta0 shape does not match the cause table")
-    volume = theta0.values * qtilde.rate[..., None] * qtilde.exposure[..., None]
+    years = slice(cod.year_min - qtilde.year_min, cod.year_max - qtilde.year_min + 1)
+    volume = theta0.values * qtilde.rate[:, :, years, None] * qtilde.exposure[:, :, years, None]
     observed_positive = (~cod.missing) & (cod.counts > 0)
     for zero, what in ((theta0.values == 0, "theta0 = 0"), (volume == 0, "zero working volume")):
         bad = np.argwhere(zero & observed_positive)
@@ -131,18 +118,11 @@ def make_cod_working_data(
         cause=cause[flat_keep],
         cause_labels=cod.causes,
     )
-    return CodWorkingData(
-        data=data,
-        n_buckets=cod.n_buckets,
-        year_min=cod.year_min,
-        n_years=cod.n_years,
-        available=~cod.missing,
-        dropped=tuple(cod.cell(*i) for i in np.argwhere(~keep)),
-    )
+    return CodWorkingData(data, cod, theta0, tuple(cod.cell(*i) for i in np.argwhere(~keep)))
 
 
 def estimate_theta_tree(
-    working: CodWorkingData, theta0: ThetaSurface, cfg: TreeConfig = TreeConfig()
+    working: CodWorkingData, cfg: TreeConfig
 ) -> tuple[ThetaSurface, ThetaSurface, PoissonTree]:
     """Grow the tree over features x causes; return (raw, normalized, tree).
 
@@ -151,12 +131,10 @@ def estimate_theta_tree(
     available data, making those sum to 1 (within float accumulation).
     """
     tree = grow_tree(working.data, cfg)
-    shape = theta0.values.shape
-    if shape[1:3] != (working.n_buckets, working.n_years):
-        raise ValueError("theta0 shape does not match the working data grid")
-    mu = tree.predict(*grid_features(shape, working.year_min)).reshape(shape)
-    raw = np.clip(mu * theta0.values, 0.0, 1.0)
-    denom = (raw * working.available).sum(axis=3)
+    theta0, cod = working.theta0.values, working.cod
+    mu = tree.predict(*grid_features(theta0.shape, cod.year_min)).reshape(theta0.shape)
+    raw = np.clip(mu * theta0, 0.0, 1.0)
+    denom = (raw * ~cod.missing).sum(axis=3)
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = np.where(denom[..., None] > 0, raw / np.where(denom[..., None] > 0, denom[..., None], 1.0), 0.0)
     return ThetaSurface(raw), ThetaSurface(np.clip(norm, 0.0, 1.0)), tree

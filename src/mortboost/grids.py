@@ -253,9 +253,6 @@ class BucketedRates:
     def n_years(self) -> int:
         return self.year_max - self.year_min + 1
 
-    def years(self) -> np.ndarray:
-        return np.arange(self.year_min, self.year_max + 1)
-
 
 # rows of text that one step of TableFormat.read splits and converts at once
 _READ_ROWS = 1 << 10

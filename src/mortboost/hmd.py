@@ -6,9 +6,10 @@ rows Year Age Female Male Total. "." marks a missing value; a trailing "+"
 marks the open age interval.
 
 Cause-of-death interchange CSV: header exactly gender,age_group,year,cause,deaths
-with 1-based age-group indices, the cause as a 1-based registry index or a
-case-insensitive label, and an empty deaths field meaning MISSING (which is
-distinct from 0). Cells never mentioned in the file are MISSING too.
+with age-group indices 1..n of an n-bucket scheme, the cause as a 1-based
+registry index or a case-insensitive label, and an empty deaths field meaning
+MISSING (which is distinct from 0). Cells never mentioned in the file are
+MISSING too.
 
 Both parsers read the text through grids.TableFormat a block of rows at a
 time, converting each column once per distinct token of a block, and name
@@ -368,12 +369,6 @@ def _cod_gender(tok: str) -> int:
     return GENDERS.index(tok.lower())
 
 
-def _cod_bucket(bucket: int) -> int:
-    if bucket < 1:
-        raise ValueError(f"age_group must be a 1-based index, got {bucket}")
-    return bucket
-
-
 def _cod_deaths(tok: str) -> int:
     """The count, or -1 for an empty (MISSING) field."""
     if tok == "":
@@ -394,11 +389,27 @@ def _five_fields(fields: list[str]) -> None:
         raise ValueError(f"expected 5 fields, got {len(fields)}")
 
 
-def _cod_format(causes: tuple[str, ...]) -> TableFormat:
+def cause_index(causes: tuple[str, ...]) -> dict[str, int]:
+    """Each cause's index by its lower-case label; two labels that are equal
+    without regard to case raise ValueError."""
+    index: dict[str, int] = {}
+    for k, label in enumerate(causes):
+        first = index.setdefault(label.lower(), k)
+        if first != k:
+            raise ValueError(f"cause labels {causes[first]!r} and {label!r} are equal without regard to case")
+    return index
+
+
+def _cod_format(n_buckets: int, causes: tuple[str, ...]) -> TableFormat:
     """The cause CSV's columns (gender, bucket, year, cause, count or -1),
     checked in field order except that the year is converted before the
     bucket is range-checked; every field is stripped first."""
-    label_of = {c.lower(): k for k, c in enumerate(causes)}
+    label_of = cause_index(causes)
+
+    def bucket(b: int) -> int:
+        if not 1 <= b <= n_buckets:
+            raise ValueError(f"age_group must be an index in 1..{n_buckets}, got {b}")
+        return b
 
     def cause(tok: str) -> int:
         if tok.lower() in label_of:
@@ -414,7 +425,7 @@ def _cod_format(causes: tuple[str, ...]) -> TableFormat:
     return TableFormat(
         5, _five_fields,
         tuple((f, str.strip) for f in range(5))
-        + ((0, _cod_gender), (1, int), (2, int), (1, _cod_bucket), (3, cause), (4, _cod_deaths)),
+        + ((0, _cod_gender), (1, int), (2, int), (1, bucket), (3, cause), (4, _cod_deaths)),
         4, lambda f, v: f"duplicate entry for ({f[0].strip()},{v[1]},{v[2]},{causes[v[3]]})",
         "no data rows found", ParseError,
     )
@@ -444,8 +455,9 @@ def _is_csv_data_row(row: list[str]) -> bool:
     return len(row) > 1 or bool(row and row[0].strip())
 
 
-def parse_cod_csv(text: str, causes: tuple[str, ...] = DEFAULT_CAUSES) -> CauseDeathTable:
-    """Parse the cause-of-death CSV into a dense table; unmentioned cells are
+def parse_cod_csv(text: str, n_buckets: int, causes: tuple[str, ...] = DEFAULT_CAUSES) -> CauseDeathTable:
+    """Parse the cause-of-death CSV into a dense table of n_buckets age
+    groups, the causes and the years its rows span; unmentioned cells are
     MISSING. A table whose dense grid would hold more than MAX_GRID_CELLS
     cells is rejected naming the row that widens it past the limit."""
     # the csv module only for what a split at newlines and commas reads differently
@@ -462,16 +474,14 @@ def parse_cod_csv(text: str, causes: tuple[str, ...] = DEFAULT_CAUSES) -> CauseD
         raise ParseError("empty file")
     if [h.strip() for h in header] != _COD_HEADER:
         raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
-    gi, bucket, year, k, count = _cod_format(tuple(causes)).read(blocks, keep, fields)
-    n_buckets = int(bucket.max())
+    gi, bucket, year, k, count = _cod_format(n_buckets, tuple(causes)).read(blocks, keep, fields)
     year_min, year_max = int(year.min()), int(year.max())
     shape = (len(GENDERS), n_buckets, year_max - year_min + 1, len(causes))
     if math.prod(shape) > MAX_GRID_CELLS:
-        # the first row whose buckets and years so far span too many cells,
-        # in Python integers
-        bucket, year = bucket.astype(object), year.astype(object)
+        # the first row whose years so far span too many cells, in Python integers
+        year = year.astype(object)
         span = np.maximum.accumulate(year) - np.minimum.accumulate(year) + 1
-        cells = len(GENDERS) * np.maximum.accumulate(bucket) * span * len(causes)
+        cells = len(GENDERS) * n_buckets * span * len(causes)
         first = int(np.flatnonzero(cells > MAX_GRID_CELLS)[0])
         message = f"a cause grid of {cells[first]} cells is above the limit of {MAX_GRID_CELLS}"
         raise ParseError(message, kept_row(blocks, keep, first)[1])

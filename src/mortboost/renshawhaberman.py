@@ -224,11 +224,12 @@ def fit_rh(
     cfg: FitConfig = RH_DEFAULT_CONFIG,
     warm_start: LCParams | None = None,
 ) -> RHParams:
-    """Fit one gender slice, warm-started from Lee-Carter (fitted here if not
-    given); the warm start's vectors seed every kind it has."""
+    """Fit one gender slice, warm-started from Lee-Carter (if not given,
+    fitted here with FitConfig's defaults and cfg's rate floor, as `fit lc`
+    fits it); the warm start's vectors seed every kind it has."""
     space = table.space
     if warm_start is None:
-        warm_start = fit_lc(table, gender, cfg)
+        warm_start = fit_lc(table, gender, FitConfig(rate_floor=cfg.rate_floor))
     elif warm_start.space != space:
         raise ValueError(f"warm start covers {warm_start.space.describe()}; the fit uses {space.describe()}")
     D, E = _gender_slice(table, gender)

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mortboost.leecarter import _KIND_AXIS, LCParams, _gender_slice, _on_grid, _per_index
+from mortboost.leecarter import _KIND_AXIS, FitConfig, LCParams, _gender_slice, _on_grid, _per_index
 from mortboost.renshawhaberman import RHParams
 
 _MAX_HALVINGS = 30
@@ -236,7 +236,7 @@ def _joint_step(system, lam):
 def fit_rh(table, gender, cfg, warm_start=None):
     space = table.space
     if warm_start is None:
-        warm_start = fit_lc(table, gender, cfg)
+        warm_start = fit_lc(table, gender, FitConfig(rate_floor=cfg.rate_floor))
     D, E = _gender_slice(table, gender)
     n_years = space.n_years
     start = RHParams(

@@ -156,7 +156,7 @@ def _csv_rows(text):
         ln_no = reader.line_num + 1
 
 
-def parse_cod_csv(text, causes=DEFAULT_CAUSES):
+def parse_cod_csv(text, n_buckets, causes=DEFAULT_CAUSES):
     reader = _csv_rows(text)
     try:
         _, header = next(reader)
@@ -164,7 +164,12 @@ def parse_cod_csv(text, causes=DEFAULT_CAUSES):
         raise ParseError("empty file") from None
     if [h.strip() for h in header] != ["gender", "age_group", "year", "cause", "deaths"]:
         raise ParseError("header must be exactly gender,age_group,year,cause,deaths", 1)
-    label_of = {c.lower(): k for k, c in enumerate(causes)}
+    label_of = {}
+    for k, c in enumerate(causes):
+        if c.lower() in label_of:
+            first = causes[label_of[c.lower()]]
+            raise ValueError(f"cause labels {first!r} and {c!r} are equal without regard to case")
+        label_of[c.lower()] = k
     rows = {}
     for ln_no, row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -180,8 +185,8 @@ def parse_cod_csv(text, causes=DEFAULT_CAUSES):
             year = int(year_tok)
         except ValueError as exc:
             raise ParseError(str(exc), ln_no) from None
-        if bucket < 1:
-            raise ParseError(f"age_group must be a 1-based index, got {bucket}", ln_no)
+        if not 1 <= bucket <= n_buckets:
+            raise ParseError(f"age_group must be an index in 1..{n_buckets}, got {bucket}", ln_no)
         if cause_tok.lower() in label_of:
             k = label_of[cause_tok.lower()]
         else:
@@ -208,7 +213,6 @@ def parse_cod_csv(text, causes=DEFAULT_CAUSES):
         rows[key] = count
     if not rows:
         raise ParseError("no data rows found")
-    n_buckets = max(b for _, b, _, _ in rows)
     year_min = min(t for _, _, t, _ in rows)
     year_max = max(t for _, _, t, _ in rows)
     shape = (len(GENDERS), n_buckets, year_max - year_min + 1, len(causes))

@@ -204,9 +204,8 @@ def test_criterion_7_cod_residual_distribution():
     cod, _ = sample_cause_deaths(spec)
     # expected counts theta * q * E >= 0.05 * 2400 = 120 >= 20 everywhere
     qtilde = aggregate_rates(q, MortalityTable(space, E, np.zeros(space.shape, np.int64)), bucketing)
-    theta0 = init_theta(6, 10, n_years)
-    working = make_cod_working_data(cod, qtilde, theta0)
-    raw, norm, tree = estimate_theta_tree(working, theta0, TreeConfig(cp=1e-4))
+    working = make_cod_working_data(cod, qtilde, init_theta(cod, "uniform"))
+    raw, norm, tree = estimate_theta_tree(working, TreeConfig(cp=1e-4))
     grown(tree, working.data)
     theta_err = float(np.max(np.abs(norm.values - theta)))
     assert theta_err < 0.02, f"theta error {theta_err}"

@@ -194,6 +194,17 @@ class TestFit:
             assert rh_manifest["deviance"][g] <= lc_manifest["deviance"][g] + 1e-8
         assert main(["check", "--params", str(out / "params.csv"), "--kind", "rh"]) == 0
 
+    def test_rh_fit_without_warm_start_is_the_warm_started_fit(self, sim_dir, lc_fit_dir, tmp_path):
+        # without --warm-start, fit rh fits its Lee-Carter start as fit lc does
+        argv = ["fit", "rh", "--deaths", str(sim_dir / "deaths.txt"),
+                "--exposures", str(sim_dir / "exposures.txt"), "--ages", "0:9",
+                "--years", "2000:2009", "--max-iter", "150"]
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        assert main([*argv, "--warm-start", str(lc_fit_dir / "params.csv"), "--out", str(warm)]) in (0, 4)
+        assert main([*argv, "--out", str(cold)]) in (0, 4)
+        for name in ("params.csv", "qfit.csv"):
+            assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
+
     def test_rh_warm_start_must_cover_the_fit(self, sim_dir, lc_fit_dir, tmp_path, capsys):
         rows = (lc_fit_dir / "params.csv").read_text().splitlines(keepends=True)
         female_only = tmp_path / "female_only.csv"
@@ -417,19 +428,39 @@ class TestCod:
             [g, b, t, "cause 2"] for g in ("female", "male") for b in (1, 2) for t in range(2000, 2010)
         ]
 
-    def test_bucket_mismatch_is_data_error(self, sim_dir, lc_fit_dir, tmp_path):
+    def test_bucket_mismatch_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        # the fixture's cause table has two age groups: with one bucket, the
+        # first row of the second is beyond the scheme and named by its line
+        cod = sim_dir / "cod.csv"
+        line = next(i for i, row in enumerate(cod.read_text().splitlines(), 1) if row.split(",")[1] == "2")
         code = main(
             [
                 "cod",
-                "--cod", str(sim_dir / "cod.csv"),
+                "--cod", str(cod),
                 "--qfit", str(lc_fit_dir / "qfit.csv"),
                 "--exposures", str(sim_dir / "exposures.txt"),
-                "--buckets", "0-2;3-5;6-9",
+                "--buckets", "0-9",
                 "--causes", "3",
                 "--out", str(tmp_path / "x"),
             ]
         )
         assert code == 3
+        assert capsys.readouterr().err == f"error: --cod {cod}: line {line}: age_group must be an index in 1..1, got 2\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_an_age_group_without_rows_is_missing(self, sim_dir, lc_fit_dir, tmp_path):
+        # three buckets over the fixture's two-group table: the third is MISSING
+        out = tmp_path / "out"
+        code = main(["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(lc_fit_dir / "qfit.csv"),
+                     "--exposures", str(sim_dir / "exposures.txt"), "--buckets", "0-2;3-5;6-9",
+                     "--causes", "3", "--out", str(out)])
+        assert code == 0
+        theta = [row.split(",") for row in (out / "theta.csv").read_text().splitlines()[1:]]
+        assert len(theta) == 2 * 3 * 10 * 3
+        # theta_norm normalizes over the causes with data, and the third group has none
+        assert {row[5] for row in theta if row[1] == "3"} == {"0.0"}
+        residuals = [row.split(",") for row in (out / "residuals.csv").read_text().splitlines()[1:]]
+        assert {row[4] for row in residuals if row[1] == "3"} == {"0.0"}
 
 
 class TestConfigFile:
@@ -743,6 +774,11 @@ class TestErrorPaths:
             # a label that would break the tree text's causes line
             ([*cod, "--causes", "a\nb|c|d", "--buckets", "0-4;5-9"],
              "cause label 'a\\nb' in --causes holds a line break"),
+            # labels equal without regard to case: rows of `a` went to the second
+            ([*cod, "--causes", "a|A|b", "--buckets", "0-4;5-9"],
+             "--causes: cause labels 'a' and 'A' are equal without regard to case"),
+            ([*cod, "--causes", "a|a|b", "--buckets", "0-4;5-9"],
+             "--causes: cause labels 'a' and 'a' are equal without regard to case"),
         ]
         for argv, message in cases:
             assert main(argv) == 3, argv
@@ -833,7 +869,15 @@ class TestErrorPaths:
                            "--exposures", str(exposures), "--causes", "12", "--buckets", "0-4;5-9",
                            "--out", str(out)])
         assert (cod.returncode, cod.stderr) == (3, (
-            f"error: --cod {wide}: line 3: a cause grid of 7199953224 cells is above the limit of 10000000\n"
+            f"error: --cod {wide}: line 3: a cause grid of 14399906448 cells is above the limit of 10000000\n"
+        ))
+        # an age group beyond --buckets fails its row's range check, however large
+        wide.write_text("gender,age_group,year,cause,deaths\nfemale,1,1950,1,5\nfemale,1000000000,1950,1,5\n")
+        cod = main_in_1gb(["cod", "--cod", str(wide), "--qfit", str(lc_fit_dir / "qfit.csv"),
+                           "--exposures", str(exposures), "--causes", "12", "--buckets", "0-4;5-9",
+                           "--out", str(out)])
+        assert (cod.returncode, cod.stderr) == (3, (
+            f"error: --cod {wide}: line 3: age_group must be an index in 1..2, got 1000000000\n"
         ))
         head = "ages = 0:9\nyears = 2000:2009\nseed = 1\n"
         cases = [

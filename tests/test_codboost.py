@@ -50,23 +50,24 @@ def cause_table(counts, missing=None, causes=None, year_min=2000):
 
 class TestInitTheta:
     def test_uniform_twelve(self):
-        theta = init_theta(12, 6, 25)
+        theta = init_theta(cause_table(np.zeros((2, 6, 25, 12))), "uniform")
         assert theta.values.shape == (2, 6, 25, 12)
         assert np.all(theta.values == pytest.approx(1 / 12))
 
     def test_single_cause(self):
-        assert np.all(init_theta(1, 2, 3).values == 1.0)
+        assert np.all(init_theta(cause_table(np.zeros((2, 2, 3, 1))), "uniform").values == 1.0)
 
     def test_zero_causes_rejected(self):
-        with pytest.raises(ValueError):
-            init_theta(0, 2, 3)
+        # the table init_theta takes its causes from has at least one
+        with pytest.raises(ValueError, match="^need at least one cause$"):
+            cause_table(np.zeros((2, 2, 3, 0)))
 
     def test_empirical_frequencies(self):
         counts = np.zeros((2, 1, 2, 2), dtype=np.int64)
         counts[..., 0] = 30
         counts[..., 1] = 10
         table = cause_table(counts)
-        theta = init_theta(2, 1, 2, mode="empirical", cod=table)
+        theta = init_theta(table, "empirical")
         assert np.all(theta.values[..., 0] == 0.75)
         assert np.all(theta.values[..., 1] == 0.25)
 
@@ -77,7 +78,7 @@ class TestMakeCodWorkingData:
         counts = np.full((2, 1, 1, 12), 90, dtype=np.int64)
         table = cause_table(counts)
         qtilde = bucket_rates(1, 2000, 2000, 0.02, 60000.0)
-        theta0 = init_theta(12, 1, 1)
+        theta0 = init_theta(table, "uniform")
         working = make_cod_working_data(table, qtilde, theta0)
         assert np.all(working.data.volume == pytest.approx(100.0))
         assert working.data.n == 2 * 12
@@ -89,7 +90,7 @@ class TestMakeCodWorkingData:
         missing[:, :, :2, 1] = True  # cause 2 missing in the first two years
         table = cause_table(counts, missing=missing)
         qtilde = bucket_rates(1, 2000, 2002, 0.01, 1e4)
-        working = make_cod_working_data(table, qtilde, init_theta(2, 1, 3))
+        working = make_cod_working_data(table, qtilde, init_theta(table, "uniform"))
         nan_count = int(np.isnan(working.data.deaths).sum())
         assert nan_count == 4  # 2 genders * 2 years
         assert working.data.n == counts.size
@@ -101,8 +102,22 @@ class TestMakeCodWorkingData:
         qtilde = BucketedRates(
             bucketing, 1990, 2014, np.full((2, 6, 25), 0.01), np.full((2, 6, 25), 1e5)
         )
-        working = make_cod_working_data(table, qtilde, init_theta(12, 6, 25))
+        working = make_cod_working_data(table, qtilde, init_theta(table, "uniform"))
         assert working.data.n == 3600
+
+    def test_rates_over_more_years_are_cut_to_the_table(self, rng):
+        table = cause_table(rng.integers(1, 50, size=(2, 2, 3, 2)), year_min=2001)
+        theta0 = init_theta(table, "uniform")
+        bucketing = AgeBucketing.from_spec("0;1", 0, 1)
+        rate, exposure = rng.uniform(0.01, 0.02, (2, 2, 5)), rng.uniform(1e3, 1e4, (2, 2, 5))
+        wide = BucketedRates(bucketing, 2000, 2004, rate, exposure)
+        cut = BucketedRates(bucketing, 2001, 2003, rate[:, :, 1:4], exposure[:, :, 1:4])
+        volume = make_cod_working_data(table, wide, theta0).data.volume
+        assert np.array_equal(volume, make_cod_working_data(table, cut, theta0).data.volume)
+        narrow = BucketedRates(bucketing, 2002, 2004, rate[:, :, 2:], exposure[:, :, 2:])
+        message = r"^cause table years 2001\.\.2003 are not covered by the fitted rates \(2002\.\.2004\)$"
+        with pytest.raises(ValueError, match=message):
+            make_cod_working_data(table, narrow, theta0)
 
     def test_zero_theta_with_deaths_rejected(self):
         counts = np.full((2, 2, 2, 2), 5, dtype=np.int64)
@@ -122,7 +137,7 @@ class TestMakeCodWorkingData:
         qtilde = BucketedRates(qtilde.bucketing, 2000, 2001, qtilde.rate, exposure)
         message = r"^zero working volume with observed deaths at \(male, bucket 1, 2001, cause 1\)$"
         with pytest.raises(ValueError, match=message):
-            make_cod_working_data(table, qtilde, init_theta(2, 2, 2))
+            make_cod_working_data(table, qtilde, init_theta(table, "uniform"))
 
     def test_zero_volume_cells_without_deaths_dropped(self):
         counts = np.full((2, 2, 2, 2), 5, dtype=np.int64)
@@ -141,11 +156,10 @@ class TestEstimateThetaTree:
     def test_identity_boost(self):
         # counts exactly at the prior expectation: mu = 1, theta_tree = theta0
         qtilde = bucket_rates(2, 2000, 2004, 0.02, 60000.0)
-        theta0 = init_theta(12, 2, 5)
         counts = np.full((2, 2, 5, 12), 100, dtype=np.int64)
         table = cause_table(counts)
-        working = make_cod_working_data(table, qtilde, theta0)
-        raw, norm, tree = estimate_theta_tree(working, theta0, TreeConfig())
+        working = make_cod_working_data(table, qtilde, init_theta(table, "uniform"))
+        raw, norm, tree = estimate_theta_tree(working, TreeConfig())
         assert tree.n_splits == 0
         assert np.all(raw.values == pytest.approx(1 / 12))
         assert np.all(norm.values == pytest.approx(1 / 12))
@@ -153,13 +167,12 @@ class TestEstimateThetaTree:
     def test_raw_product_rule(self):
         # doubled counts for one cause: raw theta_tree = mu * theta0
         qtilde = bucket_rates(1, 2000, 2019, 0.02, 60000.0)
-        theta0 = init_theta(2, 1, 20)
         counts = np.empty((2, 1, 20, 2), dtype=np.int64)
         counts[..., 0] = 600
         counts[..., 1] = 1800
         table = cause_table(counts)
-        working = make_cod_working_data(table, qtilde, theta0)
-        raw, norm, tree = estimate_theta_tree(working, theta0, TreeConfig(cp=1e-3, min_bucket=5))
+        working = make_cod_working_data(table, qtilde, init_theta(table, "uniform"))
+        raw, norm, tree = estimate_theta_tree(working, TreeConfig(cp=1e-3, min_bucket=5))
         # volumes are 600 per (cell, cause); mu ~ 1 and ~3, raw clamped at 1
         assert np.all(np.abs(raw.values[..., 0] - 0.5) < 1e-9)
         assert np.all(np.abs(raw.values[..., 1] - 1.0) < 1e-9)
@@ -188,9 +201,8 @@ class TestEstimateThetaTree:
         from mortboost import MortalityTable, aggregate_rates
 
         qtilde = aggregate_rates(spec.q, MortalityTable(space, spec.exposure, zero), bucketing)
-        theta0 = init_theta(4, 2, n_years)
-        working = make_cod_working_data(cod, qtilde, theta0)
-        raw, norm, tree = estimate_theta_tree(working, theta0, TreeConfig(cp=1e-4, min_bucket=10))
+        working = make_cod_working_data(cod, qtilde, init_theta(cod, "uniform"))
+        raw, norm, tree = estimate_theta_tree(working, TreeConfig(cp=1e-4, min_bucket=10))
         assert np.max(np.abs(norm.values - theta)) < 0.01
 
     def test_label_equivariance(self, rng):
@@ -212,9 +224,9 @@ class TestEstimateThetaTree:
         from mortboost import MortalityTable, aggregate_rates
 
         qtilde = aggregate_rates(spec.q, MortalityTable(space, spec.exposure, zero), bucketing)
-        theta0 = init_theta(3, 1, 16)
+        theta0 = init_theta(cod, "uniform")
         cfg = TreeConfig(cp=1e-3, min_bucket=2)
-        _, norm, _ = estimate_theta_tree(make_cod_working_data(cod, qtilde, theta0), theta0, cfg)
+        _, norm, _ = estimate_theta_tree(make_cod_working_data(cod, qtilde, theta0), cfg)
 
         perm = [2, 0, 1]  # new code k holds old cause perm[k]
         permuted = CauseDeathTable(
@@ -225,9 +237,7 @@ class TestEstimateThetaTree:
             counts=cod.counts[..., perm],
             missing=cod.missing[..., perm],
         )
-        _, norm_p, _ = estimate_theta_tree(
-            make_cod_working_data(permuted, qtilde, theta0), theta0, cfg
-        )
+        _, norm_p, _ = estimate_theta_tree(make_cod_working_data(permuted, qtilde, theta0), cfg)
         assert np.allclose(norm_p.values, norm.values[..., perm], atol=1e-12)
 
     def test_normalized_sums_to_one(self, rng):
@@ -236,10 +246,9 @@ class TestEstimateThetaTree:
         missing[0, 0, :2, 3] = True
         table = cause_table(np.where(missing, 0, counts), missing=missing)
         qtilde = bucket_rates(2, 2000, 2005, 0.02, 5e4)
-        theta0 = init_theta(5, 2, 6)
-        working = make_cod_working_data(table, qtilde, theta0)
-        raw, norm, _ = estimate_theta_tree(working, theta0, TreeConfig(cp=1e-3, min_bucket=2))
-        sums = (norm.values * working.available).sum(axis=3)
+        working = make_cod_working_data(table, qtilde, init_theta(table, "uniform"))
+        raw, norm, _ = estimate_theta_tree(working, TreeConfig(cp=1e-3, min_bucket=2))
+        sums = (norm.values * ~table.missing).sum(axis=3)
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
@@ -296,7 +305,7 @@ class TestHelpers:
     def test_csv_exports(self):
         counts = np.full((2, 2, 3, 2), 20, dtype=np.int64)
         table = cause_table(counts)
-        theta0 = init_theta(2, 2, 3)
+        theta0 = init_theta(table, "uniform")
         res = pearson_residuals(table, theta0)
         text = theta_to_csv(table, theta0, theta0, smooth_window=3)
         lines = text.splitlines()

@@ -335,9 +335,11 @@ def same_cod(a: hmd.CauseDeathTable, b: hmd.CauseDeathTable) -> bool:
 HMD = (partial(hmd.parse_hmd_1x1, kind="deaths"), partial(ref.parse_hmd_1x1, kind="deaths"), same_hmd)
 
 
-def cod_readers(causes):
-    """parse_cod_csv for one cause registry, its oracle and their comparison."""
-    return partial(hmd.parse_cod_csv, causes=causes), partial(ref.parse_cod_csv, causes=causes), same_cod
+def cod_readers(n_buckets, causes):
+    """parse_cod_csv for one bucket count and cause registry, its oracle and
+    their comparison."""
+    read = partial(hmd.parse_cod_csv, n_buckets=n_buckets, causes=causes)
+    return read, partial(ref.parse_cod_csv, n_buckets=n_buckets, causes=causes), same_cod
 
 
 HMD_HEAD = "title\n\n  Year  Age  Female  Male  Total\n"
@@ -399,6 +401,8 @@ class TestCodCsv:
             " Male , 2 , 2000 , DEMENTIA , 7 \n",
             "male,1,2000,1,5\nmale,1,2000,1,6\n",
             "male,0,2000,1,5\n",
+            "male,1,2000,1,5\nmale,3,2000,1,5\n",
+            "male,99999999999999999999,2000,1,5\n",
             "male,0,x,1,5\n",
             "male,1,2000,13,5\n",
             "male,1,2000,1,-5\n",
@@ -414,13 +418,13 @@ class TestCodCsv:
         ],
     )
     def test_examples_same_table_or_same_error(self, rows):
-        check_same(*cod_readers(DEFAULT_CAUSES), COD_HEAD + rows)
+        check_same(*cod_readers(2, DEFAULT_CAUSES), COD_HEAD + rows)
 
     @pytest.mark.parametrize(
         "rows, message",
         [
             ('"female",1,2000,"1","5\n"\nmale,0,2000,1,5\n',
-             "line 4: age_group must be a 1-based index, got 0"),
+             "line 4: age_group must be an index in 1..2, got 0"),
             ('"female",1,2000,"1","5\n"\nmale,1,2000,1,"' + "1" * 140_000 + '"\n',
              "line 4: field larger than field limit (131072)"),
         ],
@@ -429,13 +433,13 @@ class TestCodCsv:
     def test_a_row_is_named_by_the_line_it_starts_on(self, rows, message):
         # the second row spans lines 2 and 3: its quoted count holds a newline
         with pytest.raises(hmd.ParseError, match=f"^{re.escape(message)}$"):
-            hmd.parse_cod_csv(COD_HEAD + rows)
+            hmd.parse_cod_csv(COD_HEAD + rows, 2)
 
     @given(cause_tables())
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, table):
         text = hmd.write_cod_csv(table)
-        back = hmd.parse_cod_csv(text, table.causes)
+        back = hmd.parse_cod_csv(text, table.n_buckets, table.causes)
         assert same_cod(back, table)
         assert hmd.write_cod_csv(back) == text
 
@@ -445,14 +449,14 @@ class TestCodCsv:
         text = hmd.write_cod_csv(table)
         if data.draw(st.booleans()):
             text = with_labels(text, table.causes)
-        check_same(*cod_readers(table.causes), damage(data, text), data.draw(READ_ROWS))
+        check_same(*cod_readers(table.n_buckets, table.causes), damage(data, text), data.draw(READ_ROWS))
 
     @given(cause_tables(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_duplicated_line(self, table, data):
         lines = hmd.write_cod_csv(table).splitlines(keepends=True)
         i = data.draw(st.integers(0, len(lines) - 1))
-        check_same(*cod_readers(table.causes), "".join(lines[: i + 1] + lines[i:]), data.draw(READ_ROWS))
+        check_same(*cod_readers(table.n_buckets, table.causes), "".join(lines[: i + 1] + lines[i:]), data.draw(READ_ROWS))
 
 
 # --- block boundaries --------------------------------------------------------
@@ -485,9 +489,9 @@ def _block_tables():
         "rate": (RATE, rate_surface_to_csv(rates), ",", 1),
         "params": (params_readers(LCParams), params_to_csv(_lc_params(space)), ",", 1),
         "hmd": (HMD, hmd.write_hmd_1x1(grid), "  ", 3),
-        "cod": (cod_readers(cod.causes), cod_text, ",", 1),
+        "cod": (cod_readers(cod.n_buckets, cod.causes), cod_text, ",", 1),
         # quoted genders send the text through the csv module
-        "cod-csv": (cod_readers(cod.causes), re.sub(r"^(female|male)", r'"\1"', cod_text, flags=re.M), ",", 1),
+        "cod-csv": (cod_readers(cod.n_buckets, cod.causes), re.sub(r"^(female|male)", r'"\1"', cod_text, flags=re.M), ",", 1),
     }
 
 

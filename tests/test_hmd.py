@@ -268,17 +268,17 @@ def cod_csv(rows):
 
 class TestParseCodCsv:
     def test_direct_mapping(self):
-        table = parse_cod_csv(cod_csv(["male,4,1995,2,1023"]))
+        table = parse_cod_csv(cod_csv(["male,4,1995,2,1023"]), 6)
         assert table.counts[1, 3, 0, 1] == 1023
         assert not table.missing[1, 3, 0, 1]
         assert table.causes[1] == "malignant tumors"
 
     def test_label_matching_case_insensitive(self):
-        table = parse_cod_csv(cod_csv(["female,1,2000,Dementia,7"]))
+        table = parse_cod_csv(cod_csv(["female,1,2000,Dementia,7"]), 1)
         assert table.counts[0, 0, 0, 3] == 7
 
     def test_missing_deaths_field(self):
-        table = parse_cod_csv(cod_csv(["female,3,1992,4,"]))
+        table = parse_cod_csv(cod_csv(["female,3,1992,4,"]), 6)
         assert table.missing[0, 2, 0, 3]
         assert table.counts[0, 2, 0, 3] == 0
 
@@ -290,33 +290,50 @@ class TestParseCodCsv:
             for t in range(1990, 2015)
             for k in range(1, 13)
         ]
-        table = parse_cod_csv(cod_csv(rows))
+        table = parse_cod_csv(cod_csv(rows), 6)
         assert table.counts.shape == (2, 6, 25, 12)
         assert table.counts.size == 3600  # 2*6*25*12
 
     def test_errors(self):
         with pytest.raises(ParseError, match="unknown cause"):
-            parse_cod_csv(cod_csv(["male,1,2000,not a cause,1"]))
+            parse_cod_csv(cod_csv(["male,1,2000,not a cause,1"]), 1)
         with pytest.raises(ParseError, match="duplicate"):
-            parse_cod_csv(cod_csv(["male,1,2000,1,1", "male,1,2000,1,2"]))
+            parse_cod_csv(cod_csv(["male,1,2000,1,1", "male,1,2000,1,2"]), 1)
         with pytest.raises(ParseError, match="negative"):
-            parse_cod_csv(cod_csv(["male,1,2000,1,-3"]))
+            parse_cod_csv(cod_csv(["male,1,2000,1,-3"]), 1)
         with pytest.raises(ParseError, match="header"):
-            parse_cod_csv("a,b,c\n")
+            parse_cod_csv("a,b,c\n", 1)
 
     def test_counts_up_to_64_bits(self):
-        table = parse_cod_csv(cod_csv([f"male,1,2000,1,{2**63 - 1}"]))
+        table = parse_cod_csv(cod_csv([f"male,1,2000,1,{2**63 - 1}"]), 1)
         assert table.counts[1, 0, 0, 0] == 2**63 - 1
         with pytest.raises(ParseError) as exc:
-            parse_cod_csv(cod_csv(["male,1,2000,1,5", f"male,1,2001,1,{2**63}"]))
+            parse_cod_csv(cod_csv(["male,1,2000,1,5", f"male,1,2001,1,{2**63}"]), 1)
         assert (exc.value.line, str(exc.value)) == (
             3, f"line 3: death count {2**63} does not fit a 64-bit count"
         )
 
     def test_unmentioned_cells_are_missing(self):
-        table = parse_cod_csv(cod_csv(["male,2,2000,1,5", "male,2,2001,1,6"]))
+        table = parse_cod_csv(cod_csv(["male,2,2000,1,5", "male,2,2001,1,6"]), 3)
         assert table.missing[0, 0, 0, 0]  # female bucket 1 never mentioned
         assert not table.missing[1, 1, 0, 0]
+
+    def test_the_bucket_count_fixes_the_age_groups(self):
+        # an age group without rows is MISSING, the last one too
+        table = parse_cod_csv(cod_csv(["male,1,2000,1,5"]), 3)
+        assert table.counts.shape == (2, 3, 1, 12)
+        assert table.missing[:, 1:].all()
+        # a row beyond the scheme is named by its line
+        with pytest.raises(ParseError) as exc:
+            parse_cod_csv(cod_csv(["male,1,2000,1,5", "male,3,2000,1,5"]), 2)
+        assert str(exc.value) == "line 3: age_group must be an index in 1..2, got 3"
+
+    @pytest.mark.parametrize("causes", [("a", "A", "b"), ("a", "a", "b")])
+    def test_cause_labels_equal_without_regard_to_case_are_rejected(self, causes):
+        # a row of cause `a` would be counted under the second label
+        with pytest.raises(ValueError) as exc:
+            parse_cod_csv(cod_csv(["male,1,2000,a,5"]), 1, causes)
+        assert str(exc.value) == f"cause labels 'a' and {causes[1]!r} are equal without regard to case"
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -330,8 +347,8 @@ class TestParseCodCsv:
                         else:
                             rows.append(f"{g},{b},{t},{k},{rng.integers(0, 100)}")
         causes = DEFAULT_CAUSES[:4]
-        table = parse_cod_csv(cod_csv(rows), causes=causes)
-        again = parse_cod_csv(write_cod_csv(table), causes=causes)
+        table = parse_cod_csv(cod_csv(rows), 2, causes)
+        again = parse_cod_csv(write_cod_csv(table), 2, causes)
         assert np.array_equal(table.counts, again.counts)
         assert np.array_equal(table.missing, again.missing)
         assert table.causes == again.causes

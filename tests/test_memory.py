@@ -85,7 +85,7 @@ WRITERS = {
 
 # reader, the writer of its text and the width of its rows
 READERS = {
-    "parse_cod_csv": (lambda text: hmd.parse_cod_csv(text), "write_cod_csv", 5),
+    "parse_cod_csv": (lambda text: hmd.parse_cod_csv(text, BUCKETS.count(";") + 1), "write_cod_csv", 5),
     "parse_hmd_1x1": (lambda text: hmd.parse_hmd_1x1(text, "deaths"), "write_hmd_1x1", 5),
     "rate_surface_from_csv": (rate_surface_from_csv, "rate_surface_to_csv", 4),
     "params_from_csv": (params_from_csv, "params_to_csv", 4),
