@@ -62,7 +62,6 @@ def make_working_data(
 class BacktestResult:
     space: FeatureSpace
     initial_model_tag: str
-    q_init: RateSurface
     q_tree: RateSurface
     mu_hat: np.ndarray  # (2, A, T)
     delta: np.ndarray  # (2, A, T), mu_hat - 1
@@ -85,7 +84,6 @@ def backtest(
     return BacktestResult(
         space=space,
         initial_model_tag=initial_model_tag,
-        q_init=q_init,
         q_tree=RateSurface(space, q_tree),
         mu_hat=mu,
         delta=mu - 1.0,

@@ -63,20 +63,14 @@ class DataError(Exception):
 
 def _load_table(args, space: FeatureSpace):
     """The command's --deaths (all 0 for a command without it) and --exposures,
-    clipped to the space, and the clip's warnings, one more for death counts
-    rounded to whole counts; a fault of either grid names its flag and file."""
+    clipped to the space, and the clip's warnings; a fault of either grid
+    names its flag and file."""
     deaths = _read_hmd("--deaths", args.deaths, "deaths") if hasattr(args, "deaths") else None
     exposures = _read_hmd("--exposures", args.exposures, "exposures")
     try:
-        table, report = hmd.clip_to_space(deaths, exposures, space, not args.no_pool_top_age)
+        return hmd.clip_to_space(deaths, exposures, space, not args.no_pool_top_age)
     except hmd.GridError as exc:  # the grid's kind is its flag and args field
         raise DataError(f"--{exc.kind} {getattr(args, exc.kind)}: {exc}") from None
-    if report.n_rounded:
-        report.warnings.append(
-            f"deaths: {report.n_rounded} cell{'s' if report.n_rounded > 1 else ''} rounded to a "
-            f"whole count, largest change {report.max_rounding_delta:.3g}"
-        )
-    return table, report.warnings
 
 
 def _read_file(flag: str, path: str, reader):
@@ -207,7 +201,7 @@ def cmd_backtest(args) -> int:
     write_file(tree_path, result.tree.to_text())
     outputs.append(tree_path)
     if args.svg and years:
-        crude, _ = crude_rates(table)
+        crude = crude_rates(table)
         ages, cols = space.ages(), np.array(years) - space.year_min
         for gi, g in enumerate(GENDERS):
             # (year, initial | boosted, age)
@@ -397,7 +391,8 @@ _CONFIG_KEYS = {
 
 def _set_config_defaults(parser: argparse.ArgumentParser, text: str) -> None:
     """Make a config file's values the defaults of the same-named flags of
-    every command, each converted by its flag's type."""
+    every command, each converted by its flag's type and one of its choices
+    where it has them."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = [a for command in commands.choices.values() for a in command._actions if a.dest in _CONFIG_KEYS]
     seen = set()
@@ -408,12 +403,16 @@ def _set_config_defaults(parser: argparse.ArgumentParser, text: str) -> None:
         if dest in seen:
             raise hmd.ParseError(f"duplicate key {key!r}", line)
         seen.add(dest)
+        message = f"bad value for {key!r}: {value!r}"
         for flag in flags:
             if flag.dest == dest:
                 try:
-                    flag.default = (flag.type or str)(value)
+                    default = (flag.type or str)(value)
                 except ValueError:
-                    raise hmd.ParseError(f"bad value for {key!r}: {value!r}", line) from None
+                    raise hmd.ParseError(message, line) from None
+                if flag.choices is not None and default not in flag.choices:
+                    raise hmd.ParseError(message, line)
+                flag.default = default
 
 
 def build_parser() -> argparse.ArgumentParser:

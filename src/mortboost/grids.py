@@ -150,26 +150,13 @@ class RateSurface:
             raise ValueError("rates must lie in [0, 1]")
 
 
-def crude_rates(table: MortalityTable) -> tuple[RateSurface, list[str]]:
-    """Observed rates D/E, clamped to 1; zero-exposure cells get rate 0.
-
-    Returns the surface and a list of human-readable warnings (one per
-    zero-exposure cell and one per clamped cell).
-    """
-    space = table.space
+def crude_rates(table: MortalityTable) -> RateSurface:
+    """Observed rates D/E, clamped to 1; zero-exposure cells get rate 0."""
     E = table.exposure
     D = table.deaths.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(E > 0, D / np.where(E > 0, E, 1.0), 0.0)
-    warnings = [
-        "zero exposure at ({}, {}, {}): rate set to 0".format(*space.cell(*i)) for i in np.argwhere(E == 0)
-    ]
-    warnings += [
-        "crude rate {:.6g} > 1 at ({}, {}, {}): clamped to 1".format(rate[tuple(i)], *space.cell(*i))
-        for i in np.argwhere(rate > 1.0)
-    ]
-    rate = np.minimum(rate, 1.0)
-    return RateSurface(space, rate), warnings
+    return RateSurface(table.space, np.minimum(rate, 1.0))
 
 
 @dataclass(frozen=True)
@@ -360,13 +347,12 @@ def _rate(token: str) -> float:
     return rate
 
 
-def _line_error(message: str, line: int | None = None) -> ValueError:
-    return ValueError(message if line is None else f"line {line}: {message}")
+class ParseError(ValueError):
+    """Malformed input; carries a 1-based line number when known."""
 
-
-def four_fields(fields: list[str]) -> None:
-    """Python's own ValueError for a row that is not four fields."""
-    _, _, _, _ = fields
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 def comma_fields(rows: list[str]) -> tuple[list[str], np.ndarray]:
@@ -392,7 +378,7 @@ def first_line(text: str, split: Callable[[str], list] = str.splitlines) -> str 
     return lines[0] if lines else None
 
 
-def line_blocks(text: str, split: Callable[[str], list] = str.splitlines, skip: int = 0):
+def line_blocks(text: str, skip: int, split: Callable[[str], list] = str.splitlines):
     """The lines that split(text) gives past the first `skip`, as (lines,
     their 1-based numbers) per block of _READ_ROWS lines. Each block is cut
     from the text right after a newline, so a block splits as it would
@@ -481,23 +467,20 @@ def _first_repeat(keys: tuple[np.ndarray, ...]) -> int:
 class TableFormat:
     """The columns of a text table and the checks that name its first bad row.
 
-    A row has `width` fields; count(fields) raises the table's ValueError for
-    a row of another width. `steps` are (field, step) pairs in the table's
+    A row has `width` fields. `steps` are (field, step) pairs in the table's
     check order: a field's value is its token passed through its steps in
     turn, and a step raises ValueError for a value it rejects. The first
     n_key values form a row's key, which no two rows may share;
     duplicate(fields, values) is the message for a row that repeats one.
-    error(message, line) is the exception raised, error(empty) the one for a
-    table without rows.
+    A bad row raises ParseError with its line, a table without rows
+    ParseError(empty).
     """
 
     width: int
-    count: Callable[[list[str]], object]
     steps: tuple[tuple[int, Callable], ...]
     n_key: int
     duplicate: Callable[[list[str], list], str]
     empty: str
-    error: Callable[..., Exception] = _line_error
 
     def _converter(self, field: int) -> Callable:
         """A field's steps as one function of its token."""
@@ -552,7 +535,7 @@ class TableFormat:
         if stop is not None:
             raise stop
         if not n:
-            raise self.error(self.empty)
+            raise ParseError(self.empty)
         return tuple(columns)
 
     def _good_rows(self, rows: list, fields, convert: list[Callable], known: list[dict]) -> tuple:
@@ -572,20 +555,21 @@ class TableFormat:
         arrays = [_array(value_of, col[:end]) for (value_of, _), col in zip(converted, columns)] if end else []
         return end, arrays, [value_of for value_of, _ in converted]
 
-    def _row_error(self, fields: list[str], line: int) -> Exception:
+    def _row_error(self, fields: list[str], line: int) -> ParseError:
         try:
-            self.count(fields)
+            if len(fields) != self.width:
+                raise ValueError(f"expected {self.width} fields, got {len(fields)}")
             values = list(fields)
             for f, step in self.steps:
                 values[f] = step(values[f])
         except ValueError as exc:
-            return self.error(str(exc), line)
-        return self.error(self.duplicate(fields, values), line)
+            return ParseError(str(exc), line)
+        return ParseError(self.duplicate(fields, values), line)
 
 
 _RATE_HEADER = "gender,age,year,rate"
 _RATE_FORMAT = TableFormat(
-    4, four_fields, ((0, gender_index), (1, int), (2, int), (3, _rate)), 3,
+    4, ((0, gender_index), (1, int), (2, int), (3, _rate)), 3,
     lambda f, v: f"duplicate rate row for {f[0]}, age {v[1]}, year {v[2]}",
     "no rate rows after the header",
 )
@@ -597,7 +581,7 @@ def rate_surface_from_csv(text: str) -> RateSurface:
     header = first_line(text)
     if header is None or header.strip() != _RATE_HEADER:
         raise ValueError(f"expected header {_RATE_HEADER}")
-    gi, ages, years, values = _RATE_FORMAT.read(partial(line_blocks, text, skip=1))
+    gi, ages, years, values = _RATE_FORMAT.read(partial(line_blocks, text, 1))
     space = FeatureSpace(int(ages.min()), int(ages.max()), int(years.min()), int(years.max()))
     if gi.size != space.size:
         raise ValueError(f"rate grid is not dense: {gi.size} rows for a {space.size}-cell space")

@@ -36,6 +36,7 @@ from .grids import (
     FeatureSpace,
     Fields,
     MortalityTable,
+    ParseError,
     TableFormat,
     block_text,
     comma_fields,
@@ -71,14 +72,6 @@ def generic_causes(n: int) -> tuple[str, ...]:
 
 
 _NAN = float("nan")
-
-
-class ParseError(ValueError):
-    """Malformed input; carries a 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 def read_key_values(text: str) -> dict[str, tuple[str, int]]:
@@ -124,11 +117,6 @@ def _non_negative(value: float) -> float:
     return value
 
 
-def _five_columns(tokens: list[str]) -> None:
-    if len(tokens) != 5:
-        raise ValueError(f"expected 5 columns, got {len(tokens)}")
-
-
 def _is_data_row(tokens: list[str]) -> bool:
     """Not blank and not the column-name line of published files."""
     return bool(tokens) and tokens[0].lower() != "year"
@@ -150,10 +138,10 @@ def _hmd_format(open_ages: set[int]) -> TableFormat:
         return value
 
     return TableFormat(
-        5, _five_columns,
+        5,
         ((0, int), (1, age), (2, _hmd_value), (3, _hmd_value), (4, _hmd_value),
          (2, _non_negative), (3, _non_negative), (4, _non_negative)),
-        2, lambda f, v: f"duplicate entry for age {f[1]}, year {v[0]}", "no data rows found", ParseError,
+        2, lambda f, v: f"duplicate entry for age {f[1]}, year {v[0]}", "no data rows found",
     )
 
 
@@ -179,7 +167,7 @@ def parse_hmd_1x1(text: str, kind: str) -> HmdGrid:
         raise ValueError(f"kind must be 'deaths' or 'exposures', got {kind!r}")
     open_ages: set[int] = set()
     years, ages, *values = _hmd_format(open_ages).read(
-        partial(line_blocks, text, _hmd_rows, 2), _is_data_row, list_fields  # past the two-line header
+        partial(line_blocks, text, 2, _hmd_rows), _is_data_row, list_fields  # past the two-line header
     )
     # dense grids from the distinct (age, year) rows; cells without a row are NaN
     age_values, ai = np.unique(ages, return_inverse=True)
@@ -220,13 +208,6 @@ class GridError(ValueError):
         super().__init__(message)
 
 
-@dataclass
-class ClipReport:
-    warnings: list[str]
-    n_rounded: int
-    max_rounding_delta: float
-
-
 _SHOWN_MISSING = 10
 
 
@@ -252,14 +233,15 @@ def clip_to_space(
     exposures: HmdGrid,
     space: FeatureSpace,
     pool_top_age: bool,
-) -> tuple[MortalityTable, ClipReport]:
+) -> tuple[MortalityTable, list[str]]:
     """Cut per-gender grids down to a feature space, optionally pooling all
-    ages >= age_max into the top row; deaths are rounded to integers, and are
-    all 0 when no deaths grid is given (an exposure-only caller). The grids'
-    ages and years ascend, as parse_hmd_1x1 gives them. A requested age or
-    year that a grid lacks, a non-finite exposure (a pooled sum that
-    overflows too), a positive exposure below the smallest normal float and a
-    death count beyond 64 bits raise GridError."""
+    ages >= age_max into the top row, and the warnings of the cut; deaths are
+    rounded to integers, and are all 0 when no deaths grid is given (an
+    exposure-only caller). The grids' ages and years ascend, as
+    parse_hmd_1x1 gives them. A requested age or year that a grid lacks, a
+    non-finite exposure (a pooled sum that overflows too), a positive
+    exposure below the smallest normal float and a death count beyond 64
+    bits raise GridError."""
     if (deaths is not None and deaths.kind != "deaths") or exposures.kind != "exposures":
         raise ValueError("pass the deaths grid first and the exposures grid second")
     for grid in [exposures] if deaths is None else [deaths, exposures]:
@@ -309,8 +291,13 @@ def clip_to_space(
             raise GridError(grid, fault.format(float(values[i]), *space.cell(*i)))
     D = np.rint(D_raw)
     delta = np.abs(D - D_raw)
-    report = ClipReport(warnings, int((delta > 0).sum()), float(delta.max()) if delta.size else 0.0)
-    return MortalityTable(space, E, D.astype(np.int64)), report
+    n_rounded = int((delta > 0).sum())
+    if n_rounded:
+        warnings.append(
+            f"deaths: {n_rounded} cell{'s' if n_rounded > 1 else ''} rounded to a "
+            f"whole count, largest change {float(delta.max()):.3g}"
+        )
+    return MortalityTable(space, E, D.astype(np.int64)), warnings
 
 
 @dataclass(frozen=True)
@@ -384,11 +371,6 @@ def _cod_deaths(tok: str) -> int:
     return count
 
 
-def _five_fields(fields: list[str]) -> None:
-    if len(fields) != 5:
-        raise ValueError(f"expected 5 fields, got {len(fields)}")
-
-
 def cause_index(causes: tuple[str, ...]) -> dict[str, int]:
     """Each cause's index by its lower-case label; two labels that are equal
     without regard to case raise ValueError."""
@@ -423,11 +405,11 @@ def _cod_format(n_buckets: int, causes: tuple[str, ...]) -> TableFormat:
         return k
 
     return TableFormat(
-        5, _five_fields,
+        5,
         tuple((f, str.strip) for f in range(5))
         + ((0, _cod_gender), (1, int), (2, int), (1, bucket), (3, cause), (4, _cod_deaths)),
         4, lambda f, v: f"duplicate entry for ({f[0].strip()},{v[1]},{v[2]},{causes[v[3]]})",
-        "no data rows found", ParseError,
+        "no data rows found",
     )
 
 
@@ -468,7 +450,7 @@ def parse_cod_csv(text: str, n_buckets: int, causes: tuple[str, ...] = DEFAULT_C
     else:
         line = first_line(text, newline_rows)
         header = None if line is None else line.split(",")
-        blocks = partial(line_blocks, text, newline_rows, 1)
+        blocks = partial(line_blocks, text, 1, newline_rows)
         keep, fields = str.strip, comma_fields
     if header is None:
         raise ParseError("empty file")

@@ -47,7 +47,6 @@ from .grids import (
     RateSurface,
     TableFormat,
     first_line,
-    four_fields,
     gender_index,
     line_blocks,
 )
@@ -497,11 +496,11 @@ def params_from_csv(text: str, model: type[LCParams] = LCParams) -> dict[str, LC
     # kind label -> code: a numpy string column would drop a label's trailing NULs
     codes: dict[str, int] = {}
     params = TableFormat(
-        4, four_fields,
+        4,
         ((3, float), (2, int), (0, gender_index), (1, lambda kind: codes.setdefault(kind, len(codes)))),
         3, lambda f, v: f"duplicate {f[0]} {f[1]} row for index {v[2]}", "no parameter rows after the header",
     )
-    gi, code, index, value = params.read(partial(line_blocks, text, skip=1))
+    gi, code, index, value = params.read(partial(line_blocks, text, 1))
     labels = list(codes)
     kinds = model.kinds()
     out = {}

@@ -14,8 +14,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from mortboost.grids import GENDERS, FeatureSpace, MortalityTable, RateSurface, gender_index
-from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, ClipReport, GridError, HmdGrid, ParseError
+from mortboost.grids import GENDERS, FeatureSpace, MortalityTable, ParseError, RateSurface, gender_index
+from mortboost.hmd import DEFAULT_CAUSES, CauseDeathTable, GridError, HmdGrid
 from mortboost.svgplot import _PALETTE, _diverging_color
 
 # the layout and rate floor the oracles expect, stated here rather than read
@@ -29,7 +29,7 @@ _RATE_FLOOR = 1e-12
 
 def _parse_hmd_row(tokens, ln_no):
     if len(tokens) != 5:
-        raise ParseError(f"expected 5 columns, got {len(tokens)}", ln_no)
+        raise ParseError(f"expected 5 fields, got {len(tokens)}", ln_no)
     try:
         year = int(tokens[0])
         age_tok = tokens[1]
@@ -95,7 +95,8 @@ def write_hmd_1x1(grid):
 
 def clip_to_space(deaths, exposures, space, pool_top_age):
     """Each age found by its own lookup, the pooled top row as a running sum
-    from 0.0; deaths=None gives all-zero counts."""
+    from 0.0; deaths=None gives all-zero counts. Returns the table and the
+    warnings, the last for the rounded death counts."""
     if (deaths is not None and deaths.kind != "deaths") or exposures.kind != "exposures":
         raise ValueError("pass the deaths grid first and the exposures grid second")
     warnings = []
@@ -133,8 +134,11 @@ def clip_to_space(deaths, exposures, space, pool_top_age):
         D_raw = np.where(orphan, 0.0, D_raw)
     D = np.rint(D_raw)
     delta = np.abs(D - D_raw)
-    report = ClipReport(warnings, int((delta > 0).sum()), float(delta.max()) if delta.size else 0.0)
-    return MortalityTable(space, E, D.astype(np.int64)), report
+    n_rounded = int((delta > 0).sum())
+    if n_rounded:
+        cells = "1 cell" if n_rounded == 1 else f"{n_rounded} cells"
+        warnings.append(f"deaths: {cells} rounded to a whole count, largest change {float(delta.max()):.3g}")
+    return MortalityTable(space, E, D.astype(np.int64)), warnings
 
 
 # --- cause-of-death CSV ----------------------------------------------------
@@ -315,19 +319,22 @@ def rate_surface_from_csv(text):
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
+        fields = ln.split(",")
         try:
-            g, a, t, r = ln.split(",")
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 fields, got {len(fields)}")
+            g, a, t, r = fields
             key = (gender_index(g), int(a), int(t))
             value = float(r)
             if 0.0 < value < 2.2250738585072014e-308:
                 raise ValueError(f"rate {value!r} is below the smallest normal float 2.2250738585072014e-308")
         except ValueError as exc:
-            raise ValueError(f"line {ln_no}: {exc}") from None
+            raise ParseError(str(exc), ln_no) from None
         if key in rows:
-            raise ValueError(f"line {ln_no}: duplicate rate row for {g}, age {key[1]}, year {key[2]}")
+            raise ParseError(f"duplicate rate row for {g}, age {key[1]}, year {key[2]}", ln_no)
         rows[key] = value
     if not rows:
-        raise ValueError("no rate rows after the header")
+        raise ParseError("no rate rows after the header")
     ages = sorted({a for _, a, _ in rows})
     years = sorted({t for _, _, t in rows})
     space = FeatureSpace(ages[0], ages[-1], years[0], years[-1])
@@ -366,18 +373,21 @@ def read_params_csv(text, kinds, make):
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
+        fields = ln.split(",")
         try:
-            g, kind, idx, val = ln.split(",")
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 fields, got {len(fields)}")
+            g, kind, idx, val = fields
             value, i = float(val), int(idx)
             gender_index(g)
         except ValueError as exc:
-            raise ValueError(f"line {ln_no}: {exc}") from None
+            raise ParseError(str(exc), ln_no) from None
         by_index = rows.setdefault(g, {}).setdefault(kind, {})
         if i in by_index:
-            raise ValueError(f"line {ln_no}: duplicate {g} {kind} row for index {i}")
+            raise ParseError(f"duplicate {g} {kind} row for index {i}", ln_no)
         by_index[i] = value
     if not rows:
-        raise ValueError("no parameter rows after the header")
+        raise ParseError("no parameter rows after the header")
     out = {}
     for g, by_kind in rows.items():
         if set(by_kind) != set(kinds):

@@ -509,6 +509,18 @@ class TestConfigFile:
         code = main(["--config", str(cfg), "check", "--params", "x", "--kind", "lc"])
         assert code == 3
 
+    def test_config_value_outside_the_flags_choices_is_data_error(self, sim_dir, lc_fit_dir, tmp_path, capsys):
+        # argparse checks a flag's value against its choices, but never a default
+        cfg = tmp_path / "mort.cfg"
+        cfg.write_text("theta_init = bogus\n")
+        out = tmp_path / "cod"
+        code = main(["--config", str(cfg), "cod", "--cod", str(sim_dir / "cod.csv"),
+                     "--qfit", str(lc_fit_dir / "qfit.csv"), "--exposures", str(sim_dir / "exposures.txt"),
+                     "--causes", "3", "--buckets", "0-4;5-9", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: --config {cfg}: line 1: bad value for 'theta_init': 'bogus'\n"
+        assert not out.exists()
+
     def test_duplicate_config_key_is_data_error(self, tmp_path, capsys):
         # a repeated key is rejected, not silently replaced by its last value;
         # the two spellings of a key count as one
@@ -562,7 +574,7 @@ class TestErrorPaths:
         )
         assert code == 3
         assert capsys.readouterr().err == (
-            f"error: --deaths {bad}: line 4: expected 5 columns, got 4\n"
+            f"error: --deaths {bad}: line 4: expected 5 fields, got 4\n"
         )
         # a malformed or header-only --qfit exits 3 with a message naming the file
         wrong_header = tmp_path / "qfit.csv"
@@ -596,10 +608,12 @@ class TestErrorPaths:
         short_qfit = damaged("short.csv", qfit, 2, "female,0,2000")
         row = qfit.read_text().splitlines()[1]
         twice_qfit = damaged("twice.csv", qfit, 2, row, row)
+        long_qfit = damaged("long.csv", qfit, 3, "female,0,2001,0.5,0.5")
         bad_params = damaged("params.csv", params, 2, "female,beta0,0")
         row = params.read_text().splitlines()[1]
         assert row.startswith("female,beta0,0,")
         twice_params = damaged("twice_params.csv", params, 2, row, row)
+        long_params = damaged("long_params.csv", params, 3, "female,beta0,1,-5.0,-5.0")
         foo_params = damaged("foo_params.csv", params, 2, row.replace("female", "foo", 1))
         bad_spec = tmp_path / "sim.cfg"
         bad_spec.write_text("ages = 0:9\nyears = 2000:2009\nseed = x\n")
@@ -610,7 +624,7 @@ class TestErrorPaths:
         cases = [
             (
                 [*fit, "--deaths", deaths, "--exposures", bad_exposures],
-                f"--exposures {bad_exposures}: line 6: expected 5 columns, got 4",
+                f"--exposures {bad_exposures}: line 6: expected 5 fields, got 4",
             ),
             (
                 ["cod", "--cod", bad_cod, *cod_inputs],
@@ -619,7 +633,12 @@ class TestErrorPaths:
             (
                 ["backtest", "--qfit", short_qfit, "--deaths", deaths, "--exposures", exposures,
                  "--out", str(tmp_path / "b")],
-                f"--qfit {short_qfit}: line 2: not enough values to unpack (expected 4, got 3)",
+                f"--qfit {short_qfit}: line 2: expected 4 fields, got 3",
+            ),
+            (
+                ["backtest", "--qfit", long_qfit, "--deaths", deaths, "--exposures", exposures,
+                 "--out", str(tmp_path / "b")],
+                f"--qfit {long_qfit}: line 3: expected 4 fields, got 5",
             ),
             (
                 ["backtest", "--qfit", twice_qfit, "--deaths", deaths, "--exposures", exposures,
@@ -628,7 +647,11 @@ class TestErrorPaths:
             ),
             (
                 ["check", "--params", bad_params, "--kind", "lc"],
-                f"--params {bad_params}: line 2: not enough values to unpack (expected 4, got 3)",
+                f"--params {bad_params}: line 2: expected 4 fields, got 3",
+            ),
+            (
+                ["check", "--params", long_params, "--kind", "lc"],
+                f"--params {long_params}: line 3: expected 4 fields, got 5",
             ),
             (
                 ["check", "--params", twice_params, "--kind", "lc"],

@@ -7,6 +7,7 @@ from mortboost import (
     AgeBucketing,
     FeatureSpace,
     MortalityTable,
+    ParseError,
     RateSurface,
     aggregate_rates,
     crude_rates,
@@ -61,32 +62,26 @@ class TestMortalityTable:
 
 class TestCrudeRates:
     def test_direct_division(self):
-        q, warnings = crude_rates(table_with(small_space(), 1000, 10))
+        q = crude_rates(table_with(small_space(), 1000, 10))
         assert np.all(q.rate == 0.01)
-        assert warnings == []
 
     def test_zero_deaths(self):
-        q, warnings = crude_rates(table_with(small_space(), 100, 0))
+        q = crude_rates(table_with(small_space(), 100, 0))
         assert np.all(q.rate == 0.0)
-        assert warnings == []
 
     def test_clamp_above_one(self):
-        q, warnings = crude_rates(table_with(small_space(), 5, 7))
+        q = crude_rates(table_with(small_space(), 5, 7))
         assert np.all(q.rate == 1.0)
-        assert warnings == [
-            f"crude rate 1.4 > 1 at ({g}, {a}, {t}): clamped to 1"
-            for g in ("female", "male") for a in range(5) for t in range(2000, 2004)
-        ]
 
-    def test_zero_exposure_flagged(self):
+    def test_zero_exposure_gets_rate_zero(self):
         sp = small_space()
         E = np.full(sp.shape, 10.0)
         D = np.full(sp.shape, 1)
         E[1, 2, 3] = 0.0
         D[1, 2, 3] = 0
-        q, warnings = crude_rates(MortalityTable(sp, E, D))
-        assert q.rate[1, 2, 3] == 0.0
-        assert warnings == ["zero exposure at (male, 2, 2003): rate set to 0"]
+        expected = np.full(sp.shape, 0.1)
+        expected[1, 2, 3] = 0.0
+        assert np.array_equal(crude_rates(MortalityTable(sp, E, D)).rate, expected)
 
 
 class TestAgeBucketing:
@@ -182,6 +177,16 @@ class TestRateSurfaceCsv:
         back = rate_surface_from_csv(rate_surface_to_csv(q))
         assert back.space == sp
         assert np.array_equal(back.rate, q.rate)
+
+    def test_a_row_fault_is_a_parse_error_naming_its_line(self):
+        head = "gender,age,year,rate\nfemale,0,2000,0.1\n"
+        for row, message in (("female,0,2001,0.1,0.2", "expected 4 fields, got 5"),
+                             ("female,0,2001", "expected 4 fields, got 3"),
+                             ("female,x,2001,0.1", "invalid literal for int() with base 10: 'x'"),
+                             ("female,0,2000,0.2", "duplicate rate row for female, age 0, year 2000")):
+            with pytest.raises(ParseError) as exc:
+                rate_surface_from_csv(f"{head}\n{row}\n")
+            assert (exc.value.line, str(exc.value)) == (4, f"line 4: {message}")
 
     def test_sparse_grid_rejected(self):
         text = "gender,age,year,rate\nfemale,0,2000,0.1\nmale,1,2001,0.2\n"

@@ -94,7 +94,7 @@ class TestClipToSpace:
         deaths = parse_hmd_1x1(synthetic_file(95, 110, 2000, 2001, value=lambda a, t: 2.0), "deaths")
         exposures = parse_hmd_1x1(synthetic_file(95, 110, 2000, 2001, value=lambda a, t: 50.0), "exposures")
         space = FeatureSpace(95, 97, 2000, 2001)
-        table, report = clip_to_space(deaths, exposures, space, pool_top_age=True)
+        table, _ = clip_to_space(deaths, exposures, space, pool_top_age=True)
         # ages 97..110 collapse into the 97 row: 14 rows of 2 deaths, 50 exposure
         assert table.deaths[0, -1, 0] == 28
         assert table.exposure[0, -1, 0] == 14 * 50.0
@@ -104,10 +104,10 @@ class TestClipToSpace:
         deaths = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001, value=lambda a, t: 3.0), "deaths")
         exposures = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001, value=lambda a, t: 70.0), "exposures")
         space = FeatureSpace(0, 4, 2000, 2001)
-        table, report = clip_to_space(deaths, exposures, space, pool_top_age=False)
+        table, warnings = clip_to_space(deaths, exposures, space, pool_top_age=False)
         assert np.all(table.deaths == 3)
         assert np.all(table.exposure == 70.0)
-        assert report.n_rounded == 0
+        assert warnings == []
 
     def test_pooling_conserves_totals_and_reports_rounding(self):
         rng = np.random.default_rng(11)
@@ -122,10 +122,21 @@ class TestClipToSpace:
         deaths = parse_hmd_1x1(synthetic_file(90, 105, 1990, 1995, value=value), "deaths")
         exposures = parse_hmd_1x1(synthetic_file(90, 105, 1990, 1995, value=lambda a, t: 100.0), "exposures")
         space = FeatureSpace(90, 97, 1990, 1995)
-        table, report = clip_to_space(deaths, exposures, space, pool_top_age=True)
+        table, warnings = clip_to_space(deaths, exposures, space, pool_top_age=True)
         raw_total = deaths.female.sum() + deaths.male.sum()
         assert table.total_deaths == pytest.approx(raw_total, abs=0.5 * table.deaths.size)
-        assert report.max_rounding_delta < 0.5 + 1e-12
+        rounding = re.fullmatch(r"deaths: \d+ cells rounded to a whole count, largest change (.*)", warnings[-1])
+        assert rounding is not None and float(rounding[1]) <= 0.5
+
+    def test_rounded_death_counts_are_a_warning(self):
+        exposures = parse_hmd_1x1(synthetic_file(0, 1, 2000, 2000, value=lambda a, t: 50.0), "exposures")
+        space = FeatureSpace(0, 1, 2000, 2000)
+        for female, warning in ((("3", "2.25"), "deaths: 1 cell rounded to a whole count, largest change 0.25"),
+                                (("2.5", "0.125"), "deaths: 2 cells rounded to a whole count, largest change 0.5")):
+            rows = [f"2000  {a}  {value}  3  6" for a, value in enumerate(female)]
+            table, warnings = clip_to_space(parse_hmd_1x1(hmd_text(rows), "deaths"), exposures, space, False)
+            assert warnings == [warning]
+            assert table.deaths[0, :, 0].tolist() == [round(float(v)) for v in female]
 
     def test_missing_years_listed(self):
         deaths = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001), "deaths")
@@ -191,10 +202,10 @@ class TestClipToSpace:
 
     def test_exposure_only_caller_gets_zero_deaths(self):
         exposures = parse_hmd_1x1(synthetic_file(0, 4, 2000, 2001, value=lambda a, t: 70.0), "exposures")
-        table, report = clip_to_space(None, exposures, FeatureSpace(0, 3, 2000, 2001), pool_top_age=True)
+        table, warnings = clip_to_space(None, exposures, FeatureSpace(0, 3, 2000, 2001), pool_top_age=True)
         assert table.deaths.dtype == np.int64 and not table.deaths.any()
         assert np.all(table.exposure[:, -1] == 140.0)
-        assert (report.warnings, report.n_rounded, report.max_rounding_delta) == ([], 0, 0.0)
+        assert warnings == []
         with pytest.raises(ValueError, match=r"exposures file lacks requested years: \[2002\]"):
             clip_to_space(None, exposures, FeatureSpace(0, 3, 2000, 2002), pool_top_age=True)
 
@@ -253,13 +264,12 @@ def clip_inputs(draw):
 
 
 def outcome(clip, *args):
-    """The bits of the clipped table and the report, or the error."""
+    """The bits of the clipped table and the warnings, or the error."""
     try:
-        table, report = clip(*args)
+        table, warnings = clip(*args)
     except ValueError as exc:
         return repr(exc)
-    return (table.exposure.view(np.int64).tolist(), table.deaths.dtype, table.deaths.tolist(),
-            report.warnings, report.n_rounded, report.max_rounding_delta)
+    return table.exposure.view(np.int64).tolist(), table.deaths.dtype, table.deaths.tolist(), warnings
 
 
 def cod_csv(rows):

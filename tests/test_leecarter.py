@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mortboost import FeatureSpace, MortalityTable, fit_lc, fit_rh
+from mortboost import FeatureSpace, MortalityTable, ParseError, fit_lc, fit_rh
 from mortboost.leecarter import (
     FitConfig,
     PoissonCells,
@@ -277,6 +277,16 @@ class TestParamsCsv:
             assert back[g].age_min == 20 and back[g].year_min == 1990
         with pytest.raises(ValueError, match="no parameter rows"):
             params_from_csv(text.splitlines()[0] + "\n")
+
+    def test_a_row_fault_is_a_parse_error_naming_its_line(self):
+        head = "gender,kind,index,value\nfemale,beta0,0,-5.0\n"
+        for row, message in (("female,beta0,1,-5.0,-5.0", "expected 4 fields, got 5"),
+                             ("female,beta0,1", "expected 4 fields, got 3"),
+                             ("female,beta0,1,x", "could not convert string to float: 'x'"),
+                             ("female,beta0,0,-4.0", "duplicate female beta0 row for index 0")):
+            with pytest.raises(ParseError) as exc:
+                params_from_csv(f"{head}\n{row}\n")
+            assert (exc.value.line, str(exc.value)) == (4, f"line 4: {message}")
 
     def test_surface_assembly(self, rng):
         space = FeatureSpace(20, 24, 1990, 1994)
