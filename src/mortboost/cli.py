@@ -271,11 +271,16 @@ def cmd_cod(args) -> int:
     except ValueError as exc:
         raise DataError(f"--buckets {args.buckets}: {exc}") from None
     table, warnings = _load_table(args, space)
-    qtilde = aggregate_rates(q_full, table, bucketing)
+    try:
+        qtilde = aggregate_rates(q_full, table, bucketing)
+    except ValueError as exc:  # a bucket without exposure
+        raise DataError(f"--exposures {args.exposures}: {exc}") from None
     del q_full, table  # freed before the cause table is read: a smaller heap at the pass's peak
     cod = _read_file("--cod", args.cod, lambda text: hmd.parse_cod_csv(text, bucketing.n_buckets, causes))
-    theta0 = codboost.init_theta(cod, args.theta_init)
-    working = codboost.make_cod_working_data(cod, qtilde, theta0)
+    try:
+        working = codboost.make_cod_working_data(cod, qtilde, codboost.init_theta(cod, args.theta_init))
+    except ValueError as exc:  # the cause table against the rates fitted on its years
+        raise DataError(f"--cod {args.cod}, --qfit {args.qfit}: {exc}") from None
     cfg = _tree_config(args)
     raw, norm, tree = codboost.estimate_theta_tree(working, cfg)
     residuals = codboost.pearson_residuals(cod, raw)

@@ -340,8 +340,10 @@ TINY = float(np.finfo(np.float64).tiny)
 
 
 def _rate(token: str) -> float:
-    """A rate field's float, unless it is positive and below TINY."""
+    """A rate field's float: in [0, 1], and not positive and below TINY."""
     rate = float(token)
+    if not 0.0 <= rate <= 1.0:  # NaN fails too
+        raise ValueError(f"rate {rate!r} does not lie in [0, 1]")
     if 0.0 < rate < TINY:
         raise ValueError(f"rate {rate!r} is below the smallest normal float {TINY!r}")
     return rate
@@ -577,10 +579,11 @@ _RATE_FORMAT = TableFormat(
 
 def rate_surface_from_csv(text: str) -> RateSurface:
     """Inverse of rate_surface_to_csv: one row per cell of a dense grid, in any
-    order; a malformed or repeated row is named by its line."""
+    order; a malformed or repeated row, and a rate outside [0, 1], is named
+    by its line."""
     header = first_line(text)
     if header is None or header.strip() != _RATE_HEADER:
-        raise ValueError(f"expected header {_RATE_HEADER}")
+        raise ParseError(f"header must be exactly {_RATE_HEADER}", 1)
     gi, ages, years, values = _RATE_FORMAT.read(partial(line_blocks, text, 1))
     space = FeatureSpace(int(ages.min()), int(ages.max()), int(years.min()), int(years.max()))
     if gi.size != space.size:

@@ -34,6 +34,7 @@ The deviance reads its per-fit constants from `PoissonCells`.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import ClassVar, NamedTuple
@@ -44,6 +45,7 @@ from .grids import (
     GENDERS,
     FeatureSpace,
     MortalityTable,
+    ParseError,
     RateSurface,
     TableFormat,
     first_line,
@@ -485,19 +487,28 @@ def params_to_csv(per_gender: dict[str, LCParams]) -> str:
     return buf.getvalue()
 
 
+def _finite(token: str) -> float:
+    """A parameter field's float, unless it is NaN or infinite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"value {token!r} is not finite")
+    return value
+
+
 def params_from_csv(text: str, model: type[LCParams] = LCParams) -> dict[str, LCParams]:
     """Inverse of params_to_csv for one model class (LCParams, RHParams); a
     gender's rows must hold exactly the model's kinds, and each gender gets
-    the default rate floor. A malformed or repeated row is named by its line;
-    a row's value is converted first, then its index, then its gender."""
+    the default rate floor. A malformed or repeated row, and a value that is
+    NaN or infinite (1e400 too), is named by its line; a row's value is
+    converted first, then its index, then its gender."""
     header = first_line(text)
     if header is None or header.strip() != _CSV_HEADER:
-        raise ValueError(f"expected header {_CSV_HEADER}")
+        raise ParseError(f"header must be exactly {_CSV_HEADER}", 1)
     # kind label -> code: a numpy string column would drop a label's trailing NULs
     codes: dict[str, int] = {}
     params = TableFormat(
         4,
-        ((3, float), (2, int), (0, gender_index), (1, lambda kind: codes.setdefault(kind, len(codes)))),
+        ((3, _finite), (2, int), (0, gender_index), (1, lambda kind: codes.setdefault(kind, len(codes)))),
         3, lambda f, v: f"duplicate {f[0]} {f[1]} row for index {v[2]}", "no parameter rows after the header",
     )
     gi, code, index, value = params.read(partial(line_blocks, text, 1))

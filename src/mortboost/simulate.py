@@ -18,9 +18,9 @@ The draw is numpy's `random_poisson` on that stream. A mean of 0 draws 0 and
 uses no doubles. A mean in (0, 10) counts the doubles whose running product
 stays above exp(-mean) (multiplication). A mean of 10 or more uses PTRS, the
 transformed rejection of Hoermann (1993, Insurance: Math. Econ. 12), with
-numpy's constants and two doubles (U, V) per attempt. All cells are computed
-as arrays, one counter block per live cell per round; a round keeps only the
-cells still rejecting.
+numpy's constants and two doubles (U, V) per attempt. The cells are computed
+as arrays, a block of `_DRAW_CELLS` cells at a time, one counter block per
+live cell per round; a round keeps only the cells still rejecting.
 
 The libm rule. numpy's C sampler calls the C library's log and exp; numpy's
 SIMD `np.log` and `np.exp` can differ from them in the last bit. The
@@ -85,6 +85,12 @@ _LG2PI = 1.8378770664093453
 # a comparison whose two sides lie within this share of the sum of the
 # magnitudes of its terms is decided again with libm's log and exp
 _LIBM_MARGIN = 1e-12
+
+# cells that one step of _draw_poisson draws at once: a block's Philox words,
+# PTRS attempts and running products, about 256 bytes a cell, are the
+# call's working set; a draw depends on its own cell only, so the block
+# size cannot change a draw
+_DRAW_CELLS = 1 << 14
 
 
 def _philox_words(keys: np.ndarray, block: int, index: np.ndarray):
@@ -244,7 +250,9 @@ def _mult(keys, index: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _draw_poisson(seed: int, domain: int, indices, means) -> np.ndarray:
     """One Poisson draw per cell: means[j] from the (seed, domain, indices[j])
-    counter blocks. Raises numpy's ValueError for the first mean it rejects."""
+    counter blocks. Raises numpy's ValueError for the first mean it rejects,
+    before any draw. The cells are drawn _DRAW_CELLS at a time, so a call's
+    working set is one block's, whatever the number of cells."""
     index = np.asarray(indices, dtype=np.uint64)
     lam = np.asarray(means, dtype=np.float64)
     bad = ~(lam >= 0) | (lam > POISSON_LAM_MAX)
@@ -255,10 +263,14 @@ def _draw_poisson(seed: int, domain: int, indices, means) -> np.ndarray:
     out = np.zeros(lam.size, dtype=np.int64)
     # IEEE results without warnings, as in C: log(0) = -inf, x / 0 = inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for cells, sampler in ((lam >= 10, _ptrs), ((lam > 0) & (lam < 10), _mult)):
-            cells = np.flatnonzero(cells)
-            if cells.size:
-                out[cells] = sampler(keys, index[cells], lam[cells])
+        for start in range(0, lam.size, _DRAW_CELLS):
+            block = slice(start, start + _DRAW_CELLS)
+            # views: a block's draws are written into out in place
+            block_index, block_lam, block_out = index[block], lam[block], out[block]
+            for cells, sampler in ((block_lam >= 10, _ptrs), ((block_lam > 0) & (block_lam < 10), _mult)):
+                cells = np.flatnonzero(cells)
+                if cells.size:
+                    block_out[cells] = sampler(keys, block_index[cells], block_lam[cells])
     return out
 
 

@@ -1,8 +1,20 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mortboost import FeatureSpace, MortalityTable, WorkingData
 from mortboost.leecarter import PoissonCells, poisson_surface_deviance
+
+
+# the damaged-input property of the CLI: MORTBOOST_LONG_DAMAGE=1 runs it
+# with 10 times its examples, 1,500 runs of the CLI
+settings.register_profile("damage", max_examples=150, deadline=None)
+settings.register_profile("damage-long", settings.get_profile("damage"), max_examples=1500)
+DAMAGE_SETTINGS = settings.get_profile(
+    "damage-long" if os.environ.get("MORTBOOST_LONG_DAMAGE") == "1" else "damage"
+)
 
 
 def dyadic_rates(log_rates: np.ndarray, bits: int = 40) -> np.ndarray:

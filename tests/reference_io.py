@@ -10,6 +10,7 @@ before it worked on whole arrays.
 
 import csv
 import io
+import math
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -314,7 +315,7 @@ def rate_surface_to_csv(surface):
 def rate_surface_from_csv(text):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "gender,age,year,rate":
-        raise ValueError("expected header gender,age,year,rate")
+        raise ParseError("header must be exactly gender,age,year,rate", 1)
     rows = {}
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -326,6 +327,8 @@ def rate_surface_from_csv(text):
             g, a, t, r = fields
             key = (gender_index(g), int(a), int(t))
             value = float(r)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"rate {value!r} does not lie in [0, 1]")
             if 0.0 < value < 2.2250738585072014e-308:
                 raise ValueError(f"rate {value!r} is below the smallest normal float 2.2250738585072014e-308")
         except ValueError as exc:
@@ -368,7 +371,7 @@ _PARAM_AXIS = {"beta0": "age", "beta1": "age", "beta2": "age", "kappa": "year", 
 def read_params_csv(text, kinds, make):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "gender,kind,index,value":
-        raise ValueError("expected header gender,kind,index,value")
+        raise ParseError("header must be exactly gender,kind,index,value", 1)
     rows = {}
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -378,7 +381,10 @@ def read_params_csv(text, kinds, make):
             if len(fields) != 4:
                 raise ValueError(f"expected 4 fields, got {len(fields)}")
             g, kind, idx, val = fields
-            value, i = float(val), int(idx)
+            value = float(val)
+            if not math.isfinite(value):
+                raise ValueError(f"value {val!r} is not finite")
+            i = int(idx)
             gender_index(g)
         except ValueError as exc:
             raise ParseError(str(exc), ln_no) from None

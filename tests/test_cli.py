@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import mortboost
+from conftest import DAMAGE_SETTINGS
 from mortboost import GENDERS, FeatureSpace, PoissonTree, clip_to_space, fit_rh, parse_hmd_1x1
 from mortboost.backtest import grid_features
 from mortboost.cli import FIT_DEFAULTS, main
@@ -582,14 +583,15 @@ class TestErrorPaths:
         header_only = tmp_path / "hdr.csv"
         header_only.write_text("gender,age,year,rate\n")
         hmd_in = ["--deaths", str(sim_dir / "deaths.txt"), "--exposures", str(sim_dir / "exposures.txt")]
-        for qfit in (wrong_header, header_only):
+        for qfit, message in ((wrong_header, "line 1: header must be exactly gender,age,year,rate"),
+                              (header_only, "no rate rows after the header")):
             for argv in (
                 ["backtest", "--qfit", str(qfit), *hmd_in, "--out", str(tmp_path / "bt")],
                 ["cod", "--cod", str(sim_dir / "cod.csv"), "--qfit", str(qfit),
                  "--exposures", str(sim_dir / "exposures.txt"), "--causes", "3", "--out", str(tmp_path / "cod")],
             ):
                 assert main(argv) == 3
-                assert f"--qfit {qfit}:" in capsys.readouterr().err
+                assert capsys.readouterr().err == f"error: --qfit {qfit}: {message}\n"
         # every input error names the flag, the file and the line
         deaths, exposures = str(sim_dir / "deaths.txt"), str(sim_dir / "exposures.txt")
         qfit, params = lc_fit_dir / "qfit.csv", lc_fit_dir / "params.csv"
@@ -615,6 +617,13 @@ class TestErrorPaths:
         twice_params = damaged("twice_params.csv", params, 2, row, row)
         long_params = damaged("long_params.csv", params, 3, "female,beta0,1,-5.0,-5.0")
         foo_params = damaged("foo_params.csv", params, 2, row.replace("female", "foo", 1))
+        assert params.read_text().splitlines()[36].startswith("male,beta0,5,")
+        huge_params = damaged("huge_params.csv", params, 37, "male,beta0,5,1e400")
+        nan_params = damaged("nan_params.csv", params, 37, "male,beta0,5,nan")
+        header_params = damaged("header_params.csv", params, 1, "gender,kind,value")
+        nan_qfit = damaged("nan_qfit.csv", qfit, 2, "female,0,2000,nan")
+        assert (sim_dir / "cod.csv").read_text().splitlines()[1].startswith("female,1,2000,1,")
+        year_0_cod = damaged("year_0_cod.csv", sim_dir / "cod.csv", 2, "female,1,0,1,243")
         bad_spec = tmp_path / "sim.cfg"
         bad_spec.write_text("ages = 0:9\nyears = 2000:2009\nseed = x\n")
         typo_spec = tmp_path / "typo.cfg"
@@ -666,6 +675,30 @@ class TestErrorPaths:
                  "--years", "2000:2009", "--warm-start", twice_params, "--out", str(tmp_path / "r")],
                 f"--warm-start {twice_params}: line 3: duplicate female beta0 row for index 0",
             ),
+            # a value that overflows to inf is rejected before fit rh writes a file
+            (
+                ["fit", "rh", "--deaths", deaths, "--exposures", exposures, "--ages", "0:9",
+                 "--years", "2000:2009", "--warm-start", huge_params, "--out", str(tmp_path / "r")],
+                f"--warm-start {huge_params}: line 37: value '1e400' is not finite",
+            ),
+            (
+                ["check", "--params", nan_params, "--kind", "lc"],
+                f"--params {nan_params}: line 37: value 'nan' is not finite",
+            ),
+            (
+                ["check", "--params", header_params, "--kind", "lc"],
+                f"--params {header_params}: line 1: header must be exactly gender,kind,index,value",
+            ),
+            (
+                ["backtest", "--qfit", nan_qfit, "--deaths", deaths, "--exposures", exposures,
+                 "--out", str(tmp_path / "b")],
+                f"--qfit {nan_qfit}: line 2: rate nan does not lie in [0, 1]",
+            ),
+            (
+                ["cod", "--cod", year_0_cod, *cod_inputs],
+                f"--cod {year_0_cod}, --qfit {qfit}: cause table years 0..2009 are not covered by "
+                "the fitted rates (2000..2009)",
+            ),
             (
                 ["simulate", "--spec", str(bad_spec), "--out", str(tmp_path / "s")],
                 f"--spec {bad_spec}: line 3: invalid literal for int() with base 10: 'x'",
@@ -678,6 +711,8 @@ class TestErrorPaths:
         for argv, message in cases:
             assert main(argv) == 3, argv
             assert capsys.readouterr().err == f"error: {message}\n"
+        for out in ("f", "c", "b", "r", "s"):
+            assert not (tmp_path / out).exists()
 
     def test_clip_errors_name_the_flag_and_file(self, sim_dir, lc_fit_dir, tmp_path, capsys):
         deaths, exposures = sim_dir / "deaths.txt", sim_dir / "exposures.txt"
@@ -1038,12 +1073,14 @@ class TestErrorPaths:
 
 # each command's fixed arguments (OUT: its output directory) and the input
 # flags it reads, each of which names a file of the sim_dir / lc_fit_dir
-# fixtures; the fixture's fit takes 15 iterations, and a damaged table that
-# does not converge stops at 200 (exit 4) rather than 10,000
+# fixtures; the fixture's fits take 15 (lc) and 86 (rh) iterations, and a
+# damaged input that does not converge stops at 200 (exit 4) rather than
+# 10,000
 OUT = object()
+FIT_ARGS = ["--ages", "0:9", "--years", "2000:2009", "--max-iter", "200", "--out", OUT]
 DAMAGE_RUNS = {
-    "fit lc": (["fit", "lc", "--ages", "0:9", "--years", "2000:2009", "--max-iter", "200", "--out", OUT],
-               ("deaths", "exposures")),
+    "fit lc": (["fit", "lc", *FIT_ARGS], ("deaths", "exposures")),
+    "fit rh": (["fit", "rh", *FIT_ARGS], ("deaths", "exposures", "warm-start")),
     "backtest": (["backtest", "--out", OUT], ("qfit", "deaths", "exposures")),
     "cod": (["cod", "--causes", "3", "--buckets", "0-4;5-9", "--out", OUT], ("cod", "qfit", "exposures")),
     "check": (["check", "--kind", "lc"], ("params",)),
@@ -1054,6 +1091,27 @@ DAMAGE_RUNS = {
 # exposures far from a population's: overflowing products, subnormal and
 # infinite values
 EXTREME_EXPOSURES = ["1e18", "1e300", "1e-300", "1e-305", "5e-324", "inf"]
+
+
+# values that a parameter, rate or count may not hold: 1e400 overflows to
+# inf; 0 and -1 are also years and ages outside the fixtures' ranges
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+FIELD_TOKENS = [*NON_FINITE, "0", "-1", ""]
+
+
+def damaged_field(data, text: str) -> tuple[str, int | None]:
+    """CSV text with one field of one data row set to a drawn token, and the
+    row's 1-based line where the token is a non-finite value in the row's
+    last field (a parameter, rate or count), which a reader rejects at its
+    line; None otherwise."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[i].split(",")
+    last = data.draw(st.booleans())
+    f = len(fields) - 1 if last else data.draw(st.integers(0, len(fields) - 2))
+    fields[f] = data.draw(st.sampled_from(FIELD_TOKENS))
+    lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n", i + 1 if last and fields[f] in NON_FINITE else None
 
 
 def extreme_exposure(data, text: str) -> str:
@@ -1067,34 +1125,47 @@ def extreme_exposure(data, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=150, deadline=None)
+@DAMAGE_SETTINGS
 @given(data=st.data())
 def test_damaged_input_file_is_never_an_internal_error(sim_dir, lc_fit_dir, data):
-    """One damaged input file, or one extreme exposure: the command succeeds,
-    rejects it (3) or does not converge (4); it never exits 5."""
+    """One damaged input file, one extreme exposure, or one CSV field set to
+    a drawn token: the command succeeds, rejects it (3) naming the damaged
+    file's flag, or does not converge (4); it never exits 5. A non-finite
+    parameter, rate or count is rejected at its line. check's exit 3 for a
+    constraint that fails prints FAIL rows, not an error."""
     inputs = {
         "deaths": sim_dir / "deaths.txt", "exposures": sim_dir / "exposures.txt",
         "cod": sim_dir / "cod.csv", "qfit": lc_fit_dir / "qfit.csv",
-        "params": lc_fit_dir / "params.csv", "spec": sim_dir.parent / "sim.cfg",
+        "params": lc_fit_dir / "params.csv", "warm-start": lc_fit_dir / "params.csv",
+        "spec": sim_dir.parent / "sim.cfg",
     }
     head, flags = DAMAGE_RUNS[data.draw(st.sampled_from(sorted(DAMAGE_RUNS)))]
     target = data.draw(st.sampled_from(flags))
+    line = None
     with tempfile.TemporaryDirectory() as tmp:
         damaged = Path(tmp) / inputs[target].name
         text = inputs[target].read_text()
         if target == "exposures" and data.draw(st.booleans()):
             text = extreme_exposure(data, text)
+        elif target in ("cod", "qfit", "params", "warm-start") and data.draw(st.booleans()):
+            text, line = damaged_field(data, text)
         else:
             text = damage(data, text)
         damaged.write_bytes(text.encode("utf-8", "surrogatepass"))
         files = {flag: damaged if flag == target else inputs[flag] for flag in flags}
         argv = [str(Path(tmp) / "out") if arg is OUT else arg for arg in head]
         argv += [arg for flag in flags for arg in (f"--{flag}", str(files[flag]))]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 3, 4), (argv, err.getvalue())
-    assert "internal error" not in err.getvalue()
+    message = err.getvalue()
+    assert code in (0, 3, 4), (argv, message)
+    assert "internal error" not in message
+    if line is not None:
+        assert code == 3, (argv, message)
+        assert message.startswith(f"error: --{target} {damaged}: line {line}: "), (argv, message)
+    elif code == 3 and not (head[0] == "check" and not message and "[FAIL]" in out.getvalue()):
+        assert message.startswith("error: ") and f"--{target} {damaged}" in message, (argv, message)
 
 
 def test_importing_the_cli_loads_no_network_module():

@@ -59,7 +59,7 @@ def param_sets(draw, make):
             kind: np.array(
                 draw(
                     st.lists(
-                        st.floats(allow_nan=False),
+                        st.floats(allow_nan=False, allow_infinity=False),
                         min_size=size[_KIND_AXIS[kind]],
                         max_size=size[_KIND_AXIS[kind]],
                     )

@@ -1,4 +1,5 @@
-"""Bounded memory of the text readers and writers, measured with tracemalloc.
+"""Bounded memory of the text readers and writers and of the sampler,
+measured with tracemalloc.
 
 The inputs are those of the cod_5y workload's cause-of-death pass (ages
 0..97, 21 five-year buckets, 65 years, 12 causes) and the same with four
@@ -7,7 +8,9 @@ text, table or grid) is its transients: a writer's stay under 2 MiB at both
 sizes, as do a reader's at the cod_5y size. A reader keeps one array per
 field of its table for the duplicate check over the whole table, so at the
 larger size its transients are bounded by 2 MiB plus those arrays and the
-sort of their keys.
+sort of their keys. The sampler draws a block of cells at a time, so beyond
+its table it holds 32 bytes a cell (the means, the cell indices, their
+uint64 copy and the draws) and one block's working set.
 """
 
 import tracemalloc
@@ -16,7 +19,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from mortboost import hmd
+from mortboost import SimSpec, hmd, simulate
 from mortboost.codboost import ResidualGrid, ThetaSurface, residuals_to_csv, theta_to_csv
 from mortboost.grids import AgeBucketing, FeatureSpace, RateSurface, rate_surface_from_csv, rate_surface_to_csv
 from mortboost.leecarter import LCParams, params_from_csv, params_to_csv
@@ -113,3 +116,15 @@ def test_a_reader_holds_at_most_2_mib_beyond_its_result_and_arrays(name, scale):
     over = over_result(read, table)
     arrays = 0 if scale == 1 else table.count("\n") * (8 * width + ROW_BYTES)
     assert over < 2 * MIB + arrays, f"{name}: {over / MIB:.2f} MiB beyond its result"
+
+
+def test_the_sampler_holds_32_bytes_a_cell_and_one_block_beyond_its_table():
+    # 250,000 cells, with means from 0 to 200 in both samplers: drawing
+    # every cell at once would hold about 250 bytes a cell
+    space = FeatureSpace(0, 249, 1, 500)
+    rng = np.random.default_rng(5)
+    spec = SimSpec(RateSurface(space, rng.uniform(0, 0.2, space.shape)), np.full(space.shape, 1e3), seed=3)
+    # a block's Philox words, attempts and products: about 256 bytes a cell,
+    # 4 MiB at 16,384 cells
+    over = over_result(simulate.sample_deaths, spec)
+    assert over < 32 * space.size + 8 * MIB, f"{over / MIB:.2f} MiB beyond the table"

@@ -217,6 +217,44 @@ class TestSampler:
                     draw(5, 0, list(range(len(means))), means)
 
 
+class TestDrawBlocks:
+    """_draw_poisson draws _DRAW_CELLS cells at a time; a cell's draw depends
+    on its own counter blocks only, so the blocks change no draw."""
+
+    def test_cells_on_both_sides_of_every_block_edge_match_the_reference(self):
+        block = simulate._DRAW_CELLS
+        rng = np.random.default_rng(25)
+        indices = rng.integers(0, 2**64 - 1, 3 * block + 5, dtype=np.uint64, endpoint=True)
+        means = spread_means(rng, indices.size)
+        edges = np.array([0, block - 1, block, 2 * block - 1, 2 * block, 3 * block - 1, 3 * block,
+                          indices.size - 1])
+        # each side of an edge in each sampler: multiplication, PTRS, and 0
+        means[edges] = [3.5, 40.0, 0.5, 10.0, 9.999999999999998, 0.0, 1e6, 7.0]
+        want = reference_sampler.draw_poisson(29, 1, indices[edges].tolist(), means[edges].tolist())
+        assert np.array_equal(_draw_poisson(29, 1, indices, means)[edges], want)
+
+    @pytest.mark.parametrize("cells", range(1, 8))
+    def test_blocks_of_1_to_7_cells_give_the_same_draws(self, cells, monkeypatch):
+        space = FeatureSpace(0, 3, 2000, 2004)
+        rng = np.random.default_rng(26)
+        spec = SimSpec(
+            q=RateSurface(space, rng.uniform(1e-4, 1e-2, space.shape)),
+            exposure=np.full(space.shape, 5e3),
+            seed=17,
+            theta=ThetaSurface(rng.dirichlet(np.ones(3), size=(2, 2, space.n_years))),
+            bucketing=AgeBucketing.from_spec("0-1;2-3", 0, 3),
+        )
+        draws = {
+            0: ((spec.q.rate * spec.exposure).ravel(), lambda s: sample_deaths(s).deaths),
+            1: (spec.cause_means().ravel(), lambda s: sample_cause_deaths(s)[0].counts),
+        }
+        monkeypatch.setattr(simulate, "_DRAW_CELLS", cells)
+        for domain, (means, sample) in draws.items():
+            assert (means < 10).any() and (means >= 10).any()
+            want = reference_sampler.draw_poisson(spec.seed, domain, range(means.size), means.tolist())
+            assert np.array_equal(sample(spec).ravel(), want)
+
+
 class TestSampleCauseDeaths:
     def cause_spec(self, theta_row, seed=11):
         space = FeatureSpace(0, 3, 2000, 2004)
